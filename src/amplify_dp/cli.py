@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Callable, Sequence
 
@@ -32,11 +31,12 @@ from .iteration import IterationChain, SgdConfig, contraction_coeff, sgd_rdp_at_
 from .mixing import DiscreteKernel, amplify, amplify_with_kernel, eps_tilde
 from .verify import (
     CSV_COLUMNS,
+    TrialReport,
     certify_diffusion,
     certify_theorem1,
     certify_transport_and_decompose,
+    format_cell,
     reports_summary,
-    reports_to_csv,
 )
 
 EXIT_OK = 0
@@ -53,14 +53,6 @@ class ValidationFailure(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _require_keys(config: dict, required: Sequence[str], optional: Sequence[str] = ()):
@@ -149,7 +141,7 @@ def cmd_mixing(config: dict, seed) -> tuple[list[str], list[list], list[str], in
     results = amplify_with_kernel(kernel, guarantee)
     rows = [[cond, gamma, out.epsilon, out.delta]
             for cond, (gamma, out) in results.items()]
-    extra = [f"# eps_tilde: {_fmt(eps_tilde(guarantee))}"]
+    extra = [f"# eps_tilde: {format_cell(eps_tilde(guarantee))}"]
     return ["condition", "gamma", "eps_prime", "delta_prime"], rows, extra, EXIT_OK
 
 
@@ -251,8 +243,8 @@ def cmd_ou(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
         except ValueError as exc:
             raise ValidationFailure("plan_epsilon", str(exc)) from exc
         theta, rho = planned.theta, planned.rho
-        extra.append(f"# planned_theta: {_fmt(theta)}")
-        extra.append(f"# planned_rho: {_fmt(rho)}")
+        extra.append(f"# planned_theta: {format_cell(theta)}")
+        extra.append(f"# planned_rho: {format_cell(rho)}")
     else:
         if "theta" not in config or "rho" not in config:
             raise ValidationFailure("theta", "theta and rho required without plan_epsilon")
@@ -287,11 +279,15 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
     if not isinstance(suites, list) or not set(suites) <= known or not suites:
         raise ValidationFailure("suites", f"expected a non-empty subset of {sorted(known)}")
     trials = _integer(config, "trials", lo=1) if "trials" in config else 200
-    sizes = tuple(config.get("sizes", [2, 16]))
-    if len(sizes) != 2 or not all(isinstance(s, int) and s >= 2 for s in sizes):
-        raise ValidationFailure("sizes", "expected [lo, hi] with lo, hi >= 2")
+    sizes = config.get("sizes", [2, 16])
+    if not (isinstance(sizes, list) and len(sizes) == 2
+            and all(isinstance(s, int) for s in sizes) and 2 <= sizes[0] <= sizes[1]):
+        raise ValidationFailure("sizes", "expected [lo, hi] with 2 <= lo <= hi")
+    sizes = tuple(sizes)
     eps_grid = (_number_list(config, "eps_grid") if "eps_grid" in config
                 else [0.0, 0.5, 1.0, 2.0])
+    if any(eps < 0 for eps in eps_grid):
+        raise ValidationFailure("eps_grid", "entries must be >= 0")
     mc_samples = (_integer(config, "mc_samples", lo=100)
                   if "mc_samples" in config else 200_000)
 
@@ -305,7 +301,7 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
 
     rows = [[getattr(r, c) for c in CSV_COLUMNS] for r in reports]
     violations = sum(1 for r in reports if not r.passed)
-    extra = [f"# threads: {max_threads()}", f"# violations: {violations}"]
+    extra = [f"# violations: {violations}"]
     code = EXIT_VIOLATION if violations else EXIT_OK
     return list(CSV_COLUMNS), rows, extra, code
 
@@ -328,14 +324,7 @@ def _render_csv(command: str, config: dict, seed, header: list[str],
         lines.append(f"# seed: {seed}")
     lines.extend(extra)
     lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            text = _fmt(cell)
-            if any(c in text for c in ",\"\n"):
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
+    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -349,31 +338,8 @@ def _render_json(command: str, config: dict, seed, header: list[str],
         "rows": [dict(zip(header, row)) for row in rows],
     }
     if command == "verify":
-        summary: dict = {}
-        for row in rows:
-            entry = dict(zip(header, row))
-            case = summary.setdefault(entry["case"], {"trials": 0, "violations": 0,
-                                                      "max_slack_deficit": 0.0})
-            case["trials"] += 1
-            if not entry["passed"]:
-                case["violations"] += 1
-            deficit = max(0.0, -(entry["slack"] + entry["tolerance"]))
-            case["max_slack_deficit"] = max(case["max_slack_deficit"], deficit)
-        payload["summary"] = summary
+        payload["summary"] = reports_summary([TrialReport(*row) for row in rows])
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def max_threads() -> int:
-    """Parallelism cap from AMPLIFY_DP_THREADS.
-
-    Harness trials run sequentially in seed order, so any cap >= 1 is
-    honored; the value is echoed in verify metadata.
-    """
-    raw = os.environ.get("AMPLIFY_DP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.special import logsumexp
 
@@ -35,7 +34,7 @@ __all__ = [
     "aligned_masses",
 ]
 
-# Feasibility margin for floating-point max-flow on probability capacities.
+# W-infinity transport is complete once the unrouted mass is at most this.
 FLOW_ATOL = 1e-12
 
 
@@ -206,57 +205,70 @@ def renyi_numeric_1d(
     return max(0.0, math.log(moment) / (alpha - 1.0))
 
 
-def _wasserstein_feasible(p: np.ndarray, q: np.ndarray, dist: np.ndarray, w: float) -> tuple[bool, np.ndarray | None]:
-    """Max-flow test: can all mass move along pairs with distance <= w?"""
-    g = nx.DiGraph()
-    n, m = dist.shape
-    for i in range(n):
-        g.add_edge("s", ("a", i), capacity=float(p[i]))
-    for j in range(m):
-        g.add_edge(("b", j), "t", capacity=float(q[j]))
-    for i in range(n):
-        for j in range(m):
-            if dist[i, j] <= w + FLOW_ATOL:
-                g.add_edge(("a", i), ("b", j), capacity=float(min(p[i], q[j])))
-    value, flow = nx.maximum_flow(g, "s", "t")
-    if value < 1.0 - FLOW_ATOL:
-        return False, None
-    joint = np.zeros_like(dist)
-    for i in range(n):
-        for j, f in flow.get(("a", i), {}).items():
-            if isinstance(j, tuple) and j[0] == "b":
-                joint[i, j[1]] = f
-    return True, joint
-
-
 def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
+    """Bottleneck transport in one augmenting-path pass over the distance matrix.
+
+    ``flow`` only uses pairs with ``dist <= w``.  A BFS from the sources with
+    mass left follows such pairs forward and pairs carrying flow backward; a
+    path to a target with room left is augmented by its bottleneck.  When no
+    path exists, the reached nodes form a cut that no threshold below the
+    nearest unreached target can cross, so ``w`` rises to that distance.
+    """
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
         raise ValueError("supports live in different dimensions")
     dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
-    thresholds = np.unique(dist)
-    # Smallest feasible threshold via binary search; feasibility is monotone.
-    lo, hi = 0, len(thresholds) - 1
-    ok, joint = _wasserstein_feasible(mu.probs, nu.probs, dist, thresholds[hi])
-    if not ok:
-        raise RuntimeError("transport infeasible at the maximal distance")
-    best = (float(thresholds[hi]), joint)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        ok, joint = _wasserstein_feasible(mu.probs, nu.probs, dist, thresholds[mid])
-        if ok:
-            best = (float(thresholds[mid]), joint)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best
+    supply, demand = mu.probs.copy(), nu.probs.copy()
+    flow = np.zeros_like(dist)
+    w, routed = dist.min(), 0.0
+    while 1.0 - routed > FLOW_ATOL:
+        seen_s, seen_t = supply > 0.0, np.zeros(len(demand), dtype=bool)
+        # by_s[j]: source that reached target j; by_t[i]: target that reached source i.
+        by_s, by_t = np.full(len(demand), -1), np.full(len(supply), -1)
+        frontier, sink = seen_s.copy(), -1
+        while frontier.any():
+            rows = np.flatnonzero(frontier)
+            reach = (dist[rows] <= w) & ~seen_t
+            new_t = np.flatnonzero(reach.any(axis=0))
+            if not new_t.size:
+                break
+            by_s[new_t] = rows[reach[:, new_t].argmax(axis=0)]
+            seen_t[new_t] = True
+            open_t = new_t[demand[new_t] > 0.0]
+            if open_t.size:
+                sink = open_t[0]
+                break
+            back = (flow[:, new_t] > 0.0) & ~seen_s[:, None]
+            frontier = back.any(axis=1)
+            by_t[frontier] = new_t[back[frontier].argmax(axis=1)]
+            seen_s |= frontier
+        if sink < 0:
+            gaps = dist[np.ix_(seen_s, ~seen_t)]
+            if not gaps.size:
+                raise RuntimeError("transport infeasible at the maximal distance")
+            w = gaps.min()
+            continue
+        path, j = [], sink
+        while j >= 0:
+            path.append((by_s[j], j))
+            j = by_t[path[-1][0]]
+        # Forward pairs (i_k, j_k) gain flow; backward pairs (i_k, j_k+1) give it up.
+        fi, fj = np.array(path).T
+        amount = min(supply[fi[-1]], demand[sink], flow[fi[:-1], fj[1:]].min(initial=np.inf))
+        flow[fi, fj] += amount
+        flow[fi[:-1], fj[1:]] -= amount
+        supply[fi[-1]] -= amount
+        demand[sink] -= amount
+        routed += amount
+    return float(w), flow
 
 
 def w_inf_discrete(mu: DiscreteDist, nu: DiscreteDist) -> float:
     """Exact infinity-Wasserstein distance between coordinate-carrying supports.
 
-    Binary search over the sorted pairwise distances, deciding feasibility at
-    each threshold by max-flow with the probability masses as capacities.
+    The smallest pairwise distance ``w`` such that all but ``FLOW_ATOL`` of
+    the mass can be moved along pairs at distance ``<= w``, found by one
+    bottleneck augmenting-path pass; distances are compared exactly.
     """
     return _w_inf_search(mu, nu)[0]
 

@@ -163,21 +163,17 @@ def ultra_coeff(kernel: DiscreteKernel) -> float:
     """Ultra-mixing coefficient: one minus the smallest pairwise row ratio.
 
     0/0 imposes no constraint; a positive mass over a zero entry breaks
-    absolute continuity and forces gamma = 1.
+    absolute continuity and forces gamma = 1.  Column by column, the smallest
+    ratio is the column minimum over the column maximum: rounded division is
+    monotone, so this is exactly the smallest of the pairwise quotients.
     """
     r = kernel.rows
-    n = r.shape[0]
-    min_ratio = 1.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pos = r[j] > 0.0
-            if np.any(r[i][~pos] > 0.0):
-                return 1.0
-            if pos.any():
-                min_ratio = min(min_ratio, float((r[i][pos] / r[j][pos]).min()))
-    return min(max(1.0 - min_ratio, 0.0), 1.0)
+    pos = r > 0.0
+    full = pos.all(axis=0)
+    if np.any(pos.any(axis=0) & ~full):
+        return 1.0
+    ratios = r[:, full].min(axis=0) / r[:, full].max(axis=0)
+    return 1.0 - float(ratios.min(initial=1.0))
 
 
 @dataclass(frozen=True)

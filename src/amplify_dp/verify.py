@@ -9,7 +9,7 @@ Violations are reported, never raised: a failing row is the caller's signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,11 +47,6 @@ __all__ = [
 EXACT_TOL = 1e-12
 QUAD_TOL = 1e-6
 
-CSV_COLUMNS = (
-    "trial_id", "case", "descriptor", "delta_before", "coefficient",
-    "measured", "bound", "tolerance", "passed", "slack",
-)
-
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -68,6 +63,9 @@ class TrialReport:
     tolerance: float
     passed: bool
     slack: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialReport))
 
 
 def _report(trial_id, case, descriptor, measured, bound, tolerance,
@@ -311,7 +309,8 @@ def certify_diffusion(
     return reports
 
 
-def _csv_cell(value) -> str:
+def format_cell(value) -> str:
+    """One CSV cell: shortest round-trip floats, lowercase booleans, RFC-4180 quoting."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -326,7 +325,7 @@ def reports_to_csv(reports: Sequence[TrialReport]) -> str:
     """Render reports as RFC-4180 CSV, one row per trial-and-check."""
     lines = [",".join(CSV_COLUMNS)]
     for r in reports:
-        lines.append(",".join(_csv_cell(getattr(r, c)) for c in CSV_COLUMNS))
+        lines.append(",".join(format_cell(getattr(r, c)) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -231,6 +231,18 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("bad, field", [
+        ({"sizes": 5}, "sizes"),
+        ({"sizes": [9, 3]}, "sizes"),
+        ({"eps_grid": [-1.0]}, "eps_grid"),
+    ])
+    def test_bad_sizes_and_eps_grid_exit_2(self, tmp_path, capsys, bad, field):
+        cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 2, **bad})
+        code, out, err = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+
     def test_violations_exit_3(self, tmp_path, capsys, monkeypatch):
         # Force a failing report through the wiring; theorems hold, so a real
         # violation cannot be provoked with honest inputs.
@@ -247,13 +259,6 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
         assert code == 3
         assert "# violations: 1" in out
-
-    def test_thread_cap_echoed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("AMPLIFY_DP_THREADS", "4")
-        cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 2})
-        code, out, _ = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
-        assert code == 0
-        assert "# threads: 4" in out
 
 
 class TestReproducibility:

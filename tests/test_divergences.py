@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from amplify_dp.divergences import (
 )
 from amplify_dp.verify import random_instance
 from amplify_dp.mixing import pushforward
+from reference_impls import w_inf_max_flow_search
 
 
 def brute_force_hockey_stick(p, q, eps):
@@ -290,3 +295,92 @@ class TestWInf:
             move = math.dist(x, y)
             assert move <= w + 1e-12
         assert sum(pi.probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def coord_dist(points, probs):
+    return DiscreteDist([tuple(pt) for pt in points], probs)
+
+
+W_INF_KINDS = ["random1", "random2", "random3", "lattice", "identical", "one_point"]
+
+
+def w_inf_instances(kind, count=12):
+    """Pairs of coordinate-carrying laws for checking W-infinity.
+
+    ``random<d>``: uniform supports of 1 to 12 points in d dimensions;
+    ``lattice``: points of {0..3}^d with integer weights, so distances tie and
+    some atoms carry no mass; ``identical``: a law against itself;
+    ``one_point``: a point mass against a random law or another point mass.
+    """
+    rng = np.random.default_rng(W_INF_KINDS.index(kind))
+    pairs = []
+    for _ in range(count):
+        d = int(kind[-1]) if kind.startswith("random") else int(rng.integers(1, 4))
+        n, m = (int(v) for v in rng.integers(1, 13, size=2))
+        if kind == "lattice":
+            x = np.unique(rng.integers(0, 4, size=(n, d)), axis=0).astype(float)
+            y = np.unique(rng.integers(0, 4, size=(m, d)), axis=0).astype(float)
+            p = rng.integers(0, 4, size=len(x)).astype(float)
+            q = rng.integers(0, 4, size=len(y)).astype(float)
+            p[0] += p.sum() == 0
+            q[-1] += q.sum() == 0
+            pairs.append((coord_dist(x, p / p.sum()), coord_dist(y, q / q.sum())))
+            continue
+        if kind == "one_point":
+            n = 1
+            m = 1 if len(pairs) % 2 else m
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        mu = coord_dist(x, rng.dirichlet(np.ones(n)))
+        nu = mu if kind == "identical" else coord_dist(y, rng.dirichlet(np.ones(m)))
+        pairs.append((mu, nu))
+    return pairs
+
+
+def quantile_sup_distance(mu, nu):
+    """sup over u in (0, 1) of |F^-1(u) - G^-1(u)| for laws on the line."""
+    x, y = mu.coords()[:, 0], nu.coords()[:, 0]
+    ox, oy = np.argsort(x), np.argsort(y)
+    f, g = np.cumsum(mu.probs[ox]), np.cumsum(nu.probs[oy])
+    f[-1] = g[-1] = 1.0
+    cuts = np.unique(np.concatenate([[0.0], f, g]))
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    i = np.minimum(np.searchsorted(f, mid), len(x) - 1)
+    j = np.minimum(np.searchsorted(g, mid), len(y) - 1)
+    return float(np.abs(x[ox][i] - y[oy][j]).max())
+
+
+class TestWInfAgainstMaxFlow:
+    @pytest.mark.parametrize("kind", W_INF_KINDS)
+    def test_value_matches_reference(self, kind):
+        for mu, nu in w_inf_instances(kind):
+            reference, _ = w_inf_max_flow_search(mu, nu)
+            assert abs(w_inf_discrete(mu, nu) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("kind", W_INF_KINDS)
+    def test_witness_marginals_and_largest_move(self, kind):
+        for mu, nu in w_inf_instances(kind):
+            w, pi = w_inf_optimal_coupling(mu, nu)
+            first = dict.fromkeys(mu.points, 0.0)
+            second = dict.fromkeys(nu.points, 0.0)
+            moves = []
+            for (a, b), pr in zip(pi.points, pi.probs):
+                first[a] += pr
+                second[b] += pr
+                moves.append(float(np.sqrt(np.sum((np.array(a) - np.array(b)) ** 2))))
+            assert np.abs(np.array(list(first.values())) - mu.probs).max() <= 1e-12
+            assert np.abs(np.array(list(second.values())) - nu.probs).max() <= 1e-12
+            assert max(moves) == w
+
+    def test_one_dimensional_is_quantile_sup_distance(self):
+        for mu, nu in w_inf_instances("random1", count=40):
+            assert abs(w_inf_discrete(mu, nu) - quantile_sup_distance(mu, nu)) <= 1e-12
+
+    def test_import_does_not_load_networkx(self):
+        import amplify_dp
+
+        src = pathlib.Path(amplify_dp.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, amplify_dp, amplify_dp.cli; print('networkx' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "False"

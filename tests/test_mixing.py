@@ -24,6 +24,7 @@ from amplify_dp.mixing import (
     ultra_coeff,
 )
 from amplify_dp.verify import random_instance
+from reference_impls import ultra_coeff_pairs
 
 K_EXAMPLE = DiscreteKernel.from_matrix([[0.7, 0.3], [0.4, 0.6]])
 
@@ -119,6 +120,27 @@ class TestCoefficients:
     def test_ultra_zero_entry(self):
         k = DiscreteKernel.from_matrix([[0.5, 0.5, 0.0], [0.2, 0.6, 0.2]])
         assert ultra_coeff(k) == 1.0
+
+    ULTRA_KINDS = ["dense", "zeros", "zero_column", "ties", "single_row"]
+
+    @pytest.mark.parametrize("kind", ULTRA_KINDS)
+    def test_ultra_equals_pair_loop(self, kind):
+        # The column formula must reproduce the pairwise loop bit for bit.
+        rng = np.random.default_rng(self.ULTRA_KINDS.index(kind))
+        for _ in range(200):
+            n = 1 if kind == "single_row" else int(rng.integers(2, 9))
+            m = int(rng.integers(1, 9))
+            if kind == "ties":
+                k = rng.integers(1, 4, size=(n, m)).astype(float)
+            else:
+                k = rng.exponential(size=(n, m))
+            if kind == "zeros":
+                k *= rng.uniform(size=(n, m)) > 0.3
+            if kind == "zero_column" and m > 1:
+                k[:, rng.integers(0, m)] = 0.0
+            k[k.sum(axis=1) == 0.0, 0] = 1.0
+            k /= k.sum(axis=1, keepdims=True)
+            assert ultra_coeff(DiscreteKernel.from_matrix(k)) == ultra_coeff_pairs(k)
 
     def test_doeblin_witness_optimality(self):
         # The column-minimum mass dominates the best constant achievable by
