@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+# Uniform Simpson panels the domain starts with, shared out between the
+# breakpoint segments by length.
+INITIAL_PANELS = 32
+
 
 class QuadratureError(RuntimeError):
     """Raised when the integrator cannot reach the tolerance within budget."""
@@ -20,7 +24,6 @@ def integrate(
     tol: float = 1e-8,
     max_evals: int = 10**6,
     breakpoints: Sequence[float] = (),
-    initial_panels: int = 32,
     rtol: float = 0.0,
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` to tolerance ``tol + rtol * |integral|``.
@@ -52,7 +55,7 @@ def integrate(
     total = b - a
     stack: list[tuple[float, float, float, float, float, float, float]] = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        n = max(1, round(initial_panels * (hi - lo) / total))
+        n = max(1, round(INITIAL_PANELS * (hi - lo) / total))
         edges = [lo + (hi - lo) * k / n for k in range(n + 1)]
         for x0, x1 in zip(edges[:-1], edges[1:]):
             xm = 0.5 * (x0 + x1)

@@ -64,9 +64,16 @@ def _require_keys(config: dict, required: Sequence[str], optional: Sequence[str]
         raise ValidationFailure(sorted(unknown)[0], "unknown config key")
 
 
+def _is_number(value) -> bool:
+    # JSON's NaN literal parses to a float; it is not a usable number.
+    if isinstance(value, float):
+        return not math.isnan(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(config: dict, key: str, lo=None, hi=None) -> float:
     value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationFailure(key, f"expected a number, got {value!r}")
     value = float(value)
     if lo is not None and value < lo:
@@ -91,7 +98,7 @@ def _number_list(config: dict, key: str) -> list[float]:
         raise ValidationFailure(key, "expected a non-empty list of numbers")
     out = []
     for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ValidationFailure(key, f"expected numbers, got {v!r}")
         out.append(float(v))
     return out
@@ -113,7 +120,7 @@ def _load_kernel(config: dict) -> DiscreteKernel:
         mat = np.asarray(matrix, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationFailure("kernel", f"not a numeric matrix: {exc}") from exc
-    if mat.ndim != 2 or np.any(mat < 0):
+    if mat.ndim != 2 or not np.all(mat >= 0):
         raise ValidationFailure("kernel", "must be a 2-D non-negative matrix")
     sums = mat.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > KERNEL_ROW_ATOL)[0]

@@ -19,6 +19,9 @@ from ._rng import rng_from_seed, uniform_open
 
 PROB_ATOL = 1e-12
 
+# Half-width of quadrature_domain in units of the family's scale.
+QUAD_DOMAIN_SCALES = 40.0
+
 # Below this relative scale gap the two-scale Laplace density switches to the
 # equal-scale branch: the 1/(lambda1 - lambda2) factors cancel catastrophically.
 LAP2_EQUAL_SCALE_RTOL = 1e-8
@@ -56,8 +59,8 @@ class DiscreteDist:
             raise ValueError("points and probs must be 1-D of equal length")
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be pairwise distinct")
-        if np.any(pr < 0):
-            raise ValueError("probabilities must be non-negative")
+        if not np.all(pr >= 0):
+            raise ValueError("probabilities must be non-negative numbers")
         if abs(float(pr.sum()) - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {pr.sum()!r}, not 1")
         pr.flags.writeable = False
@@ -65,8 +68,8 @@ class DiscreteDist:
         object.__setattr__(self, "probs", pr)
 
     @classmethod
-    def from_probs(cls, probs: Sequence[float], prefix: str = "s") -> "DiscreteDist":
-        return cls([f"{prefix}{i}" for i in range(len(probs))], probs)
+    def from_probs(cls, probs: Sequence[float]) -> "DiscreteDist":
+        return cls([f"s{i}" for i in range(len(probs))], probs)
 
     @property
     def has_coords(self) -> bool:
@@ -211,16 +214,17 @@ def sample(family: NoiseFamily, rng_seed: int, n: int) -> np.ndarray:
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
-def quadrature_domain(family: NoiseFamily, n_scales: float = 40.0) -> tuple[float, float]:
-    """Interval carrying all but < 1e-300 of the family's mass (1-D only)."""
+def quadrature_domain(family: NoiseFamily) -> tuple[float, float]:
+    """Interval carrying all but < 1e-300 of the family's mass (1-D only):
+    ``QUAD_DOMAIN_SCALES`` scales on either side of the center."""
     if isinstance(family, GaussianDist):
         if family.dim != 1:
             raise ValueError("quadrature domain is 1-D only")
-        s = math.sqrt(family.variance)
-        return family.mean[0] - n_scales * s, family.mean[0] + n_scales * s
-    if isinstance(family, LaplaceDist):
-        return family.loc - n_scales * family.scale, family.loc + n_scales * family.scale
-    if isinstance(family, Lap2Dist):
-        s = max(family.lambda1, family.lambda2)
-        return family.loc - n_scales * s, family.loc + n_scales * s
-    raise TypeError(f"unsupported family {type(family).__name__}")
+        center, scale = family.mean[0], math.sqrt(family.variance)
+    elif isinstance(family, LaplaceDist):
+        center, scale = family.loc, family.scale
+    elif isinstance(family, Lap2Dist):
+        center, scale = family.loc, max(family.lambda1, family.lambda2)
+    else:
+        raise TypeError(f"unsupported family {type(family).__name__}")
+    return center - QUAD_DOMAIN_SCALES * scale, center + QUAD_DOMAIN_SCALES * scale

@@ -180,10 +180,10 @@ def renyi_numeric_1d(
     absolute error target on the divergence itself, which translates into a
     relative target on the moment integral (the moment is >= 1 and can be
     astronomically large).  Raises :class:`QuadratureError` if the evaluation
-    budget runs out.  Both densities must be positive almost everywhere on
-    ``domain``; values of p below 1e-100 are treated as zero mass so that far
-    tails may underflow, while q vanishing where p is non-negligible is
-    rejected.
+    budget runs out or if the integrand or the moment overflows.  Both
+    densities must be positive almost everywhere on ``domain``; values of p
+    below 1e-100 are treated as zero mass so that far tails may underflow,
+    while q vanishing where p is non-negligible is rejected.
     """
     if not (alpha > 1 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and > 1")
@@ -195,13 +195,18 @@ def renyi_numeric_1d(
         qv = q(x)
         if qv <= 0.0:
             raise ValueError(f"q vanishes at x={x} while p is positive")
-        return math.exp(alpha * math.log(pv) + (1.0 - alpha) * math.log(qv))
+        try:
+            return math.exp(alpha * math.log(pv) + (1.0 - alpha) * math.log(qv))
+        except OverflowError:
+            raise QuadratureError(f"integrand overflows at x={x}") from None
 
     half = 0.5 * tol * (alpha - 1.0)
     moment = integrate(
         integrand, domain[0], domain[1], tol=half, rtol=half,
         max_evals=max_evals, breakpoints=breakpoints,
     )
+    if not math.isfinite(moment):
+        raise QuadratureError(f"moment integral is not finite: {moment!r}")
     return max(0.0, math.log(moment) / (alpha - 1.0))
 
 

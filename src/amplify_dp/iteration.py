@@ -144,12 +144,16 @@ def _laplace_pair_log_bound(w: float, sensitivity: float, lambda1: float,
 
 
 def iterated_laplace_bound(sensitivity: float, lambda1: float, lambda2: float,
-                           alpha: float, grid: int = 10**4) -> RdpPoint:
+                           alpha: float) -> RdpPoint:
     """RDP of a Laplace mechanism post-processed by additive Laplace noise.
 
-    Minimizes the two-factor moment bound over the interpolation point between
-    the two means: coarse grid search plus golden-section refinement (there is
-    no closed form for the optimum).
+    Minimizes the two-factor moment bound over the interpolation point w
+    between the two means (there is no closed form for the optimum).  Each
+    log factor is a log-sum-exp of functions affine in w, so the objective is
+    convex on [0, sensitivity]: golden-section search over the whole interval,
+    down to 1e-10 in w (relative once sensitivity exceeds 1, to stay above the
+    spacing of doubles), plus both endpoints, where the optimum sits as a
+    scale tends to 0.
     """
     if not (lambda1 > 0 and lambda2 > 0):
         raise ValueError("scales must be positive")
@@ -158,29 +162,25 @@ def iterated_laplace_bound(sensitivity: float, lambda1: float, lambda2: float,
     if sensitivity == 0.0:
         return RdpPoint(alpha, 0.0)
 
-    ws = np.linspace(0.0, sensitivity, grid + 1)
-    vals = [_laplace_pair_log_bound(w, sensitivity, lambda1, lambda2, alpha) for w in ws]
-    k = int(np.argmin(vals))
-    lo = ws[max(k - 1, 0)]
-    hi = ws[min(k + 1, grid)]
+    def f(w: float) -> float:
+        return _laplace_pair_log_bound(w, sensitivity, lambda1, lambda2, alpha)
 
-    # Golden-section refinement of the bracket down to 1e-10 in w.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = sorted((0.0, sensitivity))
+    wtol = 1e-10 * max(1.0, b - a)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _laplace_pair_log_bound(c, sensitivity, lambda1, lambda2, alpha)
-    fd = _laplace_pair_log_bound(d, sensitivity, lambda1, lambda2, alpha)
-    while b - a > 1e-10:
+    fc, fd = f(c), f(d)
+    while b - a > wtol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = _laplace_pair_log_bound(c, sensitivity, lambda1, lambda2, alpha)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = _laplace_pair_log_bound(d, sensitivity, lambda1, lambda2, alpha)
-    best = min(min(vals), fc, fd)
+            fd = f(d)
+    best = min(f(0.0), f(sensitivity), fc, fd)
     return RdpPoint(alpha, max(best, 0.0) / (alpha - 1.0))
 
 

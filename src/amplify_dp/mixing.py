@@ -39,6 +39,15 @@ __all__ = [
 
 AMPLIFY_CONDITIONS = ("dobrushin", "eps_dobrushin", "doeblin", "ultra")
 
+# Pairwise row arrays are built block by block, at most this many float64
+# entries (32 MiB) at a time; kernels up to 16x16 are a single block.
+PAIR_BLOCK_ENTRIES = 2**22
+
+# Sinkhorn stops once every row sum is within SINKHORN_ATOL of its target
+# (the columns are exact after each sweep), or after SINKHORN_MAX_SWEEPS.
+SINKHORN_ATOL = 1e-15
+SINKHORN_MAX_SWEEPS = 400
+
 
 @dataclass(frozen=True)
 class DiscreteKernel:
@@ -58,8 +67,8 @@ class DiscreteKernel:
                 f"matrix shape {mat.shape} does not match supports "
                 f"({len(in_pts)}, {len(out_pts)})"
             )
-        if np.any(mat < 0):
-            raise ValueError("kernel entries must be non-negative")
+        if not np.all(mat >= 0):
+            raise ValueError("kernel entries must be non-negative numbers")
         sums = mat.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > PROB_ATOL)[0]
         if bad.size:
@@ -119,11 +128,19 @@ def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
     return DiscreteDist(kernel.output_points, out / out.sum())
 
 
+def _row_blocks(rows: np.ndarray):
+    """Consecutive row blocks, each small enough that a block-by-all-rows
+    pairwise array holds at most ``PAIR_BLOCK_ENTRIES`` entries."""
+    step = max(1, PAIR_BLOCK_ENTRIES // rows.size)
+    for start in range(0, rows.shape[0], step):
+        yield rows[start:start + step, None, :]
+
+
 def dobrushin_coeff(kernel: DiscreteKernel) -> float:
     """Worst-case total variation between two rows of the kernel."""
     r = kernel.rows
-    diff = 0.5 * np.abs(r[:, None, :] - r[None, :, :]).sum(axis=2)
-    return float(diff.max())
+    return float(max((0.5 * np.abs(p - r[None]).sum(axis=2)).max()
+                     for p in _row_blocks(r)))
 
 
 def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
@@ -135,13 +152,15 @@ def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
     if eps < 0:
         raise ValueError("eps must be non-negative")
     r = kernel.rows
-    p = r[:, None, :]
     q = r[None, :, :]
-    if math.isinf(eps):
-        contrib = np.where(q == 0.0, p, 0.0)
-    else:
-        contrib = np.where(q == 0.0, p, np.maximum(p - math.exp(eps) * q, 0.0))
-    return float(min(contrib.sum(axis=2).max(), 1.0))
+    worst = 0.0
+    for p in _row_blocks(r):
+        if math.isinf(eps):
+            contrib = np.where(q == 0.0, p, 0.0)
+        else:
+            contrib = np.where(q == 0.0, p, np.maximum(p - math.exp(eps) * q, 0.0))
+        worst = max(worst, contrib.sum(axis=2).max())
+    return float(min(worst, 1.0))
 
 
 def doeblin_coeff(kernel: DiscreteKernel) -> tuple[float, DiscreteDist | None]:
@@ -385,20 +404,20 @@ def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> DiscreteDist:
     return DiscreteDist(points, [x / total for x in probs])
 
 
-def random_joint_coupling(
-    mu: DiscreteDist, nu: DiscreteDist, seed: int, iterations: int = 400
-) -> DiscreteDist:
+def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> DiscreteDist:
     """Random coupling with the given marginals, via Sinkhorn scaling.
 
     Starts from a strictly positive random matrix and alternately rescales
-    rows and columns; marginals match to within a few ulps, which is enough
-    for transport checks at the 1e-12 tolerance.
+    rows and columns until the row sums match ``mu`` to ``SINKHORN_ATOL``;
+    the column sums match ``nu`` to a few ulps after every sweep.
     """
     rng = rng_from_seed(seed)
     mass = -np.log(uniform_open(rng, (len(mu.points), len(nu.points))))
-    for _ in range(iterations):
-        mass *= (mu.probs / mass.sum(axis=1))[:, None]
+    for _ in range(SINKHORN_MAX_SWEEPS):
+        row_sums = mass.sum(axis=1)
+        if np.abs(row_sums - mu.probs).max() <= SINKHORN_ATOL:
+            break
+        mass *= (mu.probs / row_sums)[:, None]
         mass *= (nu.probs / mass.sum(axis=0))[None, :]
-    mass /= mass.sum()
     points = [(x, y) for x in mu.points for y in nu.points]
     return DiscreteDist(points, mass.ravel())

@@ -6,10 +6,14 @@ it was replaced by an exact shortcut; the tests require both to agree.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 
+from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import DiscreteDist
+from amplify_dp.iteration import _laplace_pair_log_bound
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -82,3 +86,64 @@ def ultra_coeff_pairs(rows: np.ndarray) -> float:
             if pos.any():
                 min_ratio = min(min_ratio, float((r[i][pos] / r[j][pos]).min()))
     return min(max(1.0 - min_ratio, 0.0), 1.0)
+
+
+def dobrushin_coeff_pairs(rows: np.ndarray) -> float:
+    """Dobrushin coefficient from the full n x n x m array of row differences."""
+    r = rows
+    diff = 0.5 * np.abs(r[:, None, :] - r[None, :, :]).sum(axis=2)
+    return float(diff.max())
+
+
+def eps_dobrushin_coeff_pairs(rows: np.ndarray, eps: float) -> float:
+    """eps-Dobrushin coefficient from the full n x n x m array of row pairs."""
+    r = rows
+    p = r[:, None, :]
+    q = r[None, :, :]
+    if math.isinf(eps):
+        contrib = np.where(q == 0.0, p, 0.0)
+    else:
+        contrib = np.where(q == 0.0, p, np.maximum(p - math.exp(eps) * q, 0.0))
+    return float(min(contrib.sum(axis=2).max(), 1.0))
+
+
+def sinkhorn_fixed_sweeps(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> np.ndarray:
+    """Random coupling matrix after 400 Sinkhorn sweeps, from the same seeded
+    start as ``random_joint_coupling``."""
+    rng = rng_from_seed(seed)
+    mass = -np.log(uniform_open(rng, (len(mu.points), len(nu.points))))
+    for _ in range(400):
+        mass *= (mu.probs / mass.sum(axis=1))[:, None]
+        mass *= (nu.probs / mass.sum(axis=0))[None, :]
+    return mass / mass.sum()
+
+
+def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float,
+                              alpha: float) -> float:
+    """Iterated-Laplace RDP epsilon by a 10^4-step grid over [0, sensitivity]
+    and golden-section refinement of the bracket around the best grid point."""
+    grid = 10**4
+    if sensitivity == 0.0:
+        return 0.0
+
+    def f(w):
+        return _laplace_pair_log_bound(w, sensitivity, lambda1, lambda2, alpha)
+
+    ws = np.linspace(0.0, sensitivity, grid + 1)
+    vals = [f(w) for w in ws]
+    k = int(np.argmin(vals))
+    a, b = ws[max(k - 1, 0)], ws[min(k + 1, grid)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return max(min(min(vals), fc, fd), 0.0) / (alpha - 1.0)

@@ -205,6 +205,28 @@ class TestDivergenceCommand:
         assert "mu" in err
 
 
+class TestNanRejected:
+    TV_PAIR = {"mu": {"points": ["a", "b"], "probs": [0.5, 0.5]},
+               "nu": {"points": ["a", "b"], "probs": [0.9, 0.1]}}
+
+    @pytest.mark.parametrize("command, payload, field", [
+        ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": [math.nan, 1.0]},
+                        "nu": {"points": ["a", "b"], "probs": [0.5, 0.5]}}, "mu"),
+        ("divergence", {"kind": "hockey_stick", "eps": math.nan, **TV_PAIR}, "eps"),
+        ("mixing", {"kernel": [[math.nan, 1.0], [0.4, 0.6]], "eps": 1.0, "delta": 0.0},
+         "kernel"),
+        ("mixing", {"kernel": [[0.7, 0.3], [0.4, 0.6]], "eps": 1.0, "delta": math.nan},
+         "delta"),
+    ])
+    def test_nan_config_exit_2(self, tmp_path, capsys, command, payload, field):
+        # json writes and reads NaN as a bare literal.
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}:")
+
+
 class TestVerifyCommand:
     def test_exit_zero_and_violation_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 20})

@@ -44,6 +44,10 @@ class TestDiscreteDist:
         with pytest.raises(ValueError, match="non-negative"):
             DiscreteDist(["a", "b"], [1.5, -0.5])
 
+    def test_nan_prob_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DiscreteDist(["a", "b"], [math.nan, 1.0])
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             DiscreteDist(["a", "a"], [0.5, 0.5])

@@ -243,6 +243,13 @@ class TestRenyiNumeric:
             renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
                              2.0, (-40.0, 41.0), tol=1e-14, max_evals=50)
 
+    def test_overflow_reported(self):
+        # The tilted integrand exceeds the largest double near x = 48.
+        p, q = GaussianDist([3.0], 1.0), GaussianDist([0.0], 1.0)
+        with pytest.raises(QuadratureError, match="overflow"):
+            renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
+                             16.0, (-40.0, 43.0))
+
 
 class TestWInf:
     def test_point_masses(self):

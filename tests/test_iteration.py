@@ -22,6 +22,7 @@ from amplify_dp.iteration import (
     winf_contractive_bound,
     winf_path_bound,
 )
+from reference_impls import laplace_bound_grid_golden
 
 
 class TestClosedFormBounds:
@@ -83,6 +84,29 @@ class TestIteratedLaplace:
     def test_lambda2_to_zero_recovers_single_mechanism(self):
         val = iterated_laplace_bound(1.0, 1.0, 1e-9, 2.0).epsilon
         assert val == pytest.approx(log_laplace_g(1.0, 2.0), abs=1e-8)
+
+    def test_matches_grid_and_golden_reference(self):
+        rng = np.random.default_rng(21)
+        cases = [(1.0, 1.0, 1e-9, 2.0), (1.0, 1e-9, 1.0, 2.0), (1.0, 1.0, 1.0, 1000.0),
+                 (2.5, 0.3, 1e-9, 1000.0)]
+        for _ in range(30):
+            cases.append((float(rng.uniform(0.01, 5.0)),
+                          float(10 ** rng.uniform(-9, 1)), float(10 ** rng.uniform(-9, 1)),
+                          float(rng.choice([1.5, 2.0, 8.0, 64.0, 1000.0]))))
+        for case in cases:
+            ref = laplace_bound_grid_golden(*case)
+            val = iterated_laplace_bound(*case).epsilon
+            # Relative above 1: tiny scales make values far above 1, where
+            # 1e-11 is less than one ulp.
+            scale = max(1.0, ref)
+            assert ref - 1e-9 * scale <= val <= ref + 1e-11 * scale, case
+
+    def test_large_sensitivity_terminates(self):
+        # 1e-10 in w is below the spacing of doubles here; the search must
+        # still stop, between the limit and the better endpoint.
+        val = iterated_laplace_bound(3e6, 2.0, 1.0, 30.0).epsilon
+        ends = min(log_laplace_g(3e6 / 2.0, 30.0), log_laplace_g(3e6, 30.0)) / 29.0
+        assert pure_dp_iterated_laplace(3e6, 2.0, 1.0).epsilon * 0.99 <= val <= ends
 
     def test_pure_dp_examples(self):
         assert pure_dp_iterated_laplace(1.0, 2.0, 1.0).epsilon == 0.5

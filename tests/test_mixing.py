@@ -23,10 +23,36 @@ from amplify_dp.mixing import (
     transport_operator,
     ultra_coeff,
 )
-from amplify_dp.verify import random_instance
-from reference_impls import ultra_coeff_pairs
+from amplify_dp import mixing
+from amplify_dp.verify import _trial_seeds, _trial_sizes, random_instance
+from reference_impls import (
+    dobrushin_coeff_pairs,
+    eps_dobrushin_coeff_pairs,
+    sinkhorn_fixed_sweeps,
+    ultra_coeff_pairs,
+)
 
 K_EXAMPLE = DiscreteKernel.from_matrix([[0.7, 0.3], [0.4, 0.6]])
+
+KERNEL_KINDS = ["dense", "zeros", "zero_column", "ties", "single_row"]
+
+
+def random_kernels(kind, count):
+    """Row-stochastic matrices of one degenerate class, seeded by the class."""
+    rng = np.random.default_rng(KERNEL_KINDS.index(kind))
+    for _ in range(count):
+        n = 1 if kind == "single_row" else int(rng.integers(2, 9))
+        m = int(rng.integers(1, 9))
+        if kind == "ties":
+            k = rng.integers(1, 4, size=(n, m)).astype(float)
+        else:
+            k = rng.exponential(size=(n, m))
+        if kind == "zeros":
+            k *= rng.uniform(size=(n, m)) > 0.3
+        if kind == "zero_column" and m > 1:
+            k[:, rng.integers(0, m)] = 0.0
+        k[k.sum(axis=1) == 0.0, 0] = 1.0
+        yield k / k.sum(axis=1, keepdims=True)
 
 
 class TestDiscreteKernel:
@@ -37,6 +63,10 @@ class TestDiscreteKernel:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             DiscreteKernel.from_matrix([[1.5, -0.5], [0.5, 0.5]])
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DiscreteKernel.from_matrix([[math.nan, 1.0], [0.5, 0.5]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -121,26 +151,37 @@ class TestCoefficients:
         k = DiscreteKernel.from_matrix([[0.5, 0.5, 0.0], [0.2, 0.6, 0.2]])
         assert ultra_coeff(k) == 1.0
 
-    ULTRA_KINDS = ["dense", "zeros", "zero_column", "ties", "single_row"]
-
-    @pytest.mark.parametrize("kind", ULTRA_KINDS)
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_ultra_equals_pair_loop(self, kind):
         # The column formula must reproduce the pairwise loop bit for bit.
-        rng = np.random.default_rng(self.ULTRA_KINDS.index(kind))
-        for _ in range(200):
-            n = 1 if kind == "single_row" else int(rng.integers(2, 9))
-            m = int(rng.integers(1, 9))
-            if kind == "ties":
-                k = rng.integers(1, 4, size=(n, m)).astype(float)
-            else:
-                k = rng.exponential(size=(n, m))
-            if kind == "zeros":
-                k *= rng.uniform(size=(n, m)) > 0.3
-            if kind == "zero_column" and m > 1:
-                k[:, rng.integers(0, m)] = 0.0
-            k[k.sum(axis=1) == 0.0, 0] = 1.0
-            k /= k.sum(axis=1, keepdims=True)
+        for k in random_kernels(kind, 200):
             assert ultra_coeff(DiscreteKernel.from_matrix(k)) == ultra_coeff_pairs(k)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_dobrushin_equals_pair_array(self, kind):
+        # Row blocks make the same contiguous per-pair sums as the full array.
+        for k in random_kernels(kind, 100):
+            kernel = DiscreteKernel.from_matrix(k)
+            assert dobrushin_coeff(kernel) == dobrushin_coeff_pairs(k)
+            for eps in (0.0, 0.7, math.inf):
+                assert eps_dobrushin_coeff(kernel, eps) == eps_dobrushin_coeff_pairs(k, eps)
+
+    @pytest.mark.parametrize("shape, block_entries, blocks", [
+        ((300, 48), mixing.PAIR_BLOCK_ENTRIES, 2),
+        ((41, 30), 5000, 11),
+    ])
+    def test_dobrushin_equals_pair_array_across_blocks(self, shape, block_entries,
+                                                       blocks, monkeypatch):
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(shape[0])
+        k = rng.exponential(size=shape) * (rng.uniform(size=shape) > 0.2)
+        k[k.sum(axis=1) == 0.0, 0] = 1.0
+        k /= k.sum(axis=1, keepdims=True)
+        assert len(list(mixing._row_blocks(k))) == blocks
+        kernel = DiscreteKernel.from_matrix(k)
+        assert dobrushin_coeff(kernel) == dobrushin_coeff_pairs(k)
+        for eps in (0.0, 0.7, math.inf):
+            assert eps_dobrushin_coeff(kernel, eps) == eps_dobrushin_coeff_pairs(k, eps)
 
     def test_doeblin_witness_optimality(self):
         # The column-minimum mass dominates the best constant achievable by
@@ -281,6 +322,24 @@ class TestTransportOperator:
                 assert first[pt] == pytest.approx(pr, abs=1e-12)
             for pt, pr in zip(nu.points, nu.probs):
                 assert second[pt] == pytest.approx(pr, abs=1e-12)
+
+    def test_random_coupling_marginals_within_1e15(self):
+        rng = np.random.default_rng(4)
+        for n, m in ((2, 2), (3, 7), (16, 2), (16, 16), (64, 48)):
+            mu = DiscreteDist.from_probs(rng.dirichlet(np.ones(n)))
+            nu = DiscreteDist.from_probs(rng.dirichlet(np.ones(m)))
+            pi = random_joint_coupling(mu, nu, n * m).probs.reshape(n, m)
+            assert np.abs(pi.sum(axis=1) - mu.probs).max() <= 1e-15
+            assert np.abs(pi.sum(axis=0) - nu.probs).max() <= 1e-15
+
+    def test_random_coupling_matches_fixed_sweeps(self):
+        # The instances of the harness's transport suite at seed 1.
+        seeds, sizes = _trial_seeds(1, 100), _trial_sizes(1, 100, (2, 16))
+        for iseed, (n, _) in zip(seeds, sizes):
+            mu, nu, _ = random_instance(int(n), 2, int(iseed))
+            pi = random_joint_coupling(mu, nu, int(iseed))
+            ref = sinkhorn_fixed_sweeps(mu, nu, int(iseed))
+            np.testing.assert_allclose(pi.probs, ref.ravel(), rtol=0.0, atol=1e-14)
 
     def test_malformed_coupling_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
