@@ -30,6 +30,7 @@ from .divergences import (
     w_inf_discrete,
 )
 from .mixing import (
+    Coupling,
     DiscreteKernel,
     MixingCoefficients,
     amplify,

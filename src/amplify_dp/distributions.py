@@ -22,10 +22,6 @@ PROB_ATOL = 1e-12
 # Half-width of quadrature_domain in units of the family's scale.
 QUAD_DOMAIN_SCALES = 40.0
 
-# Below this relative scale gap the two-scale Laplace density switches to the
-# equal-scale branch: the 1/(lambda1 - lambda2) factors cancel catastrophically.
-LAP2_EQUAL_SCALE_RTOL = 1e-8
-
 Point = Union[str, int, tuple]
 
 
@@ -153,16 +149,16 @@ NoiseFamily = Union[GaussianDist, LaplaceDist, Lap2Dist]
 def lap2_density(x: float, d: Lap2Dist) -> float:
     """Density of the two-scale Laplace convolution at ``x``.
 
-    Two branches: distinct scales use the partial-fraction form, (near-)equal
-    scales the polynomial-times-exponential form.  Symmetric about ``loc``.
+    With l1 >= l2 and u = z * (l1 - l2) / (l1 * l2), the partial-fraction form
+    is e^(-z/l1) * (1 + (z/l1) * phi(u)) / (2 * (l1 + l2)), phi(u) = (1 - e^-u) / u
+    and phi(0) = 1: ``expm1`` keeps it accurate as the scales close in, where
+    1 / (l1 - l2) would cancel.  Symmetric about ``loc``.
     """
-    l1, l2 = d.lambda1, d.lambda2
+    l1, l2 = max(d.lambda1, d.lambda2), min(d.lambda1, d.lambda2)
     z = abs(x - d.loc)
-    if abs(l1 - l2) < LAP2_EQUAL_SCALE_RTOL * max(l1, l2):
-        lam = 0.5 * (l1 + l2)
-        return math.exp(-z / lam) * (lam + z) / (4.0 * lam * lam)
-    s, t = 1.0 / (l1 + l2), 1.0 / (l1 - l2)
-    return 0.25 * ((s + t) * math.exp(-z / l1) + (s - t) * math.exp(-z / l2))
+    u = z * (l1 - l2) / (l1 * l2)
+    phi = -math.expm1(-u) / u if u > 0.0 else 1.0
+    return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / (2.0 * (l1 + l2))
 
 
 def _gaussian_density(d: GaussianDist, x) -> float:

@@ -37,6 +37,9 @@ __all__ = [
 # W-infinity transport is complete once the unrouted mass is at most this.
 FLOW_ATOL = 1e-12
 
+# Largest argument at which math.exp and math.expm1 are finite.
+EXP_ARG_MAX = math.log(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class RdpPoint:
@@ -83,6 +86,15 @@ def aligned_masses(mu: DiscreteDist, nu: DiscreteDist) -> tuple[tuple, np.ndarra
     return tuple(union), p, q
 
 
+def exp_times(eps: float, q: np.ndarray) -> np.ndarray:
+    """``e^eps * q`` for finite ``eps`` and ``q >= 0``.  Past ``EXP_ARG_MAX`` it is
+    ``exp(eps + log q)``: right for subnormal ``q``, and 0 (not NaN) at ``q = 0``."""
+    if eps <= EXP_ARG_MAX:
+        return math.exp(eps) * q
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(eps + np.log(q))
+
+
 def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
     """Hockey-stick divergence: sum of [p_mu - e^eps * p_nu]_+ over the support.
 
@@ -95,7 +107,7 @@ def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
     zero_q = q == 0.0
     out = float(p[zero_q].sum())
     if not math.isinf(eps):
-        out += float(np.maximum(p[~zero_q] - math.exp(eps) * q[~zero_q], 0.0).sum())
+        out += float(np.maximum(p[~zero_q] - exp_times(eps, q[~zero_q]), 0.0).sum())
     return min(out, 1.0)
 
 
@@ -108,7 +120,7 @@ def hockey_stick_via_min(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> floa
     if math.isinf(eps):
         overlap = float(p[pos_q].sum())
     else:
-        overlap = float(np.minimum(p[pos_q], math.exp(eps) * q[pos_q]).sum())
+        overlap = float(np.minimum(p[pos_q], exp_times(eps, q[pos_q])).sum())
     return 1.0 - overlap
 
 

@@ -14,9 +14,10 @@ import numpy as np
 
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, PROB_ATOL
-from .divergences import DpGuarantee, aligned_masses
+from .divergences import EXP_ARG_MAX, DpGuarantee, aligned_masses, exp_times
 
 __all__ = [
+    "Coupling",
     "DiscreteKernel",
     "MixingCoefficients",
     "MixtureDecomposition",
@@ -49,6 +50,18 @@ SINKHORN_ATOL = 1e-15
 SINKHORN_MAX_SWEEPS = 400
 
 
+def _labeled_matrix(values, first_points, second_points, what: str) -> tuple:
+    """Read-only float copy of ``values``, non-negative and shaped like the supports."""
+    mat = np.array(values, dtype=np.float64)
+    xs, ys = tuple(first_points), tuple(second_points)
+    if mat.shape != (len(xs), len(ys)):
+        raise ValueError(f"{what} shape {mat.shape} does not match supports ({len(xs)}, {len(ys)})")
+    if not np.all(mat >= 0):
+        raise ValueError(f"{what} entries must be non-negative numbers")
+    mat.flags.writeable = False
+    return mat, xs, ys
+
+
 @dataclass(frozen=True)
 class DiscreteKernel:
     """Row-stochastic matrix acting as a Markov operator on finite supports."""
@@ -58,24 +71,12 @@ class DiscreteKernel:
     output_points: tuple
 
     def __init__(self, rows, input_points: Sequence, output_points: Sequence):
-        mat = np.asarray(rows, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValueError("rows must be a 2-D matrix")
-        in_pts, out_pts = tuple(input_points), tuple(output_points)
-        if mat.shape != (len(in_pts), len(out_pts)):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match supports "
-                f"({len(in_pts)}, {len(out_pts)})"
-            )
-        if not np.all(mat >= 0):
-            raise ValueError("kernel entries must be non-negative numbers")
+        mat, in_pts, out_pts = _labeled_matrix(rows, input_points, output_points, "kernel")
         sums = mat.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > PROB_ATOL)[0]
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"row {i} sums to {float(sums[i])!r}, not 1")
-        mat = mat.copy()
-        mat.flags.writeable = False
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "input_points", in_pts)
         object.__setattr__(self, "output_points", out_pts)
@@ -102,9 +103,6 @@ class DiscreteKernel:
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
 
-    def row_dist(self, i: int) -> DiscreteDist:
-        return DiscreteDist(self.output_points, self.rows[i])
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -118,6 +116,28 @@ class DiscreteKernel:
     def from_json(cls, text: str) -> "DiscreteKernel":
         obj = json.loads(text)
         return cls(obj["rows"], obj["input_points"], obj["output_points"])
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """Joint law on two finite supports as a labeled mass matrix: ``mass[i, j]``
+    is the probability of ``(first_points[i], second_points[j])``."""
+
+    first_points: tuple
+    second_points: tuple
+    mass: np.ndarray
+
+    def __init__(self, first_points: Sequence, second_points: Sequence, mass):
+        mat, xs, ys = _labeled_matrix(mass, first_points, second_points, "coupling")
+        if abs(float(mat.sum()) - 1.0) > PROB_ATOL:
+            raise ValueError(f"coupling masses sum to {float(mat.sum())!r}, not 1")
+        object.__setattr__(self, "first_points", xs)
+        object.__setattr__(self, "second_points", ys)
+        object.__setattr__(self, "mass", mat)
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column sums, each added in index order (Python's ``sum``)."""
+        return sum(self.mass.T), sum(self.mass)
 
 
 def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
@@ -137,10 +157,10 @@ def _row_blocks(rows: np.ndarray):
 
 
 def dobrushin_coeff(kernel: DiscreteKernel) -> float:
-    """Worst-case total variation between two rows of the kernel."""
+    """Worst-case total variation between two rows, capped at 1 against rounding."""
     r = kernel.rows
-    return float(max((0.5 * np.abs(p - r[None]).sum(axis=2)).max()
-                     for p in _row_blocks(r)))
+    return min(float(max((0.5 * np.abs(p - r[None]).sum(axis=2)).max()
+                         for p in _row_blocks(r))), 1.0)
 
 
 def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
@@ -158,7 +178,7 @@ def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
         if math.isinf(eps):
             contrib = np.where(q == 0.0, p, 0.0)
         else:
-            contrib = np.where(q == 0.0, p, np.maximum(p - math.exp(eps) * q, 0.0))
+            contrib = np.where(q == 0.0, p, np.maximum(p - exp_times(eps, q), 0.0))
         worst = max(worst, contrib.sum(axis=2).max())
     return float(min(worst, 1.0))
 
@@ -235,11 +255,18 @@ def eps_tilde(guarantee: DpGuarantee) -> float:
     """Divergence order at which the eps-Dobrushin coefficient must be read.
 
     Equals log(1 + (e^eps - 1) / delta); +inf when delta = 0, where the
-    coefficient is measured with the support-based max divergence.
+    coefficient is measured with the support-based max divergence.  Where the
+    quotient overflows: log(delta + e^eps - 1) - log(delta), without e^eps.
     """
-    if guarantee.delta == 0.0:
+    eps, delta = guarantee.epsilon, guarantee.delta
+    if delta == 0.0:
         return math.inf
-    return math.log1p(math.expm1(guarantee.epsilon) / guarantee.delta)
+    if eps <= EXP_ARG_MAX:
+        ratio = math.expm1(eps) / delta
+        if ratio < math.inf:
+            return math.log1p(ratio)
+    log_delta = math.log(delta)
+    return float(np.logaddexp(log_delta, eps + math.log(-math.expm1(-eps)))) - log_delta
 
 
 def _amplified_eps(eps: float, gamma: float) -> float:
@@ -295,38 +322,16 @@ def amplify_with_kernel(
     return results
 
 
-def _joint_as_matrix(pi: DiscreteDist) -> tuple[list, list, np.ndarray]:
-    xs: list = []
-    ys: list = []
-    x_idx: dict = {}
-    y_idx: dict = {}
-    for pt in pi.points:
-        if not (isinstance(pt, tuple) and len(pt) == 2):
-            raise ValueError("coupling points must be (x, y) pairs")
-        x, y = pt
-        if x not in x_idx:
-            x_idx[x] = len(xs)
-            xs.append(x)
-        if y not in y_idx:
-            y_idx[y] = len(ys)
-            ys.append(y)
-    mass = np.zeros((len(xs), len(ys)))
-    for pt, pr in zip(pi.points, pi.probs):
-        mass[x_idx[pt[0]], y_idx[pt[1]]] += pr
-    return xs, ys, mass
-
-
-def transport_operator(pi: DiscreteDist) -> DiscreteKernel:
+def transport_operator(pi: Coupling) -> DiscreteKernel:
     """Markov operator built from a coupling: rows are conditional laws.
 
     The kernel is defined on the support of the first marginal (zero-mass
     rows are omitted) and pushes that marginal to the second one.
     """
-    xs, ys, mass = _joint_as_matrix(pi)
-    row_mass = mass.sum(axis=1)
+    row_mass = pi.mass.sum(axis=1)
     keep = row_mass > 0.0
-    rows = mass[keep] / row_mass[keep, None]
-    return DiscreteKernel(rows, [x for x, k in zip(xs, keep) if k], ys)
+    rows = pi.mass[keep] / row_mass[keep, None]
+    return DiscreteKernel(rows, [x for x, k in zip(pi.first_points, keep) if k], pi.second_points)
 
 
 @dataclass(frozen=True)
@@ -349,13 +354,13 @@ def mixture_decompose(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> Mixture
     if eps < 0 or math.isinf(eps):
         raise ValueError("eps must be finite and non-negative")
     points, p, q = aligned_masses(mu, nu)
-    e = math.exp(eps)
-    mask_mu = p > e * q
+    eq = exp_times(eps, q)
+    mask_mu = p > eq
     if not np.any(mask_mu):
         # mu is dominated by e^eps * nu everywhere: theta = 0, nothing to split.
         return MixtureDecomposition(0.0, None, None, None)
-    overlap = np.minimum(p, e * q)
-    mu_res = np.where(mask_mu, p - e * q, 0.0)
+    overlap = np.minimum(p, eq)
+    mu_res = np.where(mask_mu, p - eq, 0.0)
     theta = 1.0 - float(overlap.sum())
     if theta <= 0.0:
         # Rounding pushed the min-sum past 1; the residual form is exact here.
@@ -366,58 +371,58 @@ def mixture_decompose(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> Mixture
         omega = DiscreteDist(points, overlap / overlap.sum())
 
     mu_prime = DiscreteDist(points, mu_res / mu_res.sum())
-    nu_res = np.where(p < e * q, q - p / e, 0.0)
+    # Past EXP_ARG_MAX, e^-eps is subnormal: p * e^-eps is exact to its spacing.
+    p_shrunk = p / math.exp(eps) if eps <= EXP_ARG_MAX else p * math.exp(-eps)
+    nu_res = np.where(p < eq, q - p_shrunk, 0.0)
     nu_prime = DiscreteDist(points, nu_res / nu_res.sum())
     return MixtureDecomposition(min(theta, 1.0), omega, mu_prime, nu_prime)
 
 
-def independent_coupling(mu: DiscreteDist, nu: DiscreteDist) -> DiscreteDist:
+def independent_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     """Product coupling mu (x) nu."""
-    points = [(x, y) for x in mu.points for y in nu.points]
-    probs = np.outer(mu.probs, nu.probs).ravel()
-    return DiscreteDist(points, probs / probs.sum())
+    mass = np.outer(mu.probs, nu.probs)
+    return Coupling(mu.points, nu.points, mass / mass.sum())
 
 
-def identity_coupling(mu: DiscreteDist) -> DiscreteDist:
+def identity_coupling(mu: DiscreteDist) -> Coupling:
     """Coupling of mu with itself along the diagonal."""
-    return DiscreteDist([(x, x) for x in mu.points], mu.probs)
+    return Coupling(mu.points, mu.points, np.diag(mu.probs))
 
 
-def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> DiscreteDist:
+def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     """Northwest-corner coupling: match mass greedily in support order."""
     i = j = 0
     remain_p = mu.probs.copy()
     remain_q = nu.probs.copy()
-    points, probs = [], []
+    mass = np.zeros((len(remain_p), len(remain_q)))
     while i < len(remain_p) and j < len(remain_q):
         m = min(remain_p[i], remain_q[j])
-        if m > 0:
-            points.append((mu.points[i], nu.points[j]))
-            probs.append(m)
+        mass[i, j] = m
         remain_p[i] -= m
         remain_q[j] -= m
         if remain_p[i] <= 0:
             i += 1
         if j < len(remain_q) and remain_q[j] <= 0:
             j += 1
-    total = sum(probs)
-    return DiscreteDist(points, [x / total for x in probs])
+    # The path moves right or down only: cumsum adds the masses in match order.
+    return Coupling(mu.points, nu.points, mass / np.cumsum(mass)[-1])
 
 
-def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> DiscreteDist:
+def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
     """Random coupling with the given marginals, via Sinkhorn scaling.
 
-    Starts from a strictly positive random matrix and alternately rescales
-    rows and columns until the row sums match ``mu`` to ``SINKHORN_ATOL``;
-    the column sums match ``nu`` to a few ulps after every sweep.
+    Starts from a random matrix, zero only on the rows and columns of zero-mass
+    atoms, and rescales its rows and columns in turn until the row sums match
+    ``mu`` to ``SINKHORN_ATOL``; the column sums match ``nu`` to a few ulps.
     """
+    p, q = mu.probs, nu.probs
     rng = rng_from_seed(seed)
-    mass = -np.log(uniform_open(rng, (len(mu.points), len(nu.points))))
+    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p > 0.0, q > 0.0)
     for _ in range(SINKHORN_MAX_SWEEPS):
         row_sums = mass.sum(axis=1)
-        if np.abs(row_sums - mu.probs).max() <= SINKHORN_ATOL:
+        if np.abs(row_sums - p).max() <= SINKHORN_ATOL:
             break
-        mass *= (mu.probs / row_sums)[:, None]
-        mass *= (nu.probs / mass.sum(axis=0))[None, :]
-    points = [(x, y) for x in mu.points for y in nu.points]
-    return DiscreteDist(points, mass.ravel())
+        mass *= np.divide(p, row_sums, out=np.zeros_like(p), where=p > 0.0)[:, None]
+        col_sums = mass.sum(axis=0)
+        mass *= np.divide(q, col_sums, out=np.zeros_like(q), where=q > 0.0)[None, :]
+    return Coupling(mu.points, nu.points, mass)

@@ -14,6 +14,7 @@ import numpy as np
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.iteration import _laplace_pair_log_bound
+from amplify_dp.mixing import Coupling, DiscreteKernel
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -147,3 +148,74 @@ def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float
             d = a + invphi * (b - a)
             fd = f(d)
     return max(min(min(vals), fc, fd), 0.0) / (alpha - 1.0)
+
+
+def coupling_pairs(pi: Coupling) -> DiscreteDist:
+    """A coupling as a distribution on ``(x, y)`` pairs in row-major order,
+    the form the independent and random couplings were built in."""
+    points = [(x, y) for x in pi.first_points for y in pi.second_points]
+    return DiscreteDist(points, pi.mass.ravel())
+
+
+def greedy_coupling_pairs(mu: DiscreteDist, nu: DiscreteDist) -> DiscreteDist:
+    """Northwest-corner coupling on the pairs it matches, in path order."""
+    i = j = 0
+    remain_p = mu.probs.copy()
+    remain_q = nu.probs.copy()
+    points, probs = [], []
+    while i < len(remain_p) and j < len(remain_q):
+        m = min(remain_p[i], remain_q[j])
+        if m > 0:
+            points.append((mu.points[i], nu.points[j]))
+            probs.append(m)
+        remain_p[i] -= m
+        remain_q[j] -= m
+        if remain_p[i] <= 0:
+            i += 1
+        if j < len(remain_q) and remain_q[j] <= 0:
+            j += 1
+    total = sum(probs)
+    return DiscreteDist(points, [x / total for x in probs])
+
+
+def joint_as_matrix(pi: DiscreteDist) -> tuple[list, list, np.ndarray]:
+    """Pair coupling back to a matrix, supports in order of first appearance."""
+    xs: list = []
+    ys: list = []
+    x_idx: dict = {}
+    y_idx: dict = {}
+    for pt in pi.points:
+        if not (isinstance(pt, tuple) and len(pt) == 2):
+            raise ValueError("coupling points must be (x, y) pairs")
+        x, y = pt
+        if x not in x_idx:
+            x_idx[x] = len(xs)
+            xs.append(x)
+        if y not in y_idx:
+            y_idx[y] = len(ys)
+            ys.append(y)
+    mass = np.zeros((len(xs), len(ys)))
+    for pt, pr in zip(pi.points, pi.probs):
+        mass[x_idx[pt[0]], y_idx[pt[1]]] += pr
+    return xs, ys, mass
+
+
+def transport_operator_pairs(pi: DiscreteDist) -> DiscreteKernel:
+    """Transport operator of a pair coupling, through ``joint_as_matrix``."""
+    xs, ys, mass = joint_as_matrix(pi)
+    row_mass = mass.sum(axis=1)
+    keep = row_mass > 0.0
+    rows = mass[keep] / row_mass[keep, None]
+    return DiscreteKernel(rows, [x for x, k in zip(xs, keep) if k], ys)
+
+
+def pair_marginals(pi: DiscreteDist) -> tuple[DiscreteDist, DiscreteDist]:
+    """Marginals of a pair coupling, summed pair by pair into dicts."""
+    first: dict = {}
+    second: dict = {}
+    for (x, y), pr in zip(pi.points, pi.probs):
+        first[x] = first.get(x, 0.0) + pr
+        second[y] = second.get(y, 0.0) + pr
+    mu = DiscreteDist(list(first), np.array(list(first.values())))
+    nu = DiscreteDist(list(second), np.array(list(second.values())))
+    return mu, nu

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -28,6 +29,16 @@ def lap2_by_convolution(x, l1, l2):
                     epsabs=1e-10, epsrel=1e-10)
     assert err < 1e-7  # an order below the comparison tolerance
     return val
+
+
+def lap2_by_mpmath(z, l1, l2):
+    """Partial-fraction density at ``|x - loc| = z`` in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        z, l1, l2 = mpmath.mpf(z), mpmath.mpf(l1), mpmath.mpf(l2)
+        if l1 == l2:
+            return float(mpmath.exp(-z / l1) * (l1 + z) / (4 * l1 * l1))
+        s, t = 1 / (l1 + l2), 1 / (l1 - l2)
+        return float(((s + t) * mpmath.exp(-z / l1) + (s - t) * mpmath.exp(-z / l2)) / 4)
 
 
 class TestDiscreteDist:
@@ -99,8 +110,7 @@ class TestLap2Density:
 
     @pytest.mark.parametrize("shift", [1 + 1e-4, 1 - 1e-4])
     def test_branches_agree_near_equal_scales(self, shift):
-        # The partial-fraction branch at scales (l1, l1*shift) must agree with
-        # the equal-scale branch at their mean, where the switch would land.
+        # Close scales (l1, l1*shift) must agree with equal scales at their mean.
         l1 = 1.3
         l2 = l1 * shift
         near = Lap2Dist(0.0, l1, l2)
@@ -111,8 +121,22 @@ class TestLap2Density:
     def test_equal_branch_engages_below_threshold(self):
         l1 = 1.0
         d = Lap2Dist(0.0, l1, l1 * (1 + 1e-10))
-        # The unstable branch would blow up; the equal branch stays near 0.25.
+        # 1 / (l1 - l2) would blow up here; the density stays near 0.25.
         assert lap2_density(0.0, d) == pytest.approx(0.25, rel=1e-9)
+
+    def test_matches_mpmath_across_scale_gaps(self):
+        # Relative scale gaps from exact ties to 1, and gaps just above 1e-8,
+        # where the partial-fraction form cancels most of its digits.
+        rng = np.random.default_rng(12)
+        cases = [(1.0, 1.0 + 1.01e-8, 3.0), (1.0, 1.0 + 1e-7, 3.0), (2.0, 2.0, 5.0)]
+        for _ in range(500):
+            l2 = 10.0 ** rng.uniform(-1.0, 1.0)
+            l1 = l2 * (1.0 + 10.0 ** rng.uniform(-17.0, 0.0))
+            cases.append((l1, l2, rng.uniform(0.0, 30.0) * l1))
+        for l1, l2, z in cases:
+            ref = lap2_by_mpmath(z, l1, l2)
+            for d in (Lap2Dist(0.0, l1, l2), Lap2Dist(0.0, l2, l1)):
+                assert lap2_density(z, d) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_scale_order_irrelevant(self):
         a, b = Lap2Dist(0.0, 2.0, 0.7), Lap2Dist(0.0, 0.7, 2.0)

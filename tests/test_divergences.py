@@ -87,6 +87,18 @@ class TestHockeyStick:
         n = DiscreteDist(["a", "b", "c"], [0.7, 0.3, 0.0])
         assert hockey_stick(m, n, math.inf) == pytest.approx(0.3, abs=1e-15)
 
+    def test_eps_past_exp_overflow(self):
+        m = DiscreteDist(["a", "b", "c"], [0.2, 0.5, 0.3])
+        n = DiscreteDist(["a", "b", "c"], [0.7, 0.3, 0.0])
+        for fn in (hockey_stick, hockey_stick_via_min):
+            assert fn(m, n, 1000.0) == pytest.approx(0.3, abs=1e-15)
+        # e^710 overflows, e^710 * 1e-310 = 0.0223 does not.
+        m = DiscreteDist(["a", "b"], [0.5, 0.5])
+        n = DiscreteDist(["a", "b"], [1.0 - 1e-310, 1e-310])
+        expected = 0.5 - math.exp(710.0 + math.log(1e-310))
+        for fn in (hockey_stick, hockey_stick_via_min):
+            assert fn(m, n, 710.0) == pytest.approx(expected, abs=1e-15)
+
     def test_matches_brute_force_and_min_form(self):
         rng = np.random.default_rng(5)
         for trial in range(100):

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import DpGuarantee, hockey_stick, w_inf_optimal_coupling
 from amplify_dp.mixing import (
+    Coupling,
     DiscreteKernel,
     amplify,
     amplify_with_kernel,
@@ -26,9 +28,14 @@ from amplify_dp.mixing import (
 from amplify_dp import mixing
 from amplify_dp.verify import _trial_seeds, _trial_sizes, random_instance
 from reference_impls import (
+    coupling_pairs,
     dobrushin_coeff_pairs,
     eps_dobrushin_coeff_pairs,
+    greedy_coupling_pairs,
+    joint_as_matrix,
+    pair_marginals,
     sinkhorn_fixed_sweeps,
+    transport_operator_pairs,
     ultra_coeff_pairs,
 )
 
@@ -103,6 +110,13 @@ class TestPushforward:
 class TestCoefficients:
     def test_dobrushin_example(self):
         assert dobrushin_coeff(K_EXAMPLE) == pytest.approx(0.3, abs=1e-12)
+
+    def test_dobrushin_capped_at_one(self):
+        # Disjoint rows whose masses, halved and added, round to 1 + 2^-52.
+        rows = [[1.0, 0.0, 0.0, 0.4514326856532339, 0.0], [0.0, 0.375, 0.5, 0.0, 0.5]]
+        k = DiscreteKernel.from_matrix([np.asarray(r) / np.sum(r) for r in rows])
+        assert 0.5 * np.abs(k.rows[0] - k.rows[1]).sum() > 1.0
+        assert dobrushin_coeff(k) == 1.0
 
     def test_dobrushin_constant_and_identity(self):
         const = DiscreteKernel.from_matrix([[0.2, 0.8], [0.2, 0.8]])
@@ -249,6 +263,26 @@ class TestAmplify:
             math.log(1 + (math.e - 1) / 0.1), abs=1e-12)
         assert eps_tilde(DpGuarantee(0.0, 0.3)) == 0.0
 
+    @pytest.mark.parametrize("eps,delta", [
+        (1.0, 0.1), (700.0, 0.5), (700.0, 1e-10), (709.78, 1.0), (800.0, 0.1),
+        (1e6, 1e-300), (1e-10, 1e-320), (1.0, 5e-324),
+    ])
+    def test_eps_tilde_against_mpmath(self, eps, delta):
+        # Includes cases where e^eps, or only the quotient (e^eps - 1) / delta,
+        # overflows a double.
+        with mpmath.workdps(50):
+            ref = mpmath.log1p(mpmath.expm1(mpmath.mpf(eps)) / mpmath.mpf(delta))
+            assert eps_tilde(DpGuarantee(eps, delta)) == pytest.approx(float(ref), rel=1e-15)
+
+    def test_eps_dobrushin_past_exp_overflow(self):
+        tiny = 1e-310
+        k = DiscreteKernel.from_matrix([[1.0 - tiny, tiny], [tiny, 1.0 - tiny]])
+        # Row 0 over row 1: 1 - e^710 * tiny in the first column, 0 in the second.
+        expected = 1.0 - math.exp(710.0 + math.log(tiny))
+        assert eps_dobrushin_coeff(k, 710.0) == pytest.approx(expected, abs=1e-15)
+        assert eps_dobrushin_coeff(k, 1e6) == 0.0
+        assert eps_dobrushin_coeff(K_EXAMPLE, 1e6) == 0.0
+
     def test_unknown_condition(self):
         with pytest.raises(ValueError, match="condition"):
             amplify(DpGuarantee(1.0, 0.1), "mystery", 0.5)
@@ -296,8 +330,8 @@ class TestTransportOperator:
     def test_winf_coupling_transports_exactly(self):
         mu = DiscreteDist([(0.0,), (1.0,)], [0.5, 0.5])
         nu = DiscreteDist([(0.5,), (1.5,)], [0.4, 0.6])
-        _, pi = w_inf_optimal_coupling(mu, nu)
-        op = transport_operator(pi)
+        _, witness = w_inf_optimal_coupling(mu, nu)
+        op = transport_operator(Coupling(*joint_as_matrix(witness)))
         mu_aligned = DiscreteDist(op.input_points,
                                   [mu.prob_of(p) for p in op.input_points])
         pushed = pushforward(mu_aligned, op)
@@ -305,7 +339,7 @@ class TestTransportOperator:
             assert prob == pytest.approx(nu.prob_of(point), abs=1e-12)
 
     def test_zero_mass_rows_omitted(self):
-        pi = DiscreteDist([("a", "u"), ("b", "u")], [1.0, 0.0])
+        pi = Coupling(["a", "b"], ["u"], [[1.0], [0.0]])
         op = transport_operator(pi)
         assert op.input_points == ("a",)
 
@@ -313,22 +347,16 @@ class TestTransportOperator:
         mu = DiscreteDist(["a", "b", "c"], [0.2, 0.5, 0.3])
         nu = DiscreteDist(["u", "v"], [0.6, 0.4])
         for pi in (greedy_coupling(mu, nu), random_joint_coupling(mu, nu, 7)):
-            first: dict = {}
-            second: dict = {}
-            for (x, y), pr in zip(pi.points, pi.probs):
-                first[x] = first.get(x, 0.0) + pr
-                second[y] = second.get(y, 0.0) + pr
-            for pt, pr in zip(mu.points, mu.probs):
-                assert first[pt] == pytest.approx(pr, abs=1e-12)
-            for pt, pr in zip(nu.points, nu.probs):
-                assert second[pt] == pytest.approx(pr, abs=1e-12)
+            assert (pi.first_points, pi.second_points) == (mu.points, nu.points)
+            np.testing.assert_allclose(pi.mass.sum(axis=1), mu.probs, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(pi.mass.sum(axis=0), nu.probs, rtol=0.0, atol=1e-12)
 
     def test_random_coupling_marginals_within_1e15(self):
         rng = np.random.default_rng(4)
         for n, m in ((2, 2), (3, 7), (16, 2), (16, 16), (64, 48)):
             mu = DiscreteDist.from_probs(rng.dirichlet(np.ones(n)))
             nu = DiscreteDist.from_probs(rng.dirichlet(np.ones(m)))
-            pi = random_joint_coupling(mu, nu, n * m).probs.reshape(n, m)
+            pi = random_joint_coupling(mu, nu, n * m).mass
             assert np.abs(pi.sum(axis=1) - mu.probs).max() <= 1e-15
             assert np.abs(pi.sum(axis=0) - nu.probs).max() <= 1e-15
 
@@ -339,11 +367,98 @@ class TestTransportOperator:
             mu, nu, _ = random_instance(int(n), 2, int(iseed))
             pi = random_joint_coupling(mu, nu, int(iseed))
             ref = sinkhorn_fixed_sweeps(mu, nu, int(iseed))
-            np.testing.assert_allclose(pi.probs, ref.ravel(), rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(pi.mass, ref, rtol=0.0, atol=1e-14)
 
     def test_malformed_coupling_rejected(self):
-        with pytest.raises(ValueError, match="pairs"):
-            transport_operator(DiscreteDist(["a", "b"], [0.5, 0.5]))
+        with pytest.raises(ValueError, match="shape"):
+            Coupling(["a", "b"], ["u"], [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="non-negative"):
+            Coupling(["a", "b"], ["u", "v"], [[0.6, 0.5], [-0.1, 0.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            Coupling(["a", "b"], ["u"], [[math.nan], [1.0]])
+        with pytest.raises(ValueError, match="sum to"):
+            Coupling(["a", "b"], ["u"], [[0.5], [0.4]])
+
+    def test_mass_is_a_read_only_copy(self):
+        mass = np.array([[0.25, 0.25], [0.5, 0.0]])
+        pi = Coupling(["a", "b"], ["u", "v"], mass)
+        mass[0, 0] = 0.0
+        assert pi.mass[0, 0] == 0.25
+        with pytest.raises(ValueError):
+            pi.mass[0, 0] = 0.0
+
+    def test_random_coupling_with_zero_mass_atoms(self):
+        mu = DiscreteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
+        nu = DiscreteDist(["a", "b"], [0.3, 0.7])
+        pi = random_joint_coupling(mu, nu, 1)
+        assert np.all(pi.mass[2] == 0.0)
+        assert np.abs(pi.mass.sum(axis=1) - mu.probs).max() <= 1e-15
+        assert np.abs(pi.mass.sum(axis=0) - nu.probs).max() <= 1e-15
+        assert transport_operator(pi).input_points == ("a", "b")
+        # A zero-mass atom on the second side gives a zero column.
+        pi = random_joint_coupling(nu, mu, 1)
+        assert np.all(pi.mass[:, 2] == 0.0)
+        assert np.abs(pi.mass.sum(axis=0) - mu.probs).max() <= 1e-15
+
+
+def _labeled(rows, cols, matrix) -> dict:
+    return {(x, y): float(v) for x, row in zip(rows, matrix) for y, v in zip(cols, row)}
+
+
+def _assert_equal_labeled(got: dict, ref: dict):
+    # Labels one side omits (zero-mass rows and columns) must carry 0 on the other.
+    for key in set(got) | set(ref):
+        assert got.get(key, 0.0) == ref.get(key, 0.0), key
+
+
+def _assert_matches_pair_path(pi: Coupling, pairs: DiscreteDist):
+    """The transport operator and the marginals of ``pi`` equal, with ==,
+    those the pair-tuple path computes from ``pairs``."""
+    op, ref_op = transport_operator(pi), transport_operator_pairs(pairs)
+    _assert_equal_labeled(_labeled(op.input_points, op.output_points, op.rows),
+                          _labeled(ref_op.input_points, ref_op.output_points, ref_op.rows))
+    first, second = pi.marginals()
+    ref_first, ref_second = pair_marginals(pairs)
+    _assert_equal_labeled(dict(zip(pi.first_points, first)),
+                          dict(zip(ref_first.points, ref_first.probs)))
+    _assert_equal_labeled(dict(zip(pi.second_points, second)),
+                          dict(zip(ref_second.points, ref_second.probs)))
+
+
+DEGENERATE_PAIRS = [
+    (["a", "b", "c"], [0.5, 0.0, 0.5], ["u", "v"], [0.3, 0.7]),
+    (["a", "b"], [0.4, 0.6], ["u", "v", "w"], [0.0, 0.6, 0.4]),
+    (["a", "b", "c"], [0.0, 0.3, 0.7], ["u", "v", "w"], [0.3, 0.0, 0.7]),
+    (["a", "b", "c"], [0.2, 0.3, 0.5], ["u", "v", "w"], [0.2, 0.3, 0.5]),
+    (["a"], [1.0], ["u", "v"], [0.25, 0.75]),
+    (["a", "b"], [0.25, 0.75], ["u"], [1.0]),
+    (["a"], [1.0], ["u"], [1.0]),
+]
+
+
+class TestAgainstPairPath:
+    """The matrix path against the pair-tuple path it replaced."""
+
+    def test_harness_instances(self):
+        # The instances of the harness's transport suite at seed 1.
+        seeds, sizes = _trial_seeds(1, 200), _trial_sizes(1, 200, (2, 16))
+        for iseed, (n, _) in zip(seeds, sizes):
+            mu, nu, _ = random_instance(int(n), 2, int(iseed))
+            for pi in (independent_coupling(mu, nu),
+                       random_joint_coupling(mu, nu, int(iseed))):
+                _assert_matches_pair_path(pi, coupling_pairs(pi))
+            _assert_matches_pair_path(greedy_coupling(mu, nu), greedy_coupling_pairs(mu, nu))
+
+    @pytest.mark.parametrize("xs,p,ys,q", DEGENERATE_PAIRS)
+    def test_degenerate_inputs(self, xs, p, ys, q):
+        mu, nu = DiscreteDist(xs, p), DiscreteDist(ys, q)
+        for pi in (independent_coupling(mu, nu), random_joint_coupling(mu, nu, 3),
+                   identity_coupling(mu)):
+            _assert_matches_pair_path(pi, coupling_pairs(pi))
+        greedy, pairs = greedy_coupling(mu, nu), greedy_coupling_pairs(mu, nu)
+        _assert_equal_labeled(_labeled(greedy.first_points, greedy.second_points, greedy.mass),
+                              dict(zip(pairs.points, pairs.probs)))
+        _assert_matches_pair_path(greedy, pairs)
 
 
 class TestMixtureDecompose:
@@ -390,6 +505,20 @@ class TestMixtureDecompose:
             np.testing.assert_allclose(recon_nu, nu.probs, atol=1e-12)
             # Support disjointness is exact, not approximate.
             assert float(np.minimum(dec.mu_prime.probs, dec.nu_prime.probs).sum()) == 0.0
+
+    def test_eps_past_exp_overflow(self):
+        mu = DiscreteDist(["a", "b", "c"], [0.2, 0.5, 0.3])
+        nu = DiscreteDist(["a", "b", "c"], [0.7, 0.3, 0.0])
+        dec = mixture_decompose(mu, nu, 1000.0)
+        assert dec.theta == pytest.approx(0.3, abs=1e-15)
+        np.testing.assert_allclose(dec.mu_prime.probs, [0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(dec.nu_prime.probs, nu.probs, atol=1e-15)
+        # A subnormal mass times e^710 is 0.0223: it still caps the overlap.
+        mu = DiscreteDist(["a", "b"], [0.5, 0.5])
+        nu = DiscreteDist(["a", "b"], [1.0 - 1e-310, 1e-310])
+        dec = mixture_decompose(mu, nu, 710.0)
+        assert dec.theta == pytest.approx(0.5 - math.exp(710.0 + math.log(1e-310)), abs=1e-15)
+        assert dec.theta == pytest.approx(hockey_stick(mu, nu, 710.0), abs=1e-15)
 
     def test_infinite_eps_rejected(self):
         mu = DiscreteDist(["a", "b"], [0.5, 0.5])

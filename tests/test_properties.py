@@ -1,11 +1,16 @@
-"""Property-based checks of the algebraic invariants."""
+"""Property-based checks of the algebraic invariants, and of the CLI on
+well-typed configs."""
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amplify_dp import cli
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import DpGuarantee, hockey_stick, hockey_stick_via_min, tv
 from amplify_dp.iteration import IterationChain, winf_path_bound
@@ -73,3 +78,48 @@ def test_path_bound_scaling(r, lipschitz, sigma, alpha, scale):
     assert math.isclose(scaled, scale**2 * base, rel_tol=1e-9, abs_tol=1e-15)
     doubled = winf_path_bound(chain, increments, 2 * alpha).epsilon
     assert math.isclose(doubled, 2 * base, rel_tol=1e-12, abs_tol=1e-15)
+
+
+LABELS = ["a", "b", "c", "d", "e"]
+
+
+def weights(n):
+    # Masses with exact zeros mixed in; at least one entry is positive.
+    return st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=n, max_size=n).filter(
+        lambda w: sum(w) > 0.0)
+
+
+def kernel_rows():
+    return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda nm: st.lists(weights(nm[1]), min_size=nm[0], max_size=nm[0]))
+
+
+def dist_config():
+    return st.integers(1, len(LABELS)).flatmap(
+        lambda n: st.tuples(st.permutations(LABELS).map(lambda p: p[:n]), weights(n))
+    ).map(lambda pw: {"points": list(pw[0]),
+                      "probs": list(np.asarray(pw[1]) / np.sum(pw[1]))})
+
+
+def run_cli_config(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        return cli.main([command, "--config", path, "--out", os.path.join(tmp, "out.csv")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_rows(), st.floats(0.0, 1e6), st.floats(0.0, 1.0))
+def test_mixing_command_never_raises(rows, eps, delta):
+    kernel = [list(np.asarray(r) / np.sum(r)) for r in rows]
+    config = {"kernel": kernel, "eps": eps, "delta": delta}
+    assert run_cli_config("mixing", config) in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["hockey_stick", "hockey_stick_via_min", "tv", "renyi"]),
+       dist_config(), dist_config(), st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+def test_divergence_command_never_raises(kind, mu, nu, eps, alpha):
+    config = {"kind": kind, "mu": mu, "nu": nu, "eps": eps, "alpha": alpha}
+    assert run_cli_config("divergence", config) in (0, 2)
