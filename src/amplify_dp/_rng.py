@@ -24,3 +24,14 @@ def rng_from_seed(seed: int, *substream: int) -> np.random.Generator:
 def uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform draws in the open interval (0, 1); endpoints never occur."""
     return rng.integers(1, 2**53, size=shape).astype(np.float64) / _U53
+
+
+def normal_open(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal draws: the inverse normal CDF of ``uniform_open``.
+
+    ``scipy.special`` is imported here, on first use, so that commands which
+    never sample do not pay for loading it.
+    """
+    from scipy.special import ndtri
+
+    return ndtri(uniform_open(rng, shape))

@@ -249,6 +249,9 @@ def cmd_ou(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
             planned = plan_ou(_number(config, "plan_epsilon"), delta, big_r, d)
         except ValueError as exc:
             raise ValidationFailure("plan_epsilon", str(exc)) from exc
+        except ArithmeticError as exc:
+            raise ValidationFailure(
+                "plan_epsilon", f"the planned parameters leave the float range ({exc})") from exc
         theta, rho = planned.theta, planned.rho
         extra.append(f"# planned_theta: {format_cell(theta)}")
         extra.append(f"# planned_rho: {format_cell(rho)}")
@@ -265,11 +268,17 @@ def cmd_ou(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
             p = OuParams(theta=theta, rho=rho, t=t, delta=delta, R=big_r, d=d)
         except ValueError as exc:
             raise ValidationFailure("theta", str(exc)) from exc
-        mse_ou_v = ou_mse(p, big_r)
-        mse_gm_v = gm_mse(p)
-        rows.append([t, ou_intrinsic_sensitivity(p), mse_ou_v, mse_gm_v,
-                     pgm_mse_bound(p) if big_r > 0 else math.nan,
-                     mse_ou_v / mse_gm_v])
+        # The closed forms are pure arithmetic on config values, so a math
+        # range error means the config leaves the float range.
+        try:
+            mse_ou_v = ou_mse(p, big_r)
+            mse_gm_v = gm_mse(p)
+            rows.append([t, ou_intrinsic_sensitivity(p), mse_ou_v, mse_gm_v,
+                         pgm_mse_bound(p) if big_r > 0 else math.nan,
+                         mse_ou_v / mse_gm_v])
+        except ArithmeticError as exc:
+            raise ValidationFailure(
+                "t_grid", f"the closed forms leave the float range at t={t!r} ({exc})") from exc
     return (["t", "lambda_t", "mse_ou", "mse_gm", "mse_pgm_bound", "ratio"],
             rows, extra, EXIT_OK)
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._rng import rng_from_seed, uniform_open
+from ._rng import normal_open, rng_from_seed, uniform_open
 
 PROB_ATOL = 1e-12
 
@@ -50,7 +49,9 @@ class DiscreteDist:
 
     def __init__(self, points: Sequence[Point], probs: Sequence[float]):
         pts = tuple(_canonical_point(p) for p in points)
-        pr = np.asarray(probs, dtype=np.float64)
+        # A private C-contiguous copy: the caller's array stays writeable and
+        # cannot rewrite it, and strided input rounds like contiguous input.
+        pr = np.array(probs, dtype=np.float64, order="C")
         if pr.ndim != 1 or len(pts) != pr.shape[0]:
             raise ValueError("points and probs must be 1-D of equal length")
         if len(set(pts)) != len(pts):
@@ -198,8 +199,7 @@ def sample(family: NoiseFamily, rng_seed: int, n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = rng_from_seed(rng_seed)
     if isinstance(family, GaussianDist):
-        u = uniform_open(rng, (n, family.dim))
-        z = ndtri(u) * math.sqrt(family.variance) + np.asarray(family.mean)
+        z = normal_open(rng, (n, family.dim)) * math.sqrt(family.variance) + np.asarray(family.mean)
         return z if family.dim > 1 else z[:, 0]
     if isinstance(family, LaplaceDist):
         return _laplace_from_uniform(uniform_open(rng, n), family.loc, family.scale)

@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._rng import rng_from_seed, uniform_open
+from ._rng import normal_open, rng_from_seed
 from .divergences import DpGuarantee, RdpPoint, log_laplace_g
 
 __all__ = [
@@ -310,12 +309,6 @@ class QuadraticLoss:
     def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.strength * (x - z)
 
-    def step_map(self, eta: float, z: np.ndarray):
-        """The map x -> x - eta * grad, a contraction with modulus |1 - eta*strength|."""
-        shrink = 1.0 - eta * self.strength
-        zz = np.asarray(z, dtype=np.float64)
-        return lambda x: shrink * x + eta * self.strength * zz
-
     def lipschitz_on_ball(self, radius: float, data_norm: float) -> float:
         """Gradient-norm bound over the ball for records of norm <= data_norm."""
         return self.strength * (radius + data_norm)
@@ -351,7 +344,7 @@ def noisy_proj_sgd(
 
     x = np.zeros(cfg.dim) if x0 is None else project_to_ball(
         np.asarray(x0, dtype=np.float64), cfg.radius)
-    noise = ndtri(uniform_open(rng_from_seed(seed), (cfg.n, cfg.dim))) * cfg.sigma
+    noise = normal_open(rng_from_seed(seed), (cfg.n, cfg.dim)) * cfg.sigma
     trajectory = [x.copy()]
     for i in range(cfg.n):
         x = project_to_ball(x - cfg.eta * (loss.gradient(x, data[i]) + noise[i]),

@@ -16,6 +16,7 @@ from amplify_dp.distributions import (
     quadrature_domain,
     sample,
 )
+from amplify_dp.mixing import DiscreteKernel, pushforward
 
 
 def lap2_by_convolution(x, l1, l2):
@@ -81,6 +82,35 @@ class TestDiscreteDist:
     def test_json_round_trip_labels(self):
         d = DiscreteDist(["a", "b"], [0.3, 0.7])
         assert DiscreteDist.from_json(d.to_json()).points == ("a", "b")
+
+    def test_callers_array_stays_writeable(self):
+        p = np.array([0.25, 0.75])
+        d = DiscreteDist(["a", "b"], p)
+        assert p.flags.writeable
+        p[0] = 0.5
+        assert d.probs[0] == 0.25
+        assert not d.probs.flags.writeable
+
+    def test_strided_input_stored_contiguous(self):
+        matrix = np.array([[0.25, 0.1], [0.75, 0.9]])
+        d = DiscreteDist(["a", "b"], matrix[:, 0])
+        assert d.probs.flags.c_contiguous
+        matrix[0, 0] = 0.0
+        np.testing.assert_array_equal(d.probs, [0.25, 0.75])
+
+    def test_pushforward_independent_of_input_layout(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 40):
+            for m in (2, 5, 16):
+                p = rng.exponential(size=n)
+                p /= p.sum()
+                k = rng.exponential(size=(n, m))
+                kernel = DiscreteKernel.from_matrix(k / k.sum(axis=1, keepdims=True))
+                points = list(kernel.input_points)
+                strided = np.stack([p, p], axis=1)[:, 0]
+                a = pushforward(DiscreteDist(points, p), kernel).probs
+                b = pushforward(DiscreteDist(points, strided), kernel).probs
+                assert a.tobytes() == b.tobytes()
 
 
 class TestLap2Density:
@@ -173,7 +203,11 @@ class TestDensity:
         def f(x):
             return density(family, [x] if isinstance(family, GaussianDist) else x)
 
-        total = integrate(f, lo, hi, tol=1e-9, breakpoints=breaks)
+        def log_f(x):
+            with np.errstate(divide="ignore"):
+                return np.log([f(v) for v in x.tolist()])
+
+        total = math.exp(integrate(log_f, lo, hi, rtol=1e-9, breakpoints=breaks))
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_parameters(self):

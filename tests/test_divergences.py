@@ -8,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from amplify_dp._quadrature import QuadratureError
+from amplify_dp._quadrature import QuadratureError, integrate
+from amplify_dp.diffusion import OuParams, ou_transition
 from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, density
 from amplify_dp.divergences import (
     DpGuarantee,
+    _logsumexp,
     RdpPoint,
     hockey_stick,
     hockey_stick_via_min,
@@ -26,7 +28,7 @@ from amplify_dp.divergences import (
 )
 from amplify_dp.verify import random_instance
 from amplify_dp.mixing import pushforward
-from reference_impls import w_inf_max_flow_search
+from reference_impls import renyi_numeric_1d_scalar, w_inf_max_flow_search
 
 
 def brute_force_hockey_stick(p, q, eps):
@@ -177,6 +179,21 @@ class TestRenyiDiscrete:
         with pytest.raises(ValueError):
             renyi_discrete(MU, NU, 1.0)
 
+    def test_logsumexp_equals_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(3)
+        cases = [np.log(MU.probs), 2.0 * np.log(MU.probs) - np.log(NU.probs),
+                 5000.0 * np.log(MU.probs) - 4999.0 * np.log(NU.probs),
+                 np.array([0.0]), np.array([3.0, 3.0, -1.0]), np.array([-800.0, -800.0, -801.0])]
+        for i in range(500):
+            t = rng.normal(size=int(rng.integers(1, 20))) * 10 ** rng.uniform(-3, 3)
+            if i % 3 == 0:
+                t[: len(t) // 2] = t[0]
+            cases.append(np.round(t) if i % 5 == 0 else t)
+        for t in cases:
+            assert _logsumexp(t) == float(logsumexp(t))
+
     def test_large_alpha_stable(self):
         # log-sum-exp keeps huge alpha finite.
         val = renyi_discrete(MU, NU, 5000.0)
@@ -256,11 +273,100 @@ class TestRenyiNumeric:
                              2.0, (-40.0, 41.0), tol=1e-14, max_evals=50)
 
     def test_overflow_reported(self):
-        # The tilted integrand exceeds the largest double near x = 48.
+        # The tilted moment peaks at x = 48, past the domain: the integrand is
+        # far from negligible next to the points where q underflows to 0.
         p, q = GaussianDist([3.0], 1.0), GaussianDist([0.0], 1.0)
-        with pytest.raises(QuadratureError, match="overflow"):
+        with pytest.raises(QuadratureError, match="not negligible"):
             renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
                              16.0, (-40.0, 43.0))
+
+
+def counted(fn, calls):
+    def wrapped(x):
+        calls[0] += 1
+        return fn(x)
+    return wrapped
+
+
+def gaussian_probe(shift, alpha, calls=None):
+    """N(shift, 1) against N(0, 1) on the oracle-sweep domain (-40, 40 + shift)."""
+    calls = [0] if calls is None else calls
+    p, q = GaussianDist([shift], 1.0), GaussianDist([0.0], 1.0)
+    return renyi_numeric_1d(counted(lambda x: density(p, [x]), calls),
+                            counted(lambda x: density(q, [x]), calls),
+                            alpha, (-40.0, 40.0 + shift))
+
+
+def sound_reference_pairs(seed=5, count=45):
+    """Gaussian, Laplace (with breakpoints) and OU pairs on which the scalar
+    reference oracle is sound: alpha <= 8 and (alpha - 1) * shift / sd <= 10.5."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha = float(rng.choice([1.5, 2.0, 3.0, 4.0, 6.0, 8.0]))
+        max_shift = min(1.5, 10.5 / (alpha - 1.0))
+        if i % 3 == 0:
+            sd = rng.uniform(0.3, 3.0)
+            shift = rng.uniform(0.1, max_shift) * sd
+            law_p, law_q = GaussianDist([shift], sd * sd), GaussianDist([0.0], sd * sd)
+            yield (lambda x, d=law_p: density(d, [x]), lambda x, d=law_q: density(d, [x]),
+                   alpha, (-40.0 * sd, shift + 40.0 * sd), ())
+        elif i % 3 == 1:
+            b = rng.uniform(0.5, 2.0)
+            shift = b * rng.uniform(0.2, 2.0)
+            law_p, law_q = LaplaceDist(shift, b), LaplaceDist(0.0, b)
+            yield (lambda x, d=law_p: density(d, x), lambda x, d=law_q: density(d, x),
+                   alpha, (-40.0 * b, shift + 40.0 * b), (0.0, shift))
+        else:
+            theta, rho, t = rng.uniform((0.3, 0.5, 0.2), (2.0, 1.5, 2.0))
+            unit = OuParams(theta=theta, rho=rho, t=t, delta=1.0, R=1.0, d=1)
+            sd = math.sqrt(ou_transition([0.0], unit).variance)
+            sens = rng.uniform(0.3, max_shift) * sd / math.exp(-theta * t)
+            params = OuParams(theta=theta, rho=rho, t=t, delta=sens, R=1.0, d=1)
+            law0, law1 = ou_transition([0.0], params), ou_transition([sens], params)
+            m1 = law1.mean[0]
+            yield (lambda x, d=law1: density(d, [x]), lambda x, d=law0: density(d, [x]),
+                   alpha, (min(0.0, m1) - 40.0 * sd, max(0.0, m1) + 40.0 * sd), ())
+
+
+class TestLogSpaceOracle:
+    @pytest.mark.parametrize("shift,alpha,expected", [(1.0, 24.0, 12.0), (1.0, 32.0, 16.0),
+                                                      (3.0, 8.0, 36.0)])
+    def test_large_alpha_probes_exact(self, shift, alpha, expected):
+        # The 1e-100 cutoff of the scalar oracle under-reported these three.
+        assert gaussian_probe(shift, alpha) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("shift,alpha", [(1.0, 64.0), (3.0, 16.0), (3.0, 24.0),
+                                             (3.0, 32.0), (3.0, 64.0)])
+    def test_tilted_mass_past_domain_raises_quickly(self, shift, alpha):
+        # The moment peaks at x = alpha * shift, past the domain end 40 + shift.
+        calls = [0]
+        with pytest.raises(QuadratureError, match="not negligible"):
+            gaussian_probe(shift, alpha, calls)
+        assert calls[0] <= 1000
+
+    def test_non_negligible_domain_end_raises(self):
+        # The left tail underflows, and the right end cuts the moment off at x = 3.
+        p, q = GaussianDist([1.0], 1.0), GaussianDist([0.0], 1.0)
+        with pytest.raises(QuadratureError, match="domain end"):
+            renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
+                             2.0, (-45.0, 3.0))
+
+    def test_agrees_with_scalar_reference(self):
+        tol = 1e-8
+        for p, q, alpha, domain, breakpoints in sound_reference_pairs():
+            new = renyi_numeric_1d(p, q, alpha, domain, tol=tol, breakpoints=breakpoints)
+            old = renyi_numeric_1d_scalar(p, q, alpha, domain, tol=tol, breakpoints=breakpoints)
+            assert abs(new - old) <= tol
+
+    def test_engine_rejects_infinite_log_integrand(self):
+        with pytest.raises(QuadratureError, match=r"\+inf"):
+            integrate(lambda x: np.where(x > 0.5, np.inf, 0.0), 0.0, 1.0)
+
+    def test_engine_log_result_past_overflow(self):
+        # exp(1000 - x) on [0, 1] integrates to e^1000 (1 - e^-1), far past the
+        # largest double; the engine returns its log.
+        val = integrate(lambda x: 1000.0 - x, 0.0, 1.0, rtol=1e-12)
+        assert val == pytest.approx(1000.0 + math.log(-math.expm1(-1.0)), abs=1e-10)
 
 
 class TestWInf:
@@ -403,3 +509,15 @@ class TestWInfAgainstMaxFlow:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy():
+    # scipy.special is imported on the first normal draw, not at import.
+    import amplify_dp
+
+    src = pathlib.Path(amplify_dp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, amplify_dp, amplify_dp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

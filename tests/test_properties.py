@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amplify_dp import cli
@@ -123,3 +123,26 @@ def test_mixing_command_never_raises(rows, eps, delta):
 def test_divergence_command_never_raises(kind, mu, nu, eps, alpha):
     config = {"kind": kind, "mu": mu, "nu": nu, "eps": eps, "alpha": alpha}
     assert run_cli_config("divergence", config) in (0, 2)
+
+
+def magnitudes(zero=False):
+    # Positive floats over the whole double range, and 0 where the field allows it.
+    positive = st.floats(5e-324, 1.7e308)
+    return st.one_of(st.just(0.0), positive) if zero else positive
+
+
+def ou_config():
+    common = st.fixed_dictionaries({
+        "delta": magnitudes(zero=True), "R": magnitudes(zero=True), "d": st.integers(1, 1000),
+        "t_grid": st.lists(magnitudes(), min_size=1, max_size=4)})
+    explicit = st.fixed_dictionaries({"theta": magnitudes(), "rho": magnitudes()})
+    planned = st.fixed_dictionaries({"plan_epsilon": magnitudes()})
+    return st.tuples(common, st.one_of(explicit, planned)).map(lambda cs: {**cs[0], **cs[1]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(ou_config())
+@example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0], "theta": 400.0, "rho": 1.0})
+@example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0], "plan_epsilon": 1e-300})
+def test_ou_command_never_raises(config):
+    assert run_cli_config("ou", config) in (0, 2)
