@@ -139,6 +139,13 @@ def _dist_from_config(obj, key: str) -> DiscreteDist:
         raise ValidationFailure(key, str(exc)) from exc
 
 
+def _out_of_range(exc: ArithmeticError) -> ValidationFailure:
+    # The bounds are pure arithmetic on config values, so a math range error
+    # (an overflow, or a square that underflows to 0 under a division) means
+    # the config leaves the float range.
+    return ValidationFailure("config", f"the bound leaves the float range ({exc})")
+
+
 def cmd_mixing(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
     _require_keys(config, ["eps", "delta"], ["kernel", "kernel_path"])
     eps = _number(config, "eps", lo=0.0)
@@ -200,7 +207,7 @@ def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
     alpha = _number(config, "alpha")
     indices = config.get("indices", list(range(1, cfg.n + 1)))
     if not isinstance(indices, list) or not all(
-            isinstance(i, int) and 1 <= i <= cfg.n for i in indices):
+            isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= cfg.n for i in indices):
         raise ValidationFailure("indices", f"expected integers in 1..{cfg.n}")
     try:
         lip = contraction_coeff(cfg.beta, cfg.rho, cfg.eta)
@@ -210,6 +217,8 @@ def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
             rows.append([i, lip, point.epsilon / alpha, alpha, point.epsilon])
     except ValueError as exc:
         raise ValidationFailure("config", str(exc)) from exc
+    except ArithmeticError as exc:
+        raise _out_of_range(exc) from exc
     return ["index", "lipschitz", "eps_i", "alpha", "epsilon"], rows, [], EXIT_OK
 
 
@@ -218,8 +227,10 @@ def cmd_iter(config: dict, seed) -> tuple[list[str], list[list], list[str], int]
                   ["increments"])
     alphas = (_number_list(config, "alpha") if isinstance(config["alpha"], list)
               else [_number(config, "alpha")])
+    lipschitz = (_number_list(config, "lipschitz") if isinstance(config["lipschitz"], list)
+                 else _number(config, "lipschitz"))
     try:
-        chain = IterationChain(_integer(config, "r", lo=1), config["lipschitz"],
+        chain = IterationChain(_integer(config, "r", lo=1), lipschitz,
                                _number(config, "sigma"), _number(config, "delta0"))
         if "increments" in config:
             increments = _number_list(config, "increments")
@@ -231,6 +242,8 @@ def cmd_iter(config: dict, seed) -> tuple[list[str], list[list], list[str], int]
                     for a in alphas]
     except ValueError as exc:
         raise ValidationFailure("config", str(exc)) from exc
+    except ArithmeticError as exc:
+        raise _out_of_range(exc) from exc
     return ["alpha", "mode", "epsilon"], rows, [], EXIT_OK
 
 

@@ -50,6 +50,10 @@ class RdpPoint:
     def __post_init__(self):
         if not (self.alpha > 1 or math.isinf(self.alpha)):
             raise ValueError("alpha must be > 1 or +inf")
+        if math.isnan(self.epsilon):
+            # A closed form gives NaN only where its arithmetic left the
+            # float range, e.g. a product of an underflowed 0 and an inf.
+            raise ArithmeticError("epsilon is NaN")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
 
@@ -207,8 +211,10 @@ def renyi_numeric_1d(
     becomes the relative target ``tol * (alpha - 1) / 2`` on the moment (the
     moment is >= 1 and can be astronomically large).  A point where p or q
     underflows to 0 contributes 0 only while every representable node of a
-    panel touching it, and both domain ends, stay below that relative target
-    times the running moment over the domain length, checked on every sweep.
+    panel touching it stays below that relative target times the running
+    moment over the domain length, checked on every sweep.  The moment is an
+    integral over the whole line, so the integrand must also be below that
+    level at both ends of ``domain``, whether or not anything underflowed.
 
     Raises :class:`QuadratureError` when the integrand is not negligible next
     to such a point or at a domain end (typically: the tilted mass lies past
@@ -228,12 +234,16 @@ def renyi_numeric_1d(
         out[both] = alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both])
         return out
 
-    log_moment = integrate(
-        log_integrand, domain[0], domain[1], rtol=0.5 * tol * (alpha - 1.0),
-        max_evals=max_evals, breakpoints=breakpoints,
-    )
+    a, b = domain
+    rtol = 0.5 * tol * (alpha - 1.0)
+    log_moment = integrate(log_integrand, a, b, rtol=rtol, max_evals=max_evals,
+                           breakpoints=breakpoints)
     if log_moment == -math.inf:
         raise QuadratureError("moment integral vanished")
+    ends = log_integrand(np.array([a, b], dtype=np.float64))
+    # NaN ends (an underflowed density) compare False here.
+    if np.any(ends + math.log(b - a) > math.log(rtol) + log_moment):
+        raise QuadratureError("integrand is not negligible at a domain end")
     return max(0.0, log_moment / (alpha - 1.0))
 
 

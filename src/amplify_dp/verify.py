@@ -237,42 +237,32 @@ def certify_diffusion(
 ) -> list[TrialReport]:
     """Certify the diffusion RDP closed forms by quadrature and the OU MSE by
     Monte Carlo (1-D cases)."""
-    reports: list[TrialReport] = []
-    trial = 0
-
+    # (case, descriptor, law0, law1, closed form, its params) per quadrature check.
+    entries = []
     for theta in theta_grid:
         for rho in rho_grid:
             for t in t_grid:
                 p = OuParams(theta=theta, rho=rho, t=t, delta=DIFFUSION_SENSITIVITY, R=1.0, d=1)
-                law0 = ou_transition([0.0], p)
-                law1 = ou_transition([DIFFUSION_SENSITIVITY], p)
-                lo = min(quadrature_domain(law0)[0], quadrature_domain(law1)[0])
-                hi = max(quadrature_domain(law0)[1], quadrature_domain(law1)[1])
-                for alpha in alpha_grid:
-                    closed = ou_rdp(p, alpha).epsilon
-                    quad = renyi_numeric_1d(
-                        lambda x: density(law1, [x]), lambda x: density(law0, [x]),
-                        alpha, (lo, hi))
-                    reports.append(_report(
-                        trial, "ou_rdp_quadrature",
-                        f"theta={theta},rho={rho},t={t},alpha={alpha}",
-                        measured=abs(quad - closed), bound=0.0, tolerance=QUAD_TOL,
-                        coefficient=closed))
-                    trial += 1
-
+                entries.append(("ou_rdp_quadrature", f"theta={theta},rho={rho},t={t}",
+                                ou_transition([0.0], p), ou_transition([DIFFUSION_SENSITIVITY], p),
+                                ou_rdp, p))
     for t in t_grid:
-        bp = BrownianParams(t=t, delta=DIFFUSION_SENSITIVITY)
-        g0 = GaussianDist([0.0], 2.0 * t)
-        g1 = GaussianDist([DIFFUSION_SENSITIVITY], 2.0 * t)
-        lo = min(quadrature_domain(g0)[0], quadrature_domain(g1)[0])
-        hi = max(quadrature_domain(g0)[1], quadrature_domain(g1)[1])
+        entries.append(("brownian_rdp_quadrature", f"t={t}",
+                        GaussianDist([0.0], 2.0 * t), GaussianDist([DIFFUSION_SENSITIVITY], 2.0 * t),
+                        brownian_rdp, BrownianParams(t=t, delta=DIFFUSION_SENSITIVITY)))
+
+    reports: list[TrialReport] = []
+    trial = 0
+    for case, desc, law0, law1, rdp, params in entries:
+        lo = min(quadrature_domain(law0)[0], quadrature_domain(law1)[0])
+        hi = max(quadrature_domain(law0)[1], quadrature_domain(law1)[1])
         for alpha in alpha_grid:
-            closed = brownian_rdp(bp, alpha).epsilon
+            closed = rdp(params, alpha).epsilon
             quad = renyi_numeric_1d(
-                lambda x: density(g1, [x]), lambda x: density(g0, [x]),
+                lambda x: density(law1, [x]), lambda x: density(law0, [x]),
                 alpha, (lo, hi))
             reports.append(_report(
-                trial, "brownian_rdp_quadrature", f"t={t},alpha={alpha}",
+                trial, case, f"{desc},alpha={alpha}",
                 measured=abs(quad - closed), bound=0.0, tolerance=QUAD_TOL,
                 coefficient=closed))
             trial += 1

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import amplify_dp
 from amplify_dp.cli import main
 
 
@@ -108,6 +110,18 @@ class TestSgdCommand:
         assert code == 2
         assert "eta" in err
 
+    @pytest.mark.parametrize("change,field", [
+        ({"indices": [True]}, "indices"),
+        ({"C": 1e200, "sigma": 1e-200}, "config"),   # C**2 overflows
+        ({"sigma": 4e-264}, "config"),               # sigma**2 underflows to 0
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, change, field):
+        cfg = write_config(tmp_path, {"n": 3, "C": 1.0, "sigma": 1.0, "beta": 1.0,
+                                      "rho": 1.0, "eta": 1.0, "alpha": 2.0, **change})
+        code, out, err = run_cli(["sgd", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: ")
+
 
 class TestIterCommand:
     def test_contractive(self, tmp_path, capsys):
@@ -133,6 +147,23 @@ class TestIterCommand:
                                       "delta0": 1.0, "alpha": 2.0})
         code, _, err = run_cli(["iter", "--config", cfg], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("change,field", [
+        ({"lipschitz": None}, "lipschitz"),
+        ({"lipschitz": {"r": 1}}, "lipschitz"),
+        ({"lipschitz": [1.0, None]}, "lipschitz"),
+        ({"sigma": 1e-200, "delta0": 1e200}, "config"),   # delta0**2 overflows
+        ({"sigma": 4e-264}, "config"),                    # sigma**2 underflows to 0
+        # 0 * inf: the suffix products underflow, the squared increment overflows.
+        ({"r": 2, "lipschitz": [1e-200, 1e-200], "increments": [1e300, 1.0]}, "config"),
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, change, field):
+        cfg = write_config(tmp_path, {"r": 1, "lipschitz": 1.0, "sigma": 1.0,
+                                      "delta0": 1.0, "alpha": 2.0, **change})
+        code, out, err = run_cli(["iter", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        # numpy may warn about the overflow on earlier lines.
+        assert err.splitlines()[-1].startswith(f"error: {field}: ")
 
 
 class TestOuCommand:
@@ -317,8 +348,11 @@ class TestReproducibility:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path, MIX_CONFIG)
+        # The child imports the package this test imported, installed or not.
+        src = os.path.dirname(os.path.dirname(amplify_dp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "amplify_dp.cli", "mixing", "--config", cfg],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "condition,gamma,eps_prime,delta_prime" in proc.stdout

@@ -50,6 +50,11 @@ class TestGuaranteeTypes:
         with pytest.raises(ValueError):
             RdpPoint(2.0, -0.1)
 
+    def test_rdp_point_rejects_nan(self):
+        # NaN only comes out of a closed form whose arithmetic left the float range.
+        with pytest.raises(ArithmeticError, match="NaN"):
+            RdpPoint(2.0, math.nan)
+
     def test_dp_guarantee_validation(self):
         DpGuarantee(0.0, 0.0)
         with pytest.raises(ValueError):
@@ -351,6 +356,14 @@ class TestLogSpaceOracle:
             renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
                              2.0, (-45.0, 3.0))
 
+    def test_domain_end_cut_without_underflow_raises(self):
+        # Nothing underflows on (-5, 3), yet the right end cuts the moment off:
+        # the truncated integral gives 0.8272 where the divergence is 1.
+        p, q = GaussianDist([1.0], 1.0), GaussianDist([0.0], 1.0)
+        with pytest.raises(QuadratureError, match="domain end"):
+            renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
+                             2.0, (-5.0, 3.0))
+
     def test_agrees_with_scalar_reference(self):
         tol = 1e-8
         for p, q, alpha, domain, breakpoints in sound_reference_pairs():
@@ -361,6 +374,27 @@ class TestLogSpaceOracle:
     def test_engine_rejects_infinite_log_integrand(self):
         with pytest.raises(QuadratureError, match=r"\+inf"):
             integrate(lambda x: np.where(x > 0.5, np.inf, 0.0), 0.0, 1.0)
+
+    def test_engine_remembers_worst_node_next_to_nan(self):
+        # f(x) = x + 1e10 exp(-(x - 1/2)^2 / (2e-12)), NaN at x = 0.  The panel
+        # next to 0 is exact (f is linear there) and accepted on the first
+        # sweep, while a node on the spike still inflates the estimate; the
+        # true integral (about 2.5e4) then makes that panel's node 1/32 far from
+        # negligible, which only the remembered worst node shows.
+        def log_f(x):
+            with np.errstate(divide="ignore"):
+                out = np.logaddexp(np.log(x), math.log(1e10) - (x - 0.5) ** 2 / 2e-12)
+            return np.where(x <= 0.0, np.nan, out)
+
+        with pytest.raises(QuadratureError, match="not representable"):
+            integrate(log_f, 0.0, 1.0)
+
+    def test_engine_nan_next_to_exact_zeros(self):
+        # The panels touching the NaN points hold only exact zeros; the large
+        # nodes of the panels away from them do not count against the rule.
+        val = integrate(lambda x: np.where(x > 0.9, np.nan, np.where(x > 0.5, -np.inf, 0.0)),
+                        0.0, 1.0)
+        assert math.exp(val) == pytest.approx(0.5, rel=1e-8)
 
     def test_engine_log_result_past_overflow(self):
         # exp(1000 - x) on [0, 1] integrates to e^1000 (1 - e^-1), far past the

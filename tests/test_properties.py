@@ -101,12 +101,14 @@ def dist_config():
                       "probs": list(np.asarray(pw[1]) / np.sum(pw[1]))})
 
 
-def run_cli_config(command, config):
+def run_cli_config(command, config, seed=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        return cli.main([command, "--config", path, "--out", os.path.join(tmp, "out.csv")])
+        seed_args = [] if seed is None else ["--seed", str(seed)]
+        return cli.main([command, "--config", path, "--out", os.path.join(tmp, "out.csv"),
+                         *seed_args])
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,3 +148,70 @@ def ou_config():
 @example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0], "plan_epsilon": 1e-300})
 def test_ou_command_never_raises(config):
     assert run_cli_config("ou", config) in (0, 2)
+
+
+def optional(**fields):
+    # A fixed dictionary in which every key may be left out.
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def iter_config():
+    numbers = st.lists(magnitudes(), min_size=1, max_size=6)
+    required = st.fixed_dictionaries({
+        "r": st.integers(1, 6), "lipschitz": st.one_of(magnitudes(), numbers),
+        "sigma": magnitudes(), "delta0": magnitudes(zero=True),
+        "alpha": st.one_of(magnitudes(), numbers)})
+    extra = optional(increments=st.lists(magnitudes(zero=True), min_size=1, max_size=6))
+    return st.tuples(required, extra).map(lambda cs: {**cs[0], **cs[1]})
+
+
+ITER_BASE = {"r": 1, "lipschitz": 1.0, "sigma": 1.0, "delta0": 1.0, "alpha": 2.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(iter_config())
+@example({**ITER_BASE, "lipschitz": None})
+@example({**ITER_BASE, "lipschitz": {"r": 1}})
+@example({**ITER_BASE, "sigma": 1e-200, "delta0": 1e200})
+@example({**ITER_BASE, "sigma": 4e-264})
+@example({**ITER_BASE, "r": 2, "lipschitz": [1e-200, 1e-200], "increments": [1e300, 1.0]})
+@example({**ITER_BASE, "r": 2, "lipschitz": 1e-200, "delta0": 1e150, "alpha": 1e300})
+def test_iter_command_never_raises(config):
+    assert run_cli_config("iter", config) in (0, 2)
+
+
+def sgd_config():
+    required = st.fixed_dictionaries({
+        "n": st.integers(1, 50), "C": magnitudes(), "sigma": magnitudes(zero=True),
+        "beta": magnitudes(), "rho": magnitudes(), "eta": magnitudes(), "alpha": magnitudes()})
+    extra = optional(dim=st.integers(1, 5), radius=magnitudes(),
+                     indices=st.lists(st.one_of(st.integers(-1, 51), st.booleans()), max_size=4))
+    return st.tuples(required, extra).map(lambda cs: {**cs[0], **cs[1]})
+
+
+SGD_BASE = {"n": 3, "C": 1.0, "sigma": 1.0, "beta": 1.0, "rho": 1.0, "eta": 1.0, "alpha": 2.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sgd_config())
+@example({**SGD_BASE, "C": 1e200, "sigma": 1e-200})
+@example({**SGD_BASE, "sigma": 4e-264})
+@example({**SGD_BASE, "C": 1e200, "alpha": 1e300, "rho": 0.5})
+@example({**SGD_BASE, "indices": [True]})
+def test_sgd_command_never_raises(config):
+    assert run_cli_config("sgd", config) in (0, 2)
+
+
+def verify_config():
+    sizes = st.tuples(st.integers(2, 16), st.integers(2, 16)).map(sorted)
+    return st.fixed_dictionaries({
+        "suites": st.sampled_from([["theorem1"], ["transport"], ["theorem1", "transport"]]),
+        "trials": st.integers(1, 3), "sizes": sizes,
+        "eps_grid": st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_config(), st.integers(0, 2**32))
+def test_verify_command_never_raises(config, seed):
+    # The exact suites certify every bound on every instance: no violation either.
+    assert run_cli_config("verify", config, seed) == 0
