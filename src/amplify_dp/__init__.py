@@ -14,6 +14,7 @@ from .distributions import (
     LaplaceDist,
     density,
     lap2_density,
+    log_density,
     sample,
 )
 from .divergences import (
@@ -26,6 +27,7 @@ from .divergences import (
     renyi_gaussian,
     renyi_laplace_g,
     renyi_numeric_1d,
+    renyi_numeric_log,
     tv,
     w_inf_discrete,
 )

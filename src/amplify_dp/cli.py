@@ -146,6 +146,14 @@ def _out_of_range(exc: ArithmeticError) -> ValidationFailure:
     return ValidationFailure("config", f"the bound leaves the float range ({exc})")
 
 
+def _require_finite_bounds(config: dict, epsilons: Sequence[float]) -> None:
+    # A float product overflows to inf silently, where ** raises: from a
+    # validated config of finite numbers, an inf bound has left the float range.
+    values = [v for x in config.values() for v in (x if isinstance(x, list) else [x])]
+    if all(map(math.isfinite, values)) and not all(map(math.isfinite, epsilons)):
+        raise OverflowError("a product overflowed to inf")
+
+
 def cmd_mixing(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
     _require_keys(config, ["eps", "delta"], ["kernel", "kernel_path"])
     eps = _number(config, "eps", lo=0.0)
@@ -215,6 +223,7 @@ def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
         for i in indices:
             point = sgd_rdp_at_index(cfg, i, alpha)
             rows.append([i, lip, point.epsilon / alpha, alpha, point.epsilon])
+        _require_finite_bounds(config, [row[-1] for row in rows])
     except ValueError as exc:
         raise ValidationFailure("config", str(exc)) from exc
     except ArithmeticError as exc:
@@ -232,14 +241,18 @@ def cmd_iter(config: dict, seed) -> tuple[list[str], list[list], list[str], int]
     try:
         chain = IterationChain(_integer(config, "r", lo=1), lipschitz,
                                _number(config, "sigma"), _number(config, "delta0"))
-        if "increments" in config:
-            increments = _number_list(config, "increments")
-            rows = [[a, "path", winf_path_bound(chain, increments, a).epsilon]
-                    for a in alphas]
-        else:
-            rows = [[a, "contractive",
-                     winf_contractive_bound(chain, chain.delta0, a).epsilon]
-                    for a in alphas]
+        # An overflow in the path bound's numpy products raises (a
+        # FloatingPointError is an ArithmeticError) instead of warning.
+        with np.errstate(over="raise"):
+            if "increments" in config:
+                increments = _number_list(config, "increments")
+                rows = [[a, "path", winf_path_bound(chain, increments, a).epsilon]
+                        for a in alphas]
+            else:
+                rows = [[a, "contractive",
+                         winf_contractive_bound(chain, chain.delta0, a).epsilon]
+                        for a in alphas]
+        _require_finite_bounds(config, [row[-1] for row in rows])
     except ValueError as exc:
         raise ValidationFailure("config", str(exc)) from exc
     except ArithmeticError as exc:

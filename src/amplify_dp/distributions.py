@@ -182,6 +182,30 @@ def density(family: NoiseFamily, x) -> float:
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
+def log_density(family: NoiseFamily, x) -> np.ndarray:
+    """Log of the closed-form density at every point of the 1-D array ``x``.
+
+    Finite wherever the density is positive, also where ``density`` underflows
+    to 0.  Lap2 uses the form of :func:`lap2_density` in log space,
+    -z/l1 + log1p((z/l1) * phi(u)) - log(2 * (l1 + l2)).  Gaussians must be 1-D.
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    if isinstance(family, GaussianDist):
+        if family.dim != 1:
+            raise ValueError("log_density is 1-D only")
+        v = family.variance
+        return -((xv - family.mean[0]) ** 2) / (2.0 * v) - 0.5 * math.log(2.0 * math.pi * v)
+    if isinstance(family, LaplaceDist):
+        return -np.abs(xv - family.loc) / family.scale - math.log(2.0 * family.scale)
+    if isinstance(family, Lap2Dist):
+        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
+        z = np.abs(xv - family.loc)
+        u = z * (l1 - l2) / (l1 * l2)
+        phi = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
+        return -z / l1 + np.log1p((z / l1) * phi) - math.log(2.0 * (l1 + l2))
+    raise TypeError(f"unsupported family {type(family).__name__}")
+
+
 def _laplace_from_uniform(u: np.ndarray, loc: float, scale: float) -> np.ndarray:
     # Inverse CDF; u in (0, 1) keeps the log argument positive.
     c = u - 0.5

@@ -27,6 +27,7 @@ __all__ = [
     "renyi_gaussian",
     "renyi_laplace_g",
     "log_laplace_g",
+    "renyi_numeric_log",
     "renyi_numeric_1d",
     "w_inf_discrete",
     "w_inf_optimal_coupling",
@@ -193,46 +194,45 @@ def renyi_laplace_g(z: float, alpha: float) -> float:
     return math.exp(log_laplace_g(z, alpha))
 
 
-def renyi_numeric_1d(
-    p: Callable[[float], float],
-    q: Callable[[float], float],
+def renyi_numeric_log(
+    log_p: Callable[[np.ndarray], np.ndarray],
+    log_q: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     domain: tuple[float, float],
     tol: float = 1e-8,
     max_evals: int = 10**6,
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """Quadrature estimate of the order-``alpha`` Renyi divergence of densities.
+    """Quadrature estimate of the order-``alpha`` Renyi divergence of densities
+    given by their logs.
 
-    Integrates the moment p^alpha * q^(1-alpha) over ``domain`` with the
-    log-space Simpson engine (``_quadrature.integrate``), forming
-    alpha * log p + (1-alpha) * log q wherever both densities are positive.
-    ``tol`` is the absolute error target on the divergence itself, which
-    becomes the relative target ``tol * (alpha - 1) / 2`` on the moment (the
-    moment is >= 1 and can be astronomically large).  A point where p or q
-    underflows to 0 contributes 0 only while every representable node of a
-    panel touching it stays below that relative target times the running
-    moment over the domain length, checked on every sweep.  The moment is an
-    integral over the whole line, so the integrand must also be below that
-    level at both ends of ``domain``, whether or not anything underflowed.
+    ``log_p`` and ``log_q`` map a 1-D array of points to the log-densities
+    there (``distributions.log_density`` with a family bound, for instance):
+    ``-inf`` is an exact zero, and NaN marks a density that is not
+    representable.  The moment p^alpha * q^(1-alpha) is integrated over
+    ``domain`` with the log-space Simpson engine (``_quadrature.integrate``) as
+    alpha * log p + (1-alpha) * log q.  ``tol`` is the absolute error target on
+    the divergence itself, which becomes the relative target
+    ``tol * (alpha - 1) / 2`` on the moment (the moment is >= 1 and can be
+    astronomically large).  A point where either log is NaN contributes 0 only
+    while every representable node of a panel touching it stays below that
+    relative target times the running moment over the domain length, checked
+    on every sweep.  The moment is an integral over the whole line, so the
+    integrand must also be below that level at both ends of ``domain``.
 
     Raises :class:`QuadratureError` when the integrand is not negligible next
     to such a point or at a domain end (typically: the tilted mass lies past
-    ``domain``), when the evaluation budget ``max_evals`` runs out, or when the
-    moment vanishes.  Both densities must be positive almost everywhere on
-    ``domain``.
+    ``domain``), when q is an exact zero where p is not, when the evaluation
+    budget ``max_evals`` runs out, or when the moment vanishes.
     """
     if not (alpha > 1 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and > 1")
 
     def log_integrand(x: np.ndarray) -> np.ndarray:
-        points = x.tolist()
-        pv = np.fromiter(map(p, points), np.float64, len(points))
-        qv = np.fromiter(map(q, points), np.float64, len(points))
-        out = np.full(len(points), np.nan)
-        both = (pv > 0.0) & (qv > 0.0)
-        out[both] = alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both])
-        return out
+        lp, lq = log_p(x), log_q(x)
+        # Where p is an exact zero so is the integrand, also where q is (0/0 = 0).
+        with np.errstate(invalid="ignore"):
+            return np.where(lp == -math.inf, -math.inf, alpha * lp + (1.0 - alpha) * lq)
 
     a, b = domain
     rtol = 0.5 * tol * (alpha - 1.0)
@@ -245,6 +245,32 @@ def renyi_numeric_1d(
     if np.any(ends + math.log(b - a) > math.log(rtol) + log_moment):
         raise QuadratureError("integrand is not negligible at a domain end")
     return max(0.0, log_moment / (alpha - 1.0))
+
+
+def renyi_numeric_1d(
+    p: Callable[[float], float],
+    q: Callable[[float], float],
+    alpha: float,
+    domain: tuple[float, float],
+    tol: float = 1e-8,
+    max_evals: int = 10**6,
+    breakpoints: Sequence[float] = (),
+) -> float:
+    """:func:`renyi_numeric_log` for scalar density callables, called once per
+    point.  A density that is not positive (it may have underflowed) has a NaN
+    log, so it counts as 0 only where the integrand around it is negligible.
+    Both densities must be positive almost everywhere on ``domain``."""
+
+    def log_of(density: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+        def log_values(x: np.ndarray) -> np.ndarray:
+            values = np.fromiter(map(density, x.tolist()), np.float64, len(x))
+            out = np.full(len(x), np.nan)
+            positive = values > 0.0
+            out[positive] = np.log(values[positive])
+            return out
+        return log_values
+
+    return renyi_numeric_log(log_of(p), log_of(q), alpha, domain, tol, max_evals, breakpoints)
 
 
 def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:

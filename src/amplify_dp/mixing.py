@@ -416,13 +416,16 @@ def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coup
     ``mu`` to ``SINKHORN_ATOL``; the column sums match ``nu`` to a few ulps.
     """
     p, q = mu.probs, nu.probs
+    p_pos, q_pos = p > 0.0, q > 0.0
     rng = rng_from_seed(seed)
-    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p > 0.0, q > 0.0)
+    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p_pos, q_pos)
+    # The scale entries of zero-mass atoms are never written, so they stay 0.
+    row_scale, col_scale = np.zeros_like(p), np.zeros_like(q)
     for _ in range(SINKHORN_MAX_SWEEPS):
         row_sums = mass.sum(axis=1)
         if np.abs(row_sums - p).max() <= SINKHORN_ATOL:
             break
-        mass *= np.divide(p, row_sums, out=np.zeros_like(p), where=p > 0.0)[:, None]
+        mass *= np.divide(p, row_sums, out=row_scale, where=p_pos)[:, None]
         col_sums = mass.sum(axis=0)
-        mass *= np.divide(q, col_sums, out=np.zeros_like(q), where=q > 0.0)[None, :]
+        mass *= np.divide(q, col_sums, out=col_scale, where=q_pos)[None, :]
     return Coupling(mu.points, nu.points, mass)

@@ -16,7 +16,7 @@ from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.iteration import _laplace_pair_log_bound
-from amplify_dp.mixing import Coupling, DiscreteKernel
+from amplify_dp.mixing import SINKHORN_ATOL, SINKHORN_MAX_SWEEPS, Coupling, DiscreteKernel
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -119,6 +119,22 @@ def sinkhorn_fixed_sweeps(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> np.n
         mass *= (mu.probs / mass.sum(axis=1))[:, None]
         mass *= (nu.probs / mass.sum(axis=0))[None, :]
     return mass / mass.sum()
+
+
+def sinkhorn_per_sweep_buffers(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> np.ndarray:
+    """``random_joint_coupling``'s mass with the masks and scale buffers
+    allocated anew in every sweep, as the loop was first written."""
+    p, q = mu.probs, nu.probs
+    rng = rng_from_seed(seed)
+    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p > 0.0, q > 0.0)
+    for _ in range(SINKHORN_MAX_SWEEPS):
+        row_sums = mass.sum(axis=1)
+        if np.abs(row_sums - p).max() <= SINKHORN_ATOL:
+            break
+        mass *= np.divide(p, row_sums, out=np.zeros_like(p), where=p > 0.0)[:, None]
+        col_sums = mass.sum(axis=0)
+        mass *= np.divide(q, col_sums, out=np.zeros_like(q), where=q > 0.0)[None, :]
+    return mass
 
 
 def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float,

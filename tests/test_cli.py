@@ -114,6 +114,7 @@ class TestSgdCommand:
         ({"indices": [True]}, "indices"),
         ({"C": 1e200, "sigma": 1e-200}, "config"),   # C**2 overflows
         ({"sigma": 4e-264}, "config"),               # sigma**2 underflows to 0
+        ({"C": 1e100, "alpha": 1e300}, "config"),    # the product overflows to inf
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {"n": 3, "C": 1.0, "sigma": 1.0, "beta": 1.0,
@@ -142,6 +143,15 @@ class TestIterCommand:
         assert len(rows) == 2
         assert float(rows[0][header.index("epsilon")]) == pytest.approx(0.5)
 
+    def test_infinite_alpha_gives_infinite_bound(self, tmp_path, capsys):
+        # Only a bound from finite config values must stay finite.
+        cfg = write_config(tmp_path, {"r": 1, "lipschitz": 1.0, "sigma": 1.0,
+                                      "delta0": 1.0, "alpha": math.inf})
+        code, out, _ = run_cli(["iter", "--config", cfg], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert rows[0][header.index("epsilon")] == "inf"
+
     def test_expansive_uniform_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"r": 3, "lipschitz": 1.5, "sigma": 1.0,
                                       "delta0": 1.0, "alpha": 2.0})
@@ -156,14 +166,17 @@ class TestIterCommand:
         ({"sigma": 4e-264}, "config"),                    # sigma**2 underflows to 0
         # 0 * inf: the suffix products underflow, the squared increment overflows.
         ({"r": 2, "lipschitz": [1e-200, 1e-200], "increments": [1e300, 1.0]}, "config"),
+        ({"delta0": 1e150, "alpha": 1e300}, "config"),    # the product overflows to inf
+        # The suffix products overflow in numpy.
+        ({"r": 2, "lipschitz": [1e200, 1e200], "increments": [1e200, 1.0]}, "config"),
     ])
+    @pytest.mark.filterwarnings("error")  # numpy must not warn about the overflow
     def test_bad_config_exit_2(self, tmp_path, capsys, change, field):
         cfg = write_config(tmp_path, {"r": 1, "lipschitz": 1.0, "sigma": 1.0,
                                       "delta0": 1.0, "alpha": 2.0, **change})
         code, out, err = run_cli(["iter", "--config", cfg], capsys)
         assert (code, out) == (2, "")
-        # numpy may warn about the overflow on earlier lines.
-        assert err.splitlines()[-1].startswith(f"error: {field}: ")
+        assert err.startswith(f"error: {field}: ")
 
 
 class TestOuCommand:

@@ -13,6 +13,7 @@ from amplify_dp.distributions import (
     LaplaceDist,
     density,
     lap2_density,
+    log_density,
     quadrature_domain,
     sample,
 )
@@ -40,6 +41,16 @@ def lap2_by_mpmath(z, l1, l2):
             return float(mpmath.exp(-z / l1) * (l1 + z) / (4 * l1 * l1))
         s, t = 1 / (l1 + l2), 1 / (l1 - l2)
         return float(((s + t) * mpmath.exp(-z / l1) + (s - t) * mpmath.exp(-z / l2)) / 4)
+
+
+def lap2_log_by_mpmath(z, l1, l2):
+    """Log of :func:`lap2_by_mpmath`, also where the density underflows a double."""
+    with mpmath.workdps(50):
+        z, l1, l2 = mpmath.mpf(z), mpmath.mpf(l1), mpmath.mpf(l2)
+        if l1 == l2:
+            return float(mpmath.log(mpmath.exp(-z / l1) * (l1 + z) / (4 * l1 * l1)))
+        s, t = 1 / (l1 + l2), 1 / (l1 - l2)
+        return float(mpmath.log(((s + t) * mpmath.exp(-z / l1) + (s - t) * mpmath.exp(-z / l2)) / 4))
 
 
 class TestDiscreteDist:
@@ -217,6 +228,44 @@ class TestDensity:
             LaplaceDist(0.0, -1.0)
         with pytest.raises(ValueError):
             Lap2Dist(0.0, 1.0, 0.0)
+
+
+class TestLogDensity:
+    @pytest.mark.parametrize("family", [
+        GaussianDist([0.3], 1.7),
+        LaplaceDist(-1.0, 0.8),
+        Lap2Dist(0.5, 2.0, 1.0),
+        Lap2Dist(0.0, 1.2, 1.2),
+        Lap2Dist(0.0, 1.0, 1.0 + 1e-9),
+    ])
+    def test_equals_log_of_density(self, family):
+        # A few ulps wherever the density is a normal float.
+        lo, hi = quadrature_domain(family)
+        x = np.linspace(2.0 * lo, 2.0 * hi, 4001)
+        values = np.array([density(family, v) for v in x.tolist()])
+        normal = values >= np.finfo(np.float64).tiny
+        assert normal.sum() > 1000
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(log_density(family, x[normal]), np.log(values[normal]),
+                                   rtol=4 * eps, atol=4 * eps)
+
+    def test_lap2_matches_mpmath_where_density_underflows(self):
+        rng = np.random.default_rng(13)
+        cases = [(1.0, 1.0, 800.0), (1.0, 1.0 + 1e-9, 900.0), (3.0, 0.5, 2500.0)]
+        for _ in range(200):
+            l2 = 10.0 ** rng.uniform(-1.0, 1.0)
+            l1 = l2 * (1.0 + 10.0 ** rng.uniform(-17.0, 0.0))
+            cases.append((l1, l2, rng.uniform(750.0, 2000.0) * l1))
+        for l1, l2, z in cases:
+            assert lap2_density(z, Lap2Dist(0.0, l1, l2)) == 0.0
+            ref = lap2_log_by_mpmath(z, l1, l2)
+            for d in (Lap2Dist(0.0, l1, l2), Lap2Dist(1.0, l2, l1)):
+                got = log_density(d, np.array([d.loc - z, d.loc + z]))
+                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_higher_dimensional_gaussian_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            log_density(GaussianDist([0.0, 0.0], 1.0), np.zeros(3))
 
 
 class TestSampling:

@@ -4,13 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 from amplify_dp._quadrature import QuadratureError, integrate
 from amplify_dp.diffusion import OuParams, ou_transition
-from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, density
+from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, density, log_density
 from amplify_dp.divergences import (
     DpGuarantee,
     _logsumexp,
@@ -22,6 +23,7 @@ from amplify_dp.divergences import (
     renyi_gaussian,
     renyi_laplace_g,
     renyi_numeric_1d,
+    renyi_numeric_log,
     tv,
     w_inf_discrete,
     w_inf_optimal_coupling,
@@ -302,9 +304,10 @@ def gaussian_probe(shift, alpha, calls=None):
                             alpha, (-40.0, 40.0 + shift))
 
 
-def sound_reference_pairs(seed=5, count=45):
+def sound_reference_laws(seed=5, count=45):
     """Gaussian, Laplace (with breakpoints) and OU pairs on which the scalar
-    reference oracle is sound: alpha <= 8 and (alpha - 1) * shift / sd <= 10.5."""
+    reference oracle is sound: alpha <= 8 and (alpha - 1) * shift / sd <= 10.5.
+    Yields (law_p, law_q, alpha, domain, breakpoints)."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         alpha = float(rng.choice([1.5, 2.0, 3.0, 4.0, 6.0, 8.0]))
@@ -312,14 +315,12 @@ def sound_reference_pairs(seed=5, count=45):
         if i % 3 == 0:
             sd = rng.uniform(0.3, 3.0)
             shift = rng.uniform(0.1, max_shift) * sd
-            law_p, law_q = GaussianDist([shift], sd * sd), GaussianDist([0.0], sd * sd)
-            yield (lambda x, d=law_p: density(d, [x]), lambda x, d=law_q: density(d, [x]),
+            yield (GaussianDist([shift], sd * sd), GaussianDist([0.0], sd * sd),
                    alpha, (-40.0 * sd, shift + 40.0 * sd), ())
         elif i % 3 == 1:
             b = rng.uniform(0.5, 2.0)
             shift = b * rng.uniform(0.2, 2.0)
-            law_p, law_q = LaplaceDist(shift, b), LaplaceDist(0.0, b)
-            yield (lambda x, d=law_p: density(d, x), lambda x, d=law_q: density(d, x),
+            yield (LaplaceDist(shift, b), LaplaceDist(0.0, b),
                    alpha, (-40.0 * b, shift + 40.0 * b), (0.0, shift))
         else:
             theta, rho, t = rng.uniform((0.3, 0.5, 0.2), (2.0, 1.5, 2.0))
@@ -329,8 +330,11 @@ def sound_reference_pairs(seed=5, count=45):
             params = OuParams(theta=theta, rho=rho, t=t, delta=sens, R=1.0, d=1)
             law0, law1 = ou_transition([0.0], params), ou_transition([sens], params)
             m1 = law1.mean[0]
-            yield (lambda x, d=law1: density(d, [x]), lambda x, d=law0: density(d, [x]),
-                   alpha, (min(0.0, m1) - 40.0 * sd, max(0.0, m1) + 40.0 * sd), ())
+            yield (law1, law0, alpha, (min(0.0, m1) - 40.0 * sd, max(0.0, m1) + 40.0 * sd), ())
+
+
+def scalar_density(law):
+    return lambda x: density(law, x)
 
 
 class TestLogSpaceOracle:
@@ -366,10 +370,57 @@ class TestLogSpaceOracle:
 
     def test_agrees_with_scalar_reference(self):
         tol = 1e-8
-        for p, q, alpha, domain, breakpoints in sound_reference_pairs():
+        for law_p, law_q, alpha, domain, breakpoints in sound_reference_laws():
+            p, q = scalar_density(law_p), scalar_density(law_q)
             new = renyi_numeric_1d(p, q, alpha, domain, tol=tol, breakpoints=breakpoints)
             old = renyi_numeric_1d_scalar(p, q, alpha, domain, tol=tol, breakpoints=breakpoints)
             assert abs(new - old) <= tol
+
+    def test_log_density_path_agrees_with_scalar_adapter(self):
+        tol = 1e-8
+        for law_p, law_q, alpha, domain, breakpoints in sound_reference_laws():
+            family = renyi_numeric_log(partial(log_density, law_p), partial(log_density, law_q),
+                                       alpha, domain, tol=tol, breakpoints=breakpoints)
+            scalar = renyi_numeric_1d(scalar_density(law_p), scalar_density(law_q),
+                                      alpha, domain, tol=tol, breakpoints=breakpoints)
+            assert abs(family - scalar) <= tol
+
+    @pytest.mark.parametrize("shift", [1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [24.0, 32.0, 64.0, 256.0])
+    def test_log_density_path_exact_at_large_alpha(self, shift, alpha):
+        # The moment is a Gaussian bump at x = alpha * shift.  On a domain that
+        # covers it the family path is exact; on the oracle-sweep domain
+        # (-40, 40 + shift) it raises wherever the bump lies past the end.
+        log_p = partial(log_density, GaussianDist([shift], 1.0))
+        log_q = partial(log_density, GaussianDist([0.0], 1.0))
+        exact = renyi_gaussian([shift], [0.0], 1.0, alpha)
+        covered = renyi_numeric_log(log_p, log_q, alpha, (-40.0, alpha * shift + 40.0))
+        assert abs(covered - exact) <= 1e-9
+        if alpha * shift < 40.0:
+            assert abs(renyi_numeric_log(log_p, log_q, alpha, (-40.0, 40.0 + shift)) - exact) <= 1e-9
+        else:
+            with pytest.raises(QuadratureError, match="not negligible at a domain end"):
+                renyi_numeric_log(log_p, log_q, alpha, (-40.0, 40.0 + shift))
+
+    def test_log_path_exact_zeros(self):
+        # p is the unit exponential law (an exact zero on x < 0) and q the
+        # Laplace law at 1/2, cut to an exact zero on x < -1.  Where both are 0
+        # the integrand is 0; the moment of p^2 / q over x >= 0 is
+        # 2 e^(1/2) (1 - e^(-3/2)) / 3 + 2 / e.
+        def log_p(x):
+            return np.where(x < 0.0, -np.inf, -x)
+
+        q = LaplaceDist(0.5, 1.0)
+
+        def log_q(x):
+            return np.where(x < -1.0, -np.inf, log_density(q, x))
+
+        moment = 2.0 * math.exp(0.5) * (1.0 - math.exp(-1.5)) / 3.0 + 2.0 / math.e
+        got = renyi_numeric_log(log_p, log_q, 2.0, (-5.0, 40.0), breakpoints=(-1.0, 0.0, 0.5))
+        assert got == pytest.approx(math.log(moment), abs=1e-8)
+        # q = 0 where p is not: the moment is infinite, which the engine reports.
+        with pytest.raises(QuadratureError, match=r"\+inf"):
+            renyi_numeric_log(partial(log_density, LaplaceDist(0.0, 1.0)), log_q, 2.0, (-5.0, 40.0))
 
     def test_engine_rejects_infinite_log_integrand(self):
         with pytest.raises(QuadratureError, match=r"\+inf"):

@@ -35,6 +35,7 @@ from reference_impls import (
     joint_as_matrix,
     pair_marginals,
     sinkhorn_fixed_sweeps,
+    sinkhorn_per_sweep_buffers,
     transport_operator_pairs,
     ultra_coeff_pairs,
 )
@@ -368,6 +369,20 @@ class TestTransportOperator:
             pi = random_joint_coupling(mu, nu, int(iseed))
             ref = sinkhorn_fixed_sweeps(mu, nu, int(iseed))
             np.testing.assert_allclose(pi.mass, ref, rtol=0.0, atol=1e-14)
+
+    def test_random_coupling_equals_per_sweep_buffers(self):
+        # The 200 instances of the harness's transport suite at seed 1, and
+        # zero-mass atoms on either side: hoisting the masks and buffers out of
+        # the loop must not change a bit.
+        seeds, sizes = _trial_seeds(1, 200), _trial_sizes(1, 200, (2, 16))
+        pairs = [random_instance(int(n), 2, int(iseed))[:2] + (int(iseed),)
+                 for iseed, (n, _) in zip(seeds, sizes)]
+        mu = DiscreteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
+        nu = DiscreteDist(["a", "b", "c", "d"], [0.0, 0.3, 0.0, 0.7])
+        pairs += [(mu, nu, 1), (nu, mu, 2), (mu, mu, 3)]
+        for mu, nu, seed in pairs:
+            mass = random_joint_coupling(mu, nu, seed).mass
+            assert np.array_equal(mass, sinkhorn_per_sweep_buffers(mu, nu, seed))
 
     def test_malformed_coupling_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -101,14 +102,34 @@ def dist_config():
                       "probs": list(np.asarray(pw[1]) / np.sum(pw[1]))})
 
 
-def run_cli_config(command, config, seed=None):
+def run_cli_output(command, config, seed=None):
+    """Exit code and written output of one CLI run on ``config``."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out.csv")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         seed_args = [] if seed is None else ["--seed", str(seed)]
-        return cli.main([command, "--config", path, "--out", os.path.join(tmp, "out.csv"),
-                         *seed_args])
+        code = cli.main([command, "--config", path, "--out", out, *seed_args])
+        if not os.path.exists(out):
+            return code, ""
+        with open(out, encoding="utf-8") as fh:
+            return code, fh.read()
+
+
+def run_cli_config(command, config, seed=None):
+    return run_cli_output(command, config, seed)[0]
+
+
+def assert_finite_bounds_or_exit_2(command, config):
+    # Every config value is finite, so a bound is either finite or rejected
+    # with exit 2; numpy must not warn on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli_output(command, config)
+    assert code in (0, 2)
+    if code == 0:
+        rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        assert all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,8 +197,10 @@ ITER_BASE = {"r": 1, "lipschitz": 1.0, "sigma": 1.0, "delta0": 1.0, "alpha": 2.0
 @example({**ITER_BASE, "sigma": 4e-264})
 @example({**ITER_BASE, "r": 2, "lipschitz": [1e-200, 1e-200], "increments": [1e300, 1.0]})
 @example({**ITER_BASE, "r": 2, "lipschitz": 1e-200, "delta0": 1e150, "alpha": 1e300})
+@example({**ITER_BASE, "delta0": 1e150, "alpha": 1e300})
+@example({**ITER_BASE, "r": 2, "lipschitz": [1e200, 1e200], "increments": [1e200, 1.0]})
 def test_iter_command_never_raises(config):
-    assert run_cli_config("iter", config) in (0, 2)
+    assert_finite_bounds_or_exit_2("iter", config)
 
 
 def sgd_config():
@@ -198,8 +221,9 @@ SGD_BASE = {"n": 3, "C": 1.0, "sigma": 1.0, "beta": 1.0, "rho": 1.0, "eta": 1.0,
 @example({**SGD_BASE, "sigma": 4e-264})
 @example({**SGD_BASE, "C": 1e200, "alpha": 1e300, "rho": 0.5})
 @example({**SGD_BASE, "indices": [True]})
+@example({**SGD_BASE, "C": 1e100, "alpha": 1e300})
 def test_sgd_command_never_raises(config):
-    assert run_cli_config("sgd", config) in (0, 2)
+    assert_finite_bounds_or_exit_2("sgd", config)
 
 
 def verify_config():

@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -177,3 +180,14 @@ class TestReportExport:
         summary = reports_summary([bad])
         assert summary["synthetic"]["violations"] == 1
         assert summary["synthetic"]["max_slack_deficit"] == pytest.approx(0.5)
+
+
+def test_benchmark_tracer_names_resolve():
+    # The benchmark's tracer (bench/tracing.py) wraps library names where
+    # their callers look them up; a renamed import would silently drop a span.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
