@@ -213,6 +213,8 @@ def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
     except ValueError as exc:
         raise ValidationFailure("config", str(exc)) from exc
     alpha = _number(config, "alpha")
+    if alpha == math.inf:
+        raise ValidationFailure("alpha", "must be finite: eps_i = epsilon / alpha is inf / inf at alpha = inf")
     indices = config.get("indices", list(range(1, cfg.n + 1)))
     if not isinstance(indices, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= cfg.n for i in indices):

@@ -163,6 +163,10 @@ def lap2_density(x: float, d: Lap2Dist) -> float:
 
 
 def _gaussian_density(d: GaussianDist, x) -> float:
+    v = x[0] if isinstance(x, (list, tuple)) and len(x) == 1 else x
+    if d.dim == 1 and isinstance(v, (int, float)):
+        diff = float(v) - d.mean[0]
+        return math.exp(-(diff * diff) / (2.0 * d.variance)) / (2.0 * math.pi * d.variance) ** 0.5
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if xv.shape != (d.dim,):
         raise ValueError(f"x has dimension {xv.shape}, family expects ({d.dim},)")
@@ -171,7 +175,13 @@ def _gaussian_density(d: GaussianDist, x) -> float:
 
 
 def density(family: NoiseFamily, x) -> float:
-    """Closed-form density of the family at ``x``."""
+    """Closed-form density of the family at ``x``.
+
+    A 1-D family takes a number; a Gaussian takes a point of its dimension as
+    a sequence or array, and a 1-D Gaussian also a number.  A number or a
+    one-number sequence is evaluated in float arithmetic, an array or a
+    point in more dimensions with numpy.
+    """
     if isinstance(family, GaussianDist):
         return _gaussian_density(family, x)
     if isinstance(family, LaplaceDist):

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import QuadratureError, integrate
-from .distributions import DiscreteDist
+from .distributions import PROB_ATOL, DiscreteDist
 
 __all__ = [
     "RdpPoint",
@@ -273,14 +273,35 @@ def renyi_numeric_1d(
     return renyi_numeric_log(log_of(p), log_of(q), alpha, domain, tol, max_evals, breakpoints)
 
 
+def _start_threshold(dist: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """A pairwise distance below which no threshold can complete the transport.
+
+    An atom with mass moves it to a partner with mass on the other side, so
+    below its nearest such partner it is stranded.  Routing may leave
+    ``FLOW_ATOL`` of the mass unrouted, and masses may sum to 1 + ``PROB_ATOL``:
+    the threshold is the largest nearest-partner distance at which the atoms
+    that far from every partner hold more than both together.  Zero-mass atoms
+    hold nothing, so they never set it.
+    """
+    start = -math.inf
+    for nearest, mass in ((dist[:, q > 0.0].min(axis=1), p), (dist[p > 0.0].min(axis=0), q)):
+        order = np.argsort(nearest)[::-1]
+        stranded = np.cumsum(mass[order]) > FLOW_ATOL + PROB_ATOL
+        start = max(start, nearest[order[stranded.argmax()]])
+    return start
+
+
 def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
     """Bottleneck transport in one augmenting-path pass over the distance matrix.
 
-    ``flow`` only uses pairs with ``dist <= w``.  A BFS from the sources with
-    mass left follows such pairs forward and pairs carrying flow backward; a
-    path to a target with room left is augmented by its bottleneck.  When no
-    path exists, the reached nodes form a cut that no threshold below the
-    nearest unreached target can cross, so ``w`` rises to that distance.
+    ``flow`` only uses pairs with ``dist <= w``, and ``w`` starts at the
+    lower bound of :func:`_start_threshold`.  A BFS from the sources with mass
+    left follows such pairs forward and pairs carrying flow backward; a path
+    to a target with room left is augmented by its bottleneck.  When the BFS
+    reaches no new target, the reached nodes form a cut that no threshold
+    below the nearest unreached target can cross, so ``w`` rises to that
+    distance and the same BFS goes on from every reached source: ``w`` only
+    grows and the flow has not changed, so what it reached stays reachable.
     """
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
@@ -288,18 +309,24 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
     dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
     supply, demand = mu.probs.copy(), nu.probs.copy()
     flow = np.zeros_like(dist)
-    w, routed = dist.min(), 0.0
+    w, routed = _start_threshold(dist, supply, demand), 0.0
+    within = dist <= w
     while 1.0 - routed > FLOW_ATOL:
         seen_s, seen_t = supply > 0.0, np.zeros(len(demand), dtype=bool)
         # by_s[j]: source that reached target j; by_t[i]: target that reached source i.
         by_s, by_t = np.full(len(demand), -1), np.full(len(supply), -1)
         frontier, sink = seen_s.copy(), -1
-        while frontier.any():
+        while sink < 0:
             rows = np.flatnonzero(frontier)
-            reach = (dist[rows] <= w) & ~seen_t
+            reach = within[rows] & ~seen_t
             new_t = np.flatnonzero(reach.any(axis=0))
             if not new_t.size:
-                break
+                gaps = dist[np.ix_(seen_s, ~seen_t)]
+                if not gaps.size:
+                    raise RuntimeError("transport infeasible at the maximal distance")
+                w, frontier = gaps.min(), seen_s.copy()
+                within = dist <= w
+                continue
             by_s[new_t] = rows[reach[:, new_t].argmax(axis=0)]
             seen_t[new_t] = True
             open_t = new_t[demand[new_t] > 0.0]
@@ -310,18 +337,14 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
             frontier = back.any(axis=1)
             by_t[frontier] = new_t[back[frontier].argmax(axis=1)]
             seen_s |= frontier
-        if sink < 0:
-            gaps = dist[np.ix_(seen_s, ~seen_t)]
-            if not gaps.size:
-                raise RuntimeError("transport infeasible at the maximal distance")
-            w = gaps.min()
-            continue
-        path, j = [], sink
+        fi, fj, j = [], [], sink
+        parent_s, parent_t = by_s.tolist(), by_t.tolist()
         while j >= 0:
-            path.append((by_s[j], j))
-            j = by_t[path[-1][0]]
+            fi.append(parent_s[j])
+            fj.append(j)
+            j = parent_t[fi[-1]]
         # Forward pairs (i_k, j_k) gain flow; backward pairs (i_k, j_k+1) give it up.
-        fi, fj = np.array(path).T
+        fi, fj = np.array(fi), np.array(fj)
         amount = min(supply[fi[-1]], demand[sink], flow[fi[:-1], fj[1:]].min(initial=np.inf))
         flow[fi, fj] += amount
         flow[fi[:-1], fj[1:]] -= amount
@@ -348,12 +371,7 @@ def w_inf_optimal_coupling(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, D
     suitable for building a transport operator.
     """
     w, joint = _w_inf_search(mu, nu)
-    points, probs = [], []
-    for i, pi in enumerate(mu.points):
-        for j, pj in enumerate(nu.points):
-            if joint[i, j] > 0.0:
-                points.append((pi, pj))
-                probs.append(joint[i, j])
-    total = sum(probs)
-    probs = [p / total for p in probs]
-    return w, DiscreteDist(points, probs)
+    rows, cols = np.nonzero(joint > 0.0)
+    probs = joint[rows, cols]
+    points = [(mu.points[i], nu.points[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    return w, DiscreteDist(points, probs / sum(probs.tolist()))

@@ -210,6 +210,9 @@ def winf_path_bound(chain: IterationChain, path_distances: Sequence[float],
         raise ValueError(f"expected {chain.r} path increments, got {len(path_distances)}")
     if any(d < 0 for d in path_distances):
         raise ValueError("path increments must be non-negative")
+    if not any(path_distances):
+        # Identical starting points: divergence 0 at every order, alpha = inf too.
+        return RdpPoint(alpha, 0.0)
     ls = np.asarray(chain.lipschitz)
     # suffix[i] = L_i * L_{i+1} * ... * L_r
     suffix = np.cumprod(ls[::-1])[::-1]
@@ -230,6 +233,9 @@ def winf_contractive_bound(chain: IterationChain, sensitivity: float,
     lip = ls.pop()
     if lip > 1.0:
         raise ValueError("closed form requires L <= 1 (the sum diverges otherwise)")
+    if sensitivity == 0.0:
+        # Identical starting points: divergence 0 at every order, alpha = inf too.
+        return RdpPoint(alpha, 0.0)
     eps = alpha * sensitivity**2 * lip ** (chain.r + 1) / (2.0 * chain.r * chain.sigma**2)
     return RdpPoint(alpha, eps)
 

@@ -149,37 +149,40 @@ def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
 
 
 def _row_blocks(rows: np.ndarray):
-    """Consecutive row blocks, each small enough that a block-by-all-rows
+    """Slices of consecutive rows, each small enough that a block-by-all-rows
     pairwise array holds at most ``PAIR_BLOCK_ENTRIES`` entries."""
     step = max(1, PAIR_BLOCK_ENTRIES // rows.size)
     for start in range(0, rows.shape[0], step):
-        yield rows[start:start + step, None, :]
+        yield slice(start, start + step)
 
 
 def dobrushin_coeff(kernel: DiscreteKernel) -> float:
-    """Worst-case total variation between two rows, capped at 1 against rounding."""
+    """Worst-case total variation between two rows, capped at 1 against rounding.
+
+    A block is compared only with the rows from its own start on: the
+    distance is symmetric, so earlier blocks already covered the other pairs.
+    """
     r = kernel.rows
-    return min(float(max((0.5 * np.abs(p - r[None]).sum(axis=2)).max()
-                         for p in _row_blocks(r))), 1.0)
+    return min(float(max((0.5 * np.abs(r[b, None] - r[None, b.start:]).sum(axis=2)).max()
+                         for b in _row_blocks(r))), 1.0)
 
 
 def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
     """Worst-case hockey-stick divergence over ordered row pairs.
 
     At eps = +inf the divergence degenerates to the mass of one row outside
-    the other's support.
+    the other's support.  e^eps * q is formed once for all rows, with 0 where
+    q is 0 at every eps (+inf elsewhere at eps = +inf), so such an entry
+    contributes all of p.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     r = kernel.rows
-    q = r[None, :, :]
+    scaled = np.where(r > 0.0, math.inf, 0.0) if math.isinf(eps) else exp_times(eps, r)
     worst = 0.0
-    for p in _row_blocks(r):
-        if math.isinf(eps):
-            contrib = np.where(q == 0.0, p, 0.0)
-        else:
-            contrib = np.where(q == 0.0, p, np.maximum(p - exp_times(eps, q), 0.0))
-        worst = max(worst, contrib.sum(axis=2).max())
+    for b in _row_blocks(r):
+        excess = r[b, None] - scaled[None]
+        worst = max(worst, np.maximum(excess, 0.0, out=excess).sum(axis=2).max())
     return float(min(worst, 1.0))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
-from amplify_dp.distributions import DiscreteDist
+from amplify_dp.distributions import DiscreteDist, GaussianDist
 from amplify_dp.iteration import _laplace_pair_log_bound
 from amplify_dp.mixing import SINKHORN_ATOL, SINKHORN_MAX_SWEEPS, Coupling, DiscreteKernel
 
@@ -68,6 +68,74 @@ def w_inf_max_flow_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np
         else:
             lo = mid + 1
     return best
+
+
+def w_inf_restart_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
+    """Bottleneck transport in one augmenting-path pass over the distance matrix,
+    starting at the smallest distance and restarting the BFS after each raise.
+
+    ``flow`` only uses pairs with ``dist <= w``.  A BFS from the sources with
+    mass left follows such pairs forward and pairs carrying flow backward; a
+    path to a target with room left is augmented by its bottleneck.  When no
+    path exists, the reached nodes form a cut that no threshold below the
+    nearest unreached target can cross, so ``w`` rises to that distance.
+    """
+    x, y = mu.coords(), nu.coords()
+    if x.shape[1] != y.shape[1]:
+        raise ValueError("supports live in different dimensions")
+    dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    supply, demand = mu.probs.copy(), nu.probs.copy()
+    flow = np.zeros_like(dist)
+    w, routed = dist.min(), 0.0
+    while 1.0 - routed > FLOW_ATOL:
+        seen_s, seen_t = supply > 0.0, np.zeros(len(demand), dtype=bool)
+        # by_s[j]: source that reached target j; by_t[i]: target that reached source i.
+        by_s, by_t = np.full(len(demand), -1), np.full(len(supply), -1)
+        frontier, sink = seen_s.copy(), -1
+        while frontier.any():
+            rows = np.flatnonzero(frontier)
+            reach = (dist[rows] <= w) & ~seen_t
+            new_t = np.flatnonzero(reach.any(axis=0))
+            if not new_t.size:
+                break
+            by_s[new_t] = rows[reach[:, new_t].argmax(axis=0)]
+            seen_t[new_t] = True
+            open_t = new_t[demand[new_t] > 0.0]
+            if open_t.size:
+                sink = open_t[0]
+                break
+            back = (flow[:, new_t] > 0.0) & ~seen_s[:, None]
+            frontier = back.any(axis=1)
+            by_t[frontier] = new_t[back[frontier].argmax(axis=1)]
+            seen_s |= frontier
+        if sink < 0:
+            gaps = dist[np.ix_(seen_s, ~seen_t)]
+            if not gaps.size:
+                raise RuntimeError("transport infeasible at the maximal distance")
+            w = gaps.min()
+            continue
+        path, j = [], sink
+        while j >= 0:
+            path.append((by_s[j], j))
+            j = by_t[path[-1][0]]
+        # Forward pairs (i_k, j_k) gain flow; backward pairs (i_k, j_k+1) give it up.
+        fi, fj = np.array(path).T
+        amount = min(supply[fi[-1]], demand[sink], flow[fi[:-1], fj[1:]].min(initial=np.inf))
+        flow[fi, fj] += amount
+        flow[fi[:-1], fj[1:]] -= amount
+        supply[fi[-1]] -= amount
+        demand[sink] -= amount
+        routed += amount
+    return float(w), flow
+
+
+def gaussian_density_numpy(d: GaussianDist, x) -> float:
+    """Gaussian density with ``x`` as a numpy array, in any dimension."""
+    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if xv.shape != (d.dim,):
+        raise ValueError(f"x has dimension {xv.shape}, family expects ({d.dim},)")
+    sq = float(np.sum((xv - np.asarray(d.mean)) ** 2))
+    return math.exp(-sq / (2.0 * d.variance)) / (2.0 * math.pi * d.variance) ** (d.dim / 2.0)
 
 
 def ultra_coeff_pairs(rows: np.ndarray) -> float:

@@ -123,6 +123,14 @@ class TestSgdCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: ")
 
+    def test_infinite_alpha_exit_2(self, tmp_path, capsys):
+        # eps_i = epsilon / alpha is inf / inf; it must not be printed as nan.
+        cfg = write_config(tmp_path, {"n": 3, "C": 1, "sigma": 1, "beta": 3, "rho": 1,
+                                      "eta": 0.5, "alpha": math.inf})
+        code, out, err = run_cli(["sgd", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha: ")
+
 
 class TestIterCommand:
     def test_contractive(self, tmp_path, capsys):
@@ -151,6 +159,15 @@ class TestIterCommand:
         assert code == 0
         _, header, rows = parse_csv(out)
         assert rows[0][header.index("epsilon")] == "inf"
+
+    @pytest.mark.parametrize("extra", [{}, {"r": 2, "lipschitz": [1.0, 0.5], "increments": [0.0, 0.0]}])
+    def test_identical_starts_have_zero_bound_at_infinite_alpha(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, {"r": 1, "lipschitz": 1, "sigma": 1, "delta0": 0,
+                                      "alpha": math.inf, **extra})
+        code, out, err = run_cli(["iter", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        assert rows[0][header.index("epsilon")] == "0.0"
 
     def test_expansive_uniform_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"r": 3, "lipschitz": 1.5, "sigma": 1.0,

@@ -18,6 +18,7 @@ from amplify_dp.distributions import (
     sample,
 )
 from amplify_dp.mixing import DiscreteKernel, pushforward
+from reference_impls import gaussian_density_numpy
 
 
 def lap2_by_convolution(x, l1, l2):
@@ -200,6 +201,19 @@ class TestDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             density(GaussianDist([0.0, 0.0], 1.0), [0.0])
+        with pytest.raises(ValueError, match="dimension"):
+            density(GaussianDist([0.0], 1.0), [0.0, 1.0])
+
+    def test_gaussian_1d_equals_numpy_form(self):
+        # Float arithmetic on a 1-D point rounds exactly like the array form.
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            mean = float(rng.normal() * 10.0 ** rng.uniform(-3, 3))
+            family = GaussianDist([mean], float(10.0 ** rng.uniform(-6, 6)))
+            x = float(mean + rng.normal() * 10.0 ** rng.uniform(-3, 3))
+            expected = gaussian_density_numpy(family, x)
+            for point in (x, [x], (x,), np.array([x]), np.float64(x)):
+                assert density(family, point) == expected
 
     @pytest.mark.parametrize("family", [
         GaussianDist([0.3], 1.7),

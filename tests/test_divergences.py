@@ -30,7 +30,7 @@ from amplify_dp.divergences import (
 )
 from amplify_dp.verify import random_instance
 from amplify_dp.mixing import pushforward
-from reference_impls import renyi_numeric_1d_scalar, w_inf_max_flow_search
+from reference_impls import renyi_numeric_1d_scalar, w_inf_max_flow_search, w_inf_restart_search
 
 
 def brute_force_hockey_stick(p, q, eps):
@@ -511,7 +511,7 @@ def coord_dist(points, probs):
     return DiscreteDist([tuple(pt) for pt in points], probs)
 
 
-W_INF_KINDS = ["random1", "random2", "random3", "lattice", "identical", "one_point"]
+W_INF_KINDS = ["random1", "random2", "random3", "lattice", "identical", "one_point", "far_atom"]
 
 
 def w_inf_instances(kind, count=12):
@@ -520,8 +520,19 @@ def w_inf_instances(kind, count=12):
     ``random<d>``: uniform supports of 1 to 12 points in d dimensions;
     ``lattice``: points of {0..3}^d with integer weights, so distances tie and
     some atoms carry no mass; ``identical``: a law against itself;
-    ``one_point``: a point mass against a random law or another point mass.
+    ``one_point``: a point mass against a random law or another point mass;
+    ``far_atom``: a point mass against itself, and laws on {0, 1} against a
+    law with a far atom of no mass or of less mass than routing may leave
+    unrouted, which must not raise the value (fixed, ``count`` is ignored).
     """
+    if kind == "far_atom":
+        point = coord_dist([[0.0]], [1.0])
+        near = coord_dist([[0.0], [1.0]], [0.3, 0.7])
+        pairs = [(point, point)]
+        for far_mass in (0.0, 5e-13):
+            far = coord_dist([[0.0], [1.0], [50.0]], [0.5, 0.5 - far_mass, far_mass])
+            pairs += [(far, near), (near, far)]
+        return pairs
     rng = np.random.default_rng(W_INF_KINDS.index(kind))
     pairs = []
     for _ in range(count):
@@ -568,7 +579,7 @@ class TestWInfAgainstMaxFlow:
 
     @pytest.mark.parametrize("kind", W_INF_KINDS)
     def test_witness_marginals_and_largest_move(self, kind):
-        for mu, nu in w_inf_instances(kind):
+        for mu, nu in w_inf_instances(kind, count=40):
             w, pi = w_inf_optimal_coupling(mu, nu)
             first = dict.fromkeys(mu.points, 0.0)
             second = dict.fromkeys(nu.points, 0.0)
@@ -580,6 +591,14 @@ class TestWInfAgainstMaxFlow:
             assert np.abs(np.array(list(first.values())) - mu.probs).max() <= 1e-12
             assert np.abs(np.array(list(second.values())) - nu.probs).max() <= 1e-12
             assert max(moves) == w
+
+    @pytest.mark.parametrize("kind", W_INF_KINDS)
+    def test_value_equals_restart_search(self, kind):
+        # Starting at the stranded-mass bound and going on after a raise
+        # must give the value of the search that started at the smallest
+        # distance and restarted after every raise.
+        for mu, nu in w_inf_instances(kind, count=40):
+            assert w_inf_discrete(mu, nu) == w_inf_restart_search(mu, nu)[0]
 
     def test_one_dimensional_is_quantile_sup_distance(self):
         for mu, nu in w_inf_instances("random1", count=40):
