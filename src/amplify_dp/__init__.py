@@ -34,14 +34,12 @@ from .divergences import (
 from .mixing import (
     Coupling,
     DiscreteKernel,
-    MixingCoefficients,
     amplify,
     amplify_with_kernel,
     dobrushin_coeff,
     doeblin_coeff,
     eps_dobrushin_coeff,
     eps_tilde,
-    measure_coefficients,
     mixture_decompose,
     pushforward,
     transport_operator,

@@ -28,7 +28,7 @@ from .divergences import (
 )
 from .diffusion import OuParams, gm_mse, ou_intrinsic_sensitivity, ou_mse, pgm_mse_bound, plan_ou
 from .iteration import IterationChain, SgdConfig, contraction_coeff, sgd_rdp_at_index, winf_contractive_bound, winf_path_bound
-from .mixing import DiscreteKernel, amplify, amplify_with_kernel, eps_tilde
+from .mixing import DiscreteKernel, amplify_with_kernel, eps_tilde
 from .verify import (
     CSV_COLUMNS,
     TrialReport,
@@ -160,7 +160,7 @@ def cmd_mixing(config: dict, seed) -> tuple[list[str], list[list], list[str], in
     delta = _number(config, "delta", lo=0.0, hi=1.0)
     kernel = _load_kernel(config)
     guarantee = DpGuarantee(eps, delta)
-    results = amplify_with_kernel(kernel, guarantee)
+    (results,) = amplify_with_kernel(kernel, [guarantee])
     rows = [[cond, gamma, out.epsilon, out.delta]
             for cond, (gamma, out) in results.items()]
     extra = [f"# eps_tilde: {format_cell(eps_tilde(guarantee))}"]

@@ -5,9 +5,8 @@ mean-squared-error comparison against the privacy-matched Gaussian mechanism.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,13 +54,6 @@ class OuParams:
             raise ValueError("delta and R must be non-negative")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "OuParams":
-        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)

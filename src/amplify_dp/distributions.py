@@ -7,9 +7,8 @@ are the noise models whose divergences the rest of the package bounds.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -88,15 +87,6 @@ class DiscreteDist:
                 return float(pr)
         return 0.0
 
-    def to_json(self) -> str:
-        pts = [list(p) if _is_coordinate(p) else p for p in self.points]
-        return json.dumps({"points": pts, "probs": [float(x) for x in self.probs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDist":
-        obj = json.loads(text)
-        return cls(obj["points"], obj["probs"])
-
 
 @dataclass(frozen=True)
 class GaussianDist:
@@ -167,7 +157,11 @@ def _gaussian_density(d: GaussianDist, x) -> float:
     if d.dim == 1 and isinstance(v, (int, float)):
         diff = float(v) - d.mean[0]
         return math.exp(-(diff * diff) / (2.0 * d.variance)) / (2.0 * math.pi * d.variance) ** 0.5
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    raw = np.asarray(x)
+    if raw.dtype == object:
+        # float64 conversion would read None as NaN.
+        raise TypeError(f"x must be numeric, got {x!r}")
+    xv = np.atleast_1d(raw.astype(np.float64))
     if xv.shape != (d.dim,):
         raise ValueError(f"x has dimension {xv.shape}, family expects ({d.dim},)")
     sq = float(np.sum((xv - np.asarray(d.mean)) ** 2))

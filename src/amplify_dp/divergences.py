@@ -49,7 +49,7 @@ class RdpPoint:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.alpha > 1 or math.isinf(self.alpha)):
+        if not self.alpha > 1:
             raise ValueError("alpha must be > 1 or +inf")
         if math.isnan(self.epsilon):
             # A closed form gives NaN only where its arithmetic left the
@@ -367,8 +367,8 @@ def w_inf_discrete(mu: DiscreteDist, nu: DiscreteDist) -> float:
 def w_inf_optimal_coupling(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, DiscreteDist]:
     """W-infinity value together with a witnessing coupling.
 
-    The coupling is returned as a joint distribution on pairs of points,
-    suitable for building a transport operator.
+    The coupling is returned as a joint distribution on pairs
+    ``(mu point, nu point)``, holding only the pairs with positive mass.
     """
     w, joint = _w_inf_search(mu, nu)
     rows, cols = np.nonzero(joint > 0.0)

@@ -6,9 +6,8 @@ accountant, and a reference simulator for the projected noisy SGD loop.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,15 +60,6 @@ class IterationChain:
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "delta0", float(delta0))
 
-    def to_json(self) -> str:
-        return json.dumps({"r": self.r, "lipschitz": list(self.lipschitz),
-                           "sigma": self.sigma, "delta0": self.delta0})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IterationChain":
-        obj = json.loads(text)
-        return cls(obj["r"], obj["lipschitz"], obj["sigma"], obj["delta0"])
-
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -99,13 +89,6 @@ class SgdConfig:
             raise ValueError("sigma must be non-negative")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SgdConfig":
-        return cls(**json.loads(text))
 
 
 def iterated_gaussian_bound(sensitivity: float, sigma1: float, sigma2: float,

@@ -5,10 +5,9 @@ transport-operator / overlapping-mixture constructions as testable operations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,21 +18,18 @@ from .divergences import EXP_ARG_MAX, DpGuarantee, aligned_masses, exp_times
 __all__ = [
     "Coupling",
     "DiscreteKernel",
-    "MixingCoefficients",
     "MixtureDecomposition",
     "pushforward",
     "dobrushin_coeff",
     "eps_dobrushin_coeff",
     "doeblin_coeff",
     "ultra_coeff",
-    "measure_coefficients",
     "eps_tilde",
     "amplify",
     "amplify_with_kernel",
     "transport_operator",
     "mixture_decompose",
     "independent_coupling",
-    "identity_coupling",
     "greedy_coupling",
     "random_joint_coupling",
 ]
@@ -102,20 +98,6 @@ class DiscreteKernel:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_points": list(self.input_points),
-                "output_points": list(self.output_points),
-                "rows": [[float(v) for v in row] for row in self.rows],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteKernel":
-        obj = json.loads(text)
-        return cls(obj["rows"], obj["input_points"], obj["output_points"])
 
 
 @dataclass(frozen=True)
@@ -218,42 +200,6 @@ def ultra_coeff(kernel: DiscreteKernel) -> float:
     return 1.0 - float(ratios.min(initial=1.0))
 
 
-@dataclass(frozen=True)
-class MixingCoefficients:
-    """The four uniform-mixing coefficients of one kernel.
-
-    ``eps_dobrushin`` maps each requested eps to its coefficient.  The
-    ordering dobrushin <= doeblin <= ultra and eps_dobrushin(eps) <= dobrushin
-    is guaranteed by the implications between the conditions.
-    """
-
-    dobrushin: float
-    eps_dobrushin: Mapping[float, float]
-    doeblin: float
-    doeblin_witness: DiscreteDist | None
-    ultra: float
-
-    def __post_init__(self):
-        tol = PROB_ATOL
-        if not (self.dobrushin <= self.doeblin + tol <= self.ultra + 2 * tol):
-            raise ValueError("coefficient ordering violated")
-        if any(v > self.dobrushin + tol for v in self.eps_dobrushin.values()):
-            raise ValueError("eps-Dobrushin coefficient exceeds Dobrushin")
-
-
-def measure_coefficients(
-    kernel: DiscreteKernel, eps_grid: Sequence[float] = ()
-) -> MixingCoefficients:
-    gamma_doe, omega = doeblin_coeff(kernel)
-    return MixingCoefficients(
-        dobrushin=dobrushin_coeff(kernel),
-        eps_dobrushin={float(e): eps_dobrushin_coeff(kernel, e) for e in eps_grid},
-        doeblin=gamma_doe,
-        doeblin_witness=omega,
-        ultra=ultra_coeff(kernel),
-    )
-
-
 def eps_tilde(guarantee: DpGuarantee) -> float:
     """Divergence order at which the eps-Dobrushin coefficient must be read.
 
@@ -306,22 +252,26 @@ def amplify(guarantee: DpGuarantee, condition: str, gamma: float) -> DpGuarantee
 
 
 def amplify_with_kernel(
-    kernel: DiscreteKernel, guarantee: DpGuarantee
-) -> dict[str, tuple[float, DpGuarantee]]:
-    """Measure each mixing coefficient of ``kernel`` and amplify ``guarantee``.
+    kernel: DiscreteKernel, guarantees: Sequence[DpGuarantee]
+) -> list[dict[str, tuple[float, DpGuarantee]]]:
+    """Measure the mixing coefficients of ``kernel`` and amplify each guarantee.
 
-    The eps-Dobrushin coefficient is measured at exactly eps_tilde(guarantee).
-    Returns ``{condition: (gamma, amplified guarantee)}``.
+    Dobrushin, Doeblin and ultra-mixing are measured once; eps-Dobrushin once
+    per guarantee, at exactly eps_tilde(guarantee).  Returns one
+    ``{condition: (gamma, amplified guarantee)}`` per guarantee, in order.
     """
-    results: dict[str, tuple[float, DpGuarantee]] = {}
-    g = dobrushin_coeff(kernel)
-    results["dobrushin"] = (g, amplify(guarantee, "dobrushin", g))
-    g = eps_dobrushin_coeff(kernel, eps_tilde(guarantee))
-    results["eps_dobrushin"] = (g, amplify(guarantee, "eps_dobrushin", g))
-    g, _ = doeblin_coeff(kernel)
-    results["doeblin"] = (g, amplify(guarantee, "doeblin", g))
-    g = ultra_coeff(kernel)
-    results["ultra"] = (g, amplify(guarantee, "ultra", g))
+    gamma_dob = dobrushin_coeff(kernel)
+    gamma_doe, _ = doeblin_coeff(kernel)
+    gamma_ultra = ultra_coeff(kernel)
+    results = []
+    for guarantee in guarantees:
+        gammas = {
+            "dobrushin": gamma_dob,
+            "eps_dobrushin": eps_dobrushin_coeff(kernel, eps_tilde(guarantee)),
+            "doeblin": gamma_doe,
+            "ultra": gamma_ultra,
+        }
+        results.append({cond: (g, amplify(guarantee, cond, g)) for cond, g in gammas.items()})
     return results
 
 
@@ -385,11 +335,6 @@ def independent_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     """Product coupling mu (x) nu."""
     mass = np.outer(mu.probs, nu.probs)
     return Coupling(mu.points, nu.points, mass / mass.sum())
-
-
-def identity_coupling(mu: DiscreteDist) -> Coupling:
-    """Coupling of mu with itself along the diagonal."""
-    return Coupling(mu.points, mu.points, np.diag(mu.probs))
 
 
 def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:

@@ -18,24 +18,20 @@ import numpy as np
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, GaussianDist, log_density, quadrature_domain
 from .divergences import DpGuarantee, aligned_masses, hockey_stick, renyi_numeric_log
-# Not called here: bench/tracing.py wraps the name where verify looks it up.
-from .divergences import renyi_numeric_1d  # noqa: F401
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_sample, ou_transition
 from .mixing import (
     DiscreteKernel,
-    amplify,
-    dobrushin_coeff,
-    doeblin_coeff,
-    eps_dobrushin_coeff,
-    eps_tilde,
+    amplify_with_kernel,
     greedy_coupling,
     independent_coupling,
     mixture_decompose,
     pushforward,
     random_joint_coupling,
     transport_operator,
-    ultra_coeff,
 )
+# Not called here: bench/tracing.py wraps these names where verify looks them up.
+from .divergences import renyi_numeric_1d  # noqa: F401
+from .mixing import dobrushin_coeff, doeblin_coeff, eps_dobrushin_coeff, ultra_coeff  # noqa: F401
 
 __all__ = [
     "TrialReport",
@@ -43,7 +39,6 @@ __all__ = [
     "certify_theorem1",
     "certify_transport_and_decompose",
     "certify_diffusion",
-    "reports_to_csv",
     "reports_summary",
 ]
 
@@ -143,28 +138,17 @@ def certify_theorem1(
         mu, nu, kernel = random_instance(nx, ny, iseed)
         mu_k = pushforward(mu, kernel)
         nu_k = pushforward(nu, kernel)
-        gamma_dob = dobrushin_coeff(kernel)
-        gamma_doe, _ = doeblin_coeff(kernel)
-        gamma_ultra = ultra_coeff(kernel)
-        for eps in eps_grid:
-            delta = hockey_stick(mu, nu, eps)
-            guarantee = DpGuarantee(eps, delta)
-            gammas = {
-                "dobrushin": gamma_dob,
-                "eps_dobrushin": eps_dobrushin_coeff(kernel, eps_tilde(guarantee)),
-                "doeblin": gamma_doe,
-                "ultra": gamma_ultra,
-            }
-            for cond, gamma in gammas.items():
-                amplified = amplify(guarantee, cond, gamma)
-                measured = hockey_stick(mu_k, nu_k, amplified.epsilon)
+        guarantees = [DpGuarantee(eps, hockey_stick(mu, nu, eps)) for eps in eps_grid]
+        for eps, guarantee, amplified in zip(eps_grid, guarantees,
+                                             amplify_with_kernel(kernel, guarantees)):
+            for cond, (gamma, out) in amplified.items():
                 reports.append(_report(
                     t, f"theorem1_{cond}",
                     f"nx={nx},ny={ny},seed={iseed},eps={eps}",
-                    measured=measured,
-                    bound=amplified.delta,
+                    measured=hockey_stick(mu_k, nu_k, out.epsilon),
+                    bound=out.delta,
                     tolerance=EXACT_TOL,
-                    delta_before=delta,
+                    delta_before=guarantee.delta,
                     coefficient=gamma,
                 ))
     return reports
@@ -296,14 +280,6 @@ def format_cell(value) -> str:
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
-
-
-def reports_to_csv(reports: Sequence[TrialReport]) -> str:
-    """Render reports as RFC-4180 CSV, one row per trial-and-check."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(format_cell(getattr(r, c)) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
 
 
 def reports_summary(reports: Sequence[TrialReport]) -> dict:

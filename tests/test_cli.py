@@ -131,6 +131,13 @@ class TestSgdCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: alpha: ")
 
+    def test_negative_infinite_alpha_names_alpha(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 3, "C": 1, "sigma": 1, "beta": 3, "rho": 1,
+                                      "eta": 0.5, "alpha": -math.inf})
+        code, out, err = run_cli(["sgd", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert "alpha must be > 1" in err
+
 
 class TestIterCommand:
     def test_contractive(self, tmp_path, capsys):
@@ -194,6 +201,13 @@ class TestIterCommand:
         code, out, err = run_cli(["iter", "--config", cfg], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: ")
+
+    def test_negative_infinite_alpha_names_alpha(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"r": 1, "lipschitz": 1, "sigma": 1, "delta0": 1,
+                                      "alpha": -math.inf})
+        code, out, err = run_cli(["iter", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert "alpha must be > 1" in err
 
 
 class TestOuCommand:

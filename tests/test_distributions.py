@@ -85,15 +85,10 @@ class TestDiscreteDist:
         with pytest.raises(ValueError, match="no coordinates"):
             DiscreteDist(["a", "b"], [0.5, 0.5]).coords()
 
-    def test_json_round_trip(self):
-        d = DiscreteDist([(0.0,), (1.5,)], [0.3, 0.7])
-        d2 = DiscreteDist.from_json(d.to_json())
-        assert d2.points == d.points
-        np.testing.assert_array_equal(d2.probs, d.probs)
-
-    def test_json_round_trip_labels(self):
-        d = DiscreteDist(["a", "b"], [0.3, 0.7])
-        assert DiscreteDist.from_json(d.to_json()).points == ("a", "b")
+    def test_list_points_become_float_tuples(self):
+        d = DiscreteDist([[0.0], [1.5]], [0.3, 0.7])
+        assert d.points == ((0.0,), (1.5,))
+        assert d.has_coords
 
     def test_callers_array_stays_writeable(self):
         p = np.array([0.25, 0.75])
@@ -203,6 +198,14 @@ class TestDensity:
             density(GaussianDist([0.0, 0.0], 1.0), [0.0])
         with pytest.raises(ValueError, match="dimension"):
             density(GaussianDist([0.0], 1.0), [0.0, 1.0])
+
+    def test_gaussian_rejects_non_numeric_point(self):
+        # float64 conversion would read None as NaN.
+        for x in (None, [None], [0.0, None]):
+            with pytest.raises(TypeError, match="numeric"):
+                density(GaussianDist([0.0], 1.0), x)
+        with pytest.raises(TypeError, match="numeric"):
+            density(GaussianDist([0.0, 0.0], 1.0), [0.0, None])
 
     def test_gaussian_1d_equals_numpy_form(self):
         # Float arithmetic on a 1-D point rounds exactly like the array form.

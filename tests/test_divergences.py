@@ -49,6 +49,8 @@ class TestGuaranteeTypes:
         RdpPoint(math.inf, 1.0)
         with pytest.raises(ValueError):
             RdpPoint(1.0, 0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            RdpPoint(-math.inf, 1.0)
         with pytest.raises(ValueError):
             RdpPoint(2.0, -0.1)
 

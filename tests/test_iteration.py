@@ -242,13 +242,6 @@ class TestSgdAccountant:
         with pytest.raises(ValueError, match="sigma"):
             sgd_rdp_at_index(cfg, 1, 2.0)
 
-    def test_json_round_trip(self):
-        assert SgdConfig.from_json(CFG.to_json()) == CFG
-
-    def test_chain_json_round_trip(self):
-        chain = IterationChain(3, [0.5, 0.6, 0.7], 1.0, 2.0)
-        assert IterationChain.from_json(chain.to_json()) == chain
-
 
 class TestSimulator:
     def _cfg(self, n, sigma=0.0, eta=0.25, strength=1.0, radius=4.0, dim=2):

@@ -15,7 +15,17 @@ from amplify_dp import cli
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import DpGuarantee, hockey_stick, hockey_stick_via_min, tv
 from amplify_dp.iteration import IterationChain, winf_path_bound
-from amplify_dp.mixing import AMPLIFY_CONDITIONS, amplify
+from amplify_dp.mixing import (
+    AMPLIFY_CONDITIONS,
+    DiscreteKernel,
+    amplify,
+    amplify_with_kernel,
+    dobrushin_coeff,
+    doeblin_coeff,
+    eps_dobrushin_coeff,
+    eps_tilde,
+    ultra_coeff,
+)
 
 
 def masses(min_size=2, max_size=8):
@@ -130,6 +140,35 @@ def assert_finite_bounds_or_exit_2(command, config):
     if code == 0:
         rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
         assert all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
+
+
+def guarantees():
+    # eps = 0, eps = 800 (e^eps overflows) and delta = 0 (eps_tilde = inf) each
+    # come up often.
+    eps = st.one_of(st.sampled_from([0.0, 800.0]), st.floats(0.0, 1e3))
+    delta = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return st.lists(st.builds(DpGuarantee, eps, delta), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_rows(), guarantees())
+@example([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]], [DpGuarantee(0.0, 0.0), DpGuarantee(800.0, 0.3)])
+@example([[0.2, 0.8], [0.2, 0.8]], [DpGuarantee(1.0, 0.0), DpGuarantee(0.0, 0.5),
+                                    DpGuarantee(800.0, 0.0)])
+def test_amplify_with_kernel_sequence_form(rows, gs):
+    # One call for many guarantees equals one call per guarantee, and equals
+    # the coefficients measured directly and passed to amplify.
+    kernel = DiscreteKernel.from_matrix([np.asarray(r) / np.sum(r) for r in rows])
+    batch = amplify_with_kernel(kernel, gs)
+    assert batch == [amplify_with_kernel(kernel, [g])[0] for g in gs]
+    doeblin, _ = doeblin_coeff(kernel)
+    for g, results in zip(gs, batch):
+        gammas = {"dobrushin": dobrushin_coeff(kernel),
+                  "eps_dobrushin": eps_dobrushin_coeff(kernel, eps_tilde(g)),
+                  "doeblin": doeblin,
+                  "ultra": ultra_coeff(kernel)}
+        assert list(results) == list(AMPLIFY_CONDITIONS)
+        assert results == {cond: (gamma, amplify(g, cond, gamma)) for cond, gamma in gammas.items()}
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from amplify_dp import cli
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import DpGuarantee, hockey_stick
 from amplify_dp.mixing import (
@@ -24,7 +26,6 @@ from amplify_dp.verify import (
     certify_transport_and_decompose,
     random_instance,
     reports_summary,
-    reports_to_csv,
 )
 
 
@@ -80,10 +81,9 @@ class TestCertifyTheorem1:
         mu = DiscreteDist(["x0", "x1"], [0.5, 0.5])
         nu = DiscreteDist(["x0", "x1"], [0.9, 0.1])
         kernel = DiscreteKernel.identity(["x0", "x1"])
-        for eps in (0.0, 0.5, 1.0):
-            delta = hockey_stick(mu, nu, eps)
-            for cond, (gamma, out) in amplify_with_kernel(
-                    kernel, DpGuarantee(eps, delta)).items():
+        guarantees = [DpGuarantee(eps, hockey_stick(mu, nu, eps)) for eps in (0.0, 0.5, 1.0)]
+        for results in amplify_with_kernel(kernel, guarantees):
+            for cond, (gamma, out) in results.items():
                 assert gamma == 1.0
                 post = hockey_stick(pushforward(mu, kernel),
                                     pushforward(nu, kernel), out.epsilon)
@@ -142,23 +142,30 @@ class TestCertifyDiffusion:
         assert certify_diffusion(**kwargs) == certify_diffusion(**kwargs)
 
 
+def theorem1_csv_lines(tmp_path, trials, sizes, eps_grid, seed):
+    """Table lines (header first) of ``amplify-dp verify`` on the theorem1 suite."""
+    config, out = tmp_path / "verify.json", tmp_path / "verify.csv"
+    config.write_text(json.dumps({"suites": ["theorem1"], "trials": trials,
+                                  "sizes": list(sizes), "eps_grid": list(eps_grid)}))
+    code = cli.main(["verify", "--config", str(config), "--seed", str(seed), "--out", str(out)])
+    assert code == 0
+    return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+
 class TestReportExport:
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         reports = certify_theorem1(2, (2, 4), (0.5,), seed=1)
-        text = reports_to_csv(reports)
-        lines = text.strip().split("\n")
+        lines = theorem1_csv_lines(tmp_path, 2, (2, 4), (0.5,), seed=1)
         assert lines[0].startswith("trial_id,case,descriptor")
         assert len(lines) == 1 + len(reports)
         # quoted descriptor cells survive a round trip through csv
-        import csv as csv_mod
-        parsed = list(csv_mod.reader(lines))
+        parsed = list(csv.reader(lines))
         assert len(parsed[1]) == len(parsed[0])
 
-    def test_csv_floats_round_trip(self):
+    def test_csv_floats_round_trip(self, tmp_path):
         reports = certify_theorem1(1, (3, 3), (0.5,), seed=7)
-        line = reports_to_csv(reports).strip().split("\n")[1]
-        import csv as csv_mod
-        row = next(iter(csv_mod.reader([line])))
+        line = theorem1_csv_lines(tmp_path, 1, (3, 3), (0.5,), seed=7)[1]
+        row = next(iter(csv.reader([line])))
         measured = float(row[5])
         assert measured == reports[0].measured  # repr round-trips exactly
 
@@ -182,12 +189,41 @@ class TestReportExport:
         assert summary["synthetic"]["max_slack_deficit"] == pytest.approx(0.5)
 
 
-def test_benchmark_tracer_names_resolve():
-    # The benchmark's tracer (bench/tracing.py) wraps library names where
-    # their callers look them up; a renamed import would silently drop a span.
+def load_bench_tracing():
+    """bench/tracing.py as a module, read from the source checkout."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_names_resolve():
+    # The benchmark's tracer (bench/tracing.py) wraps library names where
+    # their callers look them up; a renamed import would silently drop a span.
+    tracing = load_bench_tracing()
     for module, attr, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # A traced benchmark run installs the tracer on the package: every wrapped
+    # name must exist, theorem1's coefficient calls must be recorded, and
+    # uninstall must put the originals back.
+    tracing = load_bench_tracing()
+    targets = [(importlib.import_module(module), attr) for module, attr, _ in tracing.WRAPPED]
+    targets.append((DiscreteDist, "__init__"))
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        reports = cli.certify_theorem1(2, (2, 4), (0.0, 1.0), seed=3)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr in targets] == originals
+    calls = {name: sum(1 for span in tracer.spans if span[2] == name)
+             for name in ("verify.theorem1", "mixing.dobrushin", "mixing.eps_dobrushin",
+                          "mixing.doeblin", "mixing.ultra")}
+    assert calls == {"verify.theorem1": 1, "mixing.dobrushin": 2, "mixing.eps_dobrushin": 4,
+                     "mixing.doeblin": 2, "mixing.ultra": 2}
+    assert tracer.counts["verify.reports"] == len(reports) == 2 * 2 * 4
