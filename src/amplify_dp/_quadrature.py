@@ -124,3 +124,22 @@ def integrate(
         l0, lm, l1 = (np.concatenate([l0[keep], lm[keep]]), np.concatenate([ll[keep], lr[keep]]),
                       np.concatenate([lm[keep], l1[keep]]))
     return math.log(acc) + top if acc > 0.0 else -math.inf
+
+
+def require_negligible_ends(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    rtol: float,
+    log_integral: float,
+) -> None:
+    """Domain-end rule for an integral over the whole line, computed on ``[a, b]``.
+
+    Raises :class:`QuadratureError` unless ``f`` at both ends, times the
+    domain length, stays at or below ``rtol`` times the integral: otherwise
+    the domain cuts off mass and the integral would be under-reported.  A NaN
+    end (an underflowed density) passes.
+    """
+    ends = log_f(np.array([a, b], dtype=np.float64))
+    if np.any(ends + math.log(b - a) > math.log(rtol) + log_integral):
+        raise QuadratureError("integrand is not negligible at a domain end")

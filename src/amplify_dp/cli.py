@@ -332,8 +332,9 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
                 else [0.0, 0.5, 1.0, 2.0])
     if any(eps < 0 for eps in eps_grid):
         raise ValidationFailure("eps_grid", "entries must be >= 0")
-    mc_samples = (_integer(config, "mc_samples", lo=100)
-                  if "mc_samples" in config else 200_000)
+    if "mc_samples" in config:
+        # Validated but unused: the diffusion suite draws no samples.
+        _integer(config, "mc_samples", lo=100)
 
     reports = []
     if "theorem1" in suites:
@@ -341,7 +342,7 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
     if "transport" in suites:
         reports += certify_transport_and_decompose(trials, sizes, seed)
     if "diffusion" in suites:
-        reports += certify_diffusion(mc_samples=mc_samples, seed=seed)
+        reports += certify_diffusion()
 
     rows = [[getattr(r, c) for c in CSV_COLUMNS] for r in reports]
     violations = sum(1 for r in reports if not r.passed)

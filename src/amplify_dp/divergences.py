@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import QuadratureError, integrate
+from ._quadrature import QuadratureError, integrate, require_negligible_ends
 from .distributions import PROB_ATOL, DiscreteDist
 
 __all__ = [
@@ -99,20 +99,29 @@ def exp_times(eps: float, q: np.ndarray) -> np.ndarray:
         return np.exp(eps + np.log(q))
 
 
-def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
+def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps):
     """Hockey-stick divergence: sum of [p_mu - e^eps * p_nu]_+ over the support.
 
     At eps = 0 this is the total variation distance; at eps = +inf it is the
-    mass of mu outside nu's support.
+    mass of mu outside nu's support.  A sequence of eps values gives a list
+    with one divergence per value: the finite ones are rows of one array,
+    each summed along its contiguous axis, so every value is ``==`` the
+    scalar call's.
     """
-    if eps < 0:
+    scalar = np.ndim(eps) == 0
+    eps_values = [eps] if scalar else list(eps)
+    if any(e < 0 for e in eps_values):
         raise ValueError("eps must be non-negative")
     _, p, q = aligned_masses(mu, nu)
     zero_q = q == 0.0
-    out = float(p[zero_q].sum())
-    if not math.isinf(eps):
-        out += float(np.maximum(p[~zero_q] - exp_times(eps, q[~zero_q]), 0.0).sum())
-    return min(out, 1.0)
+    outside = float(p[zero_q].sum())
+    finite = [e for e in eps_values if not math.isinf(e)]
+    if finite:
+        p_pos, q_pos = p[~zero_q], q[~zero_q]
+        scaled = np.stack([exp_times(e, q_pos) for e in finite])
+        excess = iter(np.maximum(p_pos - scaled, 0.0).sum(axis=1).tolist())
+    out = [min(outside if math.isinf(e) else outside + next(excess), 1.0) for e in eps_values]
+    return out[0] if scalar else out
 
 
 def hockey_stick_via_min(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
@@ -240,10 +249,7 @@ def renyi_numeric_log(
                            breakpoints=breakpoints)
     if log_moment == -math.inf:
         raise QuadratureError("moment integral vanished")
-    ends = log_integrand(np.array([a, b], dtype=np.float64))
-    # NaN ends (an underflowed density) compare False here.
-    if np.any(ends + math.log(b - a) > math.log(rtol) + log_moment):
-        raise QuadratureError("integrand is not negligible at a domain end")
+    require_negligible_ends(log_integrand, a, b, rtol, log_moment)
     return max(0.0, log_moment / (alpha - 1.0))
 
 

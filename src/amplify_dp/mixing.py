@@ -356,24 +356,64 @@ def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     return Coupling(mu.points, nu.points, mass / np.cumsum(mass)[-1])
 
 
-def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
-    """Random coupling with the given marginals, via Sinkhorn scaling.
+def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
+    """Sinkhorn sweeps, in place, on a stack of ``k`` start matrices of one shape.
 
-    Starts from a random matrix, zero only on the rows and columns of zero-mass
-    atoms, and rescales its rows and columns in turn until the row sums match
-    ``mu`` to ``SINKHORN_ATOL``; the column sums match ``nu`` to a few ulps.
+    ``p`` is ``(k, n)``, ``q`` is ``(k, m)`` and ``mass`` is ``(k, n, m)``.  A
+    trial whose row sums are within ``SINKHORN_ATOL`` of ``p`` gets scale
+    factors of exactly 1.0 from then on, so it stays as it was when it
+    converged; every trial stops after ``SINKHORN_MAX_SWEEPS``.  Row and column
+    sums run along the same axes, in the same order, as on one matrix.
     """
-    p, q = mu.probs, nu.probs
     p_pos, q_pos = p > 0.0, q > 0.0
-    rng = rng_from_seed(seed)
-    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p_pos, q_pos)
     # The scale entries of zero-mass atoms are never written, so they stay 0.
     row_scale, col_scale = np.zeros_like(p), np.zeros_like(q)
     for _ in range(SINKHORN_MAX_SWEEPS):
-        row_sums = mass.sum(axis=1)
-        if np.abs(row_sums - p).max() <= SINKHORN_ATOL:
+        row_sums = mass.sum(axis=2)
+        done = np.abs(row_sums - p).max(axis=1) <= SINKHORN_ATOL
+        if done.all():
             break
-        mass *= np.divide(p, row_sums, out=row_scale, where=p_pos)[:, None]
-        col_sums = mass.sum(axis=0)
-        mass *= np.divide(q, col_sums, out=col_scale, where=q_pos)[None, :]
-    return Coupling(mu.points, nu.points, mass)
+        np.divide(p, row_sums, out=row_scale, where=p_pos)
+        row_scale[done] = 1.0
+        mass *= row_scale[:, :, None]
+        col_sums = mass.sum(axis=1)
+        np.divide(q, col_sums, out=col_scale, where=q_pos)
+        col_scale[done] = 1.0
+        mass *= col_scale[:, None, :]
+
+
+def random_joint_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]],
+                           seeds: Sequence[int]) -> list[Coupling]:
+    """Random couplings with the given marginals, via Sinkhorn scaling; one
+    per ``(mu, nu)`` pair, the i-th from ``seeds[i]``.
+
+    Each start matrix is drawn from its own seed's stream, zero only on the
+    rows and columns of zero-mass atoms.  Its rows and columns are rescaled in
+    turn until the row sums match ``mu`` to ``SINKHORN_ATOL``; the column sums
+    match ``nu`` to a few ulps.  Pairs of one support shape are solved
+    together, in stacks of at most ``PAIR_BLOCK_ENTRIES`` entries (at least
+    one pair); each coupling is ``==`` the one solved alone.
+    """
+    if len(pairs) != len(seeds):
+        raise ValueError("pairs and seeds must have equal length")
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, (mu, nu) in enumerate(pairs):
+        by_shape.setdefault((len(mu.probs), len(nu.probs)), []).append(i)
+    out: list[Coupling | None] = [None] * len(pairs)
+    for (n, m), members in by_shape.items():
+        step = max(1, PAIR_BLOCK_ENTRIES // (n * m))
+        for start in range(0, len(members), step):
+            stack = members[start:start + step]
+            p = np.stack([pairs[i][0].probs for i in stack])
+            q = np.stack([pairs[i][1].probs for i in stack])
+            mass = np.stack([-np.log(uniform_open(rng_from_seed(seeds[i]), (n, m))) for i in stack])
+            mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
+            _sinkhorn_stack(p, q, mass)
+            for i, mat in zip(stack, mass):
+                out[i] = Coupling(pairs[i][0].points, pairs[i][1].points, mat)
+    return out
+
+
+def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
+    """:func:`random_joint_couplings` for one pair."""
+    return random_joint_couplings([(mu, nu)], [seed])[0]

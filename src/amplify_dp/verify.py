@@ -1,8 +1,9 @@
 """Randomized oracle harness.
 
 Generates random discrete instances, measures exact divergences before and
-after post-processing, and certifies the amplification bounds against them;
-quadrature and Monte-Carlo certification for the diffusion mechanisms.
+after post-processing, and certifies the amplification bounds against them.
+The diffusion suite certifies its RDP and MSE closed forms by quadrature
+only: it draws no samples, so its rows do not depend on the seed.
 Violations are reported, never raised: a failing row is the caller's signal.
 """
 
@@ -15,23 +16,33 @@ from typing import Sequence
 
 import numpy as np
 
+from ._quadrature import integrate, require_negligible_ends
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, GaussianDist, log_density, quadrature_domain
 from .divergences import DpGuarantee, aligned_masses, hockey_stick, renyi_numeric_log
-from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_sample, ou_transition
+from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from .mixing import (
+    PAIR_BLOCK_ENTRIES,
+    Coupling,
     DiscreteKernel,
     amplify_with_kernel,
     greedy_coupling,
     independent_coupling,
     mixture_decompose,
     pushforward,
-    random_joint_coupling,
+    random_joint_couplings,
     transport_operator,
 )
 # Not called here: bench/tracing.py wraps these names where verify looks them up.
+from .diffusion import ou_sample  # noqa: F401
 from .divergences import renyi_numeric_1d  # noqa: F401
-from .mixing import dobrushin_coeff, doeblin_coeff, eps_dobrushin_coeff, ultra_coeff  # noqa: F401
+from .mixing import (  # noqa: F401
+    dobrushin_coeff,
+    doeblin_coeff,
+    eps_dobrushin_coeff,
+    random_joint_coupling,
+    ultra_coeff,
+)
 
 __all__ = [
     "TrialReport",
@@ -39,6 +50,7 @@ __all__ = [
     "certify_theorem1",
     "certify_transport_and_decompose",
     "certify_diffusion",
+    "mse_numeric",
     "reports_summary",
 ]
 
@@ -138,14 +150,19 @@ def certify_theorem1(
         mu, nu, kernel = random_instance(nx, ny, iseed)
         mu_k = pushforward(mu, kernel)
         nu_k = pushforward(nu, kernel)
-        guarantees = [DpGuarantee(eps, hockey_stick(mu, nu, eps)) for eps in eps_grid]
-        for eps, guarantee, amplified in zip(eps_grid, guarantees,
-                                             amplify_with_kernel(kernel, guarantees)):
-            for cond, (gamma, out) in amplified.items():
+        guarantees = [DpGuarantee(eps, delta)
+                      for eps, delta in zip(eps_grid, hockey_stick(mu, nu, eps_grid))]
+        amplified = amplify_with_kernel(kernel, guarantees)
+        # The post-processed divergence at each distinct eps', in one call.
+        eps_primes = list(dict.fromkeys(out.epsilon for by_cond in amplified
+                                        for _, out in by_cond.values()))
+        measured = dict(zip(eps_primes, hockey_stick(mu_k, nu_k, eps_primes)))
+        for eps, guarantee, by_cond in zip(eps_grid, guarantees, amplified):
+            for cond, (gamma, out) in by_cond.items():
                 reports.append(_report(
                     t, f"theorem1_{cond}",
                     f"nx={nx},ny={ny},seed={iseed},eps={eps}",
-                    measured=hockey_stick(mu_k, nu_k, out.epsilon),
+                    measured=measured[out.epsilon],
                     bound=out.delta,
                     tolerance=EXACT_TOL,
                     delta_before=guarantee.delta,
@@ -168,49 +185,68 @@ def certify_transport_and_decompose(
     eps_rng = rng_from_seed(seed, 3)
     eps_values = uniform_open(eps_rng, trials) * 2.0
     reports: list[TrialReport] = []
-    for t in range(trials):
-        iseed = int(inst_seeds[t])
-        n = int(inst_sizes[t][0])
-        eps = float(eps_values[t])
+    for window in _coupling_windows(inst_sizes[:, 0]):
+        ns, iseeds = inst_sizes[window, 0].tolist(), inst_seeds[window].tolist()
         # mu and nu come from the first draw, so the kernel size is immaterial.
-        mu, nu, _ = random_instance(n, 2, iseed)
-        desc = f"n={n},seed={iseed},eps={eps!r}"
+        pairs = [random_instance(n, 2, iseed)[:2] for n, iseed in zip(ns, iseeds)]
+        random_joint = random_joint_couplings(pairs, iseeds)
+        for t, n, iseed, (mu, nu), pi in zip(window, ns, iseeds, pairs, random_joint):
+            eps = float(eps_values[t])
+            reports += _transport_rows(t, f"n={n},seed={iseed},eps={eps!r}", eps, mu, nu, pi)
+    return reports
 
-        couplings = {
-            "independent": independent_coupling(mu, nu),
-            "greedy": greedy_coupling(mu, nu),
-            "random_joint": random_joint_coupling(mu, nu, iseed),
-        }
-        for name, pi in couplings.items():
-            op = transport_operator(pi)
-            first, second = pi.marginals()
-            pushed = pushforward(DiscreteDist(pi.first_points, first), op)
-            err = float(max(np.abs(pushed.probs - second).max(), np.abs(second - nu.probs).max()))
-            reports.append(_report(t, f"transport_{name}", desc,
-                                   measured=err, bound=0.0, tolerance=EXACT_TOL))
 
-        theta_exact = hockey_stick(mu, nu, eps)
-        dec = mixture_decompose(mu, nu, eps)
-        reports.append(_report(t, "decompose_theta", desc,
-                               measured=abs(dec.theta - theta_exact),
+def _coupling_windows(sizes: np.ndarray):
+    """Ranges of consecutive trials whose ``n x n`` couplings hold at most
+    ``PAIR_BLOCK_ENTRIES`` entries together (at least one trial each)."""
+    start, entries = 0, 0
+    for t, n in enumerate(sizes.tolist()):
+        if entries + n * n > PAIR_BLOCK_ENTRIES and t > start:
+            yield range(start, t)
+            start, entries = t, 0
+        entries += n * n
+    yield range(start, len(sizes))
+
+
+def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
+                    pi_random: Coupling) -> list[TrialReport]:
+    """The transport and decomposition rows of one trial, given its random coupling."""
+    reports = []
+    couplings = {
+        "independent": independent_coupling(mu, nu),
+        "greedy": greedy_coupling(mu, nu),
+        "random_joint": pi_random,
+    }
+    for name, pi in couplings.items():
+        op = transport_operator(pi)
+        first, second = pi.marginals()
+        pushed = pushforward(DiscreteDist(pi.first_points, first), op)
+        err = float(max(np.abs(pushed.probs - second).max(), np.abs(second - nu.probs).max()))
+        reports.append(_report(t, f"transport_{name}", desc,
+                               measured=err, bound=0.0, tolerance=EXACT_TOL))
+
+    theta_exact = hockey_stick(mu, nu, eps)
+    dec = mixture_decompose(mu, nu, eps)
+    reports.append(_report(t, "decompose_theta", desc,
+                           measured=abs(dec.theta - theta_exact),
+                           bound=0.0, tolerance=EXACT_TOL,
+                           delta_before=theta_exact))
+    if dec.theta > 0.0:
+        # The decomposition's laws live on the aligned support of (mu, nu).
+        _, p, q = aligned_masses(mu, nu)
+        omega = dec.omega.probs if dec.omega is not None else np.zeros_like(p)
+        mu_p, nu_p = dec.mu_prime.probs, dec.nu_prime.probs
+        w_nu = 1.0 - (1.0 - dec.theta) * math.exp(-eps)
+        err_mu = np.abs((1.0 - dec.theta) * omega + dec.theta * mu_p - p).max()
+        err_nu = np.abs((1.0 - dec.theta) * math.exp(-eps) * omega + w_nu * nu_p - q).max()
+        overlap = float(np.minimum(mu_p, nu_p).sum())
+        reports.append(_report(t, "decompose_reconstruction", desc,
+                               measured=float(max(err_mu, err_nu)),
                                bound=0.0, tolerance=EXACT_TOL,
                                delta_before=theta_exact))
-        if dec.theta > 0.0:
-            # The decomposition's laws live on the aligned support of (mu, nu).
-            _, p, q = aligned_masses(mu, nu)
-            omega = dec.omega.probs if dec.omega is not None else np.zeros_like(p)
-            mu_p, nu_p = dec.mu_prime.probs, dec.nu_prime.probs
-            w_nu = 1.0 - (1.0 - dec.theta) * math.exp(-eps)
-            err_mu = np.abs((1.0 - dec.theta) * omega + dec.theta * mu_p - p).max()
-            err_nu = np.abs((1.0 - dec.theta) * math.exp(-eps) * omega + w_nu * nu_p - q).max()
-            overlap = float(np.minimum(mu_p, nu_p).sum())
-            reports.append(_report(t, "decompose_reconstruction", desc,
-                                   measured=float(max(err_mu, err_nu)),
-                                   bound=0.0, tolerance=EXACT_TOL,
-                                   delta_before=theta_exact))
-            reports.append(_report(t, "decompose_overlap", desc,
-                                   measured=overlap, bound=0.0, tolerance=0.0,
-                                   delta_before=theta_exact))
+        reports.append(_report(t, "decompose_overlap", desc,
+                               measured=overlap, bound=0.0, tolerance=0.0,
+                               delta_before=theta_exact))
     return reports
 
 
@@ -219,11 +255,9 @@ def certify_diffusion(
     rho_grid: Sequence[float] = (0.8, 1.25),
     t_grid: Sequence[float] = (0.25, 1.0, 3.0),
     alpha_grid: Sequence[float] = (1.5, 2.0),
-    mc_samples: int = 200_000,
-    seed: int = 0,
 ) -> list[TrialReport]:
-    """Certify the diffusion RDP closed forms by quadrature and the OU MSE by
-    Monte Carlo (1-D cases)."""
+    """Certify the diffusion RDP closed forms and the OU MSE by quadrature
+    (1-D cases).  The rows are deterministic: no sampling, no seed."""
     # (case, descriptor, law0, law1, closed form, its params) per quadrature check.
     entries = []
     for theta in theta_grid:
@@ -257,17 +291,33 @@ def certify_diffusion(
         for t in t_grid:
             p = OuParams(theta=theta, rho=1.0, t=t, delta=DIFFUSION_SENSITIVITY, R=1.0, d=1)
             x0 = 1.0
-            draws = ou_sample([x0], p, seed + trial, mc_samples)
-            sq_err = (draws - x0) ** 2
-            mc = float(sq_err.mean())
-            se = float(sq_err.std(ddof=1)) / math.sqrt(mc_samples)
             closed = ou_mse(p, abs(x0))
+            quad = mse_numeric(ou_transition([x0], p), x0)
             reports.append(_report(
-                trial, "ou_mse_monte_carlo", f"theta={theta},t={t},n={mc_samples}",
-                measured=abs(mc - closed), bound=0.0, tolerance=3.0 * se,
+                trial, "ou_mse_quadrature", f"theta={theta},t={t}",
+                measured=abs(quad - closed), bound=0.0, tolerance=QUAD_TOL,
                 coefficient=closed))
             trial += 1
     return reports
+
+
+def mse_numeric(law: GaussianDist, x0: float, rtol: float = 1e-10) -> float:
+    """Quadrature estimate of E(X - x0)^2 for X ~ ``law`` (1-D), to relative
+    tolerance ``rtol``.
+
+    The log-integrand 2 log|x - x0| + log p(x) is integrated over
+    ``quadrature_domain(law)`` by the log-space Simpson engine, with a
+    breakpoint at ``x0``.  Raises :class:`QuadratureError` where the integrand
+    is not negligible at a domain end, as the Renyi oracle does.
+    """
+    def log_integrand(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(np.abs(x - x0)) + log_density(law, x)
+
+    a, b = quadrature_domain(law)
+    log_moment = integrate(log_integrand, a, b, rtol=rtol, breakpoints=(x0,))
+    require_negligible_ends(log_integrand, a, b, rtol, log_moment)
+    return math.exp(log_moment)
 
 
 def format_cell(value) -> str:

@@ -15,6 +15,7 @@ import numpy as np
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import DiscreteDist, GaussianDist
+from amplify_dp.divergences import aligned_masses, exp_times
 from amplify_dp.iteration import _laplace_pair_log_bound
 from amplify_dp.mixing import SINKHORN_ATOL, SINKHORN_MAX_SWEEPS, Coupling, DiscreteKernel
 
@@ -203,6 +204,45 @@ def sinkhorn_per_sweep_buffers(mu: DiscreteDist, nu: DiscreteDist, seed: int) ->
         col_sums = mass.sum(axis=0)
         mass *= np.divide(q, col_sums, out=np.zeros_like(q), where=q > 0.0)[None, :]
     return mass
+
+
+def sinkhorn_per_pair(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The Sinkhorn loop of the one-pair ``random_joint_coupling``, verbatim,
+    on the start matrix ``mass`` (scaled in place and returned)."""
+    p_pos, q_pos = p > 0.0, q > 0.0
+    # The scale entries of zero-mass atoms are never written, so they stay 0.
+    row_scale, col_scale = np.zeros_like(p), np.zeros_like(q)
+    for _ in range(SINKHORN_MAX_SWEEPS):
+        row_sums = mass.sum(axis=1)
+        if np.abs(row_sums - p).max() <= SINKHORN_ATOL:
+            break
+        mass *= np.divide(p, row_sums, out=row_scale, where=p_pos)[:, None]
+        col_sums = mass.sum(axis=0)
+        mass *= np.divide(q, col_sums, out=col_scale, where=q_pos)[None, :]
+    return mass
+
+
+def random_joint_coupling_per_pair(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
+    """``random_joint_coupling`` as it was before pairs were solved in
+    stacks: its own start matrix and its own Sinkhorn loop."""
+    p, q = mu.probs, nu.probs
+    p_pos, q_pos = p > 0.0, q > 0.0
+    rng = rng_from_seed(seed)
+    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p_pos, q_pos)
+    return Coupling(mu.points, nu.points, sinkhorn_per_pair(p, q, mass))
+
+
+def hockey_stick_scalar(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
+    """``hockey_stick`` at one eps, as it was before it took a sequence:
+    one 1-D sum of the positive parts."""
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    _, p, q = aligned_masses(mu, nu)
+    zero_q = q == 0.0
+    out = float(p[zero_q].sum())
+    if not math.isinf(eps):
+        out += float(np.maximum(p[~zero_q] - exp_times(eps, q[~zero_q]), 0.0).sum())
+    return min(out, 1.0)
 
 
 def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float,

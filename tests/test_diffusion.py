@@ -256,6 +256,19 @@ class TestOuSampling:
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - ou_mse(OU1, x0)) <= 3 * se
 
+    # The six draws that `amplify-dp verify --seed 0` made while its OU MSE
+    # rows were Monte-Carlo estimates: sample seed = 30 + row, 200,000 draws
+    # from x0 = 1 with rho = 1, accepted within three standard errors.
+    @pytest.mark.parametrize("sample_seed,theta,t", [
+        (30 + 3 * i + j, theta, t)
+        for i, theta in enumerate((0.5, 1.0)) for j, t in enumerate((0.25, 1.0, 3.0))])
+    def test_sampled_mse_within_three_standard_errors(self, sample_seed, theta, t):
+        n, x0 = 200_000, 1.0
+        p = OuParams(theta=theta, rho=1.0, t=t, delta=1.0, R=1.0, d=1)
+        sq_err = (ou_sample([x0], p, sample_seed, n) - x0) ** 2
+        se = float(sq_err.std(ddof=1)) / math.sqrt(n)
+        assert abs(float(sq_err.mean()) - ou_mse(p, x0)) <= 3.0 * se
+
     def test_semigroup_composition_of_samples(self):
         # Re-noising t-samples with the s-transition matches (s+t)-samples in
         # distribution: compare moments at loose MC tolerance.

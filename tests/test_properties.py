@@ -6,14 +6,16 @@ import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amplify_dp import cli
+from amplify_dp import cli, mixing
 from amplify_dp.distributions import DiscreteDist
-from amplify_dp.divergences import DpGuarantee, hockey_stick, hockey_stick_via_min, tv
+from amplify_dp.divergences import EXP_ARG_MAX, DpGuarantee, hockey_stick, hockey_stick_via_min, tv
 from amplify_dp.iteration import IterationChain, winf_path_bound
 from amplify_dp.mixing import (
     AMPLIFY_CONDITIONS,
@@ -24,8 +26,10 @@ from amplify_dp.mixing import (
     doeblin_coeff,
     eps_dobrushin_coeff,
     eps_tilde,
+    random_joint_couplings,
     ultra_coeff,
 )
+from reference_impls import hockey_stick_scalar, random_joint_coupling_per_pair, sinkhorn_per_pair
 
 
 def masses(min_size=2, max_size=8):
@@ -169,6 +173,119 @@ def test_amplify_with_kernel_sequence_form(rows, gs):
                   "ultra": ultra_coeff(kernel)}
         assert list(results) == list(AMPLIFY_CONDITIONS)
         assert results == {cond: (gamma, amplify(g, cond, gamma)) for cond, gamma in gammas.items()}
+
+
+def support_pair():
+    # mu on a0..a(n-1); nu on mu's first k points and `extra` points of its
+    # own, so the supports may be disjoint (k = 0).  Zero masses on both sides.
+    sizes = st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda s: s[1] <= s[0] and s[1] + s[2] >= 1)
+    return sizes.flatmap(lambda s: st.tuples(weights(s[0]), weights(s[1] + s[2])).map(
+        lambda w: (DiscreteDist([f"a{i}" for i in range(s[0])], np.asarray(w[0]) / np.sum(w[0])),
+                   DiscreteDist([f"a{i}" for i in range(s[1])] + [f"b{j}" for j in range(s[2])],
+                                np.asarray(w[1]) / np.sum(w[1])))))
+
+
+EPS_EDGES = [0.0, EXP_ARG_MAX, 710.0, 800.0, 1e6, math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_pair(), st.lists(st.one_of(st.sampled_from(EPS_EDGES), st.floats(0.0, 50.0)),
+                                max_size=8))
+@example((DiscreteDist(["a0", "a1"], [0.5, 0.5]), DiscreteDist(["b0"], [1.0])), [0.0, 1.0, math.inf])
+@example((DiscreteDist(["a0", "a1"], [0.25, 0.75]), DiscreteDist(["a0", "a1"], [0.0, 1.0])),
+         EPS_EDGES)
+def test_hockey_stick_sequence_form(pair, eps_values):
+    # One call over a sequence of eps is == one call per eps, and == the
+    # 1-D sum the scalar form used to take.
+    mu, nu = pair
+    batch = hockey_stick(mu, nu, eps_values)
+    assert batch == [hockey_stick(mu, nu, eps) for eps in eps_values]
+    assert batch == [hockey_stick_scalar(mu, nu, eps) for eps in eps_values]
+    assert hockey_stick(mu, nu, tuple(eps_values)) == batch
+    assert hockey_stick(mu, nu, np.asarray(eps_values, dtype=np.float64)) == batch
+
+
+def test_hockey_stick_sequence_rejects_negative_eps():
+    mu, nu = DiscreteDist(["a", "b"], [0.5, 0.5]), DiscreteDist(["a", "b"], [0.2, 0.8])
+    with pytest.raises(ValueError, match="non-negative"):
+        hockey_stick(mu, nu, [0.5, -1e-300, 1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        hockey_stick(mu, nu, -1.0)
+    assert hockey_stick(mu, nu, []) == []
+
+
+def coupling_specs():
+    # Small shapes, so that pairs of one shape share a stack; `drift` scales
+    # mu's masses by 1 + 5e-13, so the marginals disagree in their sums and
+    # Sinkhorn runs to its sweep cap.
+    return st.tuples(st.integers(1, 4), st.integers(1, 4), st.booleans()).flatmap(
+        lambda s: st.tuples(weights(s[0]), weights(s[1]), st.just(s[2])))
+
+
+def coupling_pair(w_mu, w_nu, drift=False):
+    p = np.asarray(w_mu) / np.sum(w_mu) * (1.0 + 5e-13 if drift else 1.0)
+    return (DiscreteDist([f"x{i}" for i in range(len(p))], p),
+            DiscreteDist([f"y{j}" for j in range(len(w_nu))], np.asarray(w_nu) / np.sum(w_nu)))
+
+
+def assert_couplings_equal_per_pair(pairs, seeds, block):
+    with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
+        batch = random_joint_couplings(pairs, seeds)
+    assert len(batch) == len(pairs)
+    for (mu, nu), seed, pi in zip(pairs, seeds, batch):
+        ref = random_joint_coupling_per_pair(mu, nu, seed)
+        assert (pi.first_points, pi.second_points) == (ref.first_points, ref.second_points)
+        assert np.array_equal(pi.mass, ref.mass)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(coupling_specs(), min_size=1, max_size=8), st.integers(0, 2**62),
+       st.sampled_from([mixing.PAIR_BLOCK_ENTRIES, 1, 5, 12, 40]))
+def test_random_joint_couplings_equal_per_pair_loop(specs, seed, block):
+    # Stacked Sinkhorn gives masses == the one-pair loop, whatever the mix of
+    # shapes, zero-mass atoms and stack splits.
+    pairs = [coupling_pair(*spec) for spec in specs]
+    assert_couplings_equal_per_pair(pairs, [seed + 3 * i for i in range(len(pairs))], block)
+
+
+def test_random_joint_couplings_edge_cases():
+    capped = coupling_pair([0.2, 0.3, 0.5], [0.6, 0.4], drift=True)
+    # The drifted marginals never converge: the reference runs all 400 sweeps.
+    ref = random_joint_coupling_per_pair(*capped, 5)
+    assert np.abs(ref.mass.sum(axis=1) - capped[0].probs).max() > mixing.SINKHORN_ATOL
+    pairs = [
+        coupling_pair([0.2, 0.3, 0.5], [0.6, 0.4]),
+        capped,
+        coupling_pair([1.0], [0.25, 0.75]),              # 1-point first support
+        coupling_pair([0.3, 0.7], [1.0]),                # 1-point second support
+        coupling_pair([1.0], [1.0]),
+        coupling_pair([0.0, 0.4, 0.6], [0.5, 0.0]),      # zero-mass atoms on both sides
+        coupling_pair([0.1, 0.0, 0.9], [0.0, 1.0]),
+        coupling_pair([0.6, 0.3, 0.1], [0.1, 0.9]),
+        coupling_pair([0.5, 0.5, 0.0], [0.3, 0.7], drift=True),
+    ]
+    seeds = [5 * i + 1 for i in range(len(pairs))]
+    for block in (mixing.PAIR_BLOCK_ENTRIES, 1, 6, 13):  # 3x2 stacks split at 6 and 13
+        assert_couplings_equal_per_pair(pairs, seeds, block)
+
+
+def test_sinkhorn_stack_freezes_converged_trials():
+    # The first start meets its row marginals at sweep 0, though not its
+    # column marginals; it must come out untouched while the other trials of
+    # its stack keep sweeping, one of them to the cap.
+    p = np.array([[0.25, 0.75], [0.4, 0.6], [0.4, 0.6 * (1.0 + 5e-13)]])
+    q = np.array([[0.3, 0.7, 0.0], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
+    rng = np.random.default_rng(3)
+    start = np.stack([[[0.125, 0.125, 0.0], [0.375, 0.375, 0.0]],
+                      rng.exponential(size=(2, 3)), rng.exponential(size=(2, 3))])
+    assert np.abs(start[0].sum(axis=1) - p[0]).max() <= mixing.SINKHORN_ATOL
+    mass = start.copy()
+    mixing._sinkhorn_stack(p, q, mass)
+    assert np.array_equal(mass[0], start[0])
+    for k in range(3):
+        assert np.array_equal(mass[k], sinkhorn_per_pair(p[k], q[k], start[k].copy()))
+    assert np.abs(mass[2].sum(axis=1) - p[2]).max() > mixing.SINKHORN_ATOL
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,13 +3,19 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from amplify_dp import cli
-from amplify_dp.distributions import DiscreteDist
+import amplify_dp
+from amplify_dp import cli, distributions, verify
+from amplify_dp.diffusion import OuParams, ou_mse
+from amplify_dp.distributions import DiscreteDist, GaussianDist
+from amplify_dp.divergences import QuadratureError
 from amplify_dp.divergences import DpGuarantee, hockey_stick
 from amplify_dp.mixing import (
     DiscreteKernel,
@@ -20,10 +26,12 @@ from amplify_dp.mixing import (
     ultra_coeff,
 )
 from amplify_dp.verify import (
+    QUAD_TOL,
     TrialReport,
     certify_diffusion,
     certify_theorem1,
     certify_transport_and_decompose,
+    mse_numeric,
     random_instance,
     reports_summary,
 )
@@ -129,17 +137,108 @@ class TestCertifyTransport:
 class TestCertifyDiffusion:
     def test_no_violations_small(self):
         reports = certify_diffusion(theta_grid=(1.0,), rho_grid=(1.0,),
-                                    t_grid=(0.5, 1.0), alpha_grid=(2.0,),
-                                    mc_samples=20_000, seed=4)
+                                    t_grid=(0.5, 1.0), alpha_grid=(2.0,))
         assert all(r.passed for r in reports)
         cases = {r.case for r in reports}
         assert cases == {"ou_rdp_quadrature", "brownian_rdp_quadrature",
-                         "ou_mse_monte_carlo"}
+                         "ou_mse_quadrature"}
 
     def test_reproducible(self):
         kwargs = dict(theta_grid=(1.0,), rho_grid=(1.0,), t_grid=(1.0,),
-                      alpha_grid=(2.0,), mc_samples=5_000, seed=9)
+                      alpha_grid=(2.0,))
         assert certify_diffusion(**kwargs) == certify_diffusion(**kwargs)
+
+    def test_mse_rows(self):
+        reports = [r for r in certify_diffusion() if r.case == "ou_mse_quadrature"]
+        assert [r.trial_id for r in reports] == list(range(30, 36))
+        assert [r.descriptor for r in reports] == [
+            f"theta={theta},t={t}" for theta in (0.5, 1.0) for t in (0.25, 1.0, 3.0)]
+        for r in reports:
+            theta, t = (float(part.split("=")[1]) for part in r.descriptor.split(","))
+            p = OuParams(theta=theta, rho=1.0, t=t, delta=1.0, R=1.0, d=1)
+            assert r.coefficient == ou_mse(p, 1.0)
+            assert (r.bound, r.tolerance) == (0.0, QUAD_TOL)
+            assert r.measured <= 1e-11 * r.coefficient
+
+    def test_mse_numeric_is_second_moment(self):
+        law = GaussianDist([0.3], 2.5)
+        assert mse_numeric(law, 0.3) == pytest.approx(2.5, rel=1e-10)
+        assert mse_numeric(law, -1.0) == pytest.approx(2.5 + 1.3**2, rel=1e-10)
+
+    def test_mse_numeric_applies_domain_end_rule(self, monkeypatch):
+        # On +-3 standard deviations the second moment's integrand is not
+        # negligible at the ends: the oracle must raise, not under-report.
+        monkeypatch.setattr(distributions, "QUAD_DOMAIN_SCALES", 3.0)
+        with pytest.raises(QuadratureError, match="domain end"):
+            mse_numeric(GaussianDist([0.0], 1.0), 1.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_do_not_depend_on_seed(self, tmp_path, fmt):
+        # The suite draws nothing, so every seed gives the same passing rows
+        # (seed 30 used to fail a Monte-Carlo row).
+        config = tmp_path / "diffusion.json"
+        config.write_text(json.dumps({"suites": ["diffusion"]}))
+        tables = []
+        for seed in (0, 1, 7, 30, 123):
+            out = tmp_path / f"out{seed}.{fmt}"
+            code = cli.main(["verify", "--config", str(config), "--seed", str(seed),
+                             "--out", str(out), "--format", fmt])
+            assert code == 0
+            text = out.read_text()
+            if fmt == "json":
+                payload = json.loads(text)
+                assert payload["metadata"] == ["violations: 0"]
+                tables.append(payload["rows"])
+            else:
+                assert "# violations: 0\n" in text
+                tables.append([line for line in text.splitlines() if not line.startswith("#")])
+        assert all(table == tables[0] for table in tables)
+        assert len(tables[0]) == 36 + (fmt == "csv")
+
+    def test_mc_samples_is_inert(self, tmp_path):
+        outputs = []
+        for extra in ({}, {"mc_samples": 100}, {"mc_samples": 10**6}):
+            config, out = tmp_path / "verify.json", tmp_path / "verify.csv"
+            config.write_text(json.dumps({"suites": ["diffusion"], **extra}))
+            assert cli.main(["verify", "--config", str(config), "--seed", "4", "--out", str(out)]) == 0
+            outputs.append([line for line in out.read_text().splitlines()
+                            if not line.startswith("# config")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_verify_does_not_load_scipy(self, tmp_path):
+        # The diffusion suite is quadrature only, so a verify run never
+        # imports scipy.
+        config = tmp_path / "diffusion.json"
+        config.write_text(json.dumps({"suites": ["diffusion"]}))
+        src = pathlib.Path(amplify_dp.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = ("import sys; from amplify_dp import cli; "
+                 f"code = cli.main(['verify', '--config', {str(config)!r}, '--seed', '30', "
+                 f"'--out', {str(tmp_path / 'out.csv')!r}]); "
+                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "0 []"
+
+
+class TestTransportWindows:
+    def test_rows_do_not_depend_on_window_size(self, monkeypatch):
+        # Couplings are solved a window of trials at a time; the rows must not
+        # depend on where the windows split.
+        full = certify_transport_and_decompose(30, (2, 9), seed=13)
+        for block in (1, 40, 300):
+            monkeypatch.setattr(verify, "PAIR_BLOCK_ENTRIES", block)
+            assert certify_transport_and_decompose(30, (2, 9), seed=13) == full
+
+    def test_windows(self):
+        sizes = np.array([3, 4, 2, 5, 1])
+        assert [list(w) for w in verify._coupling_windows(sizes)] == [[0, 1, 2, 3, 4]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "PAIR_BLOCK_ENTRIES", 25)
+            # 9 + 16 fit; 4 + 25 do not, so 25 stands alone; a trial larger
+            # than the bound is a window of its own.
+            assert [list(w) for w in verify._coupling_windows(sizes)] == [[0, 1], [2], [3], [4]]
+            assert [list(w) for w in verify._coupling_windows(np.array([6, 2]))] == [[0], [1]]
 
 
 def theorem1_csv_lines(tmp_path, trials, sizes, eps_grid, seed):
