@@ -25,7 +25,6 @@ from .divergences import (
     hockey_stick_via_min,
     renyi_discrete,
     renyi_gaussian,
-    renyi_laplace_g,
     renyi_numeric_1d,
     renyi_numeric_log,
     tv,

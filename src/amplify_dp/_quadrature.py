@@ -49,8 +49,8 @@ def integrate(
     bisects all open panels at once and forms the Simpson values from
     ``exp(log_f - M)`` for the running maximum ``M``.  A panel of width ``w``
     is accepted once its Richardson error satisfies
-    ``|err| <= 15 * rtol * (|S| + estimate * w / (b - a))``, where ``S`` is its
-    refined Simpson value and ``estimate`` the running integral.
+    ``|err| <= 15 * rtol * estimate * w / (b - a)``, where ``estimate`` is the
+    running integral, so the accepted errors share out ``rtol`` by width.
     ``breakpoints`` pre-split the domain (pass kink locations of ``f``).
     Returns ``-inf`` when the integral comes out as 0.  The integrand's size
     at ``a`` and ``b`` is the caller's concern.
@@ -117,7 +117,7 @@ def integrate(
             raise QuadratureError(
                 f"integrand is not negligible next to x={worst_at!r}, where it is not representable"
             )
-        done = np.abs(err) <= 15.0 * rtol * (np.abs(refined) + estimate * (x1 - x0) / total)
+        done = np.abs(err) <= 15.0 * rtol * estimate * (x1 - x0) / total
         acc += float((refined[done] + err[done] / 15.0).sum())
         keep = ~done
         x0, x1 = np.concatenate([x0[keep], xm[keep]]), np.concatenate([xm[keep], x1[keep]])

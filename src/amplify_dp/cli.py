@@ -197,8 +197,7 @@ def cmd_divergence(config: dict, seed) -> tuple[list[str], list[list], list[str]
 
 
 def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
-    _require_keys(config, ["n", "C", "sigma", "beta", "rho", "eta", "alpha"],
-                  ["dim", "radius", "indices"])
+    _require_keys(config, ["n", "C", "sigma", "beta", "rho", "eta", "alpha"], ["indices"])
     try:
         cfg = SgdConfig(
             n=_integer(config, "n", lo=1),
@@ -207,8 +206,6 @@ def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
             rho=_number(config, "rho"),
             eta=_number(config, "eta"),
             sigma=_number(config, "sigma"),
-            dim=_integer(config, "dim", lo=1) if "dim" in config else 1,
-            radius=_number(config, "radius") if "radius" in config else 1.0,
         )
     except ValueError as exc:
         raise ValidationFailure("config", str(exc)) from exc

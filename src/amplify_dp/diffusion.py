@@ -62,15 +62,12 @@ class BrownianParams:
 
     t: float
     delta: float
-    d: int = 1
 
     def __post_init__(self):
         if not self.t > 0:
             raise ValueError("t must be positive")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
 
 
 def brownian_rdp(p: BrownianParams, alpha: float) -> RdpPoint:

@@ -80,13 +80,6 @@ class DiscreteDist:
             arr = arr[:, None]
         return arr
 
-    def prob_of(self, point: Point) -> float:
-        key = _canonical_point(point)
-        for p, pr in zip(self.points, self.probs):
-            if p == key:
-                return float(pr)
-        return 0.0
-
 
 @dataclass(frozen=True)
 class GaussianDist:

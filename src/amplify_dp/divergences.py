@@ -25,7 +25,6 @@ __all__ = [
     "tv",
     "renyi_discrete",
     "renyi_gaussian",
-    "renyi_laplace_g",
     "log_laplace_g",
     "renyi_numeric_log",
     "renyi_numeric_1d",
@@ -196,11 +195,6 @@ def log_laplace_g(z: float, alpha: float) -> float:
     a = math.log(alpha / (2.0 * alpha - 1.0)) + z * (alpha - 1.0)
     b = math.log((alpha - 1.0) / (2.0 * alpha - 1.0)) - z * alpha
     return float(np.logaddexp(a, b))
-
-
-def renyi_laplace_g(z: float, alpha: float) -> float:
-    """The moment g_alpha(z) itself; the caller composes log(g)/(alpha-1)."""
-    return math.exp(log_laplace_g(z, alpha))
 
 
 def renyi_numeric_log(

@@ -30,7 +30,6 @@ __all__ = [
     "sgd_rdp_at_index",
     "noisy_proj_sgd",
     "project_to_ball",
-    "trajectory_csv",
 ]
 
 
@@ -63,7 +62,10 @@ class IterationChain:
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Hyperparameters of projected noisy SGD on a smooth strongly convex loss."""
+    """Hyperparameters of projected noisy SGD on a smooth strongly convex loss.
+
+    ``dim`` and ``radius`` (the projection ball) are read by the simulator
+    only; the accountant does not depend on them."""
 
     n: int
     C: float
@@ -71,8 +73,8 @@ class SgdConfig:
     rho: float
     eta: float
     sigma: float
-    dim: int
-    radius: float
+    dim: int = 1
+    radius: float = 1.0
 
     def __post_init__(self):
         if self.n < 1 or self.dim < 1:
@@ -342,11 +344,3 @@ def noisy_proj_sgd(
             trajectory.append(x.copy())
     return (x, trajectory) if return_trajectory else x
 
-
-def trajectory_csv(trajectory: Sequence[np.ndarray]) -> str:
-    """Render a simulator trajectory as CSV rows (step, coordinates)."""
-    dim = len(trajectory[0])
-    lines = ["step," + ",".join(f"x{i}" for i in range(dim))]
-    for step, point in enumerate(trajectory):
-        lines.append(f"{step}," + ",".join(repr(float(c)) for c in point))
-    return "\n".join(lines) + "\n"

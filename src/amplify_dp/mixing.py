@@ -86,15 +86,6 @@ class DiscreteKernel:
             [f"y{j}" for j in range(mat.shape[1])],
         )
 
-    @classmethod
-    def identity(cls, points: Sequence) -> "DiscreteKernel":
-        return cls(np.eye(len(points)), points, points)
-
-    @classmethod
-    def constant(cls, input_points: Sequence, omega: DiscreteDist) -> "DiscreteKernel":
-        rows = np.tile(omega.probs, (len(input_points), 1))
-        return cls(rows, input_points, omega.points)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows.shape

@@ -55,9 +55,15 @@ __all__ = [
 ]
 
 EXACT_TOL = 1e-12
-QUAD_TOL = 1e-6
+QUAD_TOL = 1e-8
+# Relative tolerance of the OU second-moment quadrature in mse_numeric.
+MSE_RTOL = 1e-10
 # Shift between the two diffusion laws that certify_diffusion compares.
 DIFFUSION_SENSITIVITY = 1.0
+# certify_diffusion's grids: theta*rho*t*alpha OU Renyi rows, t*alpha Brownian
+# Renyi rows and theta*t OU MSE rows.
+DIFFUSION_GRID = {"theta": (0.5, 1.0), "rho": (0.8, 1.25), "t": (0.25, 1.0, 3.0),
+                  "alpha": (1.5, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,9 @@ def _trial_sizes(seed: int, trials: int, sizes: tuple[int, int]) -> np.ndarray:
 
 def certify_theorem1(
     trials: int,
-    sizes: tuple[int, int] = (2, 16),
-    eps_grid: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
-    seed: int = 0,
+    sizes: tuple[int, int],
+    eps_grid: Sequence[float],
+    seed: int,
 ) -> list[TrialReport]:
     """Check all four mixing amplification rules against exact divergences.
 
@@ -173,8 +179,8 @@ def certify_theorem1(
 
 def certify_transport_and_decompose(
     trials: int,
-    sizes: tuple[int, int] = (2, 16),
-    seed: int = 0,
+    sizes: tuple[int, int],
+    seed: int,
 ) -> list[TrialReport]:
     """Certify the transport-operator identity and the overlapping mixture
     decomposition on random instances."""
@@ -250,14 +256,12 @@ def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: Discret
     return reports
 
 
-def certify_diffusion(
-    theta_grid: Sequence[float] = (0.5, 1.0),
-    rho_grid: Sequence[float] = (0.8, 1.25),
-    t_grid: Sequence[float] = (0.25, 1.0, 3.0),
-    alpha_grid: Sequence[float] = (1.5, 2.0),
-) -> list[TrialReport]:
+def certify_diffusion() -> list[TrialReport]:
     """Certify the diffusion RDP closed forms and the OU MSE by quadrature
-    (1-D cases).  The rows are deterministic: no sampling, no seed."""
+    (1-D cases) on ``DIFFUSION_GRID``.  The rows are deterministic: no
+    sampling, no seed."""
+    theta_grid, rho_grid, t_grid, alpha_grid = (
+        DIFFUSION_GRID[k] for k in ("theta", "rho", "t", "alpha"))
     # (case, descriptor, law0, law1, closed form, its params) per quadrature check.
     entries = []
     for theta in theta_grid:
@@ -301,9 +305,9 @@ def certify_diffusion(
     return reports
 
 
-def mse_numeric(law: GaussianDist, x0: float, rtol: float = 1e-10) -> float:
+def mse_numeric(law: GaussianDist, x0: float) -> float:
     """Quadrature estimate of E(X - x0)^2 for X ~ ``law`` (1-D), to relative
-    tolerance ``rtol``.
+    tolerance ``MSE_RTOL``.
 
     The log-integrand 2 log|x - x0| + log p(x) is integrated over
     ``quadrature_domain(law)`` by the log-space Simpson engine, with a
@@ -315,8 +319,8 @@ def mse_numeric(law: GaussianDist, x0: float, rtol: float = 1e-10) -> float:
             return 2.0 * np.log(np.abs(x - x0)) + log_density(law, x)
 
     a, b = quadrature_domain(law)
-    log_moment = integrate(log_integrand, a, b, rtol=rtol, breakpoints=(x0,))
-    require_negligible_ends(log_integrand, a, b, rtol, log_moment)
+    log_moment = integrate(log_integrand, a, b, rtol=MSE_RTOL, breakpoints=(x0,))
+    require_negligible_ends(log_integrand, a, b, MSE_RTOL, log_moment)
     return math.exp(log_moment)
 
 

@@ -123,6 +123,15 @@ class TestSgdCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("key,value", [("dim", 7), ("radius", 0.01)])
+    def test_simulator_keys_rejected(self, tmp_path, capsys, key, value):
+        # The accountant reads neither the dimension nor the projection radius.
+        cfg = write_config(tmp_path, {"n": 10, "C": 1.0, "sigma": 1.0, "beta": 3.0,
+                                      "rho": 1.0, "eta": 0.5, "alpha": 2.0, key: value})
+        code, out, err = run_cli(["sgd", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {key}: unknown config key\n"
+
     def test_infinite_alpha_exit_2(self, tmp_path, capsys):
         # eps_i = epsilon / alpha is inf / inf; it must not be printed as nan.
         cfg = write_config(tmp_path, {"n": 3, "C": 1, "sigma": 1, "beta": 3, "rho": 1,

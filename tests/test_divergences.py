@@ -21,7 +21,6 @@ from amplify_dp.divergences import (
     log_laplace_g,
     renyi_discrete,
     renyi_gaussian,
-    renyi_laplace_g,
     renyi_numeric_1d,
     renyi_numeric_log,
     tv,
@@ -238,19 +237,16 @@ class TestRenyiGaussian:
 
 class TestLaplaceG:
     def test_at_zero(self):
+        # g(0) = 1.
         for alpha in (1.5, 2.0, 10.0):
-            assert renyi_laplace_g(0.0, alpha) == pytest.approx(1.0, abs=1e-15)
+            assert log_laplace_g(0.0, alpha) == pytest.approx(0.0, abs=1e-15)
 
     def test_value_example(self):
         expected = (2 / 3) * math.e + (1 / 3) * math.exp(-2)
-        assert renyi_laplace_g(1.0, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert math.exp(log_laplace_g(1.0, 2.0)) == pytest.approx(expected, abs=1e-12)
 
     def test_log_convexity_spot(self):
-        assert renyi_laplace_g(0.5, 2.0) ** 2 <= renyi_laplace_g(1.0, 2.0)
-
-    def test_log_version_matches(self):
-        for z in (0.1, 1.0, 5.0):
-            assert log_laplace_g(z, 3.0) == pytest.approx(math.log(renyi_laplace_g(z, 3.0)), abs=1e-12)
+        assert 2.0 * log_laplace_g(0.5, 2.0) <= log_laplace_g(1.0, 2.0)
 
     def test_log_version_no_overflow(self):
         assert log_laplace_g(1.0, 2000.0) == pytest.approx(1999.0 + math.log(2000 / 3999), rel=1e-9)

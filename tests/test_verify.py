@@ -26,6 +26,7 @@ from amplify_dp.mixing import (
     ultra_coeff,
 )
 from amplify_dp.verify import (
+    DIFFUSION_GRID,
     QUAD_TOL,
     TrialReport,
     certify_diffusion,
@@ -88,7 +89,7 @@ class TestCertifyTheorem1:
         # guarantee and still dominates the exact divergence.
         mu = DiscreteDist(["x0", "x1"], [0.5, 0.5])
         nu = DiscreteDist(["x0", "x1"], [0.9, 0.1])
-        kernel = DiscreteKernel.identity(["x0", "x1"])
+        kernel = DiscreteKernel(np.eye(2), ["x0", "x1"], ["x0", "x1"])
         guarantees = [DpGuarantee(eps, hockey_stick(mu, nu, eps)) for eps in (0.0, 0.5, 1.0)]
         for results in amplify_with_kernel(kernel, guarantees):
             for cond, (gamma, out) in results.items():
@@ -99,7 +100,7 @@ class TestCertifyTheorem1:
 
     def test_constant_kernel_collapses_divergence(self):
         omega = DiscreteDist(["y0", "y1"], [0.3, 0.7])
-        kernel = DiscreteKernel.constant(["x0", "x1"], omega)
+        kernel = DiscreteKernel(np.tile(omega.probs, (2, 1)), ["x0", "x1"], omega.points)
         mu = DiscreteDist(["x0", "x1"], [1.0, 0.0])
         nu = DiscreteDist(["x0", "x1"], [0.0, 1.0])
         assert dobrushin_coeff(kernel) == 0.0
@@ -136,17 +137,21 @@ class TestCertifyTransport:
 
 class TestCertifyDiffusion:
     def test_no_violations_small(self):
-        reports = certify_diffusion(theta_grid=(1.0,), rho_grid=(1.0,),
-                                    t_grid=(0.5, 1.0), alpha_grid=(2.0,))
+        reports = certify_diffusion()
         assert all(r.passed for r in reports)
         cases = {r.case for r in reports}
         assert cases == {"ou_rdp_quadrature", "brownian_rdp_quadrature",
                          "ou_mse_quadrature"}
 
     def test_reproducible(self):
-        kwargs = dict(theta_grid=(1.0,), rho_grid=(1.0,), t_grid=(1.0,),
-                      alpha_grid=(2.0,))
-        assert certify_diffusion(**kwargs) == certify_diffusion(**kwargs)
+        assert certify_diffusion() == certify_diffusion()
+
+    def test_renyi_rows_meet_oracle_tolerance(self):
+        # The Renyi oracle's own tol is 1e-8 on the divergence.
+        rows = [r for r in certify_diffusion() if r.case.endswith("_rdp_quadrature")]
+        assert len(rows) == 30
+        worst = max(rows, key=lambda r: r.measured)
+        assert worst.measured <= 1e-8, worst.descriptor
 
     def test_mse_rows(self):
         reports = [r for r in certify_diffusion() if r.case == "ou_mse_quadrature"]
@@ -303,6 +308,21 @@ def test_benchmark_tracer_names_resolve():
     tracing = load_bench_tracing()
     for module, attr, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_benchmark_diffusion_count_matches_grid(monkeypatch):
+    # bench/workloads.py hard-codes the diffusion suite's trial count; it must
+    # stay the count that verify.DIFFUSION_GRID yields.
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    theta, rho, t, alpha = (len(DIFFUSION_GRID[k]) for k in ("theta", "rho", "t", "alpha"))
+    from_grid = theta * rho * t * alpha + t * alpha + theta * t
+    assert len(certify_diffusion()) == from_grid
+    assert workloads.VerifyDefault.trials({"suites": ["diffusion"]}) == from_grid
 
 
 def test_benchmark_tracer_installs_and_restores():
