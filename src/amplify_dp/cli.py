@@ -55,6 +55,10 @@ class ValidationFailure(Exception):
         self.field = field
 
 
+class InputUnreadable(Exception):
+    """A file that the config names cannot be read."""
+
+
 def _require_keys(config: dict, required: Sequence[str], optional: Sequence[str] = ()):
     for key in required:
         if key not in config:
@@ -104,18 +108,37 @@ def _number_list(config: dict, key: str) -> list[float]:
     return out
 
 
+def _require_numbers(values: list, field: str) -> None:
+    # np.asarray would read "0.5" and true as numbers; only JSON numbers pass
+    # here, and NaN fails the range checks that follow.
+    if not {type(v) for v in values} <= {float, int}:
+        bad = next(v for v in values if type(v) not in (float, int))
+        raise ValidationFailure(field, f"expected numbers, got {bad!r}")
+
+
+def _read_kernel_file(path) -> object:
+    if not isinstance(path, str):
+        raise ValidationFailure("kernel_path", f"expected a file path, got {path!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InputUnreadable(f"kernel_path: cannot read: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValidationFailure("kernel_path", f"invalid JSON: {exc}") from exc
+    return payload.get("rows") if isinstance(payload, dict) else payload
+
+
 def _load_kernel(config: dict) -> DiscreteKernel:
     if ("kernel" in config) == ("kernel_path" in config):
         raise ValidationFailure("kernel", "provide exactly one of kernel, kernel_path")
     if "kernel_path" in config:
-        with open(config["kernel_path"], encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if isinstance(payload, dict):
-            matrix = payload.get("rows")
-        else:
-            matrix = payload
+        matrix = _read_kernel_file(config["kernel_path"])
     else:
         matrix = config["kernel"]
+    if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
+        raise ValidationFailure("kernel", "must be a 2-D non-negative matrix")
+    _require_numbers([v for row in matrix for v in row], "kernel")
     try:
         mat = np.asarray(matrix, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -133,6 +156,9 @@ def _load_kernel(config: dict) -> DiscreteKernel:
 def _dist_from_config(obj, key: str) -> DiscreteDist:
     if not isinstance(obj, dict) or "points" not in obj or "probs" not in obj:
         raise ValidationFailure(key, "expected an object with points and probs")
+    if not isinstance(obj["probs"], list):
+        raise ValidationFailure(key, "probs: expected a list of numbers")
+    _require_numbers(obj["probs"], key)
     try:
         return DiscreteDist(obj["points"], obj["probs"])
     except ValueError as exc:
@@ -419,6 +445,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except InputUnreadable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     render = _render_csv if args.format == "csv" else _render_json
     text = render(args.command, config, args.seed, header, rows, extra)

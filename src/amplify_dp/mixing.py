@@ -36,9 +36,10 @@ __all__ = [
 
 AMPLIFY_CONDITIONS = ("dobrushin", "eps_dobrushin", "doeblin", "ultra")
 
-# Pairwise row arrays are built block by block, at most this many float64
-# entries (32 MiB) at a time; kernels up to 16x16 are a single block.
-PAIR_BLOCK_ENTRIES = 2**22
+# Pairwise row arrays are built in tiles of at most this many float64 entries
+# (512 KiB, so a tile stays in cache), or one row against all rows where that
+# is more; kernels up to 16x16 are a single tile.  Sinkhorn stacks share it.
+PAIR_BLOCK_ENTRIES = 2**16
 
 # Sinkhorn stops once every row sum is within SINKHORN_ATOL of its target
 # (the columns are exact after each sweep), or after SINKHORN_MAX_SWEEPS.
@@ -122,8 +123,9 @@ def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
 
 
 def _row_blocks(rows: np.ndarray):
-    """Slices of consecutive rows, each small enough that a block-by-all-rows
-    pairwise array holds at most ``PAIR_BLOCK_ENTRIES`` entries."""
+    """Slices of consecutive rows, each small enough that a tile-by-all-rows
+    pairwise array holds at most max(``PAIR_BLOCK_ENTRIES``, n * m) entries:
+    the coefficients' memory is O(n * m), never O(n^2 * m)."""
     step = max(1, PAIR_BLOCK_ENTRIES // rows.size)
     for start in range(0, rows.shape[0], step):
         yield slice(start, start + step)
@@ -146,12 +148,20 @@ def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
     At eps = +inf the divergence degenerates to the mass of one row outside
     the other's support.  e^eps * q is formed once for all rows, with 0 where
     q is 0 at every eps (+inf elsewhere at eps = +inf), so such an entry
-    contributes all of p.
+    contributes all of p.  At eps = +inf that array depends on q's support
+    only, so each row is compared with the distinct support patterns: rows of
+    one pattern give the same per-pair sums, and a full-support kernel costs
+    n pairs, not n^2.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     r = kernel.rows
-    scaled = np.where(r > 0.0, math.inf, 0.0) if math.isinf(eps) else exp_times(eps, r)
+    if math.isinf(eps):
+        # A dict of row bytes, not np.unique(axis=0), which imports numpy.ma.
+        patterns = {row.tobytes(): row for row in r > 0.0}
+        scaled = np.where(np.array(list(patterns.values())), math.inf, 0.0)
+    else:
+        scaled = exp_times(eps, r)
     worst = 0.0
     for b in _row_blocks(r):
         excess = r[b, None] - scaled[None]

@@ -81,6 +81,48 @@ class TestMixingCommand:
         code, out, _ = run_cli(["mixing", "--config", cfg], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("kernel_path, contents, code, message", [
+        (5, None, 2, "error: kernel_path: expected a file path"),
+        ("missing.json", None, 1, "error: kernel_path: cannot read:"),
+        ("kernel.json", "[[0.5, 0.5]", 2, "error: kernel_path: invalid JSON"),
+        ("kernel.json", b"\xff[[1.0]]", 2, "error: kernel_path: invalid JSON"),
+    ])
+    def test_kernel_path_errors(self, tmp_path, capsys, kernel_path, contents, code, message):
+        # Each ends in an exit code and one message, never a traceback.
+        if isinstance(kernel_path, str):
+            kernel_path = str(tmp_path / kernel_path)
+        if isinstance(contents, str):
+            (tmp_path / "kernel.json").write_text(contents, encoding="utf-8")
+        elif contents is not None:
+            (tmp_path / "kernel.json").write_bytes(contents)
+        cfg = write_config(tmp_path, {"kernel_path": kernel_path, "eps": 1.0, "delta": 0.0})
+        got, out, err = run_cli(["mixing", "--config", cfg], capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("command, payload, field", [
+        ("mixing", {"kernel": [["1"]], "eps": 1.0, "delta": 0.0}, "kernel"),
+        ("mixing", {"kernel": [[True, False], [0.5, 0.5]], "eps": 1.0, "delta": 0.0}, "kernel"),
+        ("mixing", {"kernel_path": [["0.5", 0.5], [0.5, 0.5]], "eps": 1.0, "delta": 0.0}, "kernel"),
+        ("mixing", {"kernel_path": {"rows": [[None, 1.0]]}, "eps": 1.0, "delta": 0.0}, "kernel"),
+        ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": ["0.5", 0.5]},
+                        "nu": {"points": ["a", "b"], "probs": [0.5, 0.5]}}, "mu"),
+        ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": [0.5, 0.5]},
+                        "nu": {"points": ["a", "b"], "probs": [True, False]}}, "nu"),
+        ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": {"a": 1.0}},
+                        "nu": {"points": ["a", "b"], "probs": [0.5, 0.5]}}, "mu"),
+    ])
+    def test_non_number_entries_exit_2(self, tmp_path, capsys, command, payload, field):
+        # np.asarray would read "1" and true as numbers; the CLI does not.
+        if "kernel_path" in payload:
+            kpath = tmp_path / "kernel.json"
+            kpath.write_text(json.dumps(payload["kernel_path"]), encoding="utf-8")
+            payload = dict(payload, kernel_path=str(kpath))
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}:")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MIX_CONFIG, extra=1))
         code, _, err = run_cli(["mixing", "--config", cfg], capsys)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -40,7 +41,7 @@ from reference_impls import (
 
 K_EXAMPLE = DiscreteKernel.from_matrix([[0.7, 0.3], [0.4, 0.6]])
 
-KERNEL_KINDS = ["dense", "zeros", "zero_column", "ties", "single_row"]
+KERNEL_KINDS = ["dense", "zeros", "zero_column", "ties", "single_row", "shared_support"]
 
 
 def random_kernels(kind, count):
@@ -57,6 +58,11 @@ def random_kernels(kind, count):
             k *= rng.uniform(size=(n, m)) > 0.3
         if kind == "zero_column" and m > 1:
             k[:, rng.integers(0, m)] = 0.0
+        if kind == "shared_support":
+            # Rows share one of 2-3 supports, the first of them full.
+            patterns = rng.uniform(size=(int(rng.integers(2, 4)), m)) > 0.4
+            patterns[0] = True
+            k *= patterns[rng.integers(0, len(patterns), size=n)]
         k[k.sum(axis=1) == 0.0, 0] = 1.0
         yield k / k.sum(axis=1, keepdims=True)
 
@@ -174,7 +180,7 @@ class TestCoefficients:
                 assert eps_dobrushin_coeff(kernel, eps) == eps_dobrushin_coeff_pairs(k, eps)
 
     @pytest.mark.parametrize("shape, block_entries, blocks", [
-        ((300, 48), mixing.PAIR_BLOCK_ENTRIES, 2),
+        ((300, 48), mixing.PAIR_BLOCK_ENTRIES, 75),
         ((41, 30), 5000, 11),
     ])
     def test_dobrushin_equals_pair_array_across_blocks(self, shape, block_entries,
@@ -189,6 +195,23 @@ class TestCoefficients:
         assert dobrushin_coeff(kernel) == dobrushin_coeff_pairs(k)
         for eps in (0.0, 0.7, math.inf):
             assert eps_dobrushin_coeff(kernel, eps) == eps_dobrushin_coeff_pairs(k, eps)
+
+    def test_pair_tiles_bound_memory(self):
+        # The pairwise arrays are built in cache-sized tiles: on a 256 x 256
+        # kernel (512 KiB) the peak stays at a few tiles, not n^2 * m floats.
+        rng = np.random.default_rng(256)
+        k = rng.exponential(size=(256, 256)) * (rng.uniform(size=(256, 256)) > 0.3)
+        k[:, 0] += 1.0
+        kernel = DiscreteKernel.from_matrix(k / k.sum(axis=1, keepdims=True))
+        tracemalloc.start()
+        try:
+            dobrushin_coeff(kernel)
+            for eps in (0.7, math.inf):
+                eps_dobrushin_coeff(kernel, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_doeblin_witness_optimality(self):
         # The column-minimum mass dominates the best constant achievable by
