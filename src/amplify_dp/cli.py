@@ -156,6 +156,9 @@ def _load_kernel(config: dict) -> DiscreteKernel:
 def _dist_from_config(obj, key: str) -> DiscreteDist:
     if not isinstance(obj, dict) or "points" not in obj or "probs" not in obj:
         raise ValidationFailure(key, "expected an object with points and probs")
+    if not isinstance(obj["points"], list):
+        # DiscreteDist would split a string into one-character labels.
+        raise ValidationFailure(key, "points: expected a list of points")
     if not isinstance(obj["probs"], list):
         raise ValidationFailure(key, "probs: expected a list of numbers")
     _require_numbers(obj["probs"], key)
@@ -433,7 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         print(f"error: config: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if not isinstance(config, dict):

@@ -291,11 +291,73 @@ def _start_threshold(dist: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return start
 
 
-def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
-    """Bottleneck transport in one augmenting-path pass over the distance matrix.
+def _line_pass(within: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[list, float]:
+    """Greedy transport on the line along the pairs that ``within`` admits.
 
-    ``flow`` only uses pairs with ``dist <= w``, and ``w`` starts at the
-    lower bound of :func:`_start_threshold`.  A BFS from the sources with mass
+    Sources and targets are in increasing coordinate order, so each source's
+    admissible targets form an interval whose two ends never decrease.  Each
+    source fills the leftmost targets that still have room; a target it
+    passes is full or out of reach of every later source, which makes the
+    routed mass maximal.  Returns the ``(i, j, amount)`` moves and the mass
+    routed.
+    """
+    m = within.shape[1]
+    reaches = within.any(axis=1).tolist()
+    first = within.argmax(axis=1).tolist()
+    stop = (m - within[:, ::-1].argmax(axis=1)).tolist()
+    room, moves, routed, j = q.tolist(), [], 0.0, 0
+    for i, left in enumerate(p.tolist()):
+        if not (reaches[i] and left > 0.0):
+            continue
+        j = max(j, first[i])
+        while left > 0.0 and j < stop[i]:
+            amount = min(left, room[j])
+            if amount > 0.0:
+                moves.append((i, j, amount))
+                left -= amount
+                room[j] -= amount
+                routed += amount
+            if room[j] > 0.0:
+                break
+            j += 1
+    return moves, routed
+
+
+def _w_inf_line(x: np.ndarray, y: np.ndarray, dist: np.ndarray, p: np.ndarray,
+                q: np.ndarray, start: float) -> tuple[float, np.ndarray]:
+    """Bottleneck transport on the line by binary search over the distances.
+
+    The candidate thresholds are the distinct entries of ``dist`` from
+    ``start`` up, and each is decided by one :func:`_line_pass` under the
+    search's stopping rule, so the value is the smallest candidate that
+    leaves at most ``FLOW_ATOL`` of the mass unrouted.
+    """
+    ox, oy = np.argsort(x), np.argsort(y)
+    ordered, p, q = dist[np.ix_(ox, oy)], p[ox], q[oy]
+    thresholds = np.unique(dist[dist >= start])
+    lo, hi, best = 0, len(thresholds) - 1, None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        moves, routed = _line_pass(ordered <= thresholds[mid], p, q)
+        if 1.0 - routed <= FLOW_ATOL:
+            best, hi = (thresholds[mid], moves), mid - 1
+        else:
+            lo = mid + 1
+    if best is None:
+        raise RuntimeError("transport infeasible at the maximal distance")
+    rows, cols, amounts = zip(*best[1])
+    flow = np.zeros_like(dist)
+    flow[ox[list(rows)], oy[list(cols)]] = amounts
+    return float(best[0]), flow
+
+
+def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
+    """Bottleneck transport: the W-infinity value and a flow that attains it.
+
+    ``flow`` only uses pairs with ``dist <= w``, and ``w`` is at least the
+    lower bound of :func:`_start_threshold`.  On the line the search is
+    :func:`_w_inf_line`.  In higher dimensions it is one augmenting-path pass
+    that starts at that bound.  A BFS from the sources with mass
     left follows such pairs forward and pairs carrying flow backward; a path
     to a target with room left is augmented by its bottleneck.  When the BFS
     reaches no new target, the reached nodes form a cut that no threshold
@@ -306,10 +368,16 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
         raise ValueError("supports live in different dimensions")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        # A NaN distance is never <= any threshold, so the search would not end.
+        raise ValueError("coordinates must be finite")
     dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    start = _start_threshold(dist, mu.probs, nu.probs)
+    if x.shape[1] == 1:
+        return _w_inf_line(x[:, 0], y[:, 0], dist, mu.probs, nu.probs, start)
     supply, demand = mu.probs.copy(), nu.probs.copy()
     flow = np.zeros_like(dist)
-    w, routed = _start_threshold(dist, supply, demand), 0.0
+    w, routed = start, 0.0
     within = dist <= w
     while 1.0 - routed > FLOW_ATOL:
         seen_s, seen_t = supply > 0.0, np.zeros(len(demand), dtype=bool)
@@ -358,8 +426,11 @@ def w_inf_discrete(mu: DiscreteDist, nu: DiscreteDist) -> float:
     """Exact infinity-Wasserstein distance between coordinate-carrying supports.
 
     The smallest pairwise distance ``w`` such that all but ``FLOW_ATOL`` of
-    the mass can be moved along pairs at distance ``<= w``, found by one
-    bottleneck augmenting-path pass; distances are compared exactly.
+    the mass can be moved along pairs at distance ``<= w``; distances are
+    compared exactly.  On the line it is found by a binary search over the
+    distances, deciding each by one monotone greedy pass; in two or more
+    dimensions by one bottleneck augmenting-path pass.  Non-finite
+    coordinates raise ``ValueError``.
     """
     return _w_inf_search(mu, nu)[0]
 
@@ -368,7 +439,9 @@ def w_inf_optimal_coupling(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, D
     """W-infinity value together with a witnessing coupling.
 
     The coupling is returned as a joint distribution on pairs
-    ``(mu point, nu point)``, holding only the pairs with positive mass.
+    ``(mu point, nu point)``, holding only the pairs with positive mass.  It
+    is the flow of the search that :func:`w_inf_discrete` describes: on the
+    line, the greedy pass at the value, which moves mass monotonically.
     """
     w, joint = _w_inf_search(mu, nu)
     rows, cols = np.nonzero(joint > 0.0)

@@ -111,6 +111,9 @@ class TestMixingCommand:
                         "nu": {"points": ["a", "b"], "probs": [True, False]}}, "nu"),
         ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": {"a": 1.0}},
                         "nu": {"points": ["a", "b"], "probs": [0.5, 0.5]}}, "mu"),
+        # A string would be split into the labels "a" and "b".
+        ("divergence", {"kind": "tv", "mu": {"points": "ab", "probs": [0.5, 0.5]},
+                        "nu": {"points": ["a", "b"], "probs": [0.9, 0.1]}}, "mu"),
     ])
     def test_non_number_entries_exit_2(self, tmp_path, capsys, command, payload, field):
         # np.asarray would read "1" and true as numbers; the CLI does not.
@@ -132,6 +135,13 @@ class TestMixingCommand:
     def test_missing_config_file_exit_1(self, capsys):
         code, _, err = run_cli(["mixing", "--config", "/nonexistent/x.json"], capsys)
         assert code == 1
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff" + json.dumps(MIX_CONFIG).encode())
+        code, out, err = run_cli(["mixing", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config: invalid JSON:")
 
 
 class TestSgdCommand:
@@ -351,6 +361,25 @@ class TestNanRejected:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("mu_points, nu_points", [
+        ([[0.0], [math.nan]], [[0.0], [1.0]]),
+        ([[0.0], [math.inf]], [[0.0], [math.inf]]),
+        ([[0.0, 0.0], [1.0, math.nan]], [[0.0, 1.0], [1.0, 0.0]]),
+    ])
+    def test_non_finite_w_inf_coordinates_exit_2(self, tmp_path, mu_points, nu_points):
+        # A NaN distance is never within a threshold, so the search used to
+        # run forever; the child gets a timeout so that a hang fails the test.
+        cfg = write_config(tmp_path, {"kind": "w_inf",
+                                      "mu": {"points": mu_points, "probs": [0.5, 0.5]},
+                                      "nu": {"points": nu_points, "probs": [0.5, 0.5]}})
+        src = os.path.dirname(os.path.dirname(amplify_dp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "amplify_dp.cli", "divergence", "--config", cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: mu: coordinates must be finite\n"
 
 
 class TestVerifyCommand:

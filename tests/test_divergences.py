@@ -493,6 +493,19 @@ class TestWInf:
         b = DiscreteDist([(-1.0,), (2.0,)], [0.5, 0.5])
         assert w_inf_discrete(a, b) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("first, second", [
+        ([(0.0,), (math.nan,)], [(0.0,), (1.0,)]),
+        ([(math.inf,)], [(math.inf,)]),
+        ([(0.0,)], [(-math.inf,)]),
+        ([(0.0, 0.0)], [(math.nan, 1.0)]),
+    ])
+    def test_non_finite_coordinates_rejected(self, first, second):
+        # A NaN distance is never within a threshold, and inf - inf is NaN.
+        a = DiscreteDist(first, [1.0 / len(first)] * len(first))
+        b = DiscreteDist(second, [1.0 / len(second)] * len(second))
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            w_inf_discrete(a, b)
+
     def test_optimal_coupling_is_valid(self):
         a = DiscreteDist([(0.0,), (1.0,)], [0.5, 0.5])
         b = DiscreteDist([(0.5,), (1.5,)], [0.5, 0.5])
@@ -509,7 +522,8 @@ def coord_dist(points, probs):
     return DiscreteDist([tuple(pt) for pt in points], probs)
 
 
-W_INF_KINDS = ["random1", "random2", "random3", "lattice", "identical", "one_point", "far_atom"]
+W_INF_KINDS = ["random1", "random2", "random3", "lattice", "identical", "one_point", "far_atom",
+               "line", "line_lattice"]
 
 
 def w_inf_instances(kind, count=12):
@@ -521,19 +535,37 @@ def w_inf_instances(kind, count=12):
     ``one_point``: a point mass against a random law or another point mass;
     ``far_atom``: a point mass against itself, and laws on {0, 1} against a
     law with a far atom of no mass or of less mass than routing may leave
-    unrouted, which must not raise the value (fixed, ``count`` is ignored).
+    unrouted, which must not raise the value, or of more, which must (fixed,
+    ``count`` is ignored); ``line``: unsorted supports of 1 to 64 points on
+    the line, starting with one-point laws on either side; ``line_lattice``:
+    shuffled integer points of [0, 12) on the line with integer weights, so
+    distances tie and atoms on both sides carry no mass.
     """
     if kind == "far_atom":
         point = coord_dist([[0.0]], [1.0])
         near = coord_dist([[0.0], [1.0]], [0.3, 0.7])
         pairs = [(point, point)]
-        for far_mass in (0.0, 5e-13):
+        for far_mass in (0.0, 5e-13, 2e-12):
             far = coord_dist([[0.0], [1.0], [50.0]], [0.5, 0.5 - far_mass, far_mass])
             pairs += [(far, near), (near, far)]
         return pairs
     rng = np.random.default_rng(W_INF_KINDS.index(kind))
     pairs = []
-    for _ in range(count):
+    for k in range(count):
+        if kind == "line":
+            n, m = (int(v) for v in rng.integers(1, 65, size=2))
+            n, m = [(1, 1), (1, m), (n, 1)][k] if k < 3 else (n, m)
+            x, y = rng.normal(size=(n, 1)), rng.normal(size=(m, 1))
+            pairs.append((coord_dist(x, rng.dirichlet(np.ones(n))), coord_dist(y, rng.dirichlet(np.ones(m)))))
+            continue
+        if kind == "line_lattice":
+            x, y = (rng.permutation(12)[:int(rng.integers(1, 13))].astype(float)[:, None] for _ in "xy")
+            p = rng.integers(0, 4, size=len(x)).astype(float)
+            q = rng.integers(0, 4, size=len(y)).astype(float)
+            p[0] += p.sum() == 0
+            q[-1] += q.sum() == 0
+            pairs.append((coord_dist(x, p / p.sum()), coord_dist(y, q / q.sum())))
+            continue
         d = int(kind[-1]) if kind.startswith("random") else int(rng.integers(1, 4))
         n, m = (int(v) for v in rng.integers(1, 13, size=2))
         if kind == "lattice":
