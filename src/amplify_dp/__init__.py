@@ -13,7 +13,6 @@ from .distributions import (
     Lap2Dist,
     LaplaceDist,
     density,
-    lap2_density,
     log_density,
     sample,
 )

@@ -27,11 +27,10 @@ def uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def normal_open(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal draws: the inverse normal CDF of ``uniform_open``.
+    """Standard normal draws: ``statistics.NormalDist().inv_cdf`` of ``uniform_open``."""
+    # Imported on first use: statistics loads fractions and decimal.
+    from statistics import NormalDist
 
-    ``scipy.special`` is imported here, on first use, so that commands which
-    never sample do not pay for loading it.
-    """
-    from scipy.special import ndtri
-
-    return ndtri(uniform_open(rng, shape))
+    u = uniform_open(rng, shape)
+    z = np.fromiter(map(NormalDist().inv_cdf, memoryview(u.ravel())), np.float64, u.size)
+    return z.reshape(u.shape)

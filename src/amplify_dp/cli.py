@@ -217,9 +217,14 @@ def cmd_divergence(config: dict, seed) -> tuple[list[str], list[list], list[str]
         value, param = tv(mu, nu), 0.0
     elif kind == "w_inf":
         try:
-            value, param = w_inf_discrete(mu, nu), math.nan
+            mu.coords()
         except ValueError as exc:
             raise ValidationFailure("mu", str(exc)) from exc
+        try:
+            # mu is valid and fixes the dimension, so what remains is nu's fault.
+            value, param = w_inf_discrete(mu, nu), math.nan
+        except ValueError as exc:
+            raise ValidationFailure("nu", str(exc)) from exc
     else:
         raise ValidationFailure("kind", f"unknown divergence {kind!r}")
     return ["kind", "parameter", "value"], [[kind, param, value]], [], EXIT_OK

@@ -72,10 +72,14 @@ class DiscreteDist:
         return all(_is_coordinate(p) for p in self.points)
 
     def coords(self) -> np.ndarray:
-        """Support coordinates as an (n, d) array; rejects coordinate-free points."""
+        """Support coordinates as an (n, d) array; rejects coordinate-free points
+        and NaN or infinite coordinates."""
         if not self.has_coords:
             raise ValueError("distribution carries no coordinates")
         arr = np.array(self.points, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            # A NaN distance is never <= a W-infinity threshold, and inf - inf is NaN.
+            raise ValueError("coordinates must be finite")
         if arr.ndim == 1:
             arr = arr[:, None]
         return arr
@@ -130,21 +134,6 @@ class Lap2Dist:
 NoiseFamily = Union[GaussianDist, LaplaceDist, Lap2Dist]
 
 
-def lap2_density(x: float, d: Lap2Dist) -> float:
-    """Density of the two-scale Laplace convolution at ``x``.
-
-    With l1 >= l2 and u = z * (l1 - l2) / (l1 * l2), the partial-fraction form
-    is e^(-z/l1) * (1 + (z/l1) * phi(u)) / (2 * (l1 + l2)), phi(u) = (1 - e^-u) / u
-    and phi(0) = 1: ``expm1`` keeps it accurate as the scales close in, where
-    1 / (l1 - l2) would cancel.  Symmetric about ``loc``.
-    """
-    l1, l2 = max(d.lambda1, d.lambda2), min(d.lambda1, d.lambda2)
-    z = abs(x - d.loc)
-    u = z * (l1 - l2) / (l1 * l2)
-    phi = -math.expm1(-u) / u if u > 0.0 else 1.0
-    return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / (2.0 * (l1 + l2))
-
-
 def _gaussian_density(d: GaussianDist, x) -> float:
     v = x[0] if isinstance(x, (list, tuple)) and len(x) == 1 else x
     if d.dim == 1 and isinstance(v, (int, float)):
@@ -175,7 +164,15 @@ def density(family: NoiseFamily, x) -> float:
         z = abs(float(x) - family.loc)
         return math.exp(-z / family.scale) / (2.0 * family.scale)
     if isinstance(family, Lap2Dist):
-        return lap2_density(float(x), family)
+        # With l1 >= l2 and u = z * (l1 - l2) / (l1 * l2), the partial-fraction
+        # form is e^(-z/l1) * (1 + (z/l1) * phi(u)) / (2 * (l1 + l2)), with
+        # phi(u) = (1 - e^-u) / u and phi(0) = 1: expm1 keeps it accurate as
+        # the scales close in, where 1 / (l1 - l2) would cancel.
+        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
+        z = abs(float(x) - family.loc)
+        u = z * (l1 - l2) / (l1 * l2)
+        phi = -math.expm1(-u) / u if u > 0.0 else 1.0
+        return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / (2.0 * (l1 + l2))
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
@@ -183,7 +180,7 @@ def log_density(family: NoiseFamily, x) -> np.ndarray:
     """Log of the closed-form density at every point of the 1-D array ``x``.
 
     Finite wherever the density is positive, also where ``density`` underflows
-    to 0.  Lap2 uses the form of :func:`lap2_density` in log space,
+    to 0.  Lap2 uses the form of :func:`density` in log space,
     -z/l1 + log1p((z/l1) * phi(u)) - log(2 * (l1 + l2)).  Gaussians must be 1-D.
     """
     xv = np.asarray(x, dtype=np.float64)

@@ -368,10 +368,12 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
         raise ValueError("supports live in different dimensions")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        # A NaN distance is never <= any threshold, so the search would not end.
-        raise ValueError("coordinates must be finite")
-    dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    # Each pair's differences are scaled exactly, by a power of two that puts
+    # the largest in [1/2, 1), before squaring: no distance underflows to 0 or
+    # overflows to inf where the differences themselves are finite and nonzero.
+    diff = np.abs(x[:, None, :] - y[None, :, :])
+    exp = np.frexp(diff.max(axis=2))[1]
+    dist = np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -exp[..., None]) ** 2, axis=2)), exp)
     start = _start_threshold(dist, mu.probs, nu.probs)
     if x.shape[1] == 1:
         return _w_inf_line(x[:, 0], y[:, 0], dist, mu.probs, nu.probs, start)

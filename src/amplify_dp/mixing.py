@@ -87,10 +87,6 @@ class DiscreteKernel:
             [f"y{j}" for j in range(mat.shape[1])],
         )
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
-
 
 @dataclass(frozen=True)
 class Coupling:

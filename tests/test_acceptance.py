@@ -14,7 +14,6 @@ from amplify_dp.distributions import (
     GaussianDist,
     Lap2Dist,
     density,
-    lap2_density,
     quadrature_domain,
 )
 from amplify_dp.diffusion import OuParams, gm_mse, mse_dominance_check, ou_mse, ou_rdp, ou_transition, plan_ou
@@ -186,7 +185,7 @@ def test_criterion_7_lap2_density():
             lim = 40.0 * (l1 + l2) + abs(x)
             oracle, _ = quad(integrand, -lim, lim, points=sorted({0.0, x}),
                              limit=200, epsabs=1e-10, epsrel=1e-10)
-            gap = abs(lap2_density(x, d) - oracle)
+            gap = abs(density(d, x) - oracle)
             worst_gap = max(worst_gap, gap)
             if gap > QUAD_TOL:
                 conv_ok = False
@@ -197,7 +196,7 @@ def test_criterion_7_lap2_density():
     for l1, l2, delta in ((0.4, 0.4, 1.0), (2.0, 1.0, 1.0)):
         d = Lap2Dist(0.0, l1, l2)
         xs = np.linspace(-50.0, 50.0, 2001)
-        sup = max(math.log(lap2_density(x, d) / lap2_density(x + delta, d))
+        sup = max(math.log(density(d, x) / density(d, x + delta))
                   for x in xs)
         target = delta / max(l1, l2)
         if abs(sup - target) > 0.01 * target:

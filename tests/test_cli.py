@@ -382,6 +382,20 @@ class TestNanRejected:
         assert proc.stderr == "error: mu: coordinates must be finite\n"
 
 
+    @pytest.mark.parametrize("nu, message", [
+        ({"points": [[0.0], [math.nan]], "probs": [0.5, 0.5]}, "coordinates must be finite"),
+        ({"points": ["a", "b"], "probs": [0.5, 0.5]}, "distribution carries no coordinates"),
+        ({"points": [[0.0, 0.0], [1.0, 0.0]], "probs": [0.5, 0.5]},
+         "supports live in different dimensions"),
+    ])
+    def test_w_inf_errors_name_nu(self, tmp_path, capsys, nu, message):
+        # mu is read first and fixes the dimension, so each of these is nu's fault.
+        cfg = write_config(tmp_path, {"kind": "w_inf", "nu": nu,
+                                      "mu": {"points": [[0.0], [1.0]], "probs": [0.5, 0.5]}})
+        code, out, err = run_cli(["divergence", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", f"error: nu: {message}\n")
+
+
 class TestVerifyCommand:
     def test_exit_zero_and_violation_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 20})

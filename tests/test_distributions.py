@@ -4,15 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from amplify_dp._quadrature import integrate
+from amplify_dp._rng import normal_open, rng_from_seed, uniform_open
 from amplify_dp.distributions import (
     DiscreteDist,
     GaussianDist,
     Lap2Dist,
     LaplaceDist,
     density,
-    lap2_density,
     log_density,
     quadrature_domain,
     sample,
@@ -123,26 +124,26 @@ class TestDiscreteDist:
 class TestLap2Density:
     def test_equal_scales_at_mode(self):
         # (1/4) * e^0 * (1 + 0) with lambda = 1
-        assert lap2_density(0.0, Lap2Dist(0.0, 1.0, 1.0)) == pytest.approx(0.25, abs=1e-15)
+        assert density(Lap2Dist(0.0, 1.0, 1.0), 0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_distinct_scales_at_mode(self):
-        assert lap2_density(0.0, Lap2Dist(0.0, 2.0, 1.0)) == pytest.approx(1 / 6, abs=1e-12)
+        assert density(Lap2Dist(0.0, 2.0, 1.0), 0.0) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_tail_vanishes(self):
-        assert lap2_density(1e4, Lap2Dist(0.0, 2.0, 1.0)) == 0.0
-        assert lap2_density(200.0, Lap2Dist(0.0, 2.0, 1.0)) < 1e-40
+        assert density(Lap2Dist(0.0, 2.0, 1.0), 1e4) == 0.0
+        assert density(Lap2Dist(0.0, 2.0, 1.0), 200.0) < 1e-40
 
     def test_symmetry_about_loc(self):
         d = Lap2Dist(3.0, 1.5, 0.5)
         for z in (0.1, 1.0, 4.0):
-            assert lap2_density(3.0 + z, d) == pytest.approx(lap2_density(3.0 - z, d), abs=0)
+            assert density(d, 3.0 + z) == pytest.approx(density(d, 3.0 - z), abs=0)
 
     @pytest.mark.parametrize("l1,l2", [(1.0, 1.0), (2.0, 1.0), (0.5, 1.5)])
     def test_matches_numerical_convolution(self, l1, l2):
         d = Lap2Dist(0.0, l1, l2)
         xs = np.linspace(-20 * max(l1, l2), 20 * max(l1, l2), 101)
         for x in xs:
-            assert lap2_density(x, d) == pytest.approx(
+            assert density(d, x) == pytest.approx(
                 lap2_by_convolution(x, l1, l2), abs=1e-6)
 
     @pytest.mark.parametrize("shift", [1 + 1e-4, 1 - 1e-4])
@@ -153,13 +154,13 @@ class TestLap2Density:
         near = Lap2Dist(0.0, l1, l2)
         equal = Lap2Dist(0.0, (l1 + l2) / 2, (l1 + l2) / 2)
         for x in np.linspace(-8.0, 8.0, 33):
-            assert lap2_density(x, near) == pytest.approx(lap2_density(x, equal), abs=1e-6)
+            assert density(near, x) == pytest.approx(density(equal, x), abs=1e-6)
 
     def test_equal_branch_engages_below_threshold(self):
         l1 = 1.0
         d = Lap2Dist(0.0, l1, l1 * (1 + 1e-10))
         # 1 / (l1 - l2) would blow up here; the density stays near 0.25.
-        assert lap2_density(0.0, d) == pytest.approx(0.25, rel=1e-9)
+        assert density(d, 0.0) == pytest.approx(0.25, rel=1e-9)
 
     def test_matches_mpmath_across_scale_gaps(self):
         # Relative scale gaps from exact ties to 1, and gaps just above 1e-8,
@@ -173,12 +174,12 @@ class TestLap2Density:
         for l1, l2, z in cases:
             ref = lap2_by_mpmath(z, l1, l2)
             for d in (Lap2Dist(0.0, l1, l2), Lap2Dist(0.0, l2, l1)):
-                assert lap2_density(z, d) == pytest.approx(ref, rel=1e-14, abs=0.0)
+                assert density(d, z) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_scale_order_irrelevant(self):
         a, b = Lap2Dist(0.0, 2.0, 0.7), Lap2Dist(0.0, 0.7, 2.0)
         for x in (0.0, 0.3, 2.5):
-            assert lap2_density(x, a) == pytest.approx(lap2_density(x, b), abs=1e-15)
+            assert density(a, x) == pytest.approx(density(b, x), abs=1e-15)
 
 
 class TestDensity:
@@ -274,7 +275,7 @@ class TestLogDensity:
             l1 = l2 * (1.0 + 10.0 ** rng.uniform(-17.0, 0.0))
             cases.append((l1, l2, rng.uniform(750.0, 2000.0) * l1))
         for l1, l2, z in cases:
-            assert lap2_density(z, Lap2Dist(0.0, l1, l2)) == 0.0
+            assert density(Lap2Dist(0.0, l1, l2), z) == 0.0
             ref = lap2_log_by_mpmath(z, l1, l2)
             for d in (Lap2Dist(0.0, l1, l2), Lap2Dist(1.0, l2, l1)):
                 got = log_density(d, np.array([d.loc - z, d.loc + z]))
@@ -320,3 +321,48 @@ class TestSampling:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(GaussianDist([0.0], 1.0), 1, 0)
+
+
+class FixedIntegers:
+    """Stands in for a generator whose integer draws are given, so that
+    ``uniform_open`` yields exactly ``k / 2**53``."""
+
+    def __init__(self, k):
+        self.k = np.asarray(k, dtype=np.int64)
+
+    def integers(self, low, high, size):
+        return self.k.reshape(size)
+
+
+def ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestNormalOpen:
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_within_8_ulps_of_ndtri(self, seed):
+        got = normal_open(rng_from_seed(seed), 10**5)
+        assert ulps(got, ndtri(uniform_open(rng_from_seed(seed), 10**5))).max() <= 8
+
+    def test_edge_uniforms_match_ndtri(self):
+        # 2^-53, 2^-52, 0.5, about 1e-10, about 1 - 1e-10 and 1 - 2^-53.
+        tail = round(1e-10 * 2**53)
+        k = [1, 2, 2**52, tail, 2**53 - tail, 2**53 - 1]
+        got = normal_open(FixedIntegers(k), 6)
+        assert got[2] == 0.0
+        assert ulps(got, ndtri(np.array(k) / 2.0**53)).max() <= 8
+
+    def test_within_5_ulps_of_mpmath(self):
+        k = np.unique(np.rint(np.geomspace(1, 2**52, 150)).astype(np.int64))
+        k = np.concatenate([k, 2**53 - k])
+        got = normal_open(FixedIntegers(k), k.size)
+        with mpmath.workdps(40):
+            for kk, z in zip(k.tolist(), got.tolist()):
+                ref = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(kk) / mpmath.mpf(2)**53 - 1)
+                assert abs(mpmath.mpf(z) - ref) <= 5 * np.spacing(abs(float(ref)))
+
+    def test_shape_preserved(self):
+        flat = normal_open(rng_from_seed(3), 12)
+        grid = normal_open(rng_from_seed(3), (4, 3))
+        assert (flat.shape, grid.shape) == ((12,), (4, 3))
+        np.testing.assert_array_equal(grid.ravel(), flat)

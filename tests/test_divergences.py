@@ -1,9 +1,11 @@
+import ast
 import itertools
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -506,6 +508,20 @@ class TestWInf:
         with pytest.raises(ValueError, match="coordinates must be finite"):
             w_inf_discrete(a, b)
 
+    @pytest.mark.parametrize("first, second, expected", [
+        ((0.0,), (1e-200,), 1e-200),
+        ((0.0, 0.0), (1e-200, 0.0), 1e-200),
+        ((0.0, 0.0), (3e-160, 4e-160), 5e-160),
+        ((-1e200,), (1e200,), 2e200),
+        ((-1e200, 0.0), (1e200, 0.0), 2e200),
+    ])
+    def test_extreme_scales_exact(self, first, second, expected):
+        # These differences square to a subnormal, to 0 or to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = w_inf_discrete(DiscreteDist([first], [1.0]), DiscreteDist([second], [1.0]))
+        assert w == expected
+
     def test_optimal_coupling_is_valid(self):
         a = DiscreteDist([(0.0,), (1.0,)], [0.5, 0.5])
         b = DiscreteDist([(0.5,), (1.5,)], [0.5, 0.5])
@@ -646,12 +662,39 @@ class TestWInfAgainstMaxFlow:
 
 
 def test_import_does_not_load_scipy():
-    # scipy.special is imported on the first normal draw, not at import.
+    # Neither the import nor a normal draw in any sampler loads scipy.
     import amplify_dp
 
     src = pathlib.Path(amplify_dp.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, amplify_dp, amplify_dp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = "\n".join([
+        "import sys, numpy as np, amplify_dp, amplify_dp.cli",
+        "from amplify_dp import GaussianDist, sample",
+        "from amplify_dp.diffusion import OuParams, ou_sample",
+        "from amplify_dp.iteration import QuadraticLoss, SgdConfig, noisy_proj_sgd",
+        "sample(GaussianDist([0.0], 1.0), 1, 10)",
+        "ou_sample([1.0], OuParams(theta=1.0, rho=1.0, t=1.0, delta=1.0, R=1.0, d=1), 2, 10)",
+        "cfg = SgdConfig(n=4, C=4.0, beta=1.0, rho=1.0, eta=0.25, sigma=1.0, dim=1, radius=1.0)",
+        "noisy_proj_sgd(np.zeros(4), QuadraticLoss(1.0), cfg, seed=3)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # numpy is the only runtime dependency; test oracles may import more.
+    import amplify_dp
+
+    for path in pathlib.Path(amplify_dp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
