@@ -30,7 +30,9 @@ def _is_coordinate(point) -> bool:
 
 
 def _canonical_point(point) -> Point:
-    if isinstance(point, (list, tuple)) and not isinstance(point, str):
+    if type(point) is str:
+        return point
+    if isinstance(point, (list, tuple)):
         return tuple(float(c) if isinstance(c, (int, float)) else _canonical_point(c) for c in point)
     return point
 
@@ -47,7 +49,7 @@ class DiscreteDist:
     probs: np.ndarray
 
     def __init__(self, points: Sequence[Point], probs: Sequence[float]):
-        pts = tuple(_canonical_point(p) for p in points)
+        pts = tuple(map(_canonical_point, points))
         # A private C-contiguous copy: the caller's array stays writeable and
         # cannot rewrite it, and strided input rounds like contiguous input.
         pr = np.array(probs, dtype=np.float64, order="C")
@@ -55,7 +57,7 @@ class DiscreteDist:
             raise ValueError("points and probs must be 1-D of equal length")
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be pairwise distinct")
-        if not np.all(pr >= 0):
+        if not (pr >= 0).all():
             raise ValueError("probabilities must be non-negative numbers")
         if abs(float(pr.sum()) - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {pr.sum()!r}, not 1")

@@ -371,9 +371,11 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
     # Each pair's differences are scaled exactly, by a power of two that puts
     # the largest in [1/2, 1), before squaring: no distance underflows to 0 or
     # overflows to inf where the differences themselves are finite and nonzero.
-    diff = np.abs(x[:, None, :] - y[None, :, :])
-    exp = np.frexp(diff.max(axis=2))[1]
-    dist = np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -exp[..., None]) ** 2, axis=2)), exp)
+    # A difference beyond the float range is inf, and so is its pair's distance.
+    with np.errstate(over="ignore"):
+        diff = np.abs(x[:, None, :] - y[None, :, :])
+        exp = np.frexp(diff.max(axis=2))[1]
+        dist = np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -exp[..., None]) ** 2, axis=2)), exp)
     start = _start_threshold(dist, mu.probs, nu.probs)
     if x.shape[1] == 1:
         return _w_inf_line(x[:, 0], y[:, 0], dist, mu.probs, nu.probs, start)

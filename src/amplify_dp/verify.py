@@ -10,9 +10,8 @@ Violations are reported, never raised: a failing row is the caller's signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import partial
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,10 +65,9 @@ DIFFUSION_GRID = {"theta": (0.5, 1.0), "rho": (0.8, 1.25), "t": (0.25, 1.0, 3.0)
                   "alpha": (1.5, 2.0)}
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     """One certified check: ``passed`` iff ``slack = bound - measured`` is not
-    below ``-tolerance``."""
+    below ``-tolerance``.  A tuple, so a report is its own CSV row."""
 
     trial_id: int
     case: str
@@ -83,24 +81,27 @@ class TrialReport:
     slack: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(TrialReport))
+CSV_COLUMNS = TrialReport._fields
 
 
 def _report(trial_id, case, descriptor, measured, bound, tolerance,
             delta_before=math.nan, coefficient=math.nan) -> TrialReport:
     slack = bound - measured
-    return TrialReport(
-        trial_id=trial_id,
-        case=case,
-        descriptor=descriptor,
-        delta_before=delta_before,
-        coefficient=coefficient,
-        measured=measured,
-        bound=bound,
-        tolerance=tolerance,
-        passed=bool(slack >= -tolerance),
-        slack=slack,
-    )
+    return TrialReport(trial_id, case, descriptor, delta_before, coefficient,
+                       measured, bound, tolerance, bool(slack >= -tolerance), slack)
+
+
+@lru_cache(maxsize=64)
+def _labels(prefix: str, n: int) -> tuple[str, ...]:
+    """``prefix0 .. prefix{n-1}``, built once per size for all trials."""
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+def _random_pair(rng: np.random.Generator, n: int) -> tuple[DiscreteDist, DiscreteDist]:
+    """The first draw of :func:`random_instance`: mu and nu on ``n`` points."""
+    raw = -np.log(uniform_open(rng, (2, n)))
+    points = _labels("x", n)
+    return DiscreteDist(points, raw[0] / raw[0].sum()), DiscreteDist(points, raw[1] / raw[1].sum())
 
 
 def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, DiscreteDist, DiscreteKernel]:
@@ -112,13 +113,9 @@ def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, Discrete
     if nx < 2 or ny < 2:
         raise ValueError("support sizes must be >= 2")
     rng = rng_from_seed(seed)
-    raw = -np.log(uniform_open(rng, (2, nx)))
+    mu, nu = _random_pair(rng, nx)
     rows = -np.log(uniform_open(rng, (nx, ny)))
-    points_in = [f"x{i}" for i in range(nx)]
-    mu = DiscreteDist(points_in, raw[0] / raw[0].sum())
-    nu = DiscreteDist(points_in, raw[1] / raw[1].sum())
-    kernel = DiscreteKernel(rows / rows.sum(axis=1, keepdims=True),
-                            points_in, [f"y{j}" for j in range(ny)])
+    kernel = DiscreteKernel(rows / rows.sum(axis=1, keepdims=True), mu.points, _labels("y", ny))
     return mu, nu, kernel
 
 
@@ -164,10 +161,10 @@ def certify_theorem1(
                                         for _, out in by_cond.values()))
         measured = dict(zip(eps_primes, hockey_stick(mu_k, nu_k, eps_primes)))
         for eps, guarantee, by_cond in zip(eps_grid, guarantees, amplified):
+            desc = f"nx={nx},ny={ny},seed={iseed},eps={eps}"
             for cond, (gamma, out) in by_cond.items():
                 reports.append(_report(
-                    t, f"theorem1_{cond}",
-                    f"nx={nx},ny={ny},seed={iseed},eps={eps}",
+                    t, f"theorem1_{cond}", desc,
                     measured=measured[out.epsilon],
                     bound=out.delta,
                     tolerance=EXACT_TOL,
@@ -193,8 +190,7 @@ def certify_transport_and_decompose(
     reports: list[TrialReport] = []
     for window in _coupling_windows(inst_sizes[:, 0]):
         ns, iseeds = inst_sizes[window, 0].tolist(), inst_seeds[window].tolist()
-        # mu and nu come from the first draw, so the kernel size is immaterial.
-        pairs = [random_instance(n, 2, iseed)[:2] for n, iseed in zip(ns, iseeds)]
+        pairs = [_random_pair(rng_from_seed(iseed), n) for n, iseed in zip(ns, iseeds)]
         random_joint = random_joint_couplings(pairs, iseeds)
         for t, n, iseed, (mu, nu), pi in zip(window, ns, iseeds, pairs, random_joint):
             eps = float(eps_values[t])

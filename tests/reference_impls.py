@@ -18,6 +18,7 @@ from amplify_dp.distributions import DiscreteDist, GaussianDist
 from amplify_dp.divergences import aligned_masses, exp_times
 from amplify_dp.iteration import _laplace_pair_log_bound
 from amplify_dp.mixing import SINKHORN_ATOL, SINKHORN_MAX_SWEEPS, Coupling, DiscreteKernel
+from amplify_dp.verify import format_cell
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -447,3 +448,9 @@ def renyi_numeric_1d_scalar(
     if not math.isfinite(moment):
         raise QuadratureError(f"moment integral is not finite: {moment!r}")
     return max(0.0, math.log(moment) / (alpha - 1.0))
+
+
+def render_rows_per_cell(rows) -> list[str]:
+    """CSV table lines with one ``format_cell`` call per cell, row by row:
+    what ``cli._render_csv`` did before it formatted column by column."""
+    return [",".join(format_cell(cell) for cell in row) for row in rows]

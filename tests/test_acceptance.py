@@ -171,7 +171,7 @@ def test_criterion_6_sgd_structure_and_coupling():
              ok, f"coupling violations {coupling_violations}/{n}")
 
 
-def test_criterion_7_lap2_density():
+def test_criterion_7_lap2_branch_of_density():
     # Both branches against the independent convolution oracle.
     conv_ok = True
     worst_gap = 0.0

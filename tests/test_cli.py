@@ -24,6 +24,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_module(args):
+    """``python -m amplify_dp.cli`` in a fresh interpreter that imports the
+    package this test imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(amplify_dp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "amplify_dp.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def parse_csv(text):
     lines = text.splitlines()
     meta = [l for l in lines if l.startswith("#")]
@@ -323,6 +332,16 @@ class TestDivergenceCommand:
         _, header, rows = parse_csv(out)
         assert float(rows[0][header.index("value")]) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")  # numpy must not warn about the overflow
+    def test_w_inf_beyond_float_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kind": "w_inf",
+            "mu": {"points": [[-1e308]], "probs": [1.0]},
+            "nu": {"points": [[1e308]], "probs": [1.0]}})
+        code, out, err = run_cli(["divergence", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("kind,parameter,value\nw_inf,nan,inf\n")
+
     def test_w_inf_coordinate_free_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "w_inf",
@@ -454,15 +473,21 @@ class TestVerifyCommand:
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 10})
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        assert main(["verify", "--config", cfg, "--seed", "3",
-                     "--out", str(out1)]) == 0
-        assert main(["verify", "--config", cfg, "--seed", "3",
-                     "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert b"\r" not in out1.read_bytes()  # LF endings
+        # The third run is in a fresh interpreter, so no per-process cache can
+        # carry state from one run into the next.
+        cfg = write_config(tmp_path, {"suites": ["theorem1", "transport", "diffusion"],
+                                      "trials": 10})
+        for fmt in ("csv", "json"):
+            args = ["verify", "--config", cfg, "--seed", "3", "--format", fmt]
+            outs = [tmp_path / f"{name}.{fmt}" for name in "abc"]
+            assert main([*args, "--out", str(outs[0])]) == 0
+            assert main([*args, "--out", str(outs[1])]) == 0
+            proc = run_module([*args, "--out", str(outs[2])])
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+            first = outs[0].read_bytes()
+            assert outs[1].read_bytes() == first
+            assert outs[2].read_bytes() == first
+            assert b"\r" not in first  # LF endings
 
     def test_config_echo_round_trips(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_CONFIG)
@@ -486,11 +511,6 @@ class TestReproducibility:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path, MIX_CONFIG)
-        # The child imports the package this test imported, installed or not.
-        src = os.path.dirname(os.path.dirname(amplify_dp.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "amplify_dp.cli", "mixing", "--config", cfg],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = run_module(["mixing", "--config", cfg])
         assert proc.returncode == 0
         assert "condition,gamma,eps_prime,delta_prime" in proc.stdout

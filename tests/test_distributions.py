@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -20,6 +21,11 @@ from amplify_dp.distributions import (
 )
 from amplify_dp.mixing import DiscreteKernel, pushforward
 from reference_impls import gaussian_density_numpy
+
+
+def raises_exactly(text):
+    """``pytest.raises`` for a ValueError whose whole message is ``text``."""
+    return pytest.raises(ValueError, match=f"^{re.escape(text)}$")
 
 
 def lap2_by_convolution(x, l1, l2):
@@ -62,20 +68,29 @@ class TestDiscreteDist:
         assert not d.has_coords
 
     def test_probs_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            DiscreteDist(["a", "b"], [0.5, 0.4])
+        # The sum is printed as numpy's repr of it; 2e-12 is past PROB_ATOL.
+        for probs, total in [([0.5, 0.4], 0.9), ([math.inf, 0.0], math.inf),
+                             ([0.5, 0.5 + 2e-12], 0.5 + (0.5 + 2e-12))]:
+            with raises_exactly(f"probabilities sum to {np.float64(total)!r}, not 1"):
+                DiscreteDist(["a", "b"], probs)
 
     def test_negative_prob_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            DiscreteDist(["a", "b"], [1.5, -0.5])
+        for probs in ([1.5, -0.5], [-math.inf, 1.0], [math.inf, -math.inf]):
+            with raises_exactly("probabilities must be non-negative numbers"):
+                DiscreteDist(["a", "b"], probs)
 
     def test_nan_prob_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             DiscreteDist(["a", "b"], [math.nan, 1.0])
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with raises_exactly("support points must be pairwise distinct"):
             DiscreteDist(["a", "a"], [0.5, 0.5])
+        # A support that does not match probs in shape is rejected before that.
+        for points, probs in [(["a", "b"], [[0.5, 0.5]]), (["a", "b"], [[0.5], [0.5]]),
+                              (["a", "b", "c"], [0.5, 0.5]), (["a", "a"], [1.0])]:
+            with raises_exactly("points and probs must be 1-D of equal length"):
+                DiscreteDist(points, probs)
 
     def test_coords(self):
         d = DiscreteDist([(0.0, 1.0), (2.0, 3.0)], [0.5, 0.5])

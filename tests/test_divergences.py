@@ -509,17 +509,24 @@ class TestWInf:
             w_inf_discrete(a, b)
 
     @pytest.mark.parametrize("first, second, expected", [
-        ((0.0,), (1e-200,), 1e-200),
-        ((0.0, 0.0), (1e-200, 0.0), 1e-200),
-        ((0.0, 0.0), (3e-160, 4e-160), 5e-160),
-        ((-1e200,), (1e200,), 2e200),
-        ((-1e200, 0.0), (1e200, 0.0), 2e200),
+        ([(0.0,)], [(1e-200,)], 1e-200),
+        ([(0.0, 0.0)], [(1e-200, 0.0)], 1e-200),
+        ([(0.0, 0.0)], [(3e-160, 4e-160)], 5e-160),
+        ([(-1e200,)], [(1e200,)], 2e200),
+        ([(-1e200, 0.0)], [(1e200, 0.0)], 2e200),
+        # Differences beyond the float range: the distance is inf, without a warning.
+        ([(-1e308,)], [(1e308,)], math.inf),
+        ([(-1e308, 0.0)], [(1e308, 0.0)], math.inf),
+        ([(-1e308,), (1e308,)], [(-1e308,), (1e308,)], 0.0),
+        ([(-1e308, 0.0), (1e308, 0.0)], [(-1e308, 0.0), (1e308, 0.0)], 0.0),
     ])
     def test_extreme_scales_exact(self, first, second, expected):
         # These differences square to a subnormal, to 0 or to inf.
+        a = DiscreteDist(first, [1.0 / len(first)] * len(first))
+        b = DiscreteDist(second, [1.0 / len(second)] * len(second))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = w_inf_discrete(DiscreteDist([first], [1.0]), DiscreteDist([second], [1.0]))
+            w = w_inf_discrete(a, b)
         assert w == expected
 
     def test_optimal_coupling_is_valid(self):

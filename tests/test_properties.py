@@ -29,7 +29,12 @@ from amplify_dp.mixing import (
     random_joint_couplings,
     ultra_coeff,
 )
-from reference_impls import hockey_stick_scalar, random_joint_coupling_per_pair, sinkhorn_per_pair
+from reference_impls import (
+    hockey_stick_scalar,
+    random_joint_coupling_per_pair,
+    render_rows_per_cell,
+    sinkhorn_per_pair,
+)
 
 
 def masses(min_size=2, max_size=8):
@@ -395,3 +400,50 @@ def verify_config():
 def test_verify_command_never_raises(config, seed):
     # The exact suites certify every bound on every instance: no violation either.
     assert run_cli_config("verify", config, seed) == 0
+
+
+def render_per_cell(header, rows):
+    """The CSV text with its table rendered by the per-cell reference."""
+    head = cli._render_csv("verify", {}, None, header, [], [])
+    return head + "".join(line + "\n" for line in render_rows_per_cell(rows))
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+CELLS = {
+    "float": FLOATS,
+    "float64": FLOATS.map(np.float64),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(st.sampled_from('ab ,"\n\r#')),
+}
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows whose columns each mix one to three cell kinds; a column of one
+    kind is all floats as often as any other."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_cols):
+        kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
+        cells = st.one_of(*(CELLS[k] for k in kinds))
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    return [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_rows())
+@example([])
+@example([[math.nan, -0.0], [math.inf, 5e-324], [-math.inf, 0.0]])
+@example([[1.0, np.float64(1.0)], [True, 'a,"b"\nc']])
+def test_render_csv_matches_per_cell_reference(rows):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    assert cli._render_csv("verify", {}, None, header, rows, []) == render_per_cell(header, rows)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 30])
+def test_render_csv_matches_per_cell_reference_on_verify_rows(seed):
+    config = {"suites": ["theorem1", "transport", "diffusion"], "trials": 200}
+    header, rows, _, code = cli.cmd_verify(config, seed)
+    assert code == cli.EXIT_OK
+    assert cli._render_csv("verify", {}, None, header, rows, []) == render_per_cell(header, rows)
