@@ -30,6 +30,7 @@ from .diffusion import OuParams, gm_mse, ou_intrinsic_sensitivity, ou_mse, pgm_m
 from .iteration import IterationChain, SgdConfig, contraction_coeff, sgd_rdp_at_index, winf_contractive_bound, winf_path_bound
 from .mixing import DiscreteKernel, amplify_with_kernel, eps_tilde
 from .verify import (
+    CELL_FORMAT_BY_TYPE,
     CSV_COLUMNS,
     certify_diffusion,
     certify_theorem1,
@@ -398,10 +399,10 @@ def _render_csv(command: str, config: dict, seed, header: list[str],
         lines.append(f"# seed: {seed}")
     lines.extend(extra)
     lines.append(",".join(header))
-    # Column by column: a column of exact floats needs no per-cell dispatch,
-    # and float.__repr__ is what format_cell gives a float.
-    columns = [map(float.__repr__, col) if set(map(type, col)) == {float}
-               else map(format_cell, col) for col in zip(*rows)]
+    # Column by column: a column whose cells all have one type that
+    # CELL_FORMAT_BY_TYPE names needs no per-cell dispatch.
+    columns = [map(CELL_FORMAT_BY_TYPE.get(type(col[0]), format_cell)
+                   if len(set(map(type, col))) == 1 else format_cell, col) for col in zip(*rows)]
     lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 

@@ -37,6 +37,17 @@ def _canonical_point(point) -> Point:
     return point
 
 
+def _trusted(cls, *values):
+    """``cls(*values)`` with nothing copied or checked, for the library's own results,
+    valid by construction.  Each array must be fresh, float64 and C-contiguous."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    for value in values:
+        if type(value) is np.ndarray:
+            value.setflags(write=False)
+    return obj
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """Probability distribution on a finite set of labeled points.
@@ -60,7 +71,7 @@ class DiscreteDist:
         if not (pr >= 0).all():
             raise ValueError("probabilities must be non-negative numbers")
         if abs(float(pr.sum()) - 1.0) > PROB_ATOL:
-            raise ValueError(f"probabilities sum to {pr.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(pr.sum())!r}, not 1")
         pr.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)

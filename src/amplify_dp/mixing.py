@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import rng_from_seed, uniform_open
-from .distributions import DiscreteDist, PROB_ATOL
+from .distributions import DiscreteDist, PROB_ATOL, _canonical_point, _trusted
 from .divergences import EXP_ARG_MAX, DpGuarantee, aligned_masses, exp_times
 
 __all__ = [
@@ -48,11 +48,14 @@ SINKHORN_MAX_SWEEPS = 400
 
 
 def _labeled_matrix(values, first_points, second_points, what: str) -> tuple:
-    """Read-only float copy of ``values``, non-negative and shaped like the supports."""
+    """Read-only float copy of ``values``, non-negative and shaped like the supports,
+    and the supports canonical and pairwise distinct, as in :class:`DiscreteDist`."""
     mat = np.array(values, dtype=np.float64)
-    xs, ys = tuple(first_points), tuple(second_points)
+    xs, ys = tuple(map(_canonical_point, first_points)), tuple(map(_canonical_point, second_points))
     if mat.shape != (len(xs), len(ys)):
         raise ValueError(f"{what} shape {mat.shape} does not match supports ({len(xs)}, {len(ys)})")
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise ValueError(f"{what} support points must be pairwise distinct")
     if not np.all(mat >= 0):
         raise ValueError(f"{what} entries must be non-negative numbers")
     mat.flags.writeable = False
@@ -106,8 +109,8 @@ class Coupling:
         object.__setattr__(self, "mass", mat)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column sums, each added in index order (Python's ``sum``)."""
-        return sum(self.mass.T), sum(self.mass)
+        """Row and column sums as contiguous copies, each added in index order."""
+        return np.cumsum(self.mass, axis=1)[:, -1].copy(), np.cumsum(self.mass, axis=0)[-1].copy()
 
 
 def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
@@ -115,14 +118,14 @@ def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
     if mu.points != kernel.input_points:
         raise ValueError("support of mu does not match the kernel input support")
     out = mu.probs @ kernel.rows
-    return DiscreteDist(kernel.output_points, out / out.sum())
+    return _trusted(DiscreteDist, kernel.output_points, out / out.sum())
 
 
-def _row_blocks(rows: np.ndarray):
-    """Slices of consecutive rows, each small enough that a tile-by-all-rows
-    pairwise array holds at most max(``PAIR_BLOCK_ENTRIES``, n * m) entries:
-    the coefficients' memory is O(n * m), never O(n^2 * m)."""
-    step = max(1, PAIR_BLOCK_ENTRIES // rows.size)
+def _row_blocks(rows: np.ndarray, stack: int = 1):
+    """Slices of consecutive rows, each small enough that ``stack`` stacked
+    tile-by-all-rows pairwise arrays hold at most max(``PAIR_BLOCK_ENTRIES``,
+    stack * n * m) entries: memory is O(stack * n * m), never O(n^2 * m)."""
+    step = max(1, PAIR_BLOCK_ENTRIES // (stack * rows.size))
     for start in range(0, rows.shape[0], step):
         yield slice(start, start + step)
 
@@ -138,7 +141,7 @@ def dobrushin_coeff(kernel: DiscreteKernel) -> float:
                          for b in _row_blocks(r))), 1.0)
 
 
-def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
+def eps_dobrushin_coeff(kernel: DiscreteKernel, eps):
     """Worst-case hockey-stick divergence over ordered row pairs.
 
     At eps = +inf the divergence degenerates to the mass of one row outside
@@ -148,21 +151,37 @@ def eps_dobrushin_coeff(kernel: DiscreteKernel, eps: float) -> float:
     only, so each row is compared with the distinct support patterns: rows of
     one pattern give the same per-pair sums, and a full-support kernel costs
     n pairs, not n^2.
+
+    A sequence of eps gives a list: its distinct finite values are read in one
+    stacked pass of tiles, each pair summed along its contiguous axis, so every
+    value is ``==`` the scalar call's.
     """
-    if eps < 0:
+    scalar = np.ndim(eps) == 0
+    eps_values = [eps] if scalar else list(eps)
+    if any(e < 0 for e in eps_values):
         raise ValueError("eps must be non-negative")
     r = kernel.rows
-    if math.isinf(eps):
+    worst = {}
+    finite = list(dict.fromkeys(e for e in eps_values if not math.isinf(e)))
+    if finite:
+        worst.update(zip(finite, _worst_excess(r, np.stack([exp_times(e, r) for e in finite]))))
+    if any(map(math.isinf, eps_values)):
         # A dict of row bytes, not np.unique(axis=0), which imports numpy.ma.
         patterns = {row.tobytes(): row for row in r > 0.0}
         scaled = np.where(np.array(list(patterns.values())), math.inf, 0.0)
-    else:
-        scaled = exp_times(eps, r)
-    worst = 0.0
-    for b in _row_blocks(r):
-        excess = r[b, None] - scaled[None]
-        worst = max(worst, np.maximum(excess, 0.0, out=excess).sum(axis=2).max())
-    return float(min(worst, 1.0))
+        worst[math.inf] = _worst_excess(r, scaled[None])[0]
+    out = [min(worst[e], 1.0) for e in eps_values]
+    return out[0] if scalar else out
+
+
+def _worst_excess(r: np.ndarray, scaled: np.ndarray) -> list[float]:
+    """Largest sum of [r_i - scaled[k]_j]_+ over row pairs (i, j), for each k."""
+    worst = [0.0] * len(scaled)
+    for b in _row_blocks(r, len(scaled)):
+        excess = r[None, b, None] - scaled[:, None]
+        tile = np.maximum(excess, 0.0, out=excess).sum(axis=3).max(axis=(1, 2))
+        worst = list(map(max, worst, tile.tolist()))
+    return worst
 
 
 def doeblin_coeff(kernel: DiscreteKernel) -> tuple[float, DiscreteDist | None]:
@@ -177,7 +196,7 @@ def doeblin_coeff(kernel: DiscreteKernel) -> tuple[float, DiscreteDist | None]:
     gamma = min(max(1.0 - mass, 0.0), 1.0)
     if mass <= 0.0:
         return 1.0, None
-    return gamma, DiscreteDist(kernel.output_points, colmin / mass)
+    return gamma, _trusted(DiscreteDist, kernel.output_points, colmin / mass)
 
 
 def ultra_coeff(kernel: DiscreteKernel) -> float:
@@ -253,18 +272,19 @@ def amplify_with_kernel(
 ) -> list[dict[str, tuple[float, DpGuarantee]]]:
     """Measure the mixing coefficients of ``kernel`` and amplify each guarantee.
 
-    Dobrushin, Doeblin and ultra-mixing are measured once; eps-Dobrushin once
-    per guarantee, at exactly eps_tilde(guarantee).  Returns one
-    ``{condition: (gamma, amplified guarantee)}`` per guarantee, in order.
+    Dobrushin, Doeblin and ultra-mixing are measured once; eps-Dobrushin in
+    one call for all guarantees, each at exactly eps_tilde(guarantee).  Returns
+    one ``{condition: (gamma, amplified guarantee)}`` per guarantee, in order.
     """
     gamma_dob = dobrushin_coeff(kernel)
     gamma_doe, _ = doeblin_coeff(kernel)
     gamma_ultra = ultra_coeff(kernel)
+    gammas_eps = eps_dobrushin_coeff(kernel, [eps_tilde(g) for g in guarantees])
     results = []
-    for guarantee in guarantees:
+    for guarantee, gamma_eps in zip(guarantees, gammas_eps):
         gammas = {
             "dobrushin": gamma_dob,
-            "eps_dobrushin": eps_dobrushin_coeff(kernel, eps_tilde(guarantee)),
+            "eps_dobrushin": gamma_eps,
             "doeblin": gamma_doe,
             "ultra": gamma_ultra,
         }
@@ -281,7 +301,8 @@ def transport_operator(pi: Coupling) -> DiscreteKernel:
     row_mass = pi.mass.sum(axis=1)
     keep = row_mass > 0.0
     rows = pi.mass[keep] / row_mass[keep, None]
-    return DiscreteKernel(rows, [x for x, k in zip(pi.first_points, keep) if k], pi.second_points)
+    return _trusted(DiscreteKernel, rows, tuple(x for x, k in zip(pi.first_points, keep) if k),
+                    pi.second_points)
 
 
 @dataclass(frozen=True)
@@ -291,7 +312,8 @@ class MixtureDecomposition:
     mu = (1 - theta) * omega + theta * mu_prime and
     nu = ((1 - theta)/e^eps) * omega + (1 - (1 - theta)/e^eps) * nu_prime,
     with mu_prime and nu_prime supported on the disjoint regions where the
-    density ratio exceeds (respectively falls below) e^eps.
+    density ratio exceeds (respectively falls below) e^eps.  A part of no
+    mass (omega, or nu_prime where no atom has p < e^eps * q) is None.
     """
 
     theta: float
@@ -316,22 +338,19 @@ def mixture_decompose(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> Mixture
         # Rounding pushed the min-sum past 1; the residual form is exact here.
         theta = float(mu_res.sum())
 
-    omega = None
-    if overlap.sum() > 0.0:
-        omega = DiscreteDist(points, overlap / overlap.sum())
-
-    mu_prime = DiscreteDist(points, mu_res / mu_res.sum())
-    # Past EXP_ARG_MAX, e^-eps is subnormal: p * e^-eps is exact to its spacing.
+    # Past EXP_ARG_MAX, e^-eps is subnormal: p * e^-eps is exact to its spacing,
+    # and below a subnormal q it may round to q + 5e-324: clip that to 0.
     p_shrunk = p / math.exp(eps) if eps <= EXP_ARG_MAX else p * math.exp(-eps)
-    nu_res = np.where(p < eq, q - p_shrunk, 0.0)
-    nu_prime = DiscreteDist(points, nu_res / nu_res.sum())
-    return MixtureDecomposition(min(theta, 1.0), omega, mu_prime, nu_prime)
+    nu_res = np.where(p < eq, np.maximum(q - p_shrunk, 0.0), 0.0)
+    parts = [_trusted(DiscreteDist, points, mass / mass.sum()) if mass.sum() > 0.0 else None
+             for mass in (overlap, mu_res, nu_res)]
+    return MixtureDecomposition(min(theta, 1.0), *parts)
 
 
 def independent_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     """Product coupling mu (x) nu."""
     mass = np.outer(mu.probs, nu.probs)
-    return Coupling(mu.points, nu.points, mass / mass.sum())
+    return _trusted(Coupling, mu.points, nu.points, mass / mass.sum())
 
 
 def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
@@ -350,7 +369,7 @@ def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
         if j < len(remain_q) and remain_q[j] <= 0:
             j += 1
     # The path moves right or down only: cumsum adds the masses in match order.
-    return Coupling(mu.points, nu.points, mass / np.cumsum(mass)[-1])
+    return _trusted(Coupling, mu.points, nu.points, mass / np.cumsum(mass)[-1])
 
 
 def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._quadrature import integrate, require_negligible_ends
 from ._rng import rng_from_seed, uniform_open
-from .distributions import DiscreteDist, GaussianDist, log_density, quadrature_domain
+from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, quadrature_domain
 from .divergences import DpGuarantee, aligned_masses, hockey_stick, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from .mixing import (
@@ -101,7 +101,7 @@ def _random_pair(rng: np.random.Generator, n: int) -> tuple[DiscreteDist, Discre
     """The first draw of :func:`random_instance`: mu and nu on ``n`` points."""
     raw = -np.log(uniform_open(rng, (2, n)))
     points = _labels("x", n)
-    return DiscreteDist(points, raw[0] / raw[0].sum()), DiscreteDist(points, raw[1] / raw[1].sum())
+    return tuple(_trusted(DiscreteDist, points, row / row.sum()) for row in raw)
 
 
 def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, DiscreteDist, DiscreteKernel]:
@@ -115,7 +115,7 @@ def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, Discrete
     rng = rng_from_seed(seed)
     mu, nu = _random_pair(rng, nx)
     rows = -np.log(uniform_open(rng, (nx, ny)))
-    kernel = DiscreteKernel(rows / rows.sum(axis=1, keepdims=True), mu.points, _labels("y", ny))
+    kernel = _trusted(DiscreteKernel, rows / rows.sum(axis=1, keepdims=True), mu.points, _labels("y", ny))
     return mu, nu, kernel
 
 
@@ -222,7 +222,7 @@ def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: Discret
     for name, pi in couplings.items():
         op = transport_operator(pi)
         first, second = pi.marginals()
-        pushed = pushforward(DiscreteDist(pi.first_points, first), op)
+        pushed = pushforward(_trusted(DiscreteDist, pi.first_points, first), op)
         err = float(max(np.abs(pushed.probs - second).max(), np.abs(second - nu.probs).max()))
         reports.append(_report(t, f"transport_{name}", desc,
                                measured=err, bound=0.0, tolerance=EXACT_TOL))
@@ -237,7 +237,8 @@ def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: Discret
         # The decomposition's laws live on the aligned support of (mu, nu).
         _, p, q = aligned_masses(mu, nu)
         omega = dec.omega.probs if dec.omega is not None else np.zeros_like(p)
-        mu_p, nu_p = dec.mu_prime.probs, dec.nu_prime.probs
+        mu_p = dec.mu_prime.probs
+        nu_p = dec.nu_prime.probs if dec.nu_prime is not None else np.zeros_like(p)
         w_nu = 1.0 - (1.0 - dec.theta) * math.exp(-eps)
         err_mu = np.abs((1.0 - dec.theta) * omega + dec.theta * mu_p - p).max()
         err_nu = np.abs((1.0 - dec.theta) * math.exp(-eps) * omega + w_nu * nu_p - q).max()
@@ -320,16 +321,24 @@ def mse_numeric(law: GaussianDist, x0: float) -> float:
     return math.exp(log_moment)
 
 
+def _quote(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def format_cell(value) -> str:
     """One CSV cell: shortest round-trip floats, lowercase booleans, RFC-4180 quoting."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    text = str(value)
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    return _quote(str(value))
+
+
+# What format_cell gives a cell of exactly this type, without its dispatch.
+CELL_FORMAT_BY_TYPE = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__,
+                       str: _quote}
 
 
 def reports_summary(reports: Sequence[TrialReport]) -> dict:

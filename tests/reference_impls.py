@@ -454,3 +454,9 @@ def render_rows_per_cell(rows) -> list[str]:
     """CSV table lines with one ``format_cell`` call per cell, row by row:
     what ``cli._render_csv`` did before it formatted column by column."""
     return [",".join(format_cell(cell) for cell in row) for row in rows]
+
+
+def coupling_marginals_by_sum(pi: Coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of a coupling by Python's ``sum`` over its columns
+    and rows: what ``Coupling.marginals`` returned before it used cumulative sums."""
+    return sum(pi.mass.T), sum(pi.mass)

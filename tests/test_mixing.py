@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -83,6 +84,21 @@ class TestDiscreteKernel:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             DiscreteKernel([[0.5, 0.5]], ["a", "b"], ["y0", "y1"])
+
+    def test_supports_canonical_and_distinct(self):
+        # Kernels and couplings hold their supports as DiscreteDist does, so a
+        # law built on them needs no check of its own.
+        k = DiscreteKernel(np.eye(2), ["a", "b"], [[0, 1], (2, 3.5)])
+        assert k.output_points == DiscreteDist([[0, 1], (2, 3.5)], [0.5, 0.5]).points
+        assert k.output_points == ((0.0, 1.0), (2.0, 3.5))
+        pi = Coupling([[0], [1]], ["u"], [[0.5], [0.5]])
+        assert pi.first_points == ((0.0,), (1.0,))
+        for build in (lambda: DiscreteKernel(np.eye(2), ["a", "a"], ["y0", "y1"]),
+                      lambda: DiscreteKernel(np.eye(2), ["a", "b"], [(0,), (0.0,)])):
+            with pytest.raises(ValueError, match="kernel support points must be pairwise distinct"):
+                build()
+        with pytest.raises(ValueError, match="coupling support points must be pairwise distinct"):
+            Coupling(["a", "b"], ["u", "u"], [[0.25, 0.25], [0.25, 0.25]])
 
 
 class TestPushforward:
@@ -212,6 +228,27 @@ class TestCoefficients:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n", [256, 64])
+    def test_stacked_eps_tiles_bound_memory(self, n):
+        # Four eps read in one pass of stacked tiles: PAIR_BLOCK_ENTRIES counts
+        # all four, so the peak is two tiles and two copies of the 4 x n x m
+        # stack (10% over that allowed), not 4 x n^2 x m floats (512 MiB at
+        # n = 256).  At n = 64 a tile that counted one eps would be 2 MiB.
+        rng = np.random.default_rng(n)
+        k = rng.exponential(size=(n, n)) * (rng.uniform(size=(n, n)) > 0.3)
+        k[:, 0] += 1.0
+        kernel = DiscreteKernel.from_matrix(k / k.sum(axis=1, keepdims=True))
+        eps_values = [0.0, 0.7, 3.0, 800.0]
+        stack = len(eps_values) * k.size
+        tracemalloc.start()
+        try:
+            batch = eps_dobrushin_coeff(kernel, eps_values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2 * (stack + max(mixing.PAIR_BLOCK_ENTRIES, stack)) * 8
+        assert batch == [eps_dobrushin_coeff(kernel, eps) for eps in eps_values]
 
     def test_doeblin_witness_optimality(self):
         # The column-minimum mass dominates the best constant achievable by
@@ -550,6 +587,29 @@ class TestMixtureDecompose:
         dec = mixture_decompose(mu, nu, 710.0)
         assert dec.theta == pytest.approx(0.5 - math.exp(710.0 + math.log(1e-310)), abs=1e-15)
         assert dec.theta == pytest.approx(hockey_stick(mu, nu, 710.0), abs=1e-15)
+
+    def test_near_equal_laws_have_no_nu_prime(self):
+        # No atom has p < e^eps * q, so nu's residual has no mass: nu_prime is
+        # None, as omega is where the overlap is empty, with no 0/0 on the way.
+        mu = DiscreteDist(["a", "b"], [0.6, 0.4])
+        nu = DiscreteDist(["a", "b"], [0.6 - 1e-13, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = mixture_decompose(mu, nu, 0.0)
+        assert dec.theta == pytest.approx(hockey_stick(mu, nu, 0.0), abs=1e-15)
+        assert dec.nu_prime is None
+        np.testing.assert_array_equal(dec.mu_prime.probs, [1.0, 0.0])
+        np.testing.assert_allclose(dec.omega.probs, mu.probs, atol=1e-15)
+
+    def test_subnormal_residual_rounds_to_zero_not_below(self):
+        # Past EXP_ARG_MAX, p * e^-eps may round one spacing above a subnormal
+        # q with p < e^eps * q; nu's residual there is 0, never -5e-324.
+        eps, q_a, p_a = 712.8857212616125, 6.326693742485e-311, 0.253228034163217
+        mu = DiscreteDist(["a", "b", "c"], [p_a, 0.0, 1.0 - p_a])
+        nu = DiscreteDist(["a", "b", "c"], [q_a, 1.0 - q_a, 0.0])
+        dec = mixture_decompose(mu, nu, eps)
+        assert dec.nu_prime.probs.tolist() == [0.0, 1.0, 0.0]
+        assert dec.theta == pytest.approx(hockey_stick(mu, nu, eps), abs=1e-15)
 
     def test_infinite_eps_rejected(self):
         mu = DiscreteDist(["a", "b"], [0.5, 0.5])

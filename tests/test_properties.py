@@ -13,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amplify_dp import cli, mixing
+from amplify_dp import cli, mixing, verify
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import EXP_ARG_MAX, DpGuarantee, hockey_stick, hockey_stick_via_min, tv
 from amplify_dp.iteration import IterationChain, winf_path_bound
 from amplify_dp.mixing import (
     AMPLIFY_CONDITIONS,
+    Coupling,
     DiscreteKernel,
     amplify,
     amplify_with_kernel,
@@ -26,10 +27,17 @@ from amplify_dp.mixing import (
     doeblin_coeff,
     eps_dobrushin_coeff,
     eps_tilde,
+    greedy_coupling,
+    independent_coupling,
+    mixture_decompose,
+    pushforward,
     random_joint_couplings,
+    transport_operator,
     ultra_coeff,
 )
 from reference_impls import (
+    coupling_marginals_by_sum,
+    eps_dobrushin_coeff_pairs,
     hockey_stick_scalar,
     random_joint_coupling_per_pair,
     render_rows_per_cell,
@@ -447,3 +455,143 @@ def test_render_csv_matches_per_cell_reference_on_verify_rows(seed):
     header, rows, _, code = cli.cmd_verify(config, seed)
     assert code == cli.EXIT_OK
     assert cli._render_csv("verify", {}, None, header, rows, []) == render_per_cell(header, rows)
+
+
+# Masses with exact zeros and subnormals mixed in; each draw has positive mass.
+SUBNORMALS = [5e-324, 1e-310, 2.2e-308]
+EDGE_MASS = st.one_of(st.just(0.0), st.sampled_from(SUBNORMALS), st.floats(1e-3, 1.0))
+
+
+def edge_weights(n):
+    return st.lists(EDGE_MASS, min_size=n, max_size=n).filter(lambda w: sum(w) > 0.0)
+
+
+@st.composite
+def edge_instances(draw):
+    """(mu, nu, kernel): laws on n points, n and m from 1, masses with zeros
+    and subnormals; the kernel's rows are all equal about a third of the time."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    mu, nu = (DiscreteDist([f"x{i}" for i in range(n)], np.asarray(w) / np.sum(w))
+              for w in (draw(edge_weights(n)), draw(edge_weights(n))))
+    rows = draw(st.lists(edge_weights(m), min_size=1 if draw(st.booleans()) else n, max_size=n))
+    rows = (rows * n)[:n]
+    kernel = DiscreteKernel(np.asarray(rows) / np.sum(rows, axis=1, keepdims=True),
+                            mu.points, [f"y{j}" for j in range(m)])
+    return mu, nu, kernel
+
+
+def assert_passes_public_checks(obj):
+    """``obj`` comes out of the public constructor unchanged: points equal,
+    arrays equal to the byte, and its arrays float64, C-contiguous and read-only."""
+    cls = type(obj)
+    ref = {DiscreteDist: lambda d: DiscreteDist(d.points, d.probs),
+           DiscreteKernel: lambda k: DiscreteKernel(k.rows, k.input_points, k.output_points),
+           Coupling: lambda c: Coupling(c.first_points, c.second_points, c.mass)}[cls](obj)
+    for name in cls.__dataclass_fields__:
+        got, want = getattr(obj, name), getattr(ref, name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.c_contiguous and not got.flags.writeable, name
+        else:
+            assert type(got) is tuple and got == want, name
+
+
+EDGE_EPS = [0.0, EXP_ARG_MAX, 800.0, math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_instances(), st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 5.0)),
+       st.integers(0, 2**62))
+@example((DiscreteDist(["x0"], [1.0]), DiscreteDist(["x0"], [1.0]),
+          DiscreteKernel([[1.0]], ["x0"], ["y0"])), 0.0, 1)
+@example((DiscreteDist(["x0", "x1"], [1.0 - 1e-310, 1e-310]), DiscreteDist(["x0", "x1"], [0.0, 1.0]),
+          DiscreteKernel([[0.5, 0.5], [0.5, 0.5]], ["x0", "x1"], ["y0", "y1"])), EXP_ARG_MAX, 2)
+@example((DiscreteDist(["x0", "x1"], [0.6, 0.4]), DiscreteDist(["x0", "x1"], [0.6 - 1e-13, 0.4]),
+          DiscreteKernel([[5e-324, 1.0], [0.0, 1.0]], ["x0", "x1"], ["y0", "y1"])), 0.0, 3)
+@example((DiscreteDist(["x0", "x1", "x2"], [0.253228034163217, 0.0, 1.0 - 0.253228034163217]),
+          DiscreteDist(["x0", "x1", "x2"], [6.326693742485e-311, 1.0 - 6.326693742485e-311, 0.0]),
+          DiscreteKernel(np.eye(3), ["x0", "x1", "x2"], [[0], [1], (2, 0.5)])), 712.8857212616125, 4)
+def test_library_results_pass_the_public_checks(instance, eps, seed):
+    # Every law, kernel and coupling the library builds without the public
+    # checks would pass them: the checks it skips could never fail.
+    mu, nu, kernel = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [pushforward(mu, kernel), pushforward(nu, kernel), doeblin_coeff(kernel)[1]]
+        couplings = [independent_coupling(mu, nu), greedy_coupling(mu, nu)]
+        if np.all((mu.probs == 0.0) | (mu.probs > 1e-300)) and np.all((nu.probs == 0.0) | (nu.probs > 1e-300)):
+            # Sinkhorn's couplings keep the public check: with a subnormal atom it
+            # can leave NaN.  Their transport operators need none.
+            couplings += random_joint_couplings([(mu, nu), (nu, mu)], [seed, seed + 1])
+        results += couplings + [transport_operator(pi) for pi in couplings]
+        if math.isinf(eps):
+            with pytest.raises(ValueError):
+                mixture_decompose(mu, nu, eps)
+        else:
+            dec = mixture_decompose(mu, nu, eps)
+            results += [dec.omega, dec.mu_prime, dec.nu_prime]
+        if not math.isinf(eps) and all(pi.marginals()[0].all() for pi in couplings[:2]):
+            # The first marginal that _transport_rows pushes through each operator;
+            # it needs operators on the whole first support, as verify's laws give.
+            pushed = []
+            with mock.patch.object(verify, "pushforward",
+                                   lambda law, op: pushed.append(law) or pushforward(law, op)):
+                verify._transport_rows(0, "", eps, mu, nu, couplings[0])
+            assert len(pushed) == 3
+            results += pushed
+        n = len(mu.points)
+        results += verify._random_pair(np.random.default_rng(seed), n)
+        if n >= 2:
+            results += verify.random_instance(n, 2 + seed % 3, seed)
+    for obj in results:
+        if obj is not None:
+            assert_passes_public_checks(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_instances(),
+       st.lists(st.one_of(st.sampled_from(EPS_EDGES), st.floats(0.0, 50.0)), max_size=8),
+       st.sampled_from([mixing.PAIR_BLOCK_ENTRIES, 1, 7, 40]))
+@example((None, None, DiscreteKernel([[1.0 - 1e-310, 1e-310], [1e-310, 1.0 - 1e-310]],
+                                     ["x0", "x1"], ["y0", "y1"])),
+         [0.0, 0.0, EXP_ARG_MAX, 710.0, 800.0, 1e6, math.inf, math.inf, 710.0], 1)
+@example((None, None, DiscreteKernel([[0.25, 0.0, 0.75]], ["x0"], ["y0", "y1", "y2"])),
+         EPS_EDGES + EPS_EDGES, 1)
+def test_eps_dobrushin_sequence_form(instance, eps_values, block):
+    # One call over a sequence of eps is == one call per eps, also where the
+    # stacked tiles are split into single rows, and == the full pair array
+    # wherever that can form e^eps.
+    kernel = instance[2]
+    with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
+        batch = eps_dobrushin_coeff(kernel, eps_values)
+        assert batch == [eps_dobrushin_coeff(kernel, eps) for eps in eps_values]
+        assert eps_dobrushin_coeff(kernel, tuple(eps_values)) == batch
+        assert eps_dobrushin_coeff(kernel, np.asarray(eps_values, dtype=np.float64)) == batch
+    for eps, gamma in zip(eps_values, batch):
+        if eps <= EXP_ARG_MAX or math.isinf(eps):
+            assert gamma == eps_dobrushin_coeff_pairs(kernel.rows, eps)
+
+
+def test_eps_dobrushin_sequence_rejects_negative_eps():
+    kernel = DiscreteKernel.from_matrix([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(ValueError, match="non-negative"):
+        eps_dobrushin_coeff(kernel, [0.5, -1e-300])
+    assert eps_dobrushin_coeff(kernel, []) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda nm: st.lists(edge_weights(nm[1]), min_size=nm[0], max_size=nm[0])))
+@example([[1.0]])
+@example([[0.0, 0.0], [5e-324, 1.0]])
+def test_coupling_marginals_equal_sequential_sum(rows):
+    # The cumulative sums add each row and column in index order, as Python's
+    # sum did, and come back as contiguous arrays of their own.
+    mass = np.asarray(rows) / np.sum(rows)
+    pi = Coupling([f"x{i}" for i in range(mass.shape[0])], [f"y{j}" for j in range(mass.shape[1])], mass)
+    first, second = pi.marginals()
+    ref_first, ref_second = coupling_marginals_by_sum(pi)
+    assert np.array_equal(first, ref_first) and np.array_equal(second, ref_second)
+    for marginal in (first, second):
+        assert marginal.flags.c_contiguous and marginal.flags.owndata

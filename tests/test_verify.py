@@ -1,6 +1,7 @@
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -133,6 +134,17 @@ class TestCertifyTransport:
         for r in reports:
             if r.case == "decompose_theta":
                 assert r.measured <= 1e-12
+
+    def test_rows_of_near_equal_laws(self):
+        # nu_prime is None here (no atom has p < q); its weight is
+        # 1 - (1 - theta) = theta ~ 1e-13, so nu is rebuilt from omega alone.
+        mu = DiscreteDist(["x0", "x1"], [0.6, 0.4])
+        nu = DiscreteDist(["x0", "x1"], [0.6 - 1e-13, 0.4])
+        pi = verify.random_joint_couplings([(mu, nu)], [5])[0]
+        reports = verify._transport_rows(0, "near-equal", 0.0, mu, nu, pi)
+        assert [r.case for r in reports][-3:] == [
+            "decompose_theta", "decompose_reconstruction", "decompose_overlap"]
+        assert all(r.passed for r in reports)
 
 
 class TestCertifyDiffusion:
@@ -273,6 +285,23 @@ class TestReportExport:
         measured = float(row[5])
         assert measured == reports[0].measured  # repr round-trips exactly
 
+    def test_cells_parse_back_per_rfc4180(self):
+        # The bytes of each kind of cell, pinned; text with a comma, a quote
+        # or a newline is quoted, with its quotes doubled, so csv reads back
+        # every cell, whether one column holds one kind or several.
+        assert [verify.format_cell(v) for v in (0.1, -0.0, math.nan, 7, True, False)] == [
+            "0.1", "-0.0", "nan", "7", "true", "false"]
+        texts = ['plain', 'a,b', 'say "hi"', 'two\nlines', '"', '']
+        assert [verify.format_cell(t) for t in texts] == [
+            'plain', '"a,b"', '"say ""hi"""', '"two\nlines"', '""""', '']
+        for rows in ([[t] for t in texts], [[t, i, t == "", 0.5] for i, t in enumerate(texts)],
+                     [[t] for t in texts] + [[1]]):
+            text = cli._render_csv("verify", {}, None, [f"c{i}" for i in range(len(rows[0]))],
+                                   rows, [])
+            parsed = list(csv.reader(io.StringIO(text.split("\n", 2)[2])))[1:]
+            # csv reads a line holding one empty cell as no cells at all.
+            assert [row[0] if row else "" for row in parsed] == [str(row[0]) for row in rows]
+
     def test_summary(self):
         reports = certify_theorem1(3, (2, 4), (0.0, 1.0), seed=6)
         summary = reports_summary(reports)
@@ -343,6 +372,7 @@ def test_benchmark_tracer_installs_and_restores():
     calls = {name: sum(1 for span in tracer.spans if span[2] == name)
              for name in ("verify.theorem1", "mixing.dobrushin", "mixing.eps_dobrushin",
                           "mixing.doeblin", "mixing.ultra")}
-    assert calls == {"verify.theorem1": 1, "mixing.dobrushin": 2, "mixing.eps_dobrushin": 4,
+    # One eps-Dobrushin call per kernel reads both eps values of the grid.
+    assert calls == {"verify.theorem1": 1, "mixing.dobrushin": 2, "mixing.eps_dobrushin": 2,
                      "mixing.doeblin": 2, "mixing.ultra": 2}
     assert tracer.counts["verify.reports"] == len(reports) == 2 * 2 * 4
