@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import QuadratureError, integrate, require_negligible_ends
-from .distributions import PROB_ATOL, DiscreteDist
+from .distributions import PROB_ATOL, DiscreteDist, _trusted
 
 __all__ = [
     "RdpPoint",
@@ -351,79 +351,134 @@ def _w_inf_line(x: np.ndarray, y: np.ndarray, dist: np.ndarray, p: np.ndarray,
     return float(best[0]), flow
 
 
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x`` and the rows of ``y``.
+
+    Each pair's differences are scaled exactly, by a power of two that puts
+    the largest in [1/2, 1), before squaring: no distance underflows to 0 or
+    overflows to inf where the differences themselves are finite and nonzero.
+    A difference beyond the float range is inf, and so is its pair's distance.
+    """
+    with np.errstate(over="ignore"):
+        diff = np.abs(x[:, None, :] - y[None, :, :])
+        exp = np.frexp(diff.max(axis=2))[1]
+        return np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -exp[..., None]) ** 2, axis=2)), exp)
+
+
+def _members(bits: int):
+    """Indices of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
     """Bottleneck transport: the W-infinity value and a flow that attains it.
 
     ``flow`` only uses pairs with ``dist <= w``, and ``w`` is at least the
     lower bound of :func:`_start_threshold`.  On the line the search is
-    :func:`_w_inf_line`.  In higher dimensions it is one augmenting-path pass
-    that starts at that bound.  A BFS from the sources with mass
-    left follows such pairs forward and pairs carrying flow backward; a path
-    to a target with room left is augmented by its bottleneck.  When the BFS
-    reaches no new target, the reached nodes form a cut that no threshold
-    below the nearest unreached target can cross, so ``w`` rises to that
-    distance and the same BFS goes on from every reached source: ``w`` only
-    grows and the flow has not changed, so what it reached stays reachable.
+    :func:`_w_inf_line`.  In higher dimensions it is a max-flow in blocking-flow
+    phases (Dinic) that starts at that bound, with each node's pairs within
+    ``w`` and its pairs carrying flow held as Python ints, bitsets over the
+    other side.  A phase's BFS from the sources with mass left follows pairs
+    within ``w`` forward and pairs carrying flow backward, layer by layer, up
+    to the first layer with a target that has room; a DFS back from each such
+    target augments along the shortest paths by their bottlenecks and drops the
+    nodes it finds dead.  When the BFS reaches no target with room, the flow
+    is maximal at ``w``, and the reached nodes form the same cut for every
+    maximal flow: ``w`` rises to the nearest pair from a reached source to an
+    unreached target, and the pairs up to that distance join the bitsets.
     """
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
         raise ValueError("supports live in different dimensions")
-    # Each pair's differences are scaled exactly, by a power of two that puts
-    # the largest in [1/2, 1), before squaring: no distance underflows to 0 or
-    # overflows to inf where the differences themselves are finite and nonzero.
-    # A difference beyond the float range is inf, and so is its pair's distance.
-    with np.errstate(over="ignore"):
-        diff = np.abs(x[:, None, :] - y[None, :, :])
-        exp = np.frexp(diff.max(axis=2))[1]
-        dist = np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -exp[..., None]) ** 2, axis=2)), exp)
+    dist = _distances(x, y)
     start = _start_threshold(dist, mu.probs, nu.probs)
     if x.shape[1] == 1:
         return _w_inf_line(x[:, 0], y[:, 0], dist, mu.probs, nu.probs, start)
-    supply, demand = mu.probs.copy(), nu.probs.copy()
-    flow = np.zeros_like(dist)
+    n, m = dist.shape
+    supply, demand = mu.probs.tolist(), nu.probs.tolist()
+    flow = [[0.0] * m for _ in range(n)]
+    # to_t[i]: the targets within w of source i; to_s[j]: the sources within w
+    # of target j; sends[i], gets[j]: the same for the pairs carrying flow.
+    to_t, to_s, sends, gets = [0] * n, [0] * m, [0] * n, [0] * m
+    lit_s = sum(1 << i for i, mass in enumerate(supply) if mass > 0.0)
+    lit_t = sum(1 << j for j, mass in enumerate(demand) if mass > 0.0)
+    # Flat pair indices by distance; pairs[:admitted] are within w.
+    order = np.argsort(dist, axis=None, kind="stable")
+    pairs, ranked, admitted = memoryview(order), memoryview(dist.ravel()[order]), 0
     w, routed = start, 0.0
-    within = dist <= w
     while 1.0 - routed > FLOW_ATOL:
-        seen_s, seen_t = supply > 0.0, np.zeros(len(demand), dtype=bool)
-        # by_s[j]: source that reached target j; by_t[i]: target that reached source i.
-        by_s, by_t = np.full(len(demand), -1), np.full(len(supply), -1)
-        frontier, sink = seen_s.copy(), -1
-        while sink < 0:
-            rows = np.flatnonzero(frontier)
-            reach = within[rows] & ~seen_t
-            new_t = np.flatnonzero(reach.any(axis=0))
-            if not new_t.size:
-                gaps = dist[np.ix_(seen_s, ~seen_t)]
-                if not gaps.size:
-                    raise RuntimeError("transport infeasible at the maximal distance")
-                w, frontier = gaps.min(), seen_s.copy()
-                within = dist <= w
-                continue
-            by_s[new_t] = rows[reach[:, new_t].argmax(axis=0)]
-            seen_t[new_t] = True
-            open_t = new_t[demand[new_t] > 0.0]
-            if open_t.size:
-                sink = open_t[0]
+        while admitted < len(pairs) and ranked[admitted] <= w:
+            i, j = divmod(pairs[admitted], m)
+            to_t[i] |= 1 << j
+            to_s[j] |= 1 << i
+            admitted += 1
+        # levels[k]: the sources and the targets that the BFS reaches first in layer k.
+        frontier, seen_s, seen_t, levels = lit_s, lit_s, 0, []
+        while frontier:
+            reach = 0
+            for i in _members(frontier):
+                reach |= to_t[i]
+            reach &= ~seen_t
+            seen_t |= reach
+            levels.append([frontier, reach])
+            if reach & lit_t:
                 break
-            back = (flow[:, new_t] > 0.0) & ~seen_s[:, None]
-            frontier = back.any(axis=1)
-            by_t[frontier] = new_t[back[frontier].argmax(axis=1)]
+            frontier = 0
+            for j in _members(reach):
+                frontier |= gets[j]
+            frontier &= ~seen_s
             seen_s |= frontier
-        fi, fj, j = [], [], sink
-        parent_s, parent_t = by_s.tolist(), by_t.tolist()
-        while j >= 0:
-            fi.append(parent_s[j])
-            fj.append(j)
-            j = parent_t[fi[-1]]
-        # Forward pairs (i_k, j_k) gain flow; backward pairs (i_k, j_k+1) give it up.
-        fi, fj = np.array(fi), np.array(fj)
-        amount = min(supply[fi[-1]], demand[sink], flow[fi[:-1], fj[1:]].min(initial=np.inf))
-        flow[fi, fj] += amount
-        flow[fi[:-1], fj[1:]] -= amount
-        supply[fi[-1]] -= amount
-        demand[sink] -= amount
-        routed += amount
-    return float(w), flow
+        else:
+            # The pairs from a reached source to an unreached target are all beyond w.
+            for cut in range(admitted, len(pairs)):
+                i, j = divmod(pairs[cut], m)
+                if seen_s >> i & 1 and not seen_t >> j & 1:
+                    break
+            else:
+                raise RuntimeError("transport infeasible at the maximal distance")
+            w = ranked[cut]
+            continue
+        top = len(levels) - 1
+        for t in _members(levels[top][1] & lit_t):
+            path = [t]  # j_top, i_top, j_top-1, ..., j_0, i_0: target k is sent to by source k
+            while path and demand[t] > 0.0:
+                node, depth = path[-1], len(path)
+                k = top - (depth - 1) // 2
+                if depth % 2:
+                    options = to_s[node] & levels[k][0]
+                elif k:
+                    options = sends[node] & levels[k - 1][1]
+                else:
+                    # Forward pairs (i_k, j_k) gain the amount; backward pairs (i_k, j_k-1) give it up.
+                    sources, targets = path[1::2], path[::2]
+                    amount = min(supply[node], demand[t], *(flow[i][j] for i, j in zip(sources, targets[1:])))
+                    for i, j in zip(sources, targets):
+                        flow[i][j] += amount
+                        sends[i] |= 1 << j
+                        gets[j] |= 1 << i
+                    for i, j in zip(sources, targets[1:]):
+                        flow[i][j] -= amount
+                        if not flow[i][j] > 0.0:
+                            sends[i] &= ~(1 << j)
+                            gets[j] &= ~(1 << i)
+                    supply[node] -= amount
+                    demand[t] -= amount
+                    routed += amount
+                    if not supply[node] > 0.0:
+                        lit_s &= ~(1 << node)
+                        levels[0][0] &= ~(1 << node)
+                    path = [t]
+                    continue
+                if options:
+                    path.append((options & -options).bit_length() - 1)
+                else:
+                    levels[k][depth % 2] &= ~(1 << path.pop())
+            if not demand[t] > 0.0:
+                lit_t &= ~(1 << t)
+    return float(w), np.array(flow)
 
 
 def w_inf_discrete(mu: DiscreteDist, nu: DiscreteDist) -> float:
@@ -433,7 +488,8 @@ def w_inf_discrete(mu: DiscreteDist, nu: DiscreteDist) -> float:
     the mass can be moved along pairs at distance ``<= w``; distances are
     compared exactly.  On the line it is found by a binary search over the
     distances, deciding each by one monotone greedy pass; in two or more
-    dimensions by one bottleneck augmenting-path pass.  Non-finite
+    dimensions by blocking-flow phases over bitsets of the pairs within the
+    threshold, raising it across each maximal flow's cut.  Non-finite
     coordinates raise ``ValueError``.
     """
     return _w_inf_search(mu, nu)[0]
@@ -445,10 +501,14 @@ def w_inf_optimal_coupling(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, D
     The coupling is returned as a joint distribution on pairs
     ``(mu point, nu point)``, holding only the pairs with positive mass.  It
     is the flow of the search that :func:`w_inf_discrete` describes: on the
-    line, the greedy pass at the value, which moves mass monotonically.
+    line, the greedy pass at the value, which moves mass monotonically; in
+    higher dimensions, the flow after the last blocking-flow phase.  Another
+    maximal flow would be as good a witness: the value does not depend on
+    which one the phases find.
     """
     w, joint = _w_inf_search(mu, nu)
     rows, cols = np.nonzero(joint > 0.0)
     probs = joint[rows, cols]
-    points = [(mu.points[i], nu.points[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    return w, DiscreteDist(points, probs / sum(probs.tolist()))
+    points = tuple((mu.points[i], nu.points[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+    # Distinct pairs of canonical points, with positive masses summing to 1.
+    return w, _trusted(DiscreteDist, points, probs / sum(probs.tolist()))

@@ -381,19 +381,19 @@ def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
     converged; every trial stops after ``SINKHORN_MAX_SWEEPS``.  Row and column
     sums run along the same axes, in the same order, as on one matrix.
     """
-    p_pos, q_pos = p > 0.0, q > 0.0
-    # The scale entries of zero-mass atoms are never written, so they stay 0.
+    # A scale entry is written only where its row or column sum is positive:
+    # zero-mass atoms keep 0, and a sum that underflowed to 0 scales no mass.
     row_scale, col_scale = np.zeros_like(p), np.zeros_like(q)
     for _ in range(SINKHORN_MAX_SWEEPS):
         row_sums = mass.sum(axis=2)
         done = np.abs(row_sums - p).max(axis=1) <= SINKHORN_ATOL
         if done.all():
             break
-        np.divide(p, row_sums, out=row_scale, where=p_pos)
+        np.divide(p, row_sums, out=row_scale, where=row_sums > 0.0)
         row_scale[done] = 1.0
         mass *= row_scale[:, :, None]
         col_sums = mass.sum(axis=1)
-        np.divide(q, col_sums, out=col_scale, where=q_pos)
+        np.divide(q, col_sums, out=col_scale, where=col_sums > 0.0)
         col_scale[done] = 1.0
         mass *= col_scale[:, None, :]
 

@@ -15,7 +15,7 @@ import numpy as np
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import DiscreteDist, GaussianDist
-from amplify_dp.divergences import aligned_masses, exp_times
+from amplify_dp.divergences import _distances, _start_threshold, aligned_masses, exp_times
 from amplify_dp.iteration import _laplace_pair_log_bound
 from amplify_dp.mixing import SINKHORN_ATOL, SINKHORN_MAX_SWEEPS, Coupling, DiscreteKernel
 from amplify_dp.verify import format_cell
@@ -122,6 +122,66 @@ def w_inf_restart_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.
             j = by_t[path[-1][0]]
         # Forward pairs (i_k, j_k) gain flow; backward pairs (i_k, j_k+1) give it up.
         fi, fj = np.array(path).T
+        amount = min(supply[fi[-1]], demand[sink], flow[fi[:-1], fj[1:]].min(initial=np.inf))
+        flow[fi, fj] += amount
+        flow[fi[:-1], fj[1:]] -= amount
+        supply[fi[-1]] -= amount
+        demand[sink] -= amount
+        routed += amount
+    return float(w), flow
+
+
+def w_inf_bfs_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray]:
+    """Bottleneck transport by one augmenting path per numpy BFS, from the
+    ``_start_threshold`` bound up, going on after each raise.
+
+    ``flow`` only uses pairs with ``dist <= w``.  A BFS from the sources with
+    mass left follows such pairs forward and pairs carrying flow backward; a
+    path to a target with room left is augmented by its bottleneck.  When the
+    BFS reaches no new target, ``w`` rises to the nearest unreached target of
+    a reached source and the same BFS goes on from every reached source.
+    """
+    x, y = mu.coords(), nu.coords()
+    if x.shape[1] != y.shape[1]:
+        raise ValueError("supports live in different dimensions")
+    dist = _distances(x, y)
+    supply, demand = mu.probs.copy(), nu.probs.copy()
+    flow = np.zeros_like(dist)
+    w, routed = _start_threshold(dist, supply, demand), 0.0
+    within = dist <= w
+    while 1.0 - routed > FLOW_ATOL:
+        seen_s, seen_t = supply > 0.0, np.zeros(len(demand), dtype=bool)
+        # by_s[j]: source that reached target j; by_t[i]: target that reached source i.
+        by_s, by_t = np.full(len(demand), -1), np.full(len(supply), -1)
+        frontier, sink = seen_s.copy(), -1
+        while sink < 0:
+            rows = np.flatnonzero(frontier)
+            reach = within[rows] & ~seen_t
+            new_t = np.flatnonzero(reach.any(axis=0))
+            if not new_t.size:
+                gaps = dist[np.ix_(seen_s, ~seen_t)]
+                if not gaps.size:
+                    raise RuntimeError("transport infeasible at the maximal distance")
+                w, frontier = gaps.min(), seen_s.copy()
+                within = dist <= w
+                continue
+            by_s[new_t] = rows[reach[:, new_t].argmax(axis=0)]
+            seen_t[new_t] = True
+            open_t = new_t[demand[new_t] > 0.0]
+            if open_t.size:
+                sink = open_t[0]
+                break
+            back = (flow[:, new_t] > 0.0) & ~seen_s[:, None]
+            frontier = back.any(axis=1)
+            by_t[frontier] = new_t[back[frontier].argmax(axis=1)]
+            seen_s |= frontier
+        fi, fj, j = [], [], sink
+        while j >= 0:
+            fi.append(by_s[j])
+            fj.append(j)
+            j = by_t[fi[-1]]
+        # Forward pairs (i_k, j_k) gain flow; backward pairs (i_k, j_k+1) give it up.
+        fi, fj = np.array(fi), np.array(fj)
         amount = min(supply[fi[-1]], demand[sink], flow[fi[:-1], fj[1:]].min(initial=np.inf))
         flow[fi, fj] += amount
         flow[fi[:-1], fj[1:]] -= amount

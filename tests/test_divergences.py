@@ -5,11 +5,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amplify_dp._quadrature import QuadratureError, integrate
 from amplify_dp.diffusion import OuParams, ou_transition
@@ -31,7 +34,12 @@ from amplify_dp.divergences import (
 )
 from amplify_dp.verify import random_instance
 from amplify_dp.mixing import pushforward
-from reference_impls import renyi_numeric_1d_scalar, w_inf_max_flow_search, w_inf_restart_search
+from reference_impls import (
+    renyi_numeric_1d_scalar,
+    w_inf_bfs_search,
+    w_inf_max_flow_search,
+    w_inf_restart_search,
+)
 
 
 def brute_force_hockey_stick(p, q, eps):
@@ -546,7 +554,7 @@ def coord_dist(points, probs):
 
 
 W_INF_KINDS = ["random1", "random2", "random3", "lattice", "identical", "one_point", "far_atom",
-               "line", "line_lattice"]
+               "line", "line_lattice", "wide"]
 
 
 def w_inf_instances(kind, count=12):
@@ -562,7 +570,10 @@ def w_inf_instances(kind, count=12):
     ``count`` is ignored); ``line``: unsorted supports of 1 to 64 points on
     the line, starting with one-point laws on either side; ``line_lattice``:
     shuffled integer points of [0, 12) on the line with integer weights, so
-    distances tie and atoms on both sides carry no mass.
+    distances tie and atoms on both sides carry no mass; ``wide``: supports
+    of 65 to 128 and of 129 to 200 points, n != m, in 2 and 3 dimensions, so
+    a side's bitsets cross one or two 64-bit word boundaries (fixed,
+    ``count`` is ignored).
     """
     if kind == "far_atom":
         point = coord_dist([[0.0]], [1.0])
@@ -574,6 +585,12 @@ def w_inf_instances(kind, count=12):
         return pairs
     rng = np.random.default_rng(W_INF_KINDS.index(kind))
     pairs = []
+    if kind == "wide":
+        for k, (lo, hi) in enumerate([(65, 129), (65, 129), (129, 201), (129, 201)]):
+            n, m = (int(v) for v in rng.choice(np.arange(lo, hi), size=2, replace=False))
+            x, y = rng.normal(size=(n, 2 + k % 2)), rng.normal(size=(m, 2 + k % 2))
+            pairs.append((coord_dist(x, rng.dirichlet(np.ones(n))), coord_dist(y, rng.dirichlet(np.ones(m)))))
+        return pairs
     for k in range(count):
         if kind == "line":
             n, m = (int(v) for v in rng.integers(1, 65, size=2))
@@ -624,7 +641,10 @@ def quantile_sup_distance(mu, nu):
 
 
 class TestWInfAgainstMaxFlow:
-    @pytest.mark.parametrize("kind", W_INF_KINDS)
+    # On a wide instance the reference runs about 17 networkx max-flows over
+    # up to 40,000 pairs; the wide values are checked == the two numpy
+    # searches below, which agree with it on every other kind.
+    @pytest.mark.parametrize("kind", [kind for kind in W_INF_KINDS if kind != "wide"])
     def test_value_matches_reference(self, kind):
         for mu, nu in w_inf_instances(kind):
             reference, _ = w_inf_max_flow_search(mu, nu)
@@ -653,6 +673,19 @@ class TestWInfAgainstMaxFlow:
         for mu, nu in w_inf_instances(kind, count=40):
             assert w_inf_discrete(mu, nu) == w_inf_restart_search(mu, nu)[0]
 
+    def test_peak_memory_bounded_by_differences(self):
+        # The search holds bitsets, a sorted pair list and the flow as lists;
+        # none of them may outgrow the n x m x d differences it starts from.
+        rng = np.random.default_rng(256)
+        mu, nu = (coord_dist(rng.uniform(size=(256, 2)), rng.dirichlet(np.ones(256))) for _ in "xy")
+        tracemalloc.start()
+        try:
+            w_inf_discrete(mu, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 256 * 256 * 2 * 8
+
     def test_one_dimensional_is_quantile_sup_distance(self):
         for mu, nu in w_inf_instances("random1", count=40):
             assert abs(w_inf_discrete(mu, nu) - quantile_sup_distance(mu, nu)) <= 1e-12
@@ -666,6 +699,54 @@ class TestWInfAgainstMaxFlow:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+
+@st.composite
+def w_inf_laws(draw, d, n):
+    """A law on up to ``n`` points of R^d: lattice points of {0..3}^d (tied
+    distances) or floats, masses with exact zeros and at most two atoms below
+    FLOW_ATOL, so what those leave unrouted stays well below it."""
+    # The reference searches square raw differences: none may underflow.
+    floats = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) > 1e-9)
+    coords = st.integers(0, 3).map(float) if draw(st.booleans()) else floats
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=n, unique=True))
+    k = len(points)
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=k, max_size=k))
+    tiny = dict(draw(st.lists(st.tuples(st.integers(1, max(k - 1, 1)), st.sampled_from([1e-13, 3e-13])),
+                              max_size=2 if k > 1 else 0)))
+    big = np.array([0.0 if i in tiny else v for i, v in enumerate(weights)])
+    big[0] += big.sum() == 0.0
+    probs = big / big.sum() * (1.0 - sum(tiny.values()))
+    probs[list(tiny)] = list(tiny.values())
+    return DiscreteDist(points, probs)
+
+
+@st.composite
+def w_inf_pairs(draw):
+    d, n = draw(st.integers(2, 3)), draw(st.sampled_from([1, 4, 12]))
+    mu = draw(w_inf_laws(d, n))
+    return mu, mu if draw(st.booleans()) and n > 1 else draw(w_inf_laws(d, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w_inf_pairs())
+@example((coord_dist([[0.0, 0.0]], [1.0]), coord_dist([[3.0, 4.0]], [1.0])))
+@example((coord_dist([[0.0, 0.0], [1.0, 0.0], [50.0, 0.0]], [0.5, 0.5 - 3e-13, 3e-13]),
+          coord_dist([[0.0, 1.0], [1.0, 1.0]], [0.3, 0.7])))
+def test_w_inf_phases_equal_numpy_searches(pair):
+    # The blocking-flow phases give the value of the one-path-per-BFS search
+    # they replaced and of the search that restarted after every raise, and a
+    # witness whose marginals are right and whose largest move is the value.
+    mu, nu = pair
+    w, pi = w_inf_optimal_coupling(mu, nu)
+    assert w == w_inf_discrete(mu, nu) == w_inf_bfs_search(mu, nu)[0] == w_inf_restart_search(mu, nu)[0]
+    first, second = dict.fromkeys(mu.points, 0.0), dict.fromkeys(nu.points, 0.0)
+    for (a, b), pr in zip(pi.points, pi.probs):
+        first[a] += pr
+        second[b] += pr
+    assert np.abs(np.array(list(first.values())) - mu.probs).max() <= 1e-12
+    assert np.abs(np.array(list(second.values())) - nu.probs).max() <= 1e-12
+    assert max(float(np.sqrt(np.sum((np.array(a) - np.array(b)) ** 2))) for a, b in pi.points) == w
 
 
 def test_import_does_not_load_scipy():

@@ -455,6 +455,16 @@ class TestTransportOperator:
         with pytest.raises(ValueError):
             pi.mass[0, 0] = 0.0
 
+    def test_random_coupling_with_a_subnormal_atom(self):
+        # The column of the 5e-324 atom scales to 0, after which its sum is 0:
+        # dividing by it gave NaN masses and numpy warnings.
+        mu = DiscreteDist(["a", "b", "c"], [0.0, 0.5, 0.5])
+        nu = DiscreteDist(["a", "b", "c"], [1.0, 5e-324, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = random_joint_coupling(mu, nu, 282)
+        assert np.array_equal(pi.mass, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+
     def test_random_coupling_with_zero_mass_atoms(self):
         mu = DiscreteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
         nu = DiscreteDist(["a", "b"], [0.3, 0.7])

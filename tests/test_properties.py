@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from amplify_dp import cli, mixing, verify
 from amplify_dp.distributions import DiscreteDist
-from amplify_dp.divergences import EXP_ARG_MAX, DpGuarantee, hockey_stick, hockey_stick_via_min, tv
+from amplify_dp.divergences import (
+    EXP_ARG_MAX,
+    DpGuarantee,
+    hockey_stick,
+    hockey_stick_via_min,
+    tv,
+    w_inf_optimal_coupling,
+)
 from amplify_dp.iteration import IterationChain, winf_path_bound
 from amplify_dp.mixing import (
     AMPLIFY_CONDITIONS,
@@ -519,11 +526,9 @@ def test_library_results_pass_the_public_checks(instance, eps, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = [pushforward(mu, kernel), pushforward(nu, kernel), doeblin_coeff(kernel)[1]]
+        # Sinkhorn's couplings keep the public check; their transport operators need none.
         couplings = [independent_coupling(mu, nu), greedy_coupling(mu, nu)]
-        if np.all((mu.probs == 0.0) | (mu.probs > 1e-300)) and np.all((nu.probs == 0.0) | (nu.probs > 1e-300)):
-            # Sinkhorn's couplings keep the public check: with a subnormal atom it
-            # can leave NaN.  Their transport operators need none.
-            couplings += random_joint_couplings([(mu, nu), (nu, mu)], [seed, seed + 1])
+        couplings += random_joint_couplings([(mu, nu), (nu, mu)], [seed, seed + 1])
         results += couplings + [transport_operator(pi) for pi in couplings]
         if math.isinf(eps):
             with pytest.raises(ValueError):
@@ -531,9 +536,8 @@ def test_library_results_pass_the_public_checks(instance, eps, seed):
         else:
             dec = mixture_decompose(mu, nu, eps)
             results += [dec.omega, dec.mu_prime, dec.nu_prime]
-        if not math.isinf(eps) and all(pi.marginals()[0].all() for pi in couplings[:2]):
-            # The first marginal that _transport_rows pushes through each operator;
-            # it needs operators on the whole first support, as verify's laws give.
+        if not math.isinf(eps):
+            # The first marginal that _transport_rows pushes through each operator.
             pushed = []
             with mock.patch.object(verify, "pushforward",
                                    lambda law, op: pushed.append(law) or pushforward(law, op)):
@@ -541,6 +545,11 @@ def test_library_results_pass_the_public_checks(instance, eps, seed):
             assert len(pushed) == 3
             results += pushed
         n = len(mu.points)
+        for d in (1, 2):
+            # The witness of W-infinity between the same masses on points of the line and the plane.
+            points = [(float(i), float(i % 2))[:d] for i in range(n)]
+            results.append(w_inf_optimal_coupling(DiscreteDist(points, mu.probs),
+                                                  DiscreteDist(points[::-1], nu.probs))[1])
         results += verify._random_pair(np.random.default_rng(seed), n)
         if n >= 2:
             results += verify.random_instance(n, 2 + seed % 3, seed)

@@ -146,6 +146,17 @@ class TestCertifyTransport:
             "decompose_theta", "decompose_reconstruction", "decompose_overlap"]
         assert all(r.passed for r in reports)
 
+    def test_rows_with_a_zero_mass_first_atom(self):
+        # The transport operator drops the zero-mass row, so the law it
+        # pushes must drop that atom too.
+        mu = DiscreteDist(["x0", "x1", "x2"], [0.5, 0.5, 0.0])
+        nu = DiscreteDist(["x0", "x1", "x2"], [0.2, 0.3, 0.5])
+        pi = verify.random_joint_couplings([(mu, nu)], [3])[0]
+        reports = verify._transport_rows(0, "zero atom", 0.5, mu, nu, pi)
+        assert [r.case for r in reports][:3] == [
+            "transport_independent", "transport_greedy", "transport_random_joint"]
+        assert all(r.passed for r in reports)
+
 
 class TestCertifyDiffusion:
     def test_no_violations_small(self):
