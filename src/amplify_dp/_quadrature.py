@@ -15,6 +15,9 @@ import numpy as np
 # breakpoint segments by length.
 INITIAL_PANELS = 32
 
+# Evaluation budget of one integral.
+MAX_EVALS = 10**6
+
 
 class QuadratureError(RuntimeError):
     """Raised when the integrator cannot reach the tolerance within budget."""
@@ -37,7 +40,6 @@ def integrate(
     a: float,
     b: float,
     rtol: float = 1e-8,
-    max_evals: int = 10**6,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Log of the integral of ``exp(log_f)`` over ``[a, b]``, to relative tolerance ``rtol``.
@@ -60,7 +62,7 @@ def integrate(
     Raises :class:`QuadratureError` when that rule fails (the integrand is not
     negligible next to an unrepresentable point), when ``log_f`` is ``+inf``
     somewhere, or when a sweep would take the evaluation count past
-    ``max_evals``.
+    ``MAX_EVALS``.
     """
     if not b > a:
         raise ValueError("domain must satisfy a < b")
@@ -69,10 +71,8 @@ def integrate(
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         nonlocal evals
-        if evals + len(x) > max_evals:
-            raise QuadratureError(
-                f"quadrature exceeded {max_evals} evaluations before converging"
-            )
+        if evals + len(x) > MAX_EVALS:
+            raise QuadratureError(f"quadrature exceeded {MAX_EVALS} evaluations before converging")
         evals += len(x)
         logs = np.asarray(log_f(x), dtype=np.float64)
         if np.any(logs == math.inf):

@@ -85,16 +85,16 @@ class DiscreteDist:
         return all(_is_coordinate(p) for p in self.points)
 
     def coords(self) -> np.ndarray:
-        """Support coordinates as an (n, d) array; rejects coordinate-free points
-        and NaN or infinite coordinates."""
+        """Support coordinates as an (n, d) array; rejects coordinate-free points,
+        points of unequal dimension, and NaN or infinite coordinates."""
         if not self.has_coords:
             raise ValueError("distribution carries no coordinates")
+        if len(set(map(len, self.points))) > 1:
+            raise ValueError("coordinate points must all have the same dimension")
         arr = np.array(self.points, dtype=np.float64)
         if not np.isfinite(arr).all():
             # A NaN distance is never <= a W-infinity threshold, and inf - inf is NaN.
             raise ValueError("coordinates must be finite")
-        if arr.ndim == 1:
-            arr = arr[:, None]
         return arr
 
 

@@ -33,7 +33,8 @@ __all__ = [
     "aligned_masses",
 ]
 
-# W-infinity transport is complete once the unrouted mass is at most this.
+# W-infinity transport is complete once the routed mass is within this of the
+# smaller of the two laws' totals (a law may hold as little as 1 - PROB_ATOL).
 FLOW_ATOL = 1e-12
 
 # Largest argument at which math.exp and math.expm1 are finite.
@@ -203,7 +204,6 @@ def renyi_numeric_log(
     alpha: float,
     domain: tuple[float, float],
     tol: float = 1e-8,
-    max_evals: int = 10**6,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Quadrature estimate of the order-``alpha`` Renyi divergence of densities
@@ -226,7 +226,7 @@ def renyi_numeric_log(
     Raises :class:`QuadratureError` when the integrand is not negligible next
     to such a point or at a domain end (typically: the tilted mass lies past
     ``domain``), when q is an exact zero where p is not, when the evaluation
-    budget ``max_evals`` runs out, or when the moment vanishes.
+    budget ``_quadrature.MAX_EVALS`` runs out, or when the moment vanishes.
     """
     if not (alpha > 1 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and > 1")
@@ -239,8 +239,7 @@ def renyi_numeric_log(
 
     a, b = domain
     rtol = 0.5 * tol * (alpha - 1.0)
-    log_moment = integrate(log_integrand, a, b, rtol=rtol, max_evals=max_evals,
-                           breakpoints=breakpoints)
+    log_moment = integrate(log_integrand, a, b, rtol=rtol, breakpoints=breakpoints)
     if log_moment == -math.inf:
         raise QuadratureError("moment integral vanished")
     require_negligible_ends(log_integrand, a, b, rtol, log_moment)
@@ -253,7 +252,6 @@ def renyi_numeric_1d(
     alpha: float,
     domain: tuple[float, float],
     tol: float = 1e-8,
-    max_evals: int = 10**6,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """:func:`renyi_numeric_log` for scalar density callables, called once per
@@ -270,7 +268,7 @@ def renyi_numeric_1d(
             return out
         return log_values
 
-    return renyi_numeric_log(log_of(p), log_of(q), alpha, domain, tol, max_evals, breakpoints)
+    return renyi_numeric_log(log_of(p), log_of(q), alpha, domain, tol, breakpoints)
 
 
 def _start_threshold(dist: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
@@ -278,15 +276,15 @@ def _start_threshold(dist: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
 
     An atom with mass moves it to a partner with mass on the other side, so
     below its nearest such partner it is stranded.  Routing may leave
-    ``FLOW_ATOL`` of the mass unrouted, and masses may sum to 1 + ``PROB_ATOL``:
-    the threshold is the largest nearest-partner distance at which the atoms
-    that far from every partner hold more than both together.  Zero-mass atoms
-    hold nothing, so they never set it.
+    ``FLOW_ATOL`` of the smaller total unrouted, and the two totals may differ
+    by ``2 * PROB_ATOL``: the threshold is the largest nearest-partner distance
+    at which the atoms that far from every partner hold more than that
+    margin.  Zero-mass atoms hold nothing, so they never set it.
     """
     start = -math.inf
     for nearest, mass in ((dist[:, q > 0.0].min(axis=1), p), (dist[p > 0.0].min(axis=0), q)):
         order = np.argsort(nearest)[::-1]
-        stranded = np.cumsum(mass[order]) > FLOW_ATOL + PROB_ATOL
+        stranded = np.cumsum(mass[order]) > FLOW_ATOL + 2 * PROB_ATOL
         start = max(start, nearest[order[stranded.argmax()]])
     return start
 
@@ -298,8 +296,8 @@ def _line_pass(within: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[list, 
     admissible targets form an interval whose two ends never decrease.  Each
     source fills the leftmost targets that still have room; a target it
     passes is full or out of reach of every later source, which makes the
-    routed mass maximal.  Returns the ``(i, j, amount)`` moves and the mass
-    routed.
+    routed mass maximal.  With every pair admissible it is the northwest-corner
+    rule.  Returns the ``(i, j, amount)`` moves, in order, and the mass routed.
     """
     m = within.shape[1]
     reaches = within.any(axis=1).tolist()
@@ -324,13 +322,13 @@ def _line_pass(within: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[list, 
 
 
 def _w_inf_line(x: np.ndarray, y: np.ndarray, dist: np.ndarray, p: np.ndarray,
-                q: np.ndarray, start: float) -> tuple[float, np.ndarray]:
+                q: np.ndarray, start: float, total: float) -> tuple[float, np.ndarray]:
     """Bottleneck transport on the line by binary search over the distances.
 
     The candidate thresholds are the distinct entries of ``dist`` from
     ``start`` up, and each is decided by one :func:`_line_pass` under the
-    search's stopping rule, so the value is the smallest candidate that
-    leaves at most ``FLOW_ATOL`` of the mass unrouted.
+    search's stopping rule, so the value is the smallest candidate at which
+    the routed mass is within ``FLOW_ATOL`` of ``total``.
     """
     ox, oy = np.argsort(x), np.argsort(y)
     ordered, p, q = dist[np.ix_(ox, oy)], p[ox], q[oy]
@@ -339,7 +337,7 @@ def _w_inf_line(x: np.ndarray, y: np.ndarray, dist: np.ndarray, p: np.ndarray,
     while lo <= hi:
         mid = (lo + hi) // 2
         moves, routed = _line_pass(ordered <= thresholds[mid], p, q)
-        if 1.0 - routed <= FLOW_ATOL:
+        if total - routed <= FLOW_ATOL:
             best, hi = (thresholds[mid], moves), mid - 1
         else:
             lo = mid + 1
@@ -395,8 +393,9 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
         raise ValueError("supports live in different dimensions")
     dist = _distances(x, y)
     start = _start_threshold(dist, mu.probs, nu.probs)
+    total = min(math.fsum(mu.probs.tolist()), math.fsum(nu.probs.tolist()))
     if x.shape[1] == 1:
-        return _w_inf_line(x[:, 0], y[:, 0], dist, mu.probs, nu.probs, start)
+        return _w_inf_line(x[:, 0], y[:, 0], dist, mu.probs, nu.probs, start, total)
     n, m = dist.shape
     supply, demand = mu.probs.tolist(), nu.probs.tolist()
     flow = [[0.0] * m for _ in range(n)]
@@ -409,7 +408,7 @@ def _w_inf_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.ndarray
     order = np.argsort(dist, axis=None, kind="stable")
     pairs, ranked, admitted = memoryview(order), memoryview(dist.ravel()[order]), 0
     w, routed = start, 0.0
-    while 1.0 - routed > FLOW_ATOL:
+    while total - routed > FLOW_ATOL:
         while admitted < len(pairs) and ranked[admitted] <= w:
             i, j = divmod(pairs[admitted], m)
             to_t[i] |= 1 << j
@@ -485,12 +484,13 @@ def w_inf_discrete(mu: DiscreteDist, nu: DiscreteDist) -> float:
     """Exact infinity-Wasserstein distance between coordinate-carrying supports.
 
     The smallest pairwise distance ``w`` such that all but ``FLOW_ATOL`` of
-    the mass can be moved along pairs at distance ``<= w``; distances are
-    compared exactly.  On the line it is found by a binary search over the
-    distances, deciding each by one monotone greedy pass; in two or more
-    dimensions by blocking-flow phases over bitsets of the pairs within the
-    threshold, raising it across each maximal flow's cut.  Non-finite
-    coordinates raise ``ValueError``.
+    the smaller of the two laws' totals can be moved along pairs at distance
+    ``<= w``; distances are compared exactly.  On the line it is found by a
+    binary search over the distances, deciding each by one monotone greedy
+    pass; in two or more dimensions by blocking-flow phases over bitsets of
+    the pairs within the threshold, raising it across each maximal flow's
+    cut.  Non-finite coordinates and points of unequal dimension raise
+    ``ValueError``.
     """
     return _w_inf_search(mu, nu)[0]
 

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, PROB_ATOL, _canonical_point, _trusted
-from .divergences import EXP_ARG_MAX, DpGuarantee, aligned_masses, exp_times
+from .divergences import EXP_ARG_MAX, DpGuarantee, _line_pass, aligned_masses, exp_times
 
 __all__ = [
     "Coupling",
@@ -354,22 +354,14 @@ def independent_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
 
 
 def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
-    """Northwest-corner coupling: match mass greedily in support order."""
-    i = j = 0
-    remain_p = mu.probs.copy()
-    remain_q = nu.probs.copy()
-    mass = np.zeros((len(remain_p), len(remain_q)))
-    while i < len(remain_p) and j < len(remain_q):
-        m = min(remain_p[i], remain_q[j])
-        mass[i, j] = m
-        remain_p[i] -= m
-        remain_q[j] -= m
-        if remain_p[i] <= 0:
-            i += 1
-        if j < len(remain_q) and remain_q[j] <= 0:
-            j += 1
-    # The path moves right or down only: cumsum adds the masses in match order.
-    return _trusted(Coupling, mu.points, nu.points, mass / np.cumsum(mass)[-1])
+    """Northwest-corner coupling: match mass greedily in support order.  It is
+    W-infinity's line pass with every pair admissible."""
+    mass = np.zeros((len(mu.probs), len(nu.probs)))
+    moves, routed = _line_pass(np.ones(mass.shape, dtype=bool), mu.probs, nu.probs)
+    rows, cols, amounts = zip(*moves)
+    mass[list(rows), list(cols)] = amounts
+    # The moves run right or down only: routed adds the masses in row-major order.
+    return _trusted(Coupling, mu.points, nu.points, mass / routed)
 
 
 def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
@@ -399,37 +391,48 @@ def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
 
 
 def random_joint_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]],
-                           seeds: Sequence[int]) -> list[Coupling]:
-    """Random couplings with the given marginals, via Sinkhorn scaling; one
-    per ``(mu, nu)`` pair, the i-th from ``seeds[i]``.
+                           seeds: Sequence[int]) -> Iterator[Coupling]:
+    """Random couplings with the given marginals, via Sinkhorn scaling, yielded
+    in order: one per ``(mu, nu)`` pair, the i-th from ``seeds[i]``.
 
     Each start matrix is drawn from its own seed's stream, zero only on the
     rows and columns of zero-mass atoms.  Its rows and columns are rescaled in
     turn until the row sums match ``mu`` to ``SINKHORN_ATOL``; the column sums
-    match ``nu`` to a few ulps.  Pairs of one support shape are solved
-    together, in stacks of at most ``PAIR_BLOCK_ENTRIES`` entries (at least
-    one pair); each coupling is ``==`` the one solved alone.
+    match ``nu`` to a few ulps.  Consecutive pairs are cut into windows of at
+    most ``PAIR_BLOCK_ENTRIES`` coupling entries (at least one pair), and the
+    pairs of one support shape in a window are solved as one stack, so memory
+    is bounded by the window; each coupling is ``==`` the one solved alone.
     """
     if len(pairs) != len(seeds):
         raise ValueError("pairs and seeds must have equal length")
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    # windows[k]: the indices of window k's pairs, by support shape.
+    windows, entries = [{}], 0
     for i, (mu, nu) in enumerate(pairs):
-        by_shape.setdefault((len(mu.probs), len(nu.probs)), []).append(i)
-    out: list[Coupling | None] = [None] * len(pairs)
-    for (n, m), members in by_shape.items():
-        step = max(1, PAIR_BLOCK_ENTRIES // (n * m))
-        for start in range(0, len(members), step):
-            stack = members[start:start + step]
-            p = np.stack([pairs[i][0].probs for i in stack])
-            q = np.stack([pairs[i][1].probs for i in stack])
-            mass = np.stack([-np.log(uniform_open(rng_from_seed(seeds[i]), (n, m))) for i in stack])
-            mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
-            _sinkhorn_stack(p, q, mass)
-            for i, mat in zip(stack, mass):
-                out[i] = Coupling(pairs[i][0].points, pairs[i][1].points, mat)
-    return out
+        n, m = len(mu.probs), len(nu.probs)
+        if entries + n * m > PAIR_BLOCK_ENTRIES and windows[-1]:
+            windows.append({})
+            entries = 0
+        entries += n * m
+        windows[-1].setdefault((n, m), []).append(i)
+    for window in windows:
+        solved = {}
+        for (n, m), stack in window.items():
+            solved.update(zip(stack, _sinkhorn_couplings(pairs, seeds, stack, n, m)))
+        yield from (solved[i] for i in sorted(solved))
+
+
+def _sinkhorn_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]], seeds: Sequence[int],
+                        stack: list[int], n: int, m: int) -> list[Coupling]:
+    """The random couplings of ``pairs[i]``, ``i`` in ``stack``, of support shape
+    ``(n, m)``: one Sinkhorn stack, freed on return, before they are yielded."""
+    p = np.stack([pairs[i][0].probs for i in stack])
+    q = np.stack([pairs[i][1].probs for i in stack])
+    mass = np.stack([-np.log(uniform_open(rng_from_seed(seeds[i]), (n, m))) for i in stack])
+    mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
+    _sinkhorn_stack(p, q, mass)
+    return [Coupling(pairs[i][0].points, pairs[i][1].points, mat) for i, mat in zip(stack, mass)]
 
 
 def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
     """:func:`random_joint_couplings` for one pair."""
-    return random_joint_couplings([(mu, nu)], [seed])[0]
+    return next(random_joint_couplings([(mu, nu)], [seed]))

@@ -21,7 +21,6 @@ from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, qu
 from .divergences import DpGuarantee, aligned_masses, hockey_stick, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from .mixing import (
-    PAIR_BLOCK_ENTRIES,
     Coupling,
     DiscreteKernel,
     amplify_with_kernel,
@@ -183,31 +182,16 @@ def certify_transport_and_decompose(
     decomposition on random instances."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    inst_seeds = _trial_seeds(seed, trials)
-    inst_sizes = _trial_sizes(seed, trials, sizes)
-    eps_rng = rng_from_seed(seed, 3)
-    eps_values = uniform_open(eps_rng, trials) * 2.0
+    iseeds = _trial_seeds(seed, trials).tolist()
+    ns = _trial_sizes(seed, trials, sizes)[:, 0].tolist()
+    eps_values = (uniform_open(rng_from_seed(seed, 3), trials) * 2.0).tolist()
+    pairs = [_random_pair(rng_from_seed(iseed), n) for n, iseed in zip(ns, iseeds)]
+    # The couplings come one window at a time, each dropped once its rows are made.
+    trial_data = zip(range(trials), ns, iseeds, eps_values, pairs, random_joint_couplings(pairs, iseeds))
     reports: list[TrialReport] = []
-    for window in _coupling_windows(inst_sizes[:, 0]):
-        ns, iseeds = inst_sizes[window, 0].tolist(), inst_seeds[window].tolist()
-        pairs = [_random_pair(rng_from_seed(iseed), n) for n, iseed in zip(ns, iseeds)]
-        random_joint = random_joint_couplings(pairs, iseeds)
-        for t, n, iseed, (mu, nu), pi in zip(window, ns, iseeds, pairs, random_joint):
-            eps = float(eps_values[t])
-            reports += _transport_rows(t, f"n={n},seed={iseed},eps={eps!r}", eps, mu, nu, pi)
+    for t, n, iseed, eps, (mu, nu), pi in trial_data:
+        reports += _transport_rows(t, f"n={n},seed={iseed},eps={eps!r}", eps, mu, nu, pi)
     return reports
-
-
-def _coupling_windows(sizes: np.ndarray):
-    """Ranges of consecutive trials whose ``n x n`` couplings hold at most
-    ``PAIR_BLOCK_ENTRIES`` entries together (at least one trial each)."""
-    start, entries = 0, 0
-    for t, n in enumerate(sizes.tolist()):
-        if entries + n * n > PAIR_BLOCK_ENTRIES and t > start:
-            yield range(start, t)
-            start, entries = t, 0
-        entries += n * n
-    yield range(start, len(sizes))
 
 
 def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,

@@ -34,7 +34,7 @@ def _wasserstein_feasible(p: np.ndarray, q: np.ndarray, dist: np.ndarray, w: flo
         g.add_edge(("b", j), "t", capacity=float(q[j]))
     for i in range(n):
         for j in range(m):
-            if dist[i, j] <= w + FLOW_ATOL:
+            if dist[i, j] <= w:
                 g.add_edge(("a", i), ("b", j), capacity=float(min(p[i], q[j])))
     value, flow = nx.maximum_flow(g, "s", "t")
     if value < 1.0 - FLOW_ATOL:
@@ -53,7 +53,7 @@ def w_inf_max_flow_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
         raise ValueError("supports live in different dimensions")
-    dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    dist = _distances(x, y)
     thresholds = np.unique(dist)
     # Smallest feasible threshold via binary search; feasibility is monotone.
     lo, hi = 0, len(thresholds) - 1
@@ -85,7 +85,7 @@ def w_inf_restart_search(mu: DiscreteDist, nu: DiscreteDist) -> tuple[float, np.
     x, y = mu.coords(), nu.coords()
     if x.shape[1] != y.shape[1]:
         raise ValueError("supports live in different dimensions")
-    dist = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    dist = _distances(x, y)
     supply, demand = mu.probs.copy(), nu.probs.copy()
     flow = np.zeros_like(dist)
     w, routed = dist.min(), 0.0

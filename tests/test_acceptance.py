@@ -3,6 +3,9 @@ PASS/FAIL line.  Tolerances are pinned here and nowhere else."""
 
 import itertools
 import math
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -217,3 +220,12 @@ def test_criterion_8_transport_and_decomposition():
     announce(8, "mixture decompositions reconstruct exactly and transports push "
                 "the marginal", ok,
              f"{len(reports)} checks, {len(violations)} violations")
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's checks read the library's outputs (result keys, the
+    # witness's points and probs): a change that breaks them fails here.
+    script = pathlib.Path(__file__).resolve().parents[1] / "bench" / "selftest.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all checks behave" in proc.stdout

@@ -350,6 +350,32 @@ class TestDivergenceCommand:
         code, _, _ = run_cli(["divergence", "--config", cfg], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("mu, nu, expected", [
+        ({"points": [[0.951], [0.819], [0.531], [0.746]],
+          "probs": [0.48601050465858897, 0.33064387631857317, 0.07738209927871914, 0.10596351974311867]},
+         {"points": [[0.266]], "probs": [1.0]}, "0.6849999999999999"),
+        ({"points": [[0.43, 0.92], [0.3, 0.27], [0.54, 0.69], [0.05, 0.13], [0.27, 0.86]],
+          "probs": [0.35232107146832503, 0.1741579007727549, 0.10763851409346532, 0.32733320740628247,
+                    0.038549306258172336]},
+         {"points": [[0.62, 0.36], [0.69, 0.82], [0.17, 0.34]],
+          "probs": [0.484634605468442, 0.0030991118802675653, 0.5122662826512904]}, "0.5913543776789009"),
+    ])
+    def test_w_inf_law_short_of_one(self, tmp_path, capsys, mu, nu, expected):
+        # mu's masses sum to 1 - 1e-12, within DiscreteDist's tolerance.
+        cfg = write_config(tmp_path, {"kind": "w_inf", "mu": mu, "nu": nu})
+        code, out, err = run_cli(["divergence", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"kind,parameter,value\nw_inf,nan,{expected}\n")
+
+    def test_w_inf_ragged_points_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kind": "w_inf",
+            "mu": {"points": [[0.0], [1.0, 2.0]], "probs": [0.5, 0.5]},
+            "nu": {"points": [[0.0]], "probs": [1.0]}})
+        code, out, err = run_cli(["divergence", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: mu: coordinate points must all have the same dimension\n"
+
     def test_invalid_distribution_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "tv",

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amplify_dp import _quadrature
 from amplify_dp._quadrature import QuadratureError, integrate
 from amplify_dp.diffusion import OuParams, ou_transition
 from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, density, log_density
 from amplify_dp.divergences import (
     DpGuarantee,
+    _distances,
     _logsumexp,
     RdpPoint,
     hockey_stick,
@@ -281,11 +283,12 @@ class TestRenyiNumeric:
                                2.0, (-41.0, 42.0), breakpoints=(0.0, 1.0))
         assert val == pytest.approx(log_laplace_g(1.0, 2.0), abs=1e-6)
 
-    def test_budget_exhaustion_reported(self):
+    def test_budget_exhaustion_reported(self, monkeypatch):
         p, q = GaussianDist([1.0], 1.0), GaussianDist([0.0], 1.0)
+        monkeypatch.setattr(_quadrature, "MAX_EVALS", 50)
         with pytest.raises(QuadratureError):
             renyi_numeric_1d(lambda x: density(p, [x]), lambda x: density(q, [x]),
-                             2.0, (-40.0, 41.0), tol=1e-14, max_evals=50)
+                             2.0, (-40.0, 41.0), tol=1e-14)
 
     def test_overflow_reported(self):
         # The tilted moment peaks at x = 48, past the domain: the integrand is
@@ -462,6 +465,19 @@ class TestLogSpaceOracle:
         assert val == pytest.approx(1000.0 + math.log(-math.expm1(-1.0)), abs=1e-10)
 
 
+# Laws whose masses sum to 1 - 1e-12, with their W-infinity distances.
+W_INF_SHORT_TOTALS = [
+    (DiscreteDist([(0.951,), (0.819,), (0.531,), (0.746,)],
+                  [0.48601050465858897, 0.33064387631857317, 0.07738209927871914, 0.10596351974311867]),
+     DiscreteDist([(0.266,)], [1.0]), 0.6849999999999999),
+    (DiscreteDist([(0.43, 0.92), (0.3, 0.27), (0.54, 0.69), (0.05, 0.13), (0.27, 0.86)],
+                  [0.35232107146832503, 0.1741579007727549, 0.10763851409346532, 0.32733320740628247,
+                   0.038549306258172336]),
+     DiscreteDist([(0.62, 0.36), (0.69, 0.82), (0.17, 0.34)],
+                  [0.484634605468442, 0.0030991118802675653, 0.5122662826512904]), 0.5913543776789009),
+]
+
+
 class TestWInf:
     def test_point_masses(self):
         a = DiscreteDist([(0.0, 0.0)], [1.0])
@@ -536,6 +552,24 @@ class TestWInf:
             warnings.simplefilter("error")
             w = w_inf_discrete(a, b)
         assert w == expected
+
+    @pytest.mark.parametrize("mu, nu, expected", W_INF_SHORT_TOTALS)
+    def test_law_short_of_one(self, mu, nu, expected):
+        # mu holds 1 - 1e-12, which DiscreteDist accepts: all of it is routed.
+        assert 1.0 - math.fsum(mu.probs.tolist()) > 0.99e-12
+        w, pi = w_inf_optimal_coupling(mu, nu)
+        assert w == w_inf_discrete(nu, mu) == expected
+        assert max(_distances(np.array([a]), np.array([b]))[0, 0] for a, b in pi.points) == w
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_start_bound_allows_for_unequal_totals(self, d):
+        # mu holds 1 + 0.99e-12 and nu 1 - 0.99e-12.  mu's far atom of 2.5e-12
+        # need not move: without it, all but 0.52e-12 of nu's total is routed
+        # at distance 0, so it must not raise the lower bound.
+        far = 2.5e-12
+        mu = DiscreteDist([(0.0,) * d, (100.0,) * d], [1.0 + 0.99e-12 - far, far])
+        nu = DiscreteDist([(0.0,) * d], [1.0 - 0.99e-12])
+        assert w_inf_discrete(mu, nu) == 0.0
 
     def test_optimal_coupling_is_valid(self):
         a = DiscreteDist([(0.0,), (1.0,)], [0.5, 0.5])
@@ -648,7 +682,7 @@ class TestWInfAgainstMaxFlow:
     def test_value_matches_reference(self, kind):
         for mu, nu in w_inf_instances(kind):
             reference, _ = w_inf_max_flow_search(mu, nu)
-            assert abs(w_inf_discrete(mu, nu) - reference) <= 1e-12
+            assert w_inf_discrete(mu, nu) == reference
 
     @pytest.mark.parametrize("kind", W_INF_KINDS)
     def test_witness_marginals_and_largest_move(self, kind):
@@ -706,9 +740,7 @@ def w_inf_laws(draw, d, n):
     """A law on up to ``n`` points of R^d: lattice points of {0..3}^d (tied
     distances) or floats, masses with exact zeros and at most two atoms below
     FLOW_ATOL, so what those leave unrouted stays well below it."""
-    # The reference searches square raw differences: none may underflow.
-    floats = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) > 1e-9)
-    coords = st.integers(0, 3).map(float) if draw(st.booleans()) else floats
+    coords = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(-4.0, 4.0)
     points = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=n, unique=True))
     k = len(points)
     weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=k, max_size=k))
@@ -746,7 +778,7 @@ def test_w_inf_phases_equal_numpy_searches(pair):
         second[b] += pr
     assert np.abs(np.array(list(first.values())) - mu.probs).max() <= 1e-12
     assert np.abs(np.array(list(second.values())) - nu.probs).max() <= 1e-12
-    assert max(float(np.sqrt(np.sum((np.array(a) - np.array(b)) ** 2))) for a, b in pi.points) == w
+    assert max(_distances(np.array([a]), np.array([b]))[0, 0] for a, b in pi.points) == w
 
 
 def test_import_does_not_load_scipy():

@@ -45,6 +45,7 @@ from amplify_dp.mixing import (
 from reference_impls import (
     coupling_marginals_by_sum,
     eps_dobrushin_coeff_pairs,
+    greedy_coupling_pairs,
     hockey_stick_scalar,
     random_joint_coupling_per_pair,
     render_rows_per_cell,
@@ -251,7 +252,7 @@ def coupling_pair(w_mu, w_nu, drift=False):
 
 def assert_couplings_equal_per_pair(pairs, seeds, block):
     with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
-        batch = random_joint_couplings(pairs, seeds)
+        batch = list(random_joint_couplings(pairs, seeds))
     assert len(batch) == len(pairs)
     for (mu, nu), seed, pi in zip(pairs, seeds, batch):
         ref = random_joint_coupling_per_pair(mu, nu, seed)
@@ -261,7 +262,7 @@ def assert_couplings_equal_per_pair(pairs, seeds, block):
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(coupling_specs(), min_size=1, max_size=8), st.integers(0, 2**62),
-       st.sampled_from([mixing.PAIR_BLOCK_ENTRIES, 1, 5, 12, 40]))
+       st.sampled_from([mixing.PAIR_BLOCK_ENTRIES, 1, 5, 6, 12, 13, 40]))
 def test_random_joint_couplings_equal_per_pair_loop(specs, seed, block):
     # Stacked Sinkhorn gives masses == the one-pair loop, whatever the mix of
     # shapes, zero-mass atoms and stack splits.
@@ -288,6 +289,30 @@ def test_random_joint_couplings_edge_cases():
     seeds = [5 * i + 1 for i in range(len(pairs))]
     for block in (mixing.PAIR_BLOCK_ENTRIES, 1, 6, 13):  # 3x2 stacks split at 6 and 13
         assert_couplings_equal_per_pair(pairs, seeds, block)
+
+
+def greedy_law(n):
+    # Masses with exact zeros and subnormals mixed in, normalized.
+    mass = st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-320, 1e-300), st.floats(1e-6, 1.0))
+    return st.lists(mass, min_size=n, max_size=n).filter(lambda w: sum(w) > 1e-6).map(
+        lambda w: DiscreteDist([f"z{i}" for i in range(n)], np.asarray(w) / np.sum(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda nm: st.tuples(greedy_law(nm[0]), greedy_law(nm[1]))))
+@example((DiscreteDist(["a", "b", "c"], [0.5, 5e-324, 0.5]), DiscreteDist(["u", "v", "w"], [5e-324, 1.0, 0.0])))
+@example((DiscreteDist(["a", "b"], [0.0, 1.0]), DiscreteDist(["u", "v"], [0.0, 1.0])))
+def test_greedy_coupling_equals_northwest_corner_loop(pair):
+    # The line pass with every pair admissible gives the masses of the
+    # northwest-corner loop it replaced, == entry by entry, zeros included.
+    mu, nu = pair
+    pi, ref = greedy_coupling(mu, nu), greedy_coupling_pairs(mu, nu)
+    expected = np.zeros((len(mu.points), len(nu.points)))
+    for (x, y), prob in zip(ref.points, ref.probs):
+        expected[mu.points.index(x), nu.points.index(y)] = prob
+    assert (pi.first_points, pi.second_points) == (mu.points, nu.points)
+    assert pi.mass.tobytes() == expected.tobytes()
 
 
 def test_sinkhorn_stack_freezes_converged_trials():

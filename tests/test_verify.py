@@ -8,12 +8,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import amplify_dp
-from amplify_dp import cli, distributions, verify
+from amplify_dp import cli, distributions, mixing, verify
 from amplify_dp.diffusion import OuParams, ou_mse
 from amplify_dp.distributions import DiscreteDist, GaussianDist
 from amplify_dp.divergences import QuadratureError
@@ -140,7 +141,7 @@ class TestCertifyTransport:
         # 1 - (1 - theta) = theta ~ 1e-13, so nu is rebuilt from omega alone.
         mu = DiscreteDist(["x0", "x1"], [0.6, 0.4])
         nu = DiscreteDist(["x0", "x1"], [0.6 - 1e-13, 0.4])
-        pi = verify.random_joint_couplings([(mu, nu)], [5])[0]
+        pi = verify.random_joint_coupling(mu, nu, 5)
         reports = verify._transport_rows(0, "near-equal", 0.0, mu, nu, pi)
         assert [r.case for r in reports][-3:] == [
             "decompose_theta", "decompose_reconstruction", "decompose_overlap"]
@@ -151,7 +152,7 @@ class TestCertifyTransport:
         # pushes must drop that atom too.
         mu = DiscreteDist(["x0", "x1", "x2"], [0.5, 0.5, 0.0])
         nu = DiscreteDist(["x0", "x1", "x2"], [0.2, 0.3, 0.5])
-        pi = verify.random_joint_couplings([(mu, nu)], [3])[0]
+        pi = verify.random_joint_coupling(mu, nu, 3)
         reports = verify._transport_rows(0, "zero atom", 0.5, mu, nu, pi)
         assert [r.case for r in reports][:3] == [
             "transport_independent", "transport_greedy", "transport_random_joint"]
@@ -255,18 +256,52 @@ class TestTransportWindows:
         # depend on where the windows split.
         full = certify_transport_and_decompose(30, (2, 9), seed=13)
         for block in (1, 40, 300):
-            monkeypatch.setattr(verify, "PAIR_BLOCK_ENTRIES", block)
+            monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", block)
             assert certify_transport_and_decompose(30, (2, 9), seed=13) == full
 
-    def test_windows(self):
-        sizes = np.array([3, 4, 2, 5, 1])
-        assert [list(w) for w in verify._coupling_windows(sizes)] == [[0, 1, 2, 3, 4]]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "PAIR_BLOCK_ENTRIES", 25)
-            # 9 + 16 fit; 4 + 25 do not, so 25 stands alone; a trial larger
-            # than the bound is a window of its own.
-            assert [list(w) for w in verify._coupling_windows(sizes)] == [[0, 1], [2], [3], [4]]
-            assert [list(w) for w in verify._coupling_windows(np.array([6, 2]))] == [[0], [1]]
+    def test_windows(self, monkeypatch):
+        # The stacks that random_joint_couplings solves, as lists of pair
+        # indices.  Pair i couples two laws on n points; the first atom of
+        # its first law weighs i + 1 times each other atom.
+        stacks, solve = [], mixing._sinkhorn_stack
+
+        def record(p, q, mass):
+            stacks.append([round(row[0] / row[1]) - 1 for row in p])
+            solve(p, q, mass)
+
+        def windows(sizes):
+            weights = [np.r_[i + 1.0, np.ones(n - 1)] for i, n in enumerate(sizes)]
+            pairs = [(DiscreteDist.from_probs(w / w.sum()), DiscreteDist.from_probs(np.full(n, 1.0 / n)))
+                     for w, n in zip(weights, sizes)]
+            stacks.clear()
+            list(mixing.random_joint_couplings(pairs, list(range(len(pairs)))))
+            return stacks
+
+        monkeypatch.setattr(mixing, "_sinkhorn_stack", record)
+        # One window: each support shape is one stack.
+        assert windows([3, 4, 2, 5, 6]) == [[0], [1], [2], [3], [4]]
+        assert windows([3, 3, 3, 5, 3]) == [[0, 1, 2, 4], [3]]
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 20)
+        # Square sizes 3, 3, 3, 5, 3: 9 + 9 fit and 9 + 9 + 9 do not; 9 + 25
+        # do not, and 25 stands alone: a pair larger than the bound is a
+        # window of its own.
+        assert windows([3, 3, 3, 5, 3]) == [[0, 1], [2], [3], [4]]
+        assert windows([6, 2]) == [[0], [1]]
+
+    def test_couplings_not_held_across_trials(self):
+        # A 200 x 200 coupling fills a window of its own, and each is dropped
+        # once its trial's rows are made: 12 trials peak about where 3 do,
+        # where holding all couplings at once would add 9 x 320 KB.
+        certify_transport_and_decompose(1, (200, 200), seed=3)
+        peaks = []
+        for trials in (3, 12):
+            tracemalloc.start()
+            try:
+                certify_transport_and_decompose(trials, (200, 200), seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 def theorem1_csv_lines(tmp_path, trials, sizes, eps_grid, seed):
