@@ -67,7 +67,8 @@ class DpGuarantee:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        # Written so that NaN fails too.
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
@@ -92,11 +93,32 @@ def aligned_masses(mu: DiscreteDist, nu: DiscreteDist) -> tuple[tuple, np.ndarra
 
 def exp_times(eps: float, q: np.ndarray) -> np.ndarray:
     """``e^eps * q`` for finite ``eps`` and ``q >= 0``.  Past ``EXP_ARG_MAX`` it is
-    ``exp(eps + log q)``: right for subnormal ``q``, and 0 (not NaN) at ``q = 0``."""
+    ``exp(eps + log q)``: right for subnormal ``q``, and 0 (not NaN) at ``q = 0``.
+    At eps = +inf it is +inf where q is positive."""
     if eps <= EXP_ARG_MAX:
         return math.exp(eps) * q
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(eps + np.log(q))
+
+
+def _exp_times_stack(eps: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``exp_times(eps[i, j], q[i])`` at ``[i, j]``, for a ``(k, e)`` array of
+    ``eps`` and a stack ``q`` of ``k`` arrays of one shape: e^eps is
+    ``math.exp``'s, as numpy's vector exp need not give the same bits."""
+    flat = eps.ravel().tolist()
+    factors = np.array([math.exp(e) if e <= EXP_ARG_MAX else 0.0 for e in flat])
+    out = factors.reshape(eps.shape + (1,) * (q.ndim - 1)) * q[:, None]
+    for index, e in enumerate(flat):
+        if e > EXP_ARG_MAX:
+            i, j = divmod(index, eps.shape[1])
+            out[i, j] = exp_times(e, q[i])
+    return out
+
+
+def _padded(values: Sequence[float], depth: int) -> list[float]:
+    """``values`` (0.0 if empty) with its first entry repeated up to ``depth`` entries."""
+    values = list(values) or [0.0]
+    return values + values[:1] * (depth - len(values))
 
 
 def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps):
@@ -104,29 +126,58 @@ def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps):
 
     At eps = 0 this is the total variation distance; at eps = +inf it is the
     mass of mu outside nu's support.  A sequence of eps values gives a list
-    with one divergence per value: the finite ones are rows of one array,
-    each summed along its contiguous axis, so every value is ``==`` the
-    scalar call's.
+    with one divergence per value: they are rows of one array, each summed
+    along its contiguous axis, so every value is ``==`` the scalar call's.
     """
     scalar = np.ndim(eps) == 0
     eps_values = [eps] if scalar else list(eps)
-    if any(e < 0 for e in eps_values):
-        raise ValueError("eps must be non-negative")
     _, p, q = aligned_masses(mu, nu)
-    zero_q = q == 0.0
-    outside = float(p[zero_q].sum())
-    finite = [e for e in eps_values if not math.isinf(e)]
-    if finite:
-        p_pos, q_pos = p[~zero_q], q[~zero_q]
-        scaled = np.stack([exp_times(e, q_pos) for e in finite])
-        excess = iter(np.maximum(p_pos - scaled, 0.0).sum(axis=1).tolist())
-    out = [min(outside if math.isinf(e) else outside + next(excess), 1.0) for e in eps_values]
+    (out,) = _hockey_sticks(p[None], q[None], [eps_values])
     return out[0] if scalar else out
+
+
+def _hockey_sticks(p: np.ndarray, q: np.ndarray, eps: Sequence[Sequence[float]]) -> list[list[float]]:
+    """:func:`hockey_stick` of each pair of rows ``(p[i], q[i])`` of two
+    ``(k, n)`` stacks, at each eps of the list ``eps[i]``; lists may differ in
+    length.  Shorter lists repeat their first entry up to the longest, and
+    the repeats are dropped from the result.  At eps = +inf, e^eps * q is
+    +inf wherever q is positive, so the excess there is 0 and the value is
+    the mass outside q's support.
+    """
+    if not all(e >= 0 for values in eps for e in values):
+        raise ValueError("eps must be non-negative")
+    depth = max(map(len, eps), default=0)
+    padded = np.array([_padded(values, depth) for values in eps], dtype=np.float64)
+    out = np.empty(padded.shape)
+    for rows, outside, p_pos, q_pos in _positive_parts(p, q):
+        excess = np.maximum(p_pos[:, None] - _exp_times_stack(padded[rows], q_pos), 0.0)
+        out[rows] = outside + excess.sum(axis=2)
+    return [row[:len(values)] for row, values in zip(np.minimum(out, 1.0).tolist(), eps)]
+
+
+def _positive_parts(p: np.ndarray, q: np.ndarray):
+    """The rows of the ``(k, n)`` stacks ``p`` and ``q``, grouped by the zero
+    pattern of ``q``: ``(rows, outside, p_pos, q_pos)`` per group, ``outside``
+    the sums of p where q is 0 and ``p_pos``, ``q_pos`` the entries where q is
+    positive.  So each sum runs over the same entries, in the same order, as
+    on one pair; compress, not a boolean index, keeps them C-contiguous."""
+    zero_q = q == 0.0
+    if not zero_q.any():
+        yield slice(None), 0.0, p, q
+        return
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(zero_q):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for rows in groups.values():
+        pos = ~zero_q[rows[0]]
+        p_rows = p[rows]
+        yield (rows, p_rows.compress(~pos, axis=1).sum(axis=1)[:, None],
+               p_rows.compress(pos, axis=1), q[rows].compress(pos, axis=1))
 
 
 def hockey_stick_via_min(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
     """Same divergence computed as 1 - sum of min(p_mu, e^eps * p_nu)."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     _, p, q = aligned_masses(mu, nu)
     pos_q = q > 0.0

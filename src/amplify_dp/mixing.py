@@ -13,7 +13,15 @@ import numpy as np
 
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, PROB_ATOL, _canonical_point, _trusted
-from .divergences import EXP_ARG_MAX, DpGuarantee, _line_pass, aligned_masses, exp_times
+from .divergences import (
+    EXP_ARG_MAX,
+    DpGuarantee,
+    _exp_times_stack,
+    _line_pass,
+    _padded,
+    aligned_masses,
+    exp_times,
+)
 
 __all__ = [
     "Coupling",
@@ -38,7 +46,9 @@ AMPLIFY_CONDITIONS = ("dobrushin", "eps_dobrushin", "doeblin", "ultra")
 
 # Pairwise row arrays are built in tiles of at most this many float64 entries
 # (512 KiB, so a tile stays in cache), or one row against all rows where that
-# is more; kernels up to 16x16 are a single tile.  Sinkhorn stacks share it.
+# is more.  A stack of kernels is cut into windows of consecutive kernels whose
+# tiles fit, so sixteen 16x16 kernels share one tile, and a window of one
+# kernel is cut into row blocks.  Sinkhorn stacks share the bound.
 PAIR_BLOCK_ENTRIES = 2**16
 
 # Sinkhorn stops once every row sum is within SINKHORN_ATOL of its target
@@ -130,57 +140,94 @@ def _row_blocks(rows: np.ndarray, stack: int = 1):
         yield slice(start, start + step)
 
 
-def dobrushin_coeff(kernel: DiscreteKernel) -> float:
-    """Worst-case total variation between two rows, capped at 1 against rounding.
+def _windows(r: np.ndarray, stack: int = 1):
+    """Windows of consecutive kernels of the ``(k, n, m)`` stack ``r``, each
+    with its row blocks: a window's pairwise arrays, ``stack`` deep, fit in
+    ``PAIR_BLOCK_ENTRIES`` entries, and a window of one kernel (which may not
+    fit) has the tiles of :func:`_row_blocks`."""
+    size = max(1, PAIR_BLOCK_ENTRIES // (stack * r.shape[1] * r[0].size))
+    for start in range(0, len(r), size):
+        yield slice(start, start + size), _row_blocks(r[0], stack * size)
 
-    A block is compared only with the rows from its own start on: the
-    distance is symmetric, so earlier blocks already covered the other pairs.
+
+def dobrushin_coeff(kernel: DiscreteKernel) -> float:
+    """Worst-case total variation between two rows, capped at 1 against rounding."""
+    return float(_dobrushin_coeffs(kernel.rows[None])[0])
+
+
+def _dobrushin_coeffs(r: np.ndarray) -> np.ndarray:
+    """:func:`dobrushin_coeff` of each kernel of the ``(k, n, m)`` stack ``r``.
+
+    A kernel may repeat its first row to fill the stack's n rows: a repeated
+    row adds no new pair value.  A block is compared only with the rows from
+    its own start on: the distance is symmetric, so earlier blocks already
+    covered the other pairs.
     """
-    r = kernel.rows
-    return min(float(max((0.5 * np.abs(r[b, None] - r[None, b.start:]).sum(axis=2)).max()
-                         for b in _row_blocks(r))), 1.0)
+    worst = np.zeros(len(r))
+    for w, blocks in _windows(r):
+        for b in blocks:
+            tile = 0.5 * np.abs(r[w, b, None] - r[w, None, b.start:]).sum(axis=3)
+            np.maximum(worst[w], tile.max(axis=(1, 2)), out=worst[w])
+    return np.minimum(worst, 1.0)
 
 
 def eps_dobrushin_coeff(kernel: DiscreteKernel, eps):
     """Worst-case hockey-stick divergence over ordered row pairs.
 
     At eps = +inf the divergence degenerates to the mass of one row outside
-    the other's support.  e^eps * q is formed once for all rows, with 0 where
-    q is 0 at every eps (+inf elsewhere at eps = +inf), so such an entry
-    contributes all of p.  At eps = +inf that array depends on q's support
-    only, so each row is compared with the distinct support patterns: rows of
-    one pattern give the same per-pair sums, and a full-support kernel costs
-    n pairs, not n^2.
-
-    A sequence of eps gives a list: its distinct finite values are read in one
-    stacked pass of tiles, each pair summed along its contiguous axis, so every
-    value is ``==`` the scalar call's.
+    the other's support.  A sequence of eps gives a list, read in one pass of
+    stacked tiles, each value ``==`` the scalar call's.
     """
     scalar = np.ndim(eps) == 0
-    eps_values = [eps] if scalar else list(eps)
-    if any(e < 0 for e in eps_values):
-        raise ValueError("eps must be non-negative")
-    r = kernel.rows
-    worst = {}
-    finite = list(dict.fromkeys(e for e in eps_values if not math.isinf(e)))
-    if finite:
-        worst.update(zip(finite, _worst_excess(r, np.stack([exp_times(e, r) for e in finite]))))
-    if any(map(math.isinf, eps_values)):
-        # A dict of row bytes, not np.unique(axis=0), which imports numpy.ma.
-        patterns = {row.tobytes(): row for row in r > 0.0}
-        scaled = np.where(np.array(list(patterns.values())), math.inf, 0.0)
-        worst[math.inf] = _worst_excess(r, scaled[None])[0]
-    out = [min(worst[e], 1.0) for e in eps_values]
+    (out,) = _eps_dobrushin_coeffs(kernel.rows[None], [[eps] if scalar else list(eps)])
     return out[0] if scalar else out
 
 
-def _worst_excess(r: np.ndarray, scaled: np.ndarray) -> list[float]:
-    """Largest sum of [r_i - scaled[k]_j]_+ over row pairs (i, j), for each k."""
-    worst = [0.0] * len(scaled)
-    for b in _row_blocks(r, len(scaled)):
-        excess = r[None, b, None] - scaled[:, None]
-        tile = np.maximum(excess, 0.0, out=excess).sum(axis=3).max(axis=(1, 2))
-        worst = list(map(max, worst, tile.tolist()))
+def _eps_dobrushin_coeffs(r: np.ndarray, eps: Sequence[Sequence[float]]) -> list[list[float]]:
+    """:func:`eps_dobrushin_coeff` of each kernel ``r[w]`` of the ``(k, n, m)``
+    stack at each eps of the list ``eps[w]``; lists may differ in length, and a
+    kernel may repeat its first row (which adds no new pair value).
+
+    e^eps * q is formed once for all rows, with 0 where q is 0 at every eps
+    (+inf elsewhere at eps = +inf), so such an entry contributes all of p.
+    A kernel's distinct finite eps are read in one stacked pass of tiles,
+    shorter lists repeating their first entry; each pair is summed along its
+    contiguous axis.  At eps = +inf that array depends on q's support only,
+    so each row is compared with its own kernel's distinct support patterns:
+    rows of one pattern give the same per-pair sums, and a full-support kernel
+    costs n pairs, not n^2.
+    """
+    if not all(e >= 0 for values in eps for e in values):
+        raise ValueError("eps must be non-negative")
+    worst: list[dict] = [{} for _ in eps]
+    finite = [list(dict.fromkeys(e for e in values if not math.isinf(e))) for values in eps]
+    depth = max(map(len, finite))
+    for w, blocks in _windows(r, depth) if depth else ():
+        values = [_padded(f, depth) for f in finite[w]]
+        scaled = _exp_times_stack(np.array(values, dtype=np.float64), r[w])
+        for seen, f, row in zip(worst[w], finite[w], _worst_excess(r[w], scaled, blocks).tolist()):
+            seen.update(zip(f, row))
+    infinite = [any(map(math.isinf, values)) for values in eps]
+    for w, blocks in _windows(r) if any(infinite) else ():
+        # A dict of row bytes, not np.unique(axis=0), which imports numpy.ma.
+        patterns = [list({row.tobytes(): row for row in pos}.values()) if need else [pos[0]]
+                    for pos, need in zip(r[w] > 0.0, infinite[w])]
+        count = max(map(len, patterns))
+        stack = np.array([_padded(p, count) for p in patterns])
+        excess = _worst_excess(r[w], np.where(stack, math.inf, 0.0)[:, None], blocks)
+        for seen, row in zip(worst[w], excess[:, 0].tolist()):
+            seen[math.inf] = row
+    return [[min(seen[e], 1.0) for e in values] for seen, values in zip(worst, eps)]
+
+
+def _worst_excess(r: np.ndarray, scaled: np.ndarray, blocks) -> np.ndarray:
+    """Largest sum of [r[w, i] - scaled[w, s, j]]_+ over row pairs (i, j), for
+    each kernel w of the window ``r`` and each s, one row block at a time."""
+    worst = np.zeros(scaled.shape[:2])
+    for b in blocks:
+        excess = r[:, None, b, None] - scaled[:, :, None]
+        tile = np.maximum(excess, 0.0, out=excess).sum(axis=4).max(axis=(2, 3))
+        np.maximum(worst, tile, out=worst)
     return worst
 
 
@@ -191,12 +238,19 @@ def doeblin_coeff(kernel: DiscreteKernel) -> tuple[float, DiscreteDist | None]:
     ``K(x) >= (1 - gamma) * omega``; the witness is that minimum normalized,
     absent when the minimum vanishes everywhere (gamma = 1).
     """
-    colmin = kernel.rows.min(axis=0)
-    mass = float(colmin.sum())
-    gamma = min(max(1.0 - mass, 0.0), 1.0)
-    if mass <= 0.0:
+    gamma, colmin, mass = _doeblin_coeffs(kernel.rows[None])
+    if mass[0] <= 0.0:
         return 1.0, None
-    return gamma, _trusted(DiscreteDist, kernel.output_points, colmin / mass)
+    return float(gamma[0]), _trusted(DiscreteDist, kernel.output_points, colmin[0] / mass[0])
+
+
+def _doeblin_coeffs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`doeblin_coeff`'s gamma for each kernel of the ``(k, n, m)`` stack
+    ``r``, with the column minima and their sums (which are >= 0, so gamma
+    is at most 1, and 1 where the sum is 0)."""
+    colmin = r.min(axis=1)
+    mass = colmin.sum(axis=1)
+    return np.maximum(1.0 - mass, 0.0), colmin, mass
 
 
 def ultra_coeff(kernel: DiscreteKernel) -> float:
@@ -207,13 +261,19 @@ def ultra_coeff(kernel: DiscreteKernel) -> float:
     ratio is the column minimum over the column maximum: rounded division is
     monotone, so this is exactly the smallest of the pairwise quotients.
     """
-    r = kernel.rows
-    pos = r > 0.0
-    full = pos.all(axis=0)
-    if np.any(pos.any(axis=0) & ~full):
-        return 1.0
-    ratios = r[:, full].min(axis=0) / r[:, full].max(axis=0)
-    return 1.0 - float(ratios.min(initial=1.0))
+    return float(_ultra_coeffs(kernel.rows[None])[0])
+
+
+def _ultra_coeffs(r: np.ndarray) -> np.ndarray:
+    """:func:`ultra_coeff` of each kernel of the ``(k, n, m)`` stack ``r``: a
+    column is positive everywhere iff its minimum is, and somewhere iff its
+    maximum is."""
+    colmin, colmax = r.min(axis=1), r.max(axis=1)
+    full = colmin > 0.0
+    ratios = np.divide(colmin, colmax, out=np.ones_like(colmin), where=full)
+    gamma = 1.0 - ratios.min(axis=1)
+    gamma[((colmax > 0.0) & ~full).any(axis=1)] = 1.0
+    return gamma
 
 
 def eps_tilde(guarantee: DpGuarantee) -> float:
@@ -280,6 +340,21 @@ def amplify_with_kernel(
     gamma_doe, _ = doeblin_coeff(kernel)
     gamma_ultra = ultra_coeff(kernel)
     gammas_eps = eps_dobrushin_coeff(kernel, [eps_tilde(g) for g in guarantees])
+    return _amplified(guarantees, gamma_dob, gammas_eps, gamma_doe, gamma_ultra)
+
+
+def _amplify_stack(r: np.ndarray, guarantees: Sequence[Sequence[DpGuarantee]]) -> list:
+    """:func:`amplify_with_kernel` for each kernel ``r[w]`` of the ``(k, n, m)``
+    stack and its guarantees ``guarantees[w]``, each coefficient measured on
+    the whole stack.  A kernel may repeat its first row to fill the n rows."""
+    gammas_eps = _eps_dobrushin_coeffs(r, [[eps_tilde(g) for g in gs] for gs in guarantees])
+    return list(map(_amplified, guarantees, _dobrushin_coeffs(r).tolist(), gammas_eps,
+                    _doeblin_coeffs(r)[0].tolist(), _ultra_coeffs(r).tolist()))
+
+
+def _amplified(guarantees: Sequence[DpGuarantee], gamma_dob: float, gammas_eps: Sequence[float],
+               gamma_doe: float, gamma_ultra: float) -> list[dict[str, tuple[float, DpGuarantee]]]:
+    """Each guarantee amplified under the four conditions, eps-Dobrushin at its own gamma."""
     results = []
     for guarantee, gamma_eps in zip(guarantees, gammas_eps):
         gammas = {
@@ -323,7 +398,7 @@ class MixtureDecomposition:
 
 
 def mixture_decompose(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> MixtureDecomposition:
-    if eps < 0 or math.isinf(eps):
+    if not eps >= 0 or math.isinf(eps):
         raise ValueError("eps must be finite and non-negative")
     points, p, q = aligned_masses(mu, nu)
     eq = exp_times(eps, q)
@@ -368,26 +443,33 @@ def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
     """Sinkhorn sweeps, in place, on a stack of ``k`` start matrices of one shape.
 
     ``p`` is ``(k, n)``, ``q`` is ``(k, m)`` and ``mass`` is ``(k, n, m)``.  A
-    trial whose row sums are within ``SINKHORN_ATOL`` of ``p`` gets scale
-    factors of exactly 1.0 from then on, so it stays as it was when it
-    converged; every trial stops after ``SINKHORN_MAX_SWEEPS``.  Row and column
-    sums run along the same axes, in the same order, as on one matrix.
+    trial whose row sums are within ``SINKHORN_ATOL`` of ``p`` is written back
+    and leaves the stack, so later sweeps run on the live trials only; every
+    trial stops after ``SINKHORN_MAX_SWEEPS``.  Row and column sums run along
+    the same axes, in the same order, as on one matrix.
     """
     # A scale entry is written only where its row or column sum is positive:
     # zero-mass atoms keep 0, and a sum that underflowed to 0 scales no mass.
+    live = np.arange(len(mass))
+    sub = mass
     row_scale, col_scale = np.zeros_like(p), np.zeros_like(q)
     for _ in range(SINKHORN_MAX_SWEEPS):
-        row_sums = mass.sum(axis=2)
+        row_sums = sub.sum(axis=2)
         done = np.abs(row_sums - p).max(axis=1) <= SINKHORN_ATOL
-        if done.all():
-            break
+        if done.any():
+            mass[live[done]] = sub[done]
+            keep = ~done
+            live, sub, p, q = live[keep], sub[keep], p[keep], q[keep]
+            row_sums, row_scale, col_scale = row_sums[keep], row_scale[keep], col_scale[keep]
+            if not live.size:
+                return
         np.divide(p, row_sums, out=row_scale, where=row_sums > 0.0)
-        row_scale[done] = 1.0
-        mass *= row_scale[:, :, None]
-        col_sums = mass.sum(axis=1)
+        sub *= row_scale[:, :, None]
+        col_sums = sub.sum(axis=1)
         np.divide(q, col_sums, out=col_scale, where=col_sums > 0.0)
-        col_scale[done] = 1.0
-        mass *= col_scale[:, None, :]
+        sub *= col_scale[:, None, :]
+    if sub is not mass:
+        mass[live] = sub
 
 
 def random_joint_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]],

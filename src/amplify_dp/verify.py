@@ -18,12 +18,12 @@ import numpy as np
 from ._quadrature import integrate, require_negligible_ends
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, quadrature_domain
-from .divergences import DpGuarantee, aligned_masses, hockey_stick, renyi_numeric_log
+from .divergences import DpGuarantee, _hockey_sticks, aligned_masses, hockey_stick, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from .mixing import (
     Coupling,
     DiscreteKernel,
-    amplify_with_kernel,
+    _amplify_stack,
     greedy_coupling,
     independent_coupling,
     mixture_decompose,
@@ -111,11 +111,44 @@ def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, Discrete
     """
     if nx < 2 or ny < 2:
         raise ValueError("support sizes must be >= 2")
-    rng = rng_from_seed(seed)
-    mu, nu = _random_pair(rng, nx)
-    rows = -np.log(uniform_open(rng, (nx, ny)))
-    kernel = _trusted(DiscreteKernel, rows / rows.sum(axis=1, keepdims=True), mu.points, _labels("y", ny))
-    return mu, nu, kernel
+    laws, kernels = _instance_stacks([(nx, ny)], [seed])
+    points = _labels("x", nx)
+    mu, nu = (_trusted(DiscreteDist, points, law.copy()) for law in laws[nx][1][0])
+    return mu, nu, _trusted(DiscreteKernel, kernels[ny][1][0].copy(), points, _labels("y", ny))
+
+
+def _instance_stacks(shapes: Sequence[tuple[int, int]], seeds: Sequence[int]) -> tuple[dict, dict]:
+    """The masses of ``random_instance(nx, ny, seed)`` for each ``(nx, ny)`` of
+    ``shapes`` and seed of ``seeds``, grouped by size.
+
+    Returns ``{nx: (trials, laws)}``, ``laws[j]`` the ``(2, nx)`` masses of
+    mu and nu of trial ``trials[j]``, and ``{ny: (trials, kernels)}``,
+    ``kernels[j]`` that trial's kernel rows, padded to the group's largest row
+    count by repeating its first row.  A trial's uniforms are one draw of
+    ``2 nx + nx ny`` from its own stream: mu, nu, then the kernel rows.  Each
+    row is normalized in a stack of rows of one length, so its sum runs along
+    its contiguous axis, as on the row alone.
+    """
+    draws = [uniform_open(rng_from_seed(s), nx * (ny + 2)) for (nx, ny), s in zip(shapes, seeds)]
+    raw = -np.log(np.concatenate(draws))
+    starts = np.cumsum([0] + [len(d) for d in draws[:-1]])
+    by_nx: dict[int, list[int]] = {}
+    by_ny: dict[int, list[int]] = {}
+    for t, (nx, ny) in enumerate(shapes):
+        by_nx.setdefault(nx, []).append(t)
+        by_ny.setdefault(ny, []).append(t)
+    laws = {}
+    for nx, trials in by_nx.items():
+        stack = raw[starts[trials, None] + np.arange(2 * nx)].reshape(-1, 2, nx)
+        laws[nx] = (trials, stack / stack.sum(axis=2, keepdims=True))
+    kernels = {}
+    for ny, trials in by_ny.items():
+        nxs = np.array([shapes[t][0] for t in trials])
+        rows = np.arange(nxs.max())
+        rows = np.where(rows < nxs[:, None], rows, 0)
+        stack = raw[(starts[trials] + 2 * nxs)[:, None, None] + rows[:, :, None] * ny + np.arange(ny)]
+        kernels[ny] = (trials, stack / stack.sum(axis=2, keepdims=True))
+    return laws, kernels
 
 
 def _trial_seeds(seed: int, trials: int) -> np.ndarray:
@@ -139,32 +172,46 @@ def certify_theorem1(
 
     For each trial and eps, the measured pre-divergence plays the role of the
     mechanism's delta; the amplified pair (eps', delta') must dominate the
-    exact post-processed divergence.
+    exact post-processed divergence.  Each step runs once per support size,
+    on the stack of the trials of that size: pre-divergences by nx, and the
+    coefficients, pushed laws and post-divergences by ny.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    inst_seeds = _trial_seeds(seed, trials)
-    inst_sizes = _trial_sizes(seed, trials, sizes)
+    inst_seeds = _trial_seeds(seed, trials).tolist()
+    inst_sizes = _trial_sizes(seed, trials, sizes).tolist()
+    eps_grid = list(eps_grid)
+    laws_by_nx, kernels_by_ny = _instance_stacks(inst_sizes, inst_seeds)
+    laws: list = [None] * trials
+    guarantees: list = [None] * trials
+    for group, stack in laws_by_nx.values():
+        deltas = _hockey_sticks(stack[:, 0], stack[:, 1], [eps_grid] * len(group))
+        for t, law, row in zip(group, stack, deltas):
+            laws[t] = law
+            guarantees[t] = [DpGuarantee(eps, delta) for eps, delta in zip(eps_grid, row)]
+    amplified: list = [None] * trials
+    measured: list = [None] * trials
+    for group, stack in kernels_by_ny.values():
+        for t, by_eps in zip(group, _amplify_stack(stack, [guarantees[t] for t in group])):
+            amplified[t] = by_eps
+        # pushforward's product, one per law, normalized as a stack.
+        pushed = np.array([law @ rows[:inst_sizes[t][0]]
+                           for t, rows in zip(group, stack) for law in laws[t]]).reshape(len(group), 2, -1)
+        pushed /= pushed.sum(axis=2, keepdims=True)
+        # The post-processed divergence at each distinct eps' of a trial.
+        eps_primes = [list(dict.fromkeys(out.epsilon for by_cond in amplified[t]
+                                         for _, out in by_cond.values())) for t in group]
+        for t, values, post in zip(group, eps_primes, _hockey_sticks(pushed[:, 0], pushed[:, 1], eps_primes)):
+            measured[t] = dict(zip(values, post))
     reports: list[TrialReport] = []
     for t in range(trials):
-        iseed = int(inst_seeds[t])
-        nx, ny = map(int, inst_sizes[t])
-        mu, nu, kernel = random_instance(nx, ny, iseed)
-        mu_k = pushforward(mu, kernel)
-        nu_k = pushforward(nu, kernel)
-        guarantees = [DpGuarantee(eps, delta)
-                      for eps, delta in zip(eps_grid, hockey_stick(mu, nu, eps_grid))]
-        amplified = amplify_with_kernel(kernel, guarantees)
-        # The post-processed divergence at each distinct eps', in one call.
-        eps_primes = list(dict.fromkeys(out.epsilon for by_cond in amplified
-                                        for _, out in by_cond.values()))
-        measured = dict(zip(eps_primes, hockey_stick(mu_k, nu_k, eps_primes)))
-        for eps, guarantee, by_cond in zip(eps_grid, guarantees, amplified):
-            desc = f"nx={nx},ny={ny},seed={iseed},eps={eps}"
+        nx, ny = inst_sizes[t]
+        for eps, guarantee, by_cond in zip(eps_grid, guarantees[t], amplified[t]):
+            desc = f"nx={nx},ny={ny},seed={inst_seeds[t]},eps={eps}"
             for cond, (gamma, out) in by_cond.items():
                 reports.append(_report(
                     t, f"theorem1_{cond}", desc,
-                    measured=measured[out.epsilon],
+                    measured=measured[t][out.epsilon],
                     bound=out.delta,
                     tolerance=EXACT_TOL,
                     delta_before=guarantee.delta,

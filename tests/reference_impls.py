@@ -15,10 +15,17 @@ import numpy as np
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import DiscreteDist, GaussianDist
-from amplify_dp.divergences import _distances, _start_threshold, aligned_masses, exp_times
+from amplify_dp.divergences import DpGuarantee, _distances, _start_threshold, aligned_masses, exp_times, hockey_stick
 from amplify_dp.iteration import _laplace_pair_log_bound
-from amplify_dp.mixing import SINKHORN_ATOL, SINKHORN_MAX_SWEEPS, Coupling, DiscreteKernel
-from amplify_dp.verify import format_cell
+from amplify_dp.mixing import (
+    SINKHORN_ATOL,
+    SINKHORN_MAX_SWEEPS,
+    Coupling,
+    DiscreteKernel,
+    amplify_with_kernel,
+    pushforward,
+)
+from amplify_dp.verify import EXACT_TOL, _report, _trial_seeds, _trial_sizes, format_cell
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -236,7 +243,7 @@ def eps_dobrushin_coeff_pairs(rows: np.ndarray, eps: float) -> float:
     if math.isinf(eps):
         contrib = np.where(q == 0.0, p, 0.0)
     else:
-        contrib = np.where(q == 0.0, p, np.maximum(p - math.exp(eps) * q, 0.0))
+        contrib = np.where(q == 0.0, p, np.maximum(p - exp_times(eps, q), 0.0))
     return float(min(contrib.sum(axis=2).max(), 1.0))
 
 
@@ -520,3 +527,48 @@ def coupling_marginals_by_sum(pi: Coupling) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of a coupling by Python's ``sum`` over its columns
     and rows: what ``Coupling.marginals`` returned before it used cumulative sums."""
     return sum(pi.mass.T), sum(pi.mass)
+
+
+def random_instance_per_trial(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, DiscreteDist, DiscreteKernel]:
+    """``verify.random_instance`` as it was before trials were drawn in stacks:
+    two draws from the trial's stream, each row normalized alone."""
+    rng = rng_from_seed(seed)
+    points = [f"x{i}" for i in range(nx)]
+    mu, nu = (DiscreteDist(points, row / row.sum()) for row in -np.log(uniform_open(rng, (2, nx))))
+    rows = -np.log(uniform_open(rng, (nx, ny)))
+    return mu, nu, DiscreteKernel(rows / rows.sum(axis=1, keepdims=True), points,
+                                  [f"y{j}" for j in range(ny)])
+
+
+def certify_theorem1_per_trial(trials: int, sizes: tuple[int, int], eps_grid: Sequence[float],
+                               seed: int) -> list:
+    """``verify.certify_theorem1`` as it was before it ran on stacks: one
+    instance, one pair of pushed laws and one ``amplify_with_kernel`` call per
+    trial."""
+    inst_seeds = _trial_seeds(seed, trials)
+    inst_sizes = _trial_sizes(seed, trials, sizes)
+    reports = []
+    for t in range(trials):
+        iseed = int(inst_seeds[t])
+        nx, ny = map(int, inst_sizes[t])
+        mu, nu, kernel = random_instance_per_trial(nx, ny, iseed)
+        mu_k = pushforward(mu, kernel)
+        nu_k = pushforward(nu, kernel)
+        guarantees = [DpGuarantee(eps, delta)
+                      for eps, delta in zip(eps_grid, hockey_stick(mu, nu, eps_grid))]
+        amplified = amplify_with_kernel(kernel, guarantees)
+        eps_primes = list(dict.fromkeys(out.epsilon for by_cond in amplified
+                                        for _, out in by_cond.values()))
+        measured = dict(zip(eps_primes, hockey_stick(mu_k, nu_k, eps_primes)))
+        for eps, guarantee, by_cond in zip(eps_grid, guarantees, amplified):
+            desc = f"nx={nx},ny={ny},seed={iseed},eps={eps}"
+            for cond, (gamma, out) in by_cond.items():
+                reports.append(_report(
+                    t, f"theorem1_{cond}", desc,
+                    measured=measured[out.epsilon],
+                    bound=out.delta,
+                    tolerance=EXACT_TOL,
+                    delta_before=guarantee.delta,
+                    coefficient=gamma,
+                ))
+    return reports

@@ -21,6 +21,7 @@ from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, de
 from amplify_dp.divergences import (
     DpGuarantee,
     _distances,
+    _hockey_sticks,
     _logsumexp,
     RdpPoint,
     hockey_stick,
@@ -35,8 +36,9 @@ from amplify_dp.divergences import (
     w_inf_optimal_coupling,
 )
 from amplify_dp.verify import random_instance
-from amplify_dp.mixing import pushforward
+from amplify_dp.mixing import DiscreteKernel, eps_dobrushin_coeff, mixture_decompose, pushforward
 from reference_impls import (
+    hockey_stick_scalar,
     renyi_numeric_1d_scalar,
     w_inf_bfs_search,
     w_inf_max_flow_search,
@@ -76,6 +78,27 @@ class TestGuaranteeTypes:
             DpGuarantee(-1.0, 0.1)
         with pytest.raises(ValueError):
             DpGuarantee(1.0, 1.5)
+
+
+KERNEL_2X2 = DiscreteKernel.from_matrix([[0.7, 0.3], [0.4, 0.6]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DpGuarantee(math.nan, 0.1),
+    lambda: hockey_stick(MU, NU, math.nan),
+    lambda: hockey_stick(MU, NU, [0.5, math.nan]),
+    lambda: hockey_stick_via_min(MU, NU, math.nan),
+    lambda: eps_dobrushin_coeff(KERNEL_2X2, math.nan),
+    lambda: eps_dobrushin_coeff(KERNEL_2X2, [math.inf, math.nan]),
+    lambda: mixture_decompose(MU, NU, math.nan),
+], ids=["dp_guarantee", "hockey_stick", "hockey_stick_list", "hockey_stick_via_min",
+        "eps_dobrushin", "eps_dobrushin_list", "mixture_decompose"])
+def test_nan_eps_rejected(call):
+    # A NaN eps fails every comparison, so a check written as eps < 0 let it
+    # through: eps-Dobrushin read 0.0, mixture_decompose gave theta = 0.0 and
+    # the hockey stick NaN.
+    with pytest.raises(ValueError, match="eps"):
+        call()
 
 
 class TestHockeyStick:
@@ -173,6 +196,24 @@ class TestHockeyStick:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             hockey_stick(MU, NU, -0.1)
+
+    def test_stacked_rows_equal_one_pair_calls(self):
+        # Rows of q with three zero patterns, p with zeros of its own, and eps
+        # lists of several lengths that reach +inf and exp_times' log branch.
+        rng = np.random.default_rng(12)
+        patterns = rng.uniform(size=(3, 9)) > 0.3
+        patterns[0] = True
+        p = rng.exponential(size=(40, 9)) * (rng.uniform(size=(40, 9)) > 0.2)
+        q = rng.exponential(size=(40, 9)) * patterns[rng.integers(0, 3, size=40)]
+        for m in (p, q):
+            m[m.sum(axis=1) == 0.0, 0] = 1.0
+            m /= m.sum(axis=1, keepdims=True)
+        grid = [0.0, 0.5, math.inf, 710.0, 1e308]
+        eps = [grid[:1 + i % len(grid)] for i in range(len(p))]
+        got = _hockey_sticks(p, q, eps)
+        for i, values in enumerate(eps):
+            mu, nu = DiscreteDist.from_probs(p[i]), DiscreteDist.from_probs(q[i])
+            assert got[i] == hockey_stick(mu, nu, values) == [hockey_stick_scalar(mu, nu, e) for e in values]
 
 
 class TestRenyiDiscrete:

@@ -27,6 +27,7 @@ from amplify_dp.mixing import (
 )
 from amplify_dp import mixing
 from amplify_dp.verify import _trial_seeds, _trial_sizes, random_instance
+import reference_impls
 from reference_impls import (
     coupling_pairs,
     dobrushin_coeff_pairs,
@@ -35,6 +36,7 @@ from reference_impls import (
     joint_as_matrix,
     pair_marginals,
     sinkhorn_fixed_sweeps,
+    sinkhorn_per_pair,
     sinkhorn_per_sweep_buffers,
     transport_operator_pairs,
     ultra_coeff_pairs,
@@ -211,6 +213,55 @@ class TestCoefficients:
         assert dobrushin_coeff(kernel) == dobrushin_coeff_pairs(k)
         for eps in (0.0, 0.7, math.inf):
             assert eps_dobrushin_coeff(kernel, eps) == eps_dobrushin_coeff_pairs(k, eps)
+
+    @pytest.mark.parametrize("block_entries", [mixing.PAIR_BLOCK_ENTRIES, 300])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_stacked_cores_equal_one_kernel_and_pair_loops(self, kind, block_entries, monkeypatch):
+        # Kernels of one output size in one stack, each padded to the stack's
+        # largest row count by repeating its first row, with eps lists of
+        # several lengths that reach +inf and eps past EXP_ARG_MAX.  At 300
+        # entries a window holds one kernel, cut into row blocks.
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", block_entries)
+        by_m = {}
+        for k in random_kernels(kind, 120):
+            by_m.setdefault(k.shape[1], []).append(k)
+        eps_lists = ([0.0], [0.7, math.inf], [math.inf], [800.0, 0.7, 0.0, math.inf], [])
+        for ks in by_m.values():
+            n = max(len(k) for k in ks)
+            stack = np.stack([np.concatenate([k, np.repeat(k[:1], n - len(k), axis=0)]) for k in ks])
+            eps = [eps_lists[i % len(eps_lists)] for i in range(len(ks))]
+            dob = mixing._dobrushin_coeffs(stack).tolist()
+            doe = mixing._doeblin_coeffs(stack)[0].tolist()
+            ultra = mixing._ultra_coeffs(stack).tolist()
+            eps_dob = mixing._eps_dobrushin_coeffs(stack, eps)
+            for i, k in enumerate(ks):
+                kernel = DiscreteKernel.from_matrix(k)
+                assert dob[i] == dobrushin_coeff(kernel) == dobrushin_coeff_pairs(k)
+                assert doe[i] == doeblin_coeff(kernel)[0]
+                assert ultra[i] == ultra_coeff(kernel) == ultra_coeff_pairs(k)
+                assert eps_dob[i] == eps_dobrushin_coeff(kernel, eps[i])
+                assert eps_dob[i] == [eps_dobrushin_coeff_pairs(k, e) for e in eps[i]]
+
+    def test_stacked_tiles_bound_memory(self):
+        # 5,000 kernels of 16 x 16 (10 MiB) in one stack: the pairwise passes
+        # work one window of kernels at a time, so past the input stack the
+        # peak is a few tiles and the per-kernel results, not 5,000 pairwise
+        # arrays (160 MiB for Dobrushin alone).
+        rng = np.random.default_rng(5000)
+        k = rng.exponential(size=(5000, 16, 16)) * (rng.uniform(size=(5000, 16, 16)) > 0.3)
+        k[:, :, 0] += 1.0
+        k /= k.sum(axis=2, keepdims=True)
+        eps = [[0.0, 0.7, math.inf, 800.0]] * len(k)
+        tracemalloc.start()
+        try:
+            mixing._dobrushin_coeffs(k)
+            mixing._eps_dobrushin_coeffs(k, eps)
+            mixing._doeblin_coeffs(k)
+            mixing._ultra_coeffs(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_pair_tiles_bound_memory(self):
         # The pairwise arrays are built in cache-sized tiles: on a 256 x 256
@@ -436,6 +487,29 @@ class TestTransportOperator:
         for mu, nu, seed in pairs:
             mass = random_joint_coupling(mu, nu, seed).mass
             assert np.array_equal(mass, sinkhorn_per_sweep_buffers(mu, nu, seed))
+
+    def test_sinkhorn_stack_trials_converge_at_different_sweeps(self, monkeypatch):
+        # Trials leave the stack as they converge and the others sweep on:
+        # each coupling is == its own solve.  Near-uniform marginals converge
+        # in a few sweeps, skewed ones take many more.
+        rng = np.random.default_rng(9)
+        concentration = [50.0, 5.0, 0.3, 0.1, 1.0, 0.05]
+        p = np.array([rng.dirichlet(np.full(6, c)) for c in concentration])
+        q = np.array([rng.dirichlet(np.full(5, c)) for c in concentration])
+        start = -np.log(rng.uniform(size=(len(p), 6, 5)))
+        mass = start.copy()
+        mixing._sinkhorn_stack(p, q, mass)
+        solved = [sinkhorn_per_pair(p[i], q[i], start[i].copy()) for i in range(len(p))]
+        assert all(np.array_equal(mass[i], solved[i]) for i in range(len(p)))
+        # The sweeps after which each trial's own solve stops changing.
+        sweeps = []
+        for i in range(len(p)):
+            for s in range(mixing.SINKHORN_MAX_SWEEPS + 1):
+                monkeypatch.setattr(reference_impls, "SINKHORN_MAX_SWEEPS", s)
+                if np.array_equal(sinkhorn_per_pair(p[i], q[i], start[i].copy()), solved[i]):
+                    break
+            sweeps.append(s)
+        assert len(set(sweeps)) == len(sweeps), sweeps
 
     def test_malformed_coupling_rejected(self):
         with pytest.raises(ValueError, match="shape"):

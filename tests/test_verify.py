@@ -38,6 +38,7 @@ from amplify_dp.verify import (
     random_instance,
     reports_summary,
 )
+from reference_impls import certify_theorem1_per_trial, random_instance_per_trial
 
 
 class TestRandomInstance:
@@ -69,12 +70,37 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(1, 4, 0)
 
+    def test_equals_per_trial_draws(self):
+        # One draw of 2 nx + nx ny uniforms reads the same stream prefix as
+        # the two draws, and rows normalized in a stack keep their bits.
+        for seed in range(20):
+            for nx, ny in ((2, 2), (2, 16), (16, 2), (7, 11), (16, 16)):
+                got, ref = random_instance(nx, ny, seed), random_instance_per_trial(nx, ny, seed)
+                assert got[0].probs.tobytes() == ref[0].probs.tobytes()
+                assert got[1].probs.tobytes() == ref[1].probs.tobytes()
+                assert got[2].rows.tobytes() == ref[2].rows.tobytes()
+                assert (got[0].points, got[2].output_points) == (ref[0].points, ref[2].output_points)
+
 
 class TestCertifyTheorem1:
     def test_no_violations(self):
         reports = certify_theorem1(100, (2, 8), (0.0, 0.5, 1.0, 2.0), seed=5)
         assert len(reports) == 100 * 4 * 4
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 16), (16, 16)])
+    @pytest.mark.parametrize("eps_grid", [[0.0, 0.5, 1.0, 2.0], [0.0], [0.0, 710.0, 1e308]])
+    def test_stacks_equal_per_trial_reference(self, sizes, eps_grid):
+        # Every row, NaN cells included, is the per-trial loop's.  The last
+        # grid reaches exp_times' log branch and delta_before == 0, where
+        # eps-Dobrushin is read at eps_tilde = +inf.
+        zero_deltas = 0
+        for seed in range(10):
+            got = certify_theorem1(40, sizes, eps_grid, seed)
+            assert list(map(repr, got)) == list(map(repr, certify_theorem1_per_trial(40, sizes, eps_grid, seed)))
+            zero_deltas += sum(r.delta_before == 0.0 for r in got)
+        if 1e308 in eps_grid:
+            assert zero_deltas > 0
 
     def test_reproducible(self):
         a = certify_theorem1(20, (2, 6), (0.0, 1.0), seed=3)
@@ -402,23 +428,28 @@ def test_benchmark_diffusion_count_matches_grid(monkeypatch):
 
 def test_benchmark_tracer_installs_and_restores():
     # A traced benchmark run installs the tracer on the package: every wrapped
-    # name must exist, theorem1's coefficient calls must be recorded, and
-    # uninstall must put the originals back.
+    # name must exist, theorem1 must be recorded as one span, and uninstall
+    # must put the originals back.  theorem1 measures the coefficients on
+    # stacks of kernels, so it makes no per-kernel coefficient call; the
+    # mixing command's amplify_with_kernel makes one of each.
     tracing = load_bench_tracing()
     targets = [(importlib.import_module(module), attr) for module, attr, _ in tracing.WRAPPED]
     targets.append((DiscreteDist, "__init__"))
     originals = [getattr(owner, attr) for owner, attr in targets]
     tracer = tracing.Tracer()
+    names = ("verify.theorem1", "mixing.dobrushin", "mixing.eps_dobrushin", "mixing.doeblin",
+             "mixing.ultra")
     try:
         tracer.install()
         reports = cli.certify_theorem1(2, (2, 4), (0.0, 1.0), seed=3)
+        theorem1_calls = {name: sum(1 for span in tracer.spans if span[2] == name) for name in names}
+        cli.amplify_with_kernel(random_instance(3, 4, 1)[2], [DpGuarantee(0.5, 0.1)])
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in targets] == originals
-    calls = {name: sum(1 for span in tracer.spans if span[2] == name)
-             for name in ("verify.theorem1", "mixing.dobrushin", "mixing.eps_dobrushin",
-                          "mixing.doeblin", "mixing.ultra")}
-    # One eps-Dobrushin call per kernel reads both eps values of the grid.
-    assert calls == {"verify.theorem1": 1, "mixing.dobrushin": 2, "mixing.eps_dobrushin": 2,
-                     "mixing.doeblin": 2, "mixing.ultra": 2}
+    assert theorem1_calls == {"verify.theorem1": 1, "mixing.dobrushin": 0, "mixing.eps_dobrushin": 0,
+                              "mixing.doeblin": 0, "mixing.ultra": 0}
+    calls = {name: sum(1 for span in tracer.spans if span[2] == name) for name in names}
+    assert calls == {"verify.theorem1": 1, "mixing.dobrushin": 1, "mixing.eps_dobrushin": 1,
+                     "mixing.doeblin": 1, "mixing.ultra": 1}
     assert tracer.counts["verify.reports"] == len(reports) == 2 * 2 * 4
