@@ -350,14 +350,17 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
     if seed < 0:
         raise ValidationFailure("seed", "must be a non-negative integer")
     suites = config.get("suites", ["theorem1", "transport", "diffusion"])
-    known = {"theorem1", "transport", "diffusion"}
-    if not isinstance(suites, list) or not set(suites) <= known or not suites:
+    known = ("theorem1", "transport", "diffusion")
+    # Membership in a tuple compares with ==, so an unhashable entry is just unknown.
+    if not isinstance(suites, list) or not all(s in known for s in suites) or not suites:
         raise ValidationFailure("suites", f"expected a non-empty subset of {sorted(known)}")
     trials = _integer(config, "trials", lo=1) if "trials" in config else 200
     sizes = config.get("sizes", [2, 16])
     if not (isinstance(sizes, list) and len(sizes) == 2
             and all(isinstance(s, int) for s in sizes) and 2 <= sizes[0] <= sizes[1]):
         raise ValidationFailure("sizes", "expected [lo, hi] with 2 <= lo <= hi")
+    if sizes[1] >= 2**63 - 1:
+        raise ValidationFailure("sizes", "hi must be below 2**63 - 1, so that hi + 1 fits in int64")
     sizes = tuple(sizes)
     eps_grid = (_number_list(config, "eps_grid") if "eps_grid" in config
                 else [0.0, 0.5, 1.0, 2.0])

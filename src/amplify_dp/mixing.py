@@ -20,7 +20,6 @@ from .divergences import (
     _line_pass,
     _padded,
     aligned_masses,
-    exp_times,
 )
 
 __all__ = [
@@ -355,16 +354,9 @@ def _amplify_stack(r: np.ndarray, guarantees: Sequence[Sequence[DpGuarantee]]) -
 def _amplified(guarantees: Sequence[DpGuarantee], gamma_dob: float, gammas_eps: Sequence[float],
                gamma_doe: float, gamma_ultra: float) -> list[dict[str, tuple[float, DpGuarantee]]]:
     """Each guarantee amplified under the four conditions, eps-Dobrushin at its own gamma."""
-    results = []
-    for guarantee, gamma_eps in zip(guarantees, gammas_eps):
-        gammas = {
-            "dobrushin": gamma_dob,
-            "eps_dobrushin": gamma_eps,
-            "doeblin": gamma_doe,
-            "ultra": gamma_ultra,
-        }
-        results.append({cond: (g, amplify(guarantee, cond, g)) for cond, g in gammas.items()})
-    return results
+    return [{cond: (g, amplify(guarantee, cond, g))
+             for cond, g in zip(AMPLIFY_CONDITIONS, (gamma_dob, gamma_eps, gamma_doe, gamma_ultra))}
+            for guarantee, gamma_eps in zip(guarantees, gammas_eps)]
 
 
 def transport_operator(pi: Coupling) -> DiscreteKernel:
@@ -401,42 +393,60 @@ def mixture_decompose(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> Mixture
     if not eps >= 0 or math.isinf(eps):
         raise ValueError("eps must be finite and non-negative")
     points, p, q = aligned_masses(mu, nu)
-    eq = exp_times(eps, q)
-    mask_mu = p > eq
-    if not np.any(mask_mu):
-        # mu is dominated by e^eps * nu everywhere: theta = 0, nothing to split.
-        return MixtureDecomposition(0.0, None, None, None)
-    overlap = np.minimum(p, eq)
-    mu_res = np.where(mask_mu, p - eq, 0.0)
-    theta = 1.0 - float(overlap.sum())
-    if theta <= 0.0:
-        # Rounding pushed the min-sum past 1; the residual form is exact here.
-        theta = float(mu_res.sum())
+    theta, parts, has = _mixture_decomposes(p[None], q[None], [eps])
+    return MixtureDecomposition(float(theta[0]), *(_trusted(DiscreteDist, points, part.copy()) if h else None
+                                                   for part, h in zip(parts[0], has[0].tolist())))
 
+
+def _mixture_decomposes(p: np.ndarray, q: np.ndarray, eps: Sequence[float]) -> tuple:
+    """:func:`mixture_decompose` of the rows ``p[i]``, ``q[i]`` of two ``(k, n)`` stacks
+    at ``eps[i]``: the thetas, the ``(k, 3, n)`` stack of omega, mu_prime and nu_prime
+    (0 where a part has no mass) and the ``(k, 3)`` flags of the parts with mass."""
+    eq = _exp_times_stack(np.array(eps, dtype=np.float64)[:, None], q)[:, 0]
+    mask_mu = p > eq
+    # Where mu is dominated by e^eps * nu everywhere, theta = 0 and nothing splits.
+    split = mask_mu.any(axis=1)
+    overlap, mu_res = np.minimum(p, eq), np.where(mask_mu, p - eq, 0.0)
+    theta = 1.0 - overlap.sum(axis=1)
+    # Rounding may push the min-sum past 1; the residual form is exact there.
+    theta = np.where(theta <= 0.0, mu_res.sum(axis=1), theta)
     # Past EXP_ARG_MAX, e^-eps is subnormal: p * e^-eps is exact to its spacing,
     # and below a subnormal q it may round to q + 5e-324: clip that to 0.
-    p_shrunk = p / math.exp(eps) if eps <= EXP_ARG_MAX else p * math.exp(-eps)
+    p_shrunk = (p / np.array([math.exp(e) if e <= EXP_ARG_MAX else 1.0 for e in eps])[:, None]
+                * np.array([1.0 if e <= EXP_ARG_MAX else math.exp(-e) for e in eps])[:, None])
     nu_res = np.where(p < eq, np.maximum(q - p_shrunk, 0.0), 0.0)
-    parts = [_trusted(DiscreteDist, points, mass / mass.sum()) if mass.sum() > 0.0 else None
-             for mass in (overlap, mu_res, nu_res)]
-    return MixtureDecomposition(min(theta, 1.0), *parts)
+    parts = np.stack([overlap, mu_res, nu_res], axis=1)
+    sums = parts.sum(axis=2, keepdims=True)
+    has = (sums > 0.0) & split[:, None, None]
+    parts = np.divide(parts, sums, out=np.zeros_like(parts), where=has)
+    return np.where(split, np.minimum(theta, 1.0), 0.0), parts, has[:, :, 0]
 
 
 def independent_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     """Product coupling mu (x) nu."""
-    mass = np.outer(mu.probs, nu.probs)
-    return _trusted(Coupling, mu.points, nu.points, mass / mass.sum())
+    return _trusted(Coupling, mu.points, nu.points, _independent_masses(mu.probs[None], nu.probs[None])[0])
+
+
+def _independent_masses(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The product couplings of the rows of two stacks, each normalized by its contiguous sum."""
+    mass = p[:, :, None] * q[:, None, :]
+    return mass / mass.reshape(len(mass), -1).sum(axis=1)[:, None, None]
 
 
 def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
     """Northwest-corner coupling: match mass greedily in support order.  It is
     W-infinity's line pass with every pair admissible."""
-    mass = np.zeros((len(mu.probs), len(nu.probs)))
-    moves, routed = _line_pass(np.ones(mass.shape, dtype=bool), mu.probs, nu.probs)
+    return _trusted(Coupling, mu.points, nu.points, _greedy_mass(mu.probs, nu.probs))
+
+
+def _greedy_mass(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The mass matrix of :func:`greedy_coupling` between the masses ``p`` and ``q``."""
+    mass = np.zeros((len(p), len(q)))
+    moves, routed = _line_pass(np.ones(mass.shape, dtype=bool), p, q)
     rows, cols, amounts = zip(*moves)
     mass[list(rows), list(cols)] = amounts
     # The moves run right or down only: routed adds the masses in row-major order.
-    return _trusted(Coupling, mu.points, nu.points, mass / routed)
+    return mass / routed
 
 
 def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
@@ -487,20 +497,24 @@ def random_joint_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]],
     """
     if len(pairs) != len(seeds):
         raise ValueError("pairs and seeds must have equal length")
-    # windows[k]: the indices of window k's pairs, by support shape.
+    for window in _pair_windows([(len(mu.probs), len(nu.probs)) for mu, nu in pairs]):
+        solved = {}
+        for (n, m), stack in window.items():
+            solved.update(zip(stack, _sinkhorn_couplings(pairs, seeds, stack, n, m)))
+        yield from (solved[i] for i in sorted(solved))
+
+
+def _pair_windows(shapes: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int], list[int]]]:
+    """Indices of consecutive couplings of support shapes ``shapes`` in windows of at most
+    ``PAIR_BLOCK_ENTRIES`` entries (at least one coupling each), grouped by shape."""
     windows, entries = [{}], 0
-    for i, (mu, nu) in enumerate(pairs):
-        n, m = len(mu.probs), len(nu.probs)
+    for i, (n, m) in enumerate(shapes):
         if entries + n * m > PAIR_BLOCK_ENTRIES and windows[-1]:
             windows.append({})
             entries = 0
         entries += n * m
         windows[-1].setdefault((n, m), []).append(i)
-    for window in windows:
-        solved = {}
-        for (n, m), stack in window.items():
-            solved.update(zip(stack, _sinkhorn_couplings(pairs, seeds, stack, n, m)))
-        yield from (solved[i] for i in sorted(solved))
+    return windows
 
 
 def _sinkhorn_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]], seeds: Sequence[int],
@@ -512,7 +526,7 @@ def _sinkhorn_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]], seed
     mass = np.stack([-np.log(uniform_open(rng_from_seed(seeds[i]), (n, m))) for i in stack])
     mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
     _sinkhorn_stack(p, q, mass)
-    return [Coupling(pairs[i][0].points, pairs[i][1].points, mat) for i, mat in zip(stack, mass)]
+    return [_trusted(Coupling, pairs[i][0].points, pairs[i][1].points, mat.copy()) for i, mat in zip(stack, mass)]
 
 
 def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:

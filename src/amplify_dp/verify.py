@@ -10,7 +10,7 @@ Violations are reported, never raised: a failing row is the caller's signal.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,29 +18,15 @@ import numpy as np
 from ._quadrature import integrate, require_negligible_ends
 from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, quadrature_domain
-from .divergences import DpGuarantee, _hockey_sticks, aligned_masses, hockey_stick, renyi_numeric_log
+from .divergences import DpGuarantee, _hockey_sticks, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
-from .mixing import (
-    Coupling,
-    DiscreteKernel,
-    _amplify_stack,
-    greedy_coupling,
-    independent_coupling,
-    mixture_decompose,
-    pushforward,
-    random_joint_couplings,
-    transport_operator,
-)
+from .mixing import (Coupling, DiscreteKernel, _amplify_stack, _greedy_mass, _independent_masses,
+                     _mixture_decomposes, _pair_windows, _sinkhorn_stack)
 # Not called here: bench/tracing.py wraps these names where verify looks them up.
 from .diffusion import ou_sample  # noqa: F401
-from .divergences import renyi_numeric_1d  # noqa: F401
-from .mixing import (  # noqa: F401
-    dobrushin_coeff,
-    doeblin_coeff,
-    eps_dobrushin_coeff,
-    random_joint_coupling,
-    ultra_coeff,
-)
+from .divergences import hockey_stick, renyi_numeric_1d  # noqa: F401
+from .mixing import (dobrushin_coeff, doeblin_coeff, eps_dobrushin_coeff, mixture_decompose,  # noqa: F401
+                     pushforward, random_joint_coupling, transport_operator, ultra_coeff)
 
 __all__ = [
     "TrialReport",
@@ -90,19 +76,6 @@ def _report(trial_id, case, descriptor, measured, bound, tolerance,
                        measured, bound, tolerance, bool(slack >= -tolerance), slack)
 
 
-@lru_cache(maxsize=64)
-def _labels(prefix: str, n: int) -> tuple[str, ...]:
-    """``prefix0 .. prefix{n-1}``, built once per size for all trials."""
-    return tuple(f"{prefix}{i}" for i in range(n))
-
-
-def _random_pair(rng: np.random.Generator, n: int) -> tuple[DiscreteDist, DiscreteDist]:
-    """The first draw of :func:`random_instance`: mu and nu on ``n`` points."""
-    raw = -np.log(uniform_open(rng, (2, n)))
-    points = _labels("x", n)
-    return tuple(_trusted(DiscreteDist, points, row / row.sum()) for row in raw)
-
-
 def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, DiscreteDist, DiscreteKernel]:
     """Random full-support pair (mu, nu) on nx points and an nx-by-ny kernel.
 
@@ -112,9 +85,9 @@ def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, Discrete
     if nx < 2 or ny < 2:
         raise ValueError("support sizes must be >= 2")
     laws, kernels = _instance_stacks([(nx, ny)], [seed])
-    points = _labels("x", nx)
+    points = tuple(f"x{i}" for i in range(nx))
     mu, nu = (_trusted(DiscreteDist, points, law.copy()) for law in laws[nx][1][0])
-    return mu, nu, _trusted(DiscreteKernel, kernels[ny][1][0].copy(), points, _labels("y", ny))
+    return mu, nu, _trusted(DiscreteKernel, kernels[ny][1][0].copy(), points, tuple(f"y{j}" for j in range(ny)))
 
 
 def _instance_stacks(shapes: Sequence[tuple[int, int]], seeds: Sequence[int]) -> tuple[dict, dict]:
@@ -220,69 +193,99 @@ def certify_theorem1(
     return reports
 
 
-def certify_transport_and_decompose(
-    trials: int,
-    sizes: tuple[int, int],
-    seed: int,
-) -> list[TrialReport]:
+def certify_transport_and_decompose(trials: int, sizes: tuple[int, int], seed: int) -> list[TrialReport]:
     """Certify the transport-operator identity and the overlapping mixture
-    decomposition on random instances."""
+    decomposition on random instances.
+
+    Each trial draws ``n * n`` uniforms from its own stream: the first ``2n``
+    give its pair (mu, nu), and all of them the start of its random coupling's
+    Sinkhorn scaling.  Trials are cut into the windows of
+    ``random_joint_couplings``, and each step runs once per support size in a
+    window, on the stack of its trials; each row is the one that
+    :func:`_transport_rows` gives for the trial alone.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     iseeds = _trial_seeds(seed, trials).tolist()
     ns = _trial_sizes(seed, trials, sizes)[:, 0].tolist()
     eps_values = (uniform_open(rng_from_seed(seed, 3), trials) * 2.0).tolist()
-    pairs = [_random_pair(rng_from_seed(iseed), n) for n, iseed in zip(ns, iseeds)]
-    # The couplings come one window at a time, each dropped once its rows are made.
-    trial_data = zip(range(trials), ns, iseeds, eps_values, pairs, random_joint_couplings(pairs, iseeds))
     reports: list[TrialReport] = []
-    for t, n, iseed, eps, (mu, nu), pi in trial_data:
-        reports += _transport_rows(t, f"n={n},seed={iseed},eps={eps!r}", eps, mu, nu, pi)
+    for window in _pair_windows([(n, n) for n in ns]):
+        rows = {}
+        for (n, _), group in window.items():
+            laws, masses = _transport_draws([iseeds[t] for t in group], n)
+            # Sinkhorn scales each start matrix, in place, into its trial's random coupling.
+            _sinkhorn_stack(laws[:, 0], laws[:, 1], masses)
+            descs = [f"n={n},seed={iseeds[t]},eps={eps_values[t]!r}" for t in group]
+            rows.update(zip(group, _transport_stack_rows(
+                group, descs, [eps_values[t] for t in group], laws[:, 0], laws[:, 1], masses)))
+        reports += [report for t in sorted(rows) for report in rows[t]]
     return reports
+
+
+def _transport_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's one draw of ``n * n`` uniforms as standard exponentials: the
+    ``(k, 2, n)`` masses of mu and nu, its first ``2n`` with each row
+    normalized, and the ``(k, n, n)`` stack of all of them."""
+    start = -np.log(np.array([uniform_open(rng_from_seed(s), (n, n)) for s in seeds]))
+    return start[:, :2] / start[:, :2].sum(axis=2, keepdims=True), start
 
 
 def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
                     pi_random: Coupling) -> list[TrialReport]:
-    """The transport and decomposition rows of one trial, given its random coupling."""
-    reports = []
-    couplings = {
-        "independent": independent_coupling(mu, nu),
-        "greedy": greedy_coupling(mu, nu),
-        "random_joint": pi_random,
-    }
-    for name, pi in couplings.items():
-        op = transport_operator(pi)
-        first, second = pi.marginals()
-        # The operator is defined on the first points with mass only.
-        pushed = pushforward(_trusted(DiscreteDist, op.input_points, first[first > 0.0]), op)
-        err = float(max(np.abs(pushed.probs - second).max(), np.abs(second - nu.probs).max()))
-        reports.append(_report(t, f"transport_{name}", desc,
-                               measured=err, bound=0.0, tolerance=EXACT_TOL))
+    """:func:`_transport_stack_rows` of one trial; ``mu`` and ``nu`` share their points."""
+    return _transport_stack_rows([t], [desc], [eps], mu.probs[None], nu.probs[None], pi_random.mass[None])[0]
 
-    theta_exact = hockey_stick(mu, nu, eps)
-    dec = mixture_decompose(mu, nu, eps)
-    reports.append(_report(t, "decompose_theta", desc,
-                           measured=abs(dec.theta - theta_exact),
-                           bound=0.0, tolerance=EXACT_TOL,
-                           delta_before=theta_exact))
-    if dec.theta > 0.0:
-        # The decomposition's laws live on the aligned support of (mu, nu).
-        _, p, q = aligned_masses(mu, nu)
-        omega = dec.omega.probs if dec.omega is not None else np.zeros_like(p)
-        mu_p = dec.mu_prime.probs
-        nu_p = dec.nu_prime.probs if dec.nu_prime is not None else np.zeros_like(p)
-        w_nu = 1.0 - (1.0 - dec.theta) * math.exp(-eps)
-        err_mu = np.abs((1.0 - dec.theta) * omega + dec.theta * mu_p - p).max()
-        err_nu = np.abs((1.0 - dec.theta) * math.exp(-eps) * omega + w_nu * nu_p - q).max()
-        overlap = float(np.minimum(mu_p, nu_p).sum())
-        reports.append(_report(t, "decompose_reconstruction", desc,
-                               measured=float(max(err_mu, err_nu)),
-                               bound=0.0, tolerance=EXACT_TOL,
-                               delta_before=theta_exact))
-        reports.append(_report(t, "decompose_overlap", desc,
-                               measured=overlap, bound=0.0, tolerance=0.0,
-                               delta_before=theta_exact))
-    return reports
+
+def _transport_stack_rows(trials: Sequence[int], descs: Sequence[str], eps: Sequence[float],
+                          p: np.ndarray, q: np.ndarray, random_masses: np.ndarray) -> list[list[TrialReport]]:
+    """The transport and decomposition rows of each trial ``trials[j]``: mu and
+    nu are ``p[j]`` and ``q[j]`` on the same points, ``eps[j]`` is its level
+    and ``random_masses[j]`` its random coupling."""
+    couplings = np.stack([_independent_masses(p, q), [_greedy_mass(a, b) for a, b in zip(p, q)], random_masses])
+    pushed, seconds = _pushforwards(couplings)
+    pushed_err, nu_err = np.abs(pushed - seconds).max(axis=2), np.abs(seconds - q).max(axis=2)
+    # Python's max(a, b), NaN included: b where b > a, else a.
+    transport_err = np.where(nu_err > pushed_err, nu_err, pushed_err).T.tolist()
+    theta_exact = [row[0] for row in _hockey_sticks(p, q, [[e] for e in eps])]
+    theta, parts, _ = _mixture_decomposes(p, q, eps)
+    # The parts live on the points of (mu, nu); a part of no mass is all 0.
+    omega, mu_p, nu_p = parts[:, 0], parts[:, 1], parts[:, 2]
+    shrink = (1.0 - theta) * np.array([math.exp(-e) for e in eps])
+    err_mu = np.abs((1.0 - theta)[:, None] * omega + theta[:, None] * mu_p - p).max(axis=1)
+    err_nu = np.abs(shrink[:, None] * omega + (1.0 - shrink)[:, None] * nu_p - q).max(axis=1)
+    reconstruction = np.where(err_nu > err_mu, err_nu, err_mu).tolist()
+    overlap = np.minimum(mu_p, nu_p).sum(axis=1).tolist()
+    out = []
+    for t, desc, errs, exact, th, rec, over in zip(trials, descs, transport_err, theta_exact,
+                                                     theta.tolist(), reconstruction, overlap):
+        rows = [_report(t, f"transport_{name}", desc, err, 0.0, EXACT_TOL)
+                for name, err in zip(("independent", "greedy", "random_joint"), errs)]
+        rows.append(_report(t, "decompose_theta", desc, abs(th - exact), 0.0, EXACT_TOL, exact))
+        if th > 0.0:
+            rows.append(_report(t, "decompose_reconstruction", desc, rec, 0.0, EXACT_TOL, exact))
+            rows.append(_report(t, "decompose_overlap", desc, over, 0.0, 0.0, exact))
+        out.append(rows)
+    return out
+
+
+def _pushforwards(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each coupling of the ``(..., n, m)`` stack's first marginal pushed
+    through its transport operator, and its second marginal: the steps of
+    ``transport_operator`` (a row of no mass is dropped, with its atom),
+    ``Coupling.marginals`` and ``pushforward``, one product per law.  Its
+    vector is a contiguous copy, as a strided one may change the last bit."""
+    n, m = couplings.shape[-2:]
+    row_mass = couplings.sum(axis=-1)
+    keep = row_mass > 0.0
+    with np.errstate(invalid="ignore"):  # 0/0 on the rows of no mass, which are dropped
+        ops = (couplings / row_mass[..., None]).reshape(-1, n, m)
+    firsts = np.cumsum(couplings, axis=-1)[..., -1].reshape(-1, n).copy()
+    full = keep.all(axis=-1).ravel().tolist()
+    pushed = np.array([first @ op if f else first[k] @ op[k]
+                       for first, op, k, f in zip(firsts, ops, keep.reshape(-1, n), full)])
+    pushed /= pushed.sum(axis=1, keepdims=True)
+    return pushed.reshape(couplings.shape[:-2] + (m,)), np.cumsum(couplings, axis=-2)[..., -1, :]
 
 
 def certify_diffusion() -> list[TrialReport]:

@@ -14,8 +14,9 @@ import numpy as np
 
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
-from amplify_dp.distributions import DiscreteDist, GaussianDist
-from amplify_dp.divergences import DpGuarantee, _distances, _start_threshold, aligned_masses, exp_times, hockey_stick
+from amplify_dp.distributions import DiscreteDist, GaussianDist, _trusted
+from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _start_threshold, aligned_masses,
+                                    exp_times, hockey_stick)
 from amplify_dp.iteration import _laplace_pair_log_bound
 from amplify_dp.mixing import (
     SINKHORN_ATOL,
@@ -23,7 +24,10 @@ from amplify_dp.mixing import (
     Coupling,
     DiscreteKernel,
     amplify_with_kernel,
+    greedy_coupling,
     pushforward,
+    random_joint_couplings,
+    transport_operator,
 )
 from amplify_dp.verify import EXACT_TOL, _report, _trial_seeds, _trial_sizes, format_cell
 
@@ -572,3 +576,93 @@ def certify_theorem1_per_trial(trials: int, sizes: tuple[int, int], eps_grid: Se
                     coefficient=gamma,
                 ))
     return reports
+
+
+def random_pair_per_trial(rng: np.random.Generator, n: int) -> tuple[DiscreteDist, DiscreteDist]:
+    """The pair (mu, nu) of a transport trial as ``verify`` drew it before it
+    cut the pair from the trial's one draw: ``2n`` uniforms, each row
+    normalized alone."""
+    raw = -np.log(uniform_open(rng, (2, n)))
+    points = tuple(f"x{i}" for i in range(n))
+    return tuple(_trusted(DiscreteDist, points, row / row.sum()) for row in raw)
+
+
+def certify_transport_per_trial(trials: int, sizes: tuple[int, int], seed: int) -> list:
+    """``verify.certify_transport_and_decompose`` as it was before it ran on
+    stacks: each trial's pair from one stream and its random coupling from a
+    second stream of the same seed, then one transport operator, pushforward
+    and mixture decomposition per coupling and trial."""
+    iseeds = _trial_seeds(seed, trials).tolist()
+    ns = _trial_sizes(seed, trials, sizes)[:, 0].tolist()
+    eps_values = (uniform_open(rng_from_seed(seed, 3), trials) * 2.0).tolist()
+    pairs = [random_pair_per_trial(rng_from_seed(iseed), n) for n, iseed in zip(ns, iseeds)]
+    trial_data = zip(range(trials), ns, iseeds, eps_values, pairs, random_joint_couplings(pairs, iseeds))
+    reports = []
+    for t, n, iseed, eps, (mu, nu), pi in trial_data:
+        reports += transport_rows_per_trial(t, f"n={n},seed={iseed},eps={eps!r}", eps, mu, nu, pi)
+    return reports
+
+
+def transport_rows_per_trial(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
+                             pi_random: Coupling) -> list:
+    """``verify._transport_rows`` as it was before it ran on stacks: the
+    one-coupling and one-pair calls, one at a time, with the independent
+    coupling and the decomposition as they were before they had stacked forms."""
+    reports = []
+    mass = np.outer(mu.probs, nu.probs)
+    couplings = {
+        "independent": Coupling(mu.points, nu.points, mass / mass.sum()),
+        "greedy": greedy_coupling(mu, nu),
+        "random_joint": pi_random,
+    }
+    for name, pi in couplings.items():
+        op = transport_operator(pi)
+        first, second = pi.marginals()
+        # The operator is defined on the first points with mass only.
+        pushed = pushforward(_trusted(DiscreteDist, op.input_points, first[first > 0.0]), op)
+        err = float(max(np.abs(pushed.probs - second).max(), np.abs(second - nu.probs).max()))
+        reports.append(_report(t, f"transport_{name}", desc,
+                               measured=err, bound=0.0, tolerance=EXACT_TOL))
+
+    theta_exact = hockey_stick(mu, nu, eps)
+    theta, omega, mu_p, nu_p = mixture_decompose_per_pair(mu, nu, eps)
+    reports.append(_report(t, "decompose_theta", desc,
+                           measured=abs(theta - theta_exact),
+                           bound=0.0, tolerance=EXACT_TOL,
+                           delta_before=theta_exact))
+    if theta > 0.0:
+        # The decomposition's laws live on the aligned support of (mu, nu).
+        _, p, q = aligned_masses(mu, nu)
+        omega = omega if omega is not None else np.zeros_like(p)
+        nu_p = nu_p if nu_p is not None else np.zeros_like(p)
+        w_nu = 1.0 - (1.0 - theta) * math.exp(-eps)
+        err_mu = np.abs((1.0 - theta) * omega + theta * mu_p - p).max()
+        err_nu = np.abs((1.0 - theta) * math.exp(-eps) * omega + w_nu * nu_p - q).max()
+        overlap = float(np.minimum(mu_p, nu_p).sum())
+        reports.append(_report(t, "decompose_reconstruction", desc,
+                               measured=float(max(err_mu, err_nu)),
+                               bound=0.0, tolerance=EXACT_TOL,
+                               delta_before=theta_exact))
+        reports.append(_report(t, "decompose_overlap", desc,
+                               measured=overlap, bound=0.0, tolerance=0.0,
+                               delta_before=theta_exact))
+    return reports
+
+
+def mixture_decompose_per_pair(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> tuple:
+    """``mixture_decompose`` as it was before it ran on stacks: theta and the
+    masses of omega, mu_prime and nu_prime (None where a part has no mass)."""
+    points, p, q = aligned_masses(mu, nu)
+    eq = exp_times(eps, q)
+    mask_mu = p > eq
+    if not np.any(mask_mu):
+        return 0.0, None, None, None
+    overlap = np.minimum(p, eq)
+    mu_res = np.where(mask_mu, p - eq, 0.0)
+    theta = 1.0 - float(overlap.sum())
+    if theta <= 0.0:
+        theta = float(mu_res.sum())
+    p_shrunk = p / math.exp(eps) if eps <= EXP_ARG_MAX else p * math.exp(-eps)
+    nu_res = np.where(p < eq, np.maximum(q - p_shrunk, 0.0), 0.0)
+    parts = [mass / mass.sum() if mass.sum() > 0.0 else None for mass in (overlap, mu_res, nu_res)]
+    return (min(theta, 1.0), *parts)

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import amplify_dp
+from amplify_dp import cli
 from amplify_dp.cli import main
+from reference_impls import certify_transport_per_trial
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -467,10 +469,20 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("suites", [[["transport"]], [{"a": 1}], ["transport", None]])
+    def test_unhashable_suite_exit_2(self, tmp_path, capsys, suites):
+        # An unhashable entry is an unknown suite, not a TypeError.
+        cfg = write_config(tmp_path, {"suites": suites, "trials": 2})
+        code, out, err = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: suites: expected a non-empty subset of ['diffusion', 'theorem1', 'transport']\n"
+
     @pytest.mark.parametrize("bad, field", [
         ({"sizes": 5}, "sizes"),
         ({"sizes": [9, 3]}, "sizes"),
         ({"eps_grid": [-1.0]}, "eps_grid"),
+        ({"sizes": [2, 2**63 - 1]}, "sizes"),  # hi + 1 leaves int64
+        ({"sizes": [2, 2**63]}, "sizes"),
     ])
     def test_bad_sizes_and_eps_grid_exit_2(self, tmp_path, capsys, bad, field):
         cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 2, **bad})
@@ -532,6 +544,20 @@ class TestReproducibility:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 4
+
+
+class TestTransportByteIdentity:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("seed", ["1", "7", "30"])
+    def test_output_equals_per_trial_suite(self, tmp_path, capsys, monkeypatch, fmt, seed):
+        # verify's transport suite runs on stacks; its output must be the
+        # per-trial suite's to the byte.
+        cfg = write_config(tmp_path, {"suites": ["transport"], "trials": 60, "sizes": [2, 40]})
+        args = ["verify", "--config", cfg, "--seed", seed, "--format", fmt]
+        shipped = run_cli(args, capsys)
+        monkeypatch.setattr(cli, "certify_transport_and_decompose", certify_transport_per_trial)
+        assert run_cli(args, capsys) == shipped
+        assert shipped[0] == 0 and len(shipped[1]) > 10000
 
 
 class TestEntryPoint:

@@ -38,6 +38,7 @@ from amplify_dp.mixing import (
     independent_coupling,
     mixture_decompose,
     pushforward,
+    random_joint_coupling,
     random_joint_couplings,
     transport_operator,
     ultra_coeff,
@@ -47,9 +48,11 @@ from reference_impls import (
     eps_dobrushin_coeff_pairs,
     greedy_coupling_pairs,
     hockey_stick_scalar,
+    mixture_decompose_per_pair,
     random_joint_coupling_per_pair,
     render_rows_per_cell,
     sinkhorn_per_pair,
+    transport_rows_per_trial,
 )
 
 
@@ -533,6 +536,31 @@ EDGE_EPS = [0.0, EXP_ARG_MAX, 800.0, math.inf]
 
 
 @settings(max_examples=200, deadline=None)
+@given(edge_instances(), st.one_of(st.sampled_from(EDGE_EPS[:-1]), st.floats(0.0, 5.0)),
+       st.integers(0, 2**62))
+@example((DiscreteDist(["x0", "x1", "x2"], [0.5, 0.5, 0.0]), DiscreteDist(["x0", "x1", "x2"], [0.2, 0.3, 0.5]),
+          None), 0.5, 3)
+@example((DiscreteDist(["x0", "x1"], [0.6, 0.4]), DiscreteDist(["x0", "x1"], [0.6 - 1e-13, 0.4]), None), 0.0, 5)
+def test_transport_rows_equal_per_trial_reference(instance, eps, seed):
+    # The stacked rows of one trial are the one-coupling, one-pair calls'
+    # rows, on zero and subnormal masses, zero-mass rows of a coupling and
+    # levels where e^eps overflows; and the stacked decomposition is the
+    # one-pair construction it replaced.
+    mu, nu, _ = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pi = random_joint_coupling(mu, nu, seed)
+        got = verify._transport_rows(0, "edge", eps, mu, nu, pi)
+        dec = mixture_decompose(mu, nu, eps)
+    assert list(map(repr, got)) == list(map(repr, transport_rows_per_trial(0, "edge", eps, mu, nu, pi)))
+    theta, *parts = mixture_decompose_per_pair(mu, nu, eps)
+    assert dec.theta == theta
+    for part, ref in zip((dec.omega, dec.mu_prime, dec.nu_prime), parts):
+        assert (part is None) == (ref is None)
+        assert part is None or part.probs.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
 @given(edge_instances(), st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 5.0)),
        st.integers(0, 2**62))
 @example((DiscreteDist(["x0"], [1.0]), DiscreteDist(["x0"], [1.0]),
@@ -551,7 +579,7 @@ def test_library_results_pass_the_public_checks(instance, eps, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = [pushforward(mu, kernel), pushforward(nu, kernel), doeblin_coeff(kernel)[1]]
-        # Sinkhorn's couplings keep the public check; their transport operators need none.
+        # The three couplings, Sinkhorn's included, and their transport operators.
         couplings = [independent_coupling(mu, nu), greedy_coupling(mu, nu)]
         couplings += random_joint_couplings([(mu, nu), (nu, mu)], [seed, seed + 1])
         results += couplings + [transport_operator(pi) for pi in couplings]
@@ -561,21 +589,12 @@ def test_library_results_pass_the_public_checks(instance, eps, seed):
         else:
             dec = mixture_decompose(mu, nu, eps)
             results += [dec.omega, dec.mu_prime, dec.nu_prime]
-        if not math.isinf(eps):
-            # The first marginal that _transport_rows pushes through each operator.
-            pushed = []
-            with mock.patch.object(verify, "pushforward",
-                                   lambda law, op: pushed.append(law) or pushforward(law, op)):
-                verify._transport_rows(0, "", eps, mu, nu, couplings[0])
-            assert len(pushed) == 3
-            results += pushed
         n = len(mu.points)
         for d in (1, 2):
             # The witness of W-infinity between the same masses on points of the line and the plane.
             points = [(float(i), float(i % 2))[:d] for i in range(n)]
             results.append(w_inf_optimal_coupling(DiscreteDist(points, mu.probs),
                                                   DiscreteDist(points[::-1], nu.probs))[1])
-        results += verify._random_pair(np.random.default_rng(seed), n)
         if n >= 2:
             results += verify.random_instance(n, 2 + seed % 3, seed)
     for obj in results:

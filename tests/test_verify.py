@@ -9,22 +9,26 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import amplify_dp
 from amplify_dp import cli, distributions, mixing, verify
+from amplify_dp._rng import rng_from_seed
 from amplify_dp.diffusion import OuParams, ou_mse
 from amplify_dp.distributions import DiscreteDist, GaussianDist
 from amplify_dp.divergences import QuadratureError
 from amplify_dp.divergences import DpGuarantee, hockey_stick
 from amplify_dp.mixing import (
+    Coupling,
     DiscreteKernel,
     amplify_with_kernel,
     doeblin_coeff,
     dobrushin_coeff,
     pushforward,
+    transport_operator,
     ultra_coeff,
 )
 from amplify_dp.verify import (
@@ -38,7 +42,12 @@ from amplify_dp.verify import (
     random_instance,
     reports_summary,
 )
-from reference_impls import certify_theorem1_per_trial, random_instance_per_trial
+from reference_impls import (
+    certify_theorem1_per_trial,
+    certify_transport_per_trial,
+    random_instance_per_trial,
+    random_pair_per_trial,
+)
 
 
 class TestRandomInstance:
@@ -161,6 +170,51 @@ class TestCertifyTransport:
         for r in reports:
             if r.case == "decompose_theta":
                 assert r.measured <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 16), (16, 16), (2, 40)])
+    def test_stacks_equal_per_trial_reference(self, sizes):
+        # Every row is the per-trial suite's, at the default windows, at
+        # windows of one trial each and at windows of a few trials.
+        for seed in range(40):
+            want = list(map(repr, certify_transport_per_trial(12, sizes, seed)))
+            for block in (mixing.PAIR_BLOCK_ENTRIES, 1, 40, 300):
+                with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
+                    assert list(map(repr, certify_transport_and_decompose(12, sizes, seed))) == want
+
+    def test_one_draw_gives_the_pair_and_the_sinkhorn_start(self, monkeypatch):
+        # A trial's n * n uniforms: its first 2n are the pair the per-trial
+        # suite drew, and all of them the start that random_joint_coupling
+        # draws from a second stream of the same seed.
+        starts, solve = [], mixing._sinkhorn_stack
+        monkeypatch.setattr(mixing, "_sinkhorn_stack",
+                            lambda p, q, mass: starts.append(mass.copy()) or solve(p, q, mass))
+        seeds = verify._trial_seeds(1, 10).tolist()
+        for n in (2, 3, 16):
+            laws, start = verify._transport_draws(seeds, n)
+            for seed, law, mass in zip(seeds, laws, start):
+                mu, nu = random_pair_per_trial(rng_from_seed(seed), n)
+                assert law[0].tobytes() == mu.probs.tobytes() and law[1].tobytes() == nu.probs.tobytes()
+                starts.clear()
+                verify.random_joint_coupling(mu, nu, seed)
+                assert starts[0][0].tobytes() == mass.tobytes()
+
+    def test_pushed_laws_equal_pushforward(self):
+        # Each stacked first marginal is a strided column of a cumulative sum;
+        # a product with that view differs from pushforward's in the last bit
+        # on some of these laws, so the stack must push a contiguous copy.
+        laws, _ = verify._transport_draws(range(20), 10)
+        couplings = mixing._independent_masses(laws[:, 0], laws[:, 1])
+        pushed, seconds = verify._pushforwards(couplings)
+        points, strided_differs = [f"x{i}" for i in range(10)], False
+        for mass, got, second in zip(couplings, pushed, seconds):
+            op = transport_operator(Coupling(points, points, mass))
+            first, want_second = Coupling(points, points, mass).marginals()
+            assert got.tobytes() == pushforward(DiscreteDist(points, first), op).probs.tobytes()
+            assert second.tobytes() == want_second.tobytes()
+            strided = np.cumsum(mass, axis=1)[:, -1]
+            strided_differs |= strided.tobytes() == first.tobytes() and not np.array_equal(
+                strided @ op.rows, first @ op.rows)
+        assert strided_differs
 
     def test_rows_of_near_equal_laws(self):
         # nu_prime is None here (no atom has p < q); its weight is
