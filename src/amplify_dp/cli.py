@@ -46,6 +46,14 @@ EXIT_VIOLATION = 3
 
 KERNEL_ROW_ATOL = 1e-9
 
+# Caps on the counts that size what a command allocates, so that a count past
+# them exits 2 instead of failing to allocate: verify's trials, its largest
+# support size (a trial holds arrays of hi * hi floats), and the steps of iter
+# or the rows of sgd (one per index, without indices).
+MAX_TRIALS = 10**5
+MAX_SUPPORT = 2**10
+MAX_STEPS = 10**6
+
 
 class ValidationFailure(Exception):
     """Config rejected; ``field`` names the offending key."""
@@ -87,12 +95,14 @@ def _number(config: dict, key: str, lo=None, hi=None) -> float:
     return value
 
 
-def _integer(config: dict, key: str, lo=None) -> int:
+def _integer(config: dict, key: str, lo=None, hi=None) -> int:
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationFailure(key, f"expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ValidationFailure(key, f"must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ValidationFailure(key, f"must be <= {hi}")
     return value
 
 
@@ -246,7 +256,9 @@ def cmd_sgd(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
     alpha = _number(config, "alpha")
     if alpha == math.inf:
         raise ValidationFailure("alpha", "must be finite: eps_i = epsilon / alpha is inf / inf at alpha = inf")
-    indices = config.get("indices", list(range(1, cfg.n + 1)))
+    if "indices" not in config and cfg.n > MAX_STEPS:
+        raise ValidationFailure("n", f"must be <= {MAX_STEPS} without indices (one row per index)")
+    indices = config["indices"] if "indices" in config else list(range(1, cfg.n + 1))
     if not isinstance(indices, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= cfg.n for i in indices):
         raise ValidationFailure("indices", f"expected integers in 1..{cfg.n}")
@@ -272,7 +284,7 @@ def cmd_iter(config: dict, seed) -> tuple[list[str], list[list], list[str], int]
     lipschitz = (_number_list(config, "lipschitz") if isinstance(config["lipschitz"], list)
                  else _number(config, "lipschitz"))
     try:
-        chain = IterationChain(_integer(config, "r", lo=1), lipschitz,
+        chain = IterationChain(_integer(config, "r", lo=1, hi=MAX_STEPS), lipschitz,
                                _number(config, "sigma"), _number(config, "delta0"))
         # An overflow in the path bound's numpy products raises (a
         # FloatingPointError is an ArithmeticError) instead of warning.
@@ -354,13 +366,13 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
     # Membership in a tuple compares with ==, so an unhashable entry is just unknown.
     if not isinstance(suites, list) or not all(s in known for s in suites) or not suites:
         raise ValidationFailure("suites", f"expected a non-empty subset of {sorted(known)}")
-    trials = _integer(config, "trials", lo=1) if "trials" in config else 200
+    trials = _integer(config, "trials", lo=1, hi=MAX_TRIALS) if "trials" in config else 200
     sizes = config.get("sizes", [2, 16])
     if not (isinstance(sizes, list) and len(sizes) == 2
             and all(isinstance(s, int) for s in sizes) and 2 <= sizes[0] <= sizes[1]):
         raise ValidationFailure("sizes", "expected [lo, hi] with 2 <= lo <= hi")
-    if sizes[1] >= 2**63 - 1:
-        raise ValidationFailure("sizes", "hi must be below 2**63 - 1, so that hi + 1 fits in int64")
+    if sizes[1] > MAX_SUPPORT:
+        raise ValidationFailure("sizes", f"hi must be <= {MAX_SUPPORT}")
     sizes = tuple(sizes)
     eps_grid = (_number_list(config, "eps_grid") if "eps_grid" in config
                 else [0.0, 0.5, 1.0, 2.0])

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -119,15 +119,29 @@ class Coupling:
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column sums as contiguous copies, each added in index order."""
-        return np.cumsum(self.mass, axis=1)[:, -1].copy(), np.cumsum(self.mass, axis=0)[-1].copy()
+        return _marginals(self.mass)
+
+
+def _marginals(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Coupling.marginals` of each coupling of the ``(..., n, m)`` stack
+    ``mass``: cumulative sums, so each row and column adds in index order, copied
+    out contiguous (a product with a strided marginal may differ in the last bit)."""
+    return np.cumsum(mass, axis=-1)[..., -1].copy(), np.cumsum(mass, axis=-2)[..., -1, :].copy()
 
 
 def pushforward(mu: DiscreteDist, kernel: DiscreteKernel) -> DiscreteDist:
     """Distribution of the kernel output when the input is drawn from ``mu``."""
     if mu.points != kernel.input_points:
         raise ValueError("support of mu does not match the kernel input support")
-    out = mu.probs @ kernel.rows
-    return _trusted(DiscreteDist, kernel.output_points, out / out.sum())
+    return _trusted(DiscreteDist, kernel.output_points, _pushforward_stack([(mu.probs, kernel.rows)])[0])
+
+
+def _pushforward_stack(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """:func:`pushforward` of each ``(probs, rows)`` of ``pairs``: one vector-matrix
+    product per law, the stack of them normalized by their sums."""
+    out = np.array([probs @ rows for probs, rows in pairs])
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def _row_blocks(rows: np.ndarray, stack: int = 1):
@@ -365,11 +379,18 @@ def transport_operator(pi: Coupling) -> DiscreteKernel:
     The kernel is defined on the support of the first marginal (zero-mass
     rows are omitted) and pushes that marginal to the second one.
     """
-    row_mass = pi.mass.sum(axis=1)
-    keep = row_mass > 0.0
-    rows = pi.mass[keep] / row_mass[keep, None]
-    return _trusted(DiscreteKernel, rows, tuple(x for x, k in zip(pi.first_points, keep) if k),
+    rows, keep = _operator_rows(pi.mass)
+    return _trusted(DiscreteKernel, rows[keep], tuple(x for x, k in zip(pi.first_points, keep) if k),
                     pi.second_points)
+
+
+def _operator_rows(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`transport_operator` for each coupling of the ``(..., n, m)``
+    stack ``mass``, each row over its sum, and the mask of the rows it keeps: a row
+    of no mass (NaN here) is dropped, with its atom."""
+    row_mass = mass.sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # 0/0 on the rows of no mass
+        return mass / row_mass[..., None], row_mass > 0.0
 
 
 @dataclass(frozen=True)
@@ -482,28 +503,6 @@ def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
         mass[live] = sub
 
 
-def random_joint_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]],
-                           seeds: Sequence[int]) -> Iterator[Coupling]:
-    """Random couplings with the given marginals, via Sinkhorn scaling, yielded
-    in order: one per ``(mu, nu)`` pair, the i-th from ``seeds[i]``.
-
-    Each start matrix is drawn from its own seed's stream, zero only on the
-    rows and columns of zero-mass atoms.  Its rows and columns are rescaled in
-    turn until the row sums match ``mu`` to ``SINKHORN_ATOL``; the column sums
-    match ``nu`` to a few ulps.  Consecutive pairs are cut into windows of at
-    most ``PAIR_BLOCK_ENTRIES`` coupling entries (at least one pair), and the
-    pairs of one support shape in a window are solved as one stack, so memory
-    is bounded by the window; each coupling is ``==`` the one solved alone.
-    """
-    if len(pairs) != len(seeds):
-        raise ValueError("pairs and seeds must have equal length")
-    for window in _pair_windows([(len(mu.probs), len(nu.probs)) for mu, nu in pairs]):
-        solved = {}
-        for (n, m), stack in window.items():
-            solved.update(zip(stack, _sinkhorn_couplings(pairs, seeds, stack, n, m)))
-        yield from (solved[i] for i in sorted(solved))
-
-
 def _pair_windows(shapes: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int], list[int]]]:
     """Indices of consecutive couplings of support shapes ``shapes`` in windows of at most
     ``PAIR_BLOCK_ENTRIES`` entries (at least one coupling each), grouped by shape."""
@@ -517,18 +516,22 @@ def _pair_windows(shapes: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int
     return windows
 
 
-def _sinkhorn_couplings(pairs: Sequence[tuple[DiscreteDist, DiscreteDist]], seeds: Sequence[int],
-                        stack: list[int], n: int, m: int) -> list[Coupling]:
-    """The random couplings of ``pairs[i]``, ``i`` in ``stack``, of support shape
-    ``(n, m)``: one Sinkhorn stack, freed on return, before they are yielded."""
-    p = np.stack([pairs[i][0].probs for i in stack])
-    q = np.stack([pairs[i][1].probs for i in stack])
-    mass = np.stack([-np.log(uniform_open(rng_from_seed(seeds[i]), (n, m))) for i in stack])
-    mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
-    _sinkhorn_stack(p, q, mass)
-    return [_trusted(Coupling, pairs[i][0].points, pairs[i][1].points, mat.copy()) for i, mat in zip(stack, mass)]
+def _sinkhorn_starts(seeds: Sequence[int], n: int, m: int) -> np.ndarray:
+    """The ``(k, n, m)`` Sinkhorn starts of :func:`random_joint_coupling`: for each
+    seed, one draw of ``n * m`` uniforms from its stream, as standard exponentials."""
+    return -np.log(np.array([uniform_open(rng_from_seed(s), (n, m)) for s in seeds]))
 
 
 def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
-    """:func:`random_joint_couplings` for one pair."""
-    return next(random_joint_couplings([(mu, nu)], [seed]))
+    """Random coupling with the marginals ``mu`` and ``nu``, via Sinkhorn scaling.
+
+    The start matrix is drawn from the seed's stream, zero only on the rows and
+    columns of zero-mass atoms.  Its rows and columns are rescaled in turn until
+    the row sums match ``mu`` to ``SINKHORN_ATOL``; the column sums match ``nu``
+    to a few ulps.  It is a stack of one for :func:`_sinkhorn_stack`.
+    """
+    p, q = mu.probs[None], nu.probs[None]
+    mass = _sinkhorn_starts([seed], len(mu.probs), len(nu.probs))
+    mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
+    _sinkhorn_stack(p, q, mass)
+    return _trusted(Coupling, mu.points, nu.points, mass[0])

@@ -20,8 +20,9 @@ from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, quadrature_domain
 from .divergences import DpGuarantee, _hockey_sticks, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
-from .mixing import (Coupling, DiscreteKernel, _amplify_stack, _greedy_mass, _independent_masses,
-                     _mixture_decomposes, _pair_windows, _sinkhorn_stack)
+from .mixing import (DiscreteKernel, _amplify_stack, _greedy_mass, _independent_masses, _marginals,
+                     _mixture_decomposes, _operator_rows, _pair_windows, _pushforward_stack,
+                     _sinkhorn_stack, _sinkhorn_starts)
 # Not called here: bench/tracing.py wraps these names where verify looks them up.
 from .diffusion import ou_sample  # noqa: F401
 from .divergences import hockey_stick, renyi_numeric_1d  # noqa: F401
@@ -167,10 +168,8 @@ def certify_theorem1(
     for group, stack in kernels_by_ny.values():
         for t, by_eps in zip(group, _amplify_stack(stack, [guarantees[t] for t in group])):
             amplified[t] = by_eps
-        # pushforward's product, one per law, normalized as a stack.
-        pushed = np.array([law @ rows[:inst_sizes[t][0]]
-                           for t, rows in zip(group, stack) for law in laws[t]]).reshape(len(group), 2, -1)
-        pushed /= pushed.sum(axis=2, keepdims=True)
+        pushed = _pushforward_stack([(law, rows[:inst_sizes[t][0]]) for t, rows in zip(group, stack)
+                                     for law in laws[t]]).reshape(len(group), 2, -1)
         # The post-processed divergence at each distinct eps' of a trial.
         eps_primes = [list(dict.fromkeys(out.epsilon for by_cond in amplified[t]
                                          for _, out in by_cond.values())) for t in group]
@@ -199,10 +198,13 @@ def certify_transport_and_decompose(trials: int, sizes: tuple[int, int], seed: i
 
     Each trial draws ``n * n`` uniforms from its own stream: the first ``2n``
     give its pair (mu, nu), and all of them the start of its random coupling's
-    Sinkhorn scaling.  Trials are cut into the windows of
-    ``random_joint_couplings``, and each step runs once per support size in a
-    window, on the stack of its trials; each row is the one that
-    :func:`_transport_rows` gives for the trial alone.
+    Sinkhorn scaling, as :func:`random_joint_coupling` draws it.  Trials are cut
+    into the windows of ``mixing._pair_windows`` (at most ``PAIR_BLOCK_ENTRIES``
+    coupling entries each), and each step runs once per support size in a
+    window, on the stack of its trials.  ``random_joint_coupling``,
+    ``transport_operator``, ``Coupling.marginals``, ``pushforward`` and
+    ``mixture_decompose`` are the one-item calls of these stacked steps, so
+    each row is the one that the trial alone gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -227,14 +229,8 @@ def _transport_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarr
     """Each seed's one draw of ``n * n`` uniforms as standard exponentials: the
     ``(k, 2, n)`` masses of mu and nu, its first ``2n`` with each row
     normalized, and the ``(k, n, n)`` stack of all of them."""
-    start = -np.log(np.array([uniform_open(rng_from_seed(s), (n, n)) for s in seeds]))
+    start = _sinkhorn_starts(seeds, n, n)
     return start[:, :2] / start[:, :2].sum(axis=2, keepdims=True), start
-
-
-def _transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
-                    pi_random: Coupling) -> list[TrialReport]:
-    """:func:`_transport_stack_rows` of one trial; ``mu`` and ``nu`` share their points."""
-    return _transport_stack_rows([t], [desc], [eps], mu.probs[None], nu.probs[None], pi_random.mass[None])[0]
 
 
 def _transport_stack_rows(trials: Sequence[int], descs: Sequence[str], eps: Sequence[float],
@@ -271,21 +267,16 @@ def _transport_stack_rows(trials: Sequence[int], descs: Sequence[str], eps: Sequ
 
 def _pushforwards(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each coupling of the ``(..., n, m)`` stack's first marginal pushed
-    through its transport operator, and its second marginal: the steps of
-    ``transport_operator`` (a row of no mass is dropped, with its atom),
-    ``Coupling.marginals`` and ``pushforward``, one product per law.  Its
-    vector is a contiguous copy, as a strided one may change the last bit."""
+    through its transport operator, and its second marginal: the stacked steps
+    of ``transport_operator`` (a row of no mass is dropped, with its atom),
+    ``Coupling.marginals`` and ``pushforward``."""
     n, m = couplings.shape[-2:]
-    row_mass = couplings.sum(axis=-1)
-    keep = row_mass > 0.0
-    with np.errstate(invalid="ignore"):  # 0/0 on the rows of no mass, which are dropped
-        ops = (couplings / row_mass[..., None]).reshape(-1, n, m)
-    firsts = np.cumsum(couplings, axis=-1)[..., -1].reshape(-1, n).copy()
+    ops, keep = _operator_rows(couplings)
+    firsts, seconds = _marginals(couplings)
     full = keep.all(axis=-1).ravel().tolist()
-    pushed = np.array([first @ op if f else first[k] @ op[k]
-                       for first, op, k, f in zip(firsts, ops, keep.reshape(-1, n), full)])
-    pushed /= pushed.sum(axis=1, keepdims=True)
-    return pushed.reshape(couplings.shape[:-2] + (m,)), np.cumsum(couplings, axis=-2)[..., -1, :]
+    pushed = _pushforward_stack((first, op) if f else (first[k], op[k]) for first, op, k, f in zip(
+        firsts.reshape(-1, n), ops.reshape(-1, n, m), keep.reshape(-1, n), full))
+    return pushed.reshape(couplings.shape[:-2] + (m,)), seconds
 
 
 def certify_diffusion() -> list[TrialReport]:

@@ -26,10 +26,9 @@ from amplify_dp.mixing import (
     amplify_with_kernel,
     greedy_coupling,
     pushforward,
-    random_joint_couplings,
-    transport_operator,
+    random_joint_coupling,
 )
-from amplify_dp.verify import EXACT_TOL, _report, _trial_seeds, _trial_sizes, format_cell
+from amplify_dp.verify import EXACT_TOL, _report, _transport_stack_rows, _trial_seeds, _trial_sizes, format_cell
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -294,14 +293,17 @@ def sinkhorn_per_pair(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> np.ndar
     return mass
 
 
+def sinkhorn_start_per_pair(p: np.ndarray, q: np.ndarray, seed: int) -> np.ndarray:
+    """The start matrix of the one-pair ``random_joint_coupling`` between the
+    masses ``p`` and ``q``, drawn from the seed's own stream."""
+    return -np.log(uniform_open(rng_from_seed(seed), (len(p), len(q)))) * np.outer(p > 0.0, q > 0.0)
+
+
 def random_joint_coupling_per_pair(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
     """``random_joint_coupling`` as it was before pairs were solved in
     stacks: its own start matrix and its own Sinkhorn loop."""
     p, q = mu.probs, nu.probs
-    p_pos, q_pos = p > 0.0, q > 0.0
-    rng = rng_from_seed(seed)
-    mass = -np.log(uniform_open(rng, (len(p), len(q)))) * np.outer(p_pos, q_pos)
-    return Coupling(mu.points, nu.points, sinkhorn_per_pair(p, q, mass))
+    return Coupling(mu.points, nu.points, sinkhorn_per_pair(p, q, sinkhorn_start_per_pair(p, q, seed)))
 
 
 def hockey_stick_scalar(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
@@ -595,32 +597,45 @@ def certify_transport_per_trial(trials: int, sizes: tuple[int, int], seed: int) 
     iseeds = _trial_seeds(seed, trials).tolist()
     ns = _trial_sizes(seed, trials, sizes)[:, 0].tolist()
     eps_values = (uniform_open(rng_from_seed(seed, 3), trials) * 2.0).tolist()
-    pairs = [random_pair_per_trial(rng_from_seed(iseed), n) for n, iseed in zip(ns, iseeds)]
-    trial_data = zip(range(trials), ns, iseeds, eps_values, pairs, random_joint_couplings(pairs, iseeds))
     reports = []
-    for t, n, iseed, eps, (mu, nu), pi in trial_data:
+    for t, n, iseed, eps in zip(range(trials), ns, iseeds, eps_values):
+        mu, nu = random_pair_per_trial(rng_from_seed(iseed), n)
+        pi = random_joint_coupling(mu, nu, iseed)
         reports += transport_rows_per_trial(t, f"n={n},seed={iseed},eps={eps!r}", eps, mu, nu, pi)
     return reports
 
 
+def stacked_transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
+                           pi_random: Coupling) -> list:
+    """``verify._transport_stack_rows`` of one trial; ``mu`` and ``nu`` share their points."""
+    return _transport_stack_rows([t], [desc], [eps], mu.probs[None], nu.probs[None], pi_random.mass[None])[0]
+
+
 def transport_rows_per_trial(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
                              pi_random: Coupling) -> list:
-    """``verify._transport_rows`` as it was before it ran on stacks: the
-    one-coupling and one-pair calls, one at a time, with the independent
-    coupling and the decomposition as they were before they had stacked forms."""
+    """The transport suite's rows of one trial as they were before they ran on
+    stacks, with every coupling formula written out here: the independent
+    coupling, the transport operator (rows over their sums, rows of no mass
+    dropped), the marginals (cumulative sums), the pushforward (one product,
+    normalized) and the decomposition as they were before they had stacked
+    forms, so that nothing is shared with the stacked path."""
     reports = []
-    mass = np.outer(mu.probs, nu.probs)
+    product = np.outer(mu.probs, nu.probs)
     couplings = {
-        "independent": Coupling(mu.points, nu.points, mass / mass.sum()),
-        "greedy": greedy_coupling(mu, nu),
-        "random_joint": pi_random,
+        "independent": product / product.sum(),
+        "greedy": greedy_coupling(mu, nu).mass,
+        "random_joint": pi_random.mass,
     }
-    for name, pi in couplings.items():
-        op = transport_operator(pi)
-        first, second = pi.marginals()
+    for name, mass in couplings.items():
+        row_mass = mass.sum(axis=1)
+        keep = row_mass > 0.0
+        op = mass[keep] / row_mass[keep, None]
+        first = np.cumsum(mass, axis=1)[:, -1].copy()
+        second = np.cumsum(mass, axis=0)[-1].copy()
         # The operator is defined on the first points with mass only.
-        pushed = pushforward(_trusted(DiscreteDist, op.input_points, first[first > 0.0]), op)
-        err = float(max(np.abs(pushed.probs - second).max(), np.abs(second - nu.probs).max()))
+        pushed = first[first > 0.0] @ op
+        pushed = pushed / pushed.sum()
+        err = float(max(np.abs(pushed - second).max(), np.abs(second - nu.probs).max()))
         reports.append(_report(t, f"transport_{name}", desc,
                                measured=err, bound=0.0, tolerance=EXACT_TOL))
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,16 @@ def parse_csv(text):
     data = [l for l in lines if not l.startswith("#")]
     rows = list(csv.reader(io.StringIO("\n".join(data))))
     return meta, rows[0], rows[1:]
+
+
+def run_cli_peak(args, capsys):
+    """``run_cli`` and the peak bytes that Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = run_cli(args, capsys)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 MIX_CONFIG = {"kernel": [[0.7, 0.3], [0.4, 0.6]], "eps": 1.0, "delta": 0.0}
@@ -211,6 +222,20 @@ class TestSgdCommand:
         assert "alpha must be > 1" in err
 
 
+    def test_too_many_rows_exit_2_before_allocating(self, tmp_path, capsys):
+        # Without indices sgd prints one row per index, so n = 10**12 is
+        # rejected before the list of indices is built; with indices, n is
+        # a parameter of the closed form only.
+        base = {"n": 10**12, "C": 1.0, "sigma": 1.0, "beta": 3.0, "rho": 1.0, "eta": 0.5, "alpha": 2.0}
+        (code, out, err), peak = run_cli_peak(["sgd", "--config", write_config(tmp_path, base)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: n: must be <= {cli.MAX_STEPS} without indices (one row per index)\n"
+        assert peak < 2**20
+        cfg = write_config(tmp_path, {**base, "indices": [1, 10**12]})
+        code, out, _ = run_cli(["sgd", "--config", cfg], capsys)
+        assert code == 0 and len(parse_csv(out)[2]) == 2
+
+
 class TestIterCommand:
     def test_contractive(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"r": 10, "lipschitz": 1.0, "sigma": 1.0,
@@ -280,6 +305,14 @@ class TestIterCommand:
         code, out, err = run_cli(["iter", "--config", cfg], capsys)
         assert (code, out) == (2, "")
         assert "alpha must be > 1" in err
+
+
+    def test_too_many_steps_exit_2_before_allocating(self, tmp_path, capsys):
+        # The chain holds one Lipschitz constant per step.
+        cfg = write_config(tmp_path, {"r": 10**12, "lipschitz": 1.0, "sigma": 1.0, "delta0": 1.0, "alpha": 2.0})
+        (code, out, err), peak = run_cli_peak(["iter", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", f"error: r: must be <= {cli.MAX_STEPS}\n")
+        assert peak < 2**20
 
 
 class TestOuCommand:
@@ -483,6 +516,10 @@ class TestVerifyCommand:
         ({"eps_grid": [-1.0]}, "eps_grid"),
         ({"sizes": [2, 2**63 - 1]}, "sizes"),  # hi + 1 leaves int64
         ({"sizes": [2, 2**63]}, "sizes"),
+        ({"trials": 10**13}, "trials"),  # the draws would not fit in memory
+        ({"trials": cli.MAX_TRIALS + 1}, "trials"),
+        ({"sizes": [2**40, 2**40]}, "sizes"),
+        ({"sizes": [2, cli.MAX_SUPPORT + 1]}, "sizes"),
     ])
     def test_bad_sizes_and_eps_grid_exit_2(self, tmp_path, capsys, bad, field):
         cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": 2, **bad})
@@ -490,6 +527,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field}: ")
+
+    def test_caps_are_accepted(self, tmp_path, capsys, monkeypatch):
+        # trials and hi at their caps pass validation (the suites are stubbed).
+        calls = []
+        monkeypatch.setattr(cli, "certify_theorem1", lambda *args: calls.append(args) or [])
+        cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": cli.MAX_TRIALS,
+                                      "sizes": [2, cli.MAX_SUPPORT]})
+        code, _, err = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert calls == [(cli.MAX_TRIALS, (2, cli.MAX_SUPPORT), [0.0, 0.5, 1.0, 2.0], 1)]
 
     def test_violations_exit_3(self, tmp_path, capsys, monkeypatch):
         # Force a failing report through the wiring; theorems hold, so a real

@@ -39,7 +39,6 @@ from amplify_dp.mixing import (
     mixture_decompose,
     pushforward,
     random_joint_coupling,
-    random_joint_couplings,
     transport_operator,
     ultra_coeff,
 )
@@ -52,6 +51,8 @@ from reference_impls import (
     random_joint_coupling_per_pair,
     render_rows_per_cell,
     sinkhorn_per_pair,
+    sinkhorn_start_per_pair,
+    stacked_transport_rows,
     transport_rows_per_trial,
 )
 
@@ -254,21 +255,30 @@ def coupling_pair(w_mu, w_nu, drift=False):
 
 
 def assert_couplings_equal_per_pair(pairs, seeds, block):
-    with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
-        batch = list(random_joint_couplings(pairs, seeds))
-    assert len(batch) == len(pairs)
-    for (mu, nu), seed, pi in zip(pairs, seeds, batch):
-        ref = random_joint_coupling_per_pair(mu, nu, seed)
+    # Each pair through random_joint_coupling, and the pairs of one shape in
+    # a window of PAIR_BLOCK_ENTRIES = block as one Sinkhorn stack: both give
+    # the one-pair loop's masses.
+    for (mu, nu), seed in zip(pairs, seeds):
+        pi, ref = random_joint_coupling(mu, nu, seed), random_joint_coupling_per_pair(mu, nu, seed)
         assert (pi.first_points, pi.second_points) == (ref.first_points, ref.second_points)
         assert np.array_equal(pi.mass, ref.mass)
+    with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
+        windows = mixing._pair_windows([(len(mu.probs), len(nu.probs)) for mu, nu in pairs])
+    for stack in (stack for window in windows for stack in window.values()):
+        p, q = (np.stack([pairs[i][side].probs for i in stack]) for side in (0, 1))
+        start = np.stack([sinkhorn_start_per_pair(p[k], q[k], seeds[i]) for k, i in enumerate(stack)])
+        mass = start.copy()
+        mixing._sinkhorn_stack(p, q, mass)
+        for k in range(len(stack)):
+            assert np.array_equal(mass[k], sinkhorn_per_pair(p[k], q[k], start[k].copy()))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(coupling_specs(), min_size=1, max_size=8), st.integers(0, 2**62),
        st.sampled_from([mixing.PAIR_BLOCK_ENTRIES, 1, 5, 6, 12, 13, 40]))
 def test_random_joint_couplings_equal_per_pair_loop(specs, seed, block):
-    # Stacked Sinkhorn gives masses == the one-pair loop, whatever the mix of
-    # shapes, zero-mass atoms and stack splits.
+    # Sinkhorn, alone or stacked, gives masses == the one-pair loop, whatever
+    # the mix of shapes, zero-mass atoms and stack splits.
     pairs = [coupling_pair(*spec) for spec in specs]
     assert_couplings_equal_per_pair(pairs, [seed + 3 * i for i in range(len(pairs))], block)
 
@@ -550,7 +560,7 @@ def test_transport_rows_equal_per_trial_reference(instance, eps, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pi = random_joint_coupling(mu, nu, seed)
-        got = verify._transport_rows(0, "edge", eps, mu, nu, pi)
+        got = stacked_transport_rows(0, "edge", eps, mu, nu, pi)
         dec = mixture_decompose(mu, nu, eps)
     assert list(map(repr, got)) == list(map(repr, transport_rows_per_trial(0, "edge", eps, mu, nu, pi)))
     theta, *parts = mixture_decompose_per_pair(mu, nu, eps)
@@ -581,7 +591,7 @@ def test_library_results_pass_the_public_checks(instance, eps, seed):
         results = [pushforward(mu, kernel), pushforward(nu, kernel), doeblin_coeff(kernel)[1]]
         # The three couplings, Sinkhorn's included, and their transport operators.
         couplings = [independent_coupling(mu, nu), greedy_coupling(mu, nu)]
-        couplings += random_joint_couplings([(mu, nu), (nu, mu)], [seed, seed + 1])
+        couplings += [random_joint_coupling(mu, nu, seed), random_joint_coupling(nu, mu, seed + 1)]
         results += couplings + [transport_operator(pi) for pi in couplings]
         if math.isinf(eps):
             with pytest.raises(ValueError):

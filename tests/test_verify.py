@@ -47,6 +47,7 @@ from reference_impls import (
     certify_transport_per_trial,
     random_instance_per_trial,
     random_pair_per_trial,
+    stacked_transport_rows,
 )
 
 
@@ -222,7 +223,7 @@ class TestCertifyTransport:
         mu = DiscreteDist(["x0", "x1"], [0.6, 0.4])
         nu = DiscreteDist(["x0", "x1"], [0.6 - 1e-13, 0.4])
         pi = verify.random_joint_coupling(mu, nu, 5)
-        reports = verify._transport_rows(0, "near-equal", 0.0, mu, nu, pi)
+        reports = stacked_transport_rows(0, "near-equal", 0.0, mu, nu, pi)
         assert [r.case for r in reports][-3:] == [
             "decompose_theta", "decompose_reconstruction", "decompose_overlap"]
         assert all(r.passed for r in reports)
@@ -233,7 +234,7 @@ class TestCertifyTransport:
         mu = DiscreteDist(["x0", "x1", "x2"], [0.5, 0.5, 0.0])
         nu = DiscreteDist(["x0", "x1", "x2"], [0.2, 0.3, 0.5])
         pi = verify.random_joint_coupling(mu, nu, 3)
-        reports = verify._transport_rows(0, "zero atom", 0.5, mu, nu, pi)
+        reports = stacked_transport_rows(0, "zero atom", 0.5, mu, nu, pi)
         assert [r.case for r in reports][:3] == [
             "transport_independent", "transport_greedy", "transport_random_joint"]
         assert all(r.passed for r in reports)
@@ -340,24 +341,12 @@ class TestTransportWindows:
             assert certify_transport_and_decompose(30, (2, 9), seed=13) == full
 
     def test_windows(self, monkeypatch):
-        # The stacks that random_joint_couplings solves, as lists of pair
-        # indices.  Pair i couples two laws on n points; the first atom of
-        # its first law weighs i + 1 times each other atom.
-        stacks, solve = [], mixing._sinkhorn_stack
-
-        def record(p, q, mass):
-            stacks.append([round(row[0] / row[1]) - 1 for row in p])
-            solve(p, q, mass)
-
+        # The stacks that the transport suite solves, as lists of trial
+        # indices: trial i couples two laws on sizes[i] points.
         def windows(sizes):
-            weights = [np.r_[i + 1.0, np.ones(n - 1)] for i, n in enumerate(sizes)]
-            pairs = [(DiscreteDist.from_probs(w / w.sum()), DiscreteDist.from_probs(np.full(n, 1.0 / n)))
-                     for w, n in zip(weights, sizes)]
-            stacks.clear()
-            list(mixing.random_joint_couplings(pairs, list(range(len(pairs)))))
-            return stacks
+            return [stack for window in mixing._pair_windows([(n, n) for n in sizes])
+                    for stack in window.values()]
 
-        monkeypatch.setattr(mixing, "_sinkhorn_stack", record)
         # One window: each support shape is one stack.
         assert windows([3, 4, 2, 5, 6]) == [[0], [1], [2], [3], [4]]
         assert windows([3, 3, 3, 5, 3]) == [[0, 1, 2, 4], [3]]
