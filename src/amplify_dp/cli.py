@@ -18,26 +18,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DiscreteDist
-from .divergences import (
-    DpGuarantee,
-    hockey_stick,
-    hockey_stick_via_min,
-    renyi_discrete,
-    tv,
-    w_inf_discrete,
-)
+from .divergences import DpGuarantee, hockey_stick, renyi_discrete, tv, w_inf_discrete
 from .diffusion import OuParams, gm_mse, ou_intrinsic_sensitivity, ou_mse, pgm_mse_bound, plan_ou
 from .iteration import IterationChain, SgdConfig, contraction_coeff, sgd_rdp_at_index, winf_contractive_bound, winf_path_bound
 from .mixing import DiscreteKernel, amplify_with_kernel, eps_tilde
-from .verify import (
-    CELL_FORMAT_BY_TYPE,
-    CSV_COLUMNS,
-    certify_diffusion,
-    certify_theorem1,
-    certify_transport_and_decompose,
-    format_cell,
-    reports_summary,
-)
+from .verify import (CSV_COLUMNS, certify_diffusion, certify_theorem1, certify_transport_and_decompose,
+                     reports_summary)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -174,7 +160,7 @@ def _dist_from_config(obj, key: str) -> DiscreteDist:
     _require_numbers(obj["probs"], key)
     try:
         return DiscreteDist(obj["points"], obj["probs"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a TypeError: a JSON object among the points
         raise ValidationFailure(key, str(exc)) from exc
 
 
@@ -211,10 +197,9 @@ def cmd_divergence(config: dict, seed) -> tuple[list[str], list[list], list[str]
     kind = config["kind"]
     mu = _dist_from_config(config["mu"], "mu")
     nu = _dist_from_config(config["nu"], "nu")
-    if kind in ("hockey_stick", "hockey_stick_via_min"):
+    if kind == "hockey_stick":
         eps = _number(config, "eps", lo=0.0) if "eps" in config else 0.0
-        fn = hockey_stick if kind == "hockey_stick" else hockey_stick_via_min
-        value, param = fn(mu, nu, eps), eps
+        value, param = hockey_stick(mu, nu, eps), eps
     elif kind == "renyi":
         if "alpha" not in config:
             raise ValidationFailure("alpha", "missing required key")
@@ -344,9 +329,12 @@ def cmd_ou(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
         try:
             mse_ou_v = ou_mse(p, big_r)
             mse_gm_v = gm_mse(p)
-            rows.append([t, ou_intrinsic_sensitivity(p), mse_ou_v, mse_gm_v,
-                         pgm_mse_bound(p) if big_r > 0 else math.nan,
-                         mse_ou_v / mse_gm_v])
+            lambda_t = ou_intrinsic_sensitivity(p)
+            pgm = pgm_mse_bound(p) if big_r > 0 else math.nan
+            ratio = mse_ou_v / mse_gm_v
+            # The bound's NaN at R = 0 is documented, not a range error.
+            _require_finite_bounds(config, [lambda_t, mse_ou_v, mse_gm_v, ratio] + [pgm] * (big_r > 0))
+            rows.append([t, lambda_t, mse_ou_v, mse_gm_v, pgm, ratio])
         except ArithmeticError as exc:
             raise ValidationFailure(
                 "t_grid", f"the closed forms leave the float range at t={t!r} ({exc})") from exc
@@ -404,6 +392,25 @@ COMMANDS: dict[str, Callable] = {
     "ou": cmd_ou,
     "verify": cmd_verify,
 }
+
+
+def _quote(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# The CSV format of a cell of exactly this type: shortest round-trip floats,
+# lowercase booleans, and RFC-4180 quoting.
+CELL_FORMAT_BY_TYPE = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__,
+                       str: _quote}
+
+
+def format_cell(value) -> str:
+    """One CSV cell: a value of a type that ``CELL_FORMAT_BY_TYPE`` names in
+    that format, any other value (a numpy scalar, say) as its quoted ``str``."""
+    fmt = CELL_FORMAT_BY_TYPE.get(type(value))
+    return _quote(str(value)) if fmt is None else fmt(value)
 
 
 def _render_csv(command: str, config: dict, seed, header: list[str],

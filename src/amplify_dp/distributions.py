@@ -15,6 +15,16 @@ import numpy as np
 
 from ._rng import normal_open, rng_from_seed, uniform_open
 
+__all__ = [
+    "DiscreteDist",
+    "GaussianDist",
+    "LaplaceDist",
+    "Lap2Dist",
+    "density",
+    "log_density",
+    "sample",
+]
+
 PROB_ATOL = 1e-12
 
 # Half-width of quadrature_domain in units of the family's scale.
@@ -23,17 +33,19 @@ QUAD_DOMAIN_SCALES = 40.0
 Point = Union[str, int, tuple]
 
 
+def _is_coordinate_entry(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_coordinate(point) -> bool:
-    return isinstance(point, tuple) and len(point) > 0 and all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in point
-    )
+    return isinstance(point, tuple) and len(point) > 0 and all(map(_is_coordinate_entry, point))
 
 
 def _canonical_point(point) -> Point:
     if type(point) is str:
         return point
     if isinstance(point, (list, tuple)):
-        return tuple(float(c) if isinstance(c, (int, float)) else _canonical_point(c) for c in point)
+        return tuple(float(c) if _is_coordinate_entry(c) else _canonical_point(c) for c in point)
     return point
 
 
@@ -48,7 +60,7 @@ def _trusted(cls, *values):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
     """Probability distribution on a finite set of labeled points.
 

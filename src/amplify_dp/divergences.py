@@ -21,10 +21,8 @@ __all__ = [
     "DpGuarantee",
     "QuadratureError",
     "hockey_stick",
-    "hockey_stick_via_min",
     "tv",
     "renyi_discrete",
-    "renyi_gaussian",
     "log_laplace_g",
     "renyi_numeric_log",
     "renyi_numeric_1d",
@@ -121,19 +119,14 @@ def _padded(values: Sequence[float], depth: int) -> list[float]:
     return values + values[:1] * (depth - len(values))
 
 
-def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps):
+def hockey_stick(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
     """Hockey-stick divergence: sum of [p_mu - e^eps * p_nu]_+ over the support.
 
     At eps = 0 this is the total variation distance; at eps = +inf it is the
-    mass of mu outside nu's support.  A sequence of eps values gives a list
-    with one divergence per value: they are rows of one array, each summed
-    along its contiguous axis, so every value is ``==`` the scalar call's.
+    mass of mu outside nu's support.
     """
-    scalar = np.ndim(eps) == 0
-    eps_values = [eps] if scalar else list(eps)
     _, p, q = aligned_masses(mu, nu)
-    (out,) = _hockey_sticks(p[None], q[None], [eps_values])
-    return out[0] if scalar else out
+    return _hockey_sticks(p[None], q[None], [[eps]])[0][0]
 
 
 def _hockey_sticks(p: np.ndarray, q: np.ndarray, eps: Sequence[Sequence[float]]) -> list[list[float]]:
@@ -175,19 +168,6 @@ def _positive_parts(p: np.ndarray, q: np.ndarray):
                p_rows.compress(pos, axis=1), q[rows].compress(pos, axis=1))
 
 
-def hockey_stick_via_min(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
-    """Same divergence computed as 1 - sum of min(p_mu, e^eps * p_nu)."""
-    if not eps >= 0:
-        raise ValueError("eps must be non-negative")
-    _, p, q = aligned_masses(mu, nu)
-    pos_q = q > 0.0
-    if math.isinf(eps):
-        overlap = float(p[pos_q].sum())
-    else:
-        overlap = float(np.minimum(p[pos_q], exp_times(eps, q[pos_q])).sum())
-    return 1.0 - overlap
-
-
 def tv(mu: DiscreteDist, nu: DiscreteDist) -> float:
     """Total variation distance (hockey-stick at eps = 0)."""
     return hockey_stick(mu, nu, 0.0)
@@ -223,19 +203,6 @@ def renyi_discrete(mu: DiscreteDist, nu: DiscreteDist, alpha: float) -> float:
         return max(0.0, float(np.max(np.log(p) - np.log(q))))
     terms = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
     return max(0.0, _logsumexp(terms) / (alpha - 1.0))
-
-
-def renyi_gaussian(u, v, sigma2: float, alpha: float) -> float:
-    """Closed-form Renyi divergence between N(u, sigma2*I) and N(v, sigma2*I)."""
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise ValueError("alpha must be finite and > 1")
-    uv = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    vv = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if uv.shape != vv.shape:
-        raise ValueError("u and v must have the same dimension")
-    return alpha * float(np.sum((uv - vv) ** 2)) / (2.0 * sigma2)
 
 
 def log_laplace_g(z: float, alpha: float) -> float:

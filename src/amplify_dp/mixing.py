@@ -71,7 +71,7 @@ def _labeled_matrix(values, first_points, second_points, what: str) -> tuple:
     return mat, xs, ys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteKernel:
     """Row-stochastic matrix acting as a Markov operator on finite supports."""
 
@@ -100,7 +100,7 @@ class DiscreteKernel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coupling:
     """Joint law on two finite supports as a labeled mass matrix: ``mass[i, j]``
     is the probability of ``(first_points[i], second_points[j])``."""

@@ -347,26 +347,6 @@ def mse_numeric(law: GaussianDist, x0: float) -> float:
     return math.exp(log_moment)
 
 
-def _quote(text: str) -> str:
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def format_cell(value) -> str:
-    """One CSV cell: shortest round-trip floats, lowercase booleans, RFC-4180 quoting."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return _quote(str(value))
-
-
-# What format_cell gives a cell of exactly this type, without its dispatch.
-CELL_FORMAT_BY_TYPE = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__,
-                       str: _quote}
-
-
 def reports_summary(reports: Sequence[TrialReport]) -> dict:
     """Per-case aggregate: trial count, violations, worst slack deficit."""
     summary: dict[str, dict] = {}

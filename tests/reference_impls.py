@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast library paths are tested against.
 
 Each one is the straightforward construction a library function used before
-it was replaced by an exact shortcut; the tests require both to agree.
+it was replaced by an exact shortcut, or a second formula for a library
+value; the tests require both to agree.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from amplify_dp.mixing import (
     pushforward,
     random_joint_coupling,
 )
-from amplify_dp.verify import EXACT_TOL, _report, _transport_stack_rows, _trial_seeds, _trial_sizes, format_cell
+from amplify_dp.cli import format_cell
+from amplify_dp.verify import EXACT_TOL, _report, _transport_stack_rows, _trial_seeds, _trial_sizes
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -307,8 +309,8 @@ def random_joint_coupling_per_pair(mu: DiscreteDist, nu: DiscreteDist, seed: int
 
 
 def hockey_stick_scalar(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
-    """``hockey_stick`` at one eps, as it was before it took a sequence:
-    one 1-D sum of the positive parts."""
+    """``hockey_stick`` as it was before it ran on stacks: one 1-D sum of the
+    positive parts."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
     _, p, q = aligned_masses(mu, nu)
@@ -317,6 +319,32 @@ def hockey_stick_scalar(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float
     if not math.isinf(eps):
         out += float(np.maximum(p[~zero_q] - exp_times(eps, q[~zero_q]), 0.0).sum())
     return min(out, 1.0)
+
+
+def hockey_stick_via_min(mu: DiscreteDist, nu: DiscreteDist, eps: float) -> float:
+    """Same divergence computed as 1 - sum of min(p_mu, e^eps * p_nu)."""
+    if not eps >= 0:
+        raise ValueError("eps must be non-negative")
+    _, p, q = aligned_masses(mu, nu)
+    pos_q = q > 0.0
+    if math.isinf(eps):
+        overlap = float(p[pos_q].sum())
+    else:
+        overlap = float(np.minimum(p[pos_q], exp_times(eps, q[pos_q])).sum())
+    return 1.0 - overlap
+
+
+def renyi_gaussian(u, v, sigma2: float, alpha: float) -> float:
+    """Closed-form Renyi divergence between N(u, sigma2*I) and N(v, sigma2*I)."""
+    if not sigma2 > 0:
+        raise ValueError("sigma2 must be positive")
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and > 1")
+    uv = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    vv = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if uv.shape != vv.shape:
+        raise ValueError("u and v must have the same dimension")
+    return alpha * float(np.sum((uv - vv) ** 2)) / (2.0 * sigma2)
 
 
 def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float,
@@ -560,12 +588,11 @@ def certify_theorem1_per_trial(trials: int, sizes: tuple[int, int], eps_grid: Se
         mu, nu, kernel = random_instance_per_trial(nx, ny, iseed)
         mu_k = pushforward(mu, kernel)
         nu_k = pushforward(nu, kernel)
-        guarantees = [DpGuarantee(eps, delta)
-                      for eps, delta in zip(eps_grid, hockey_stick(mu, nu, eps_grid))]
+        guarantees = [DpGuarantee(eps, hockey_stick(mu, nu, eps)) for eps in eps_grid]
         amplified = amplify_with_kernel(kernel, guarantees)
         eps_primes = list(dict.fromkeys(out.epsilon for by_cond in amplified
                                         for _, out in by_cond.values()))
-        measured = dict(zip(eps_primes, hockey_stick(mu_k, nu_k, eps_primes)))
+        measured = {eps: hockey_stick(mu_k, nu_k, eps) for eps in eps_primes}
         for eps, guarantee, by_cond in zip(eps_grid, guarantees, amplified):
             desc = f"nx={nx},ny={ny},seed={iseed},eps={eps}"
             for cond, (gamma, out) in by_cond.items():

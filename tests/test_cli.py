@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import amplify_dp
@@ -136,6 +137,14 @@ class TestMixingCommand:
         # A string would be split into the labels "a" and "b".
         ("divergence", {"kind": "tv", "mu": {"points": "ab", "probs": [0.5, 0.5]},
                         "nu": {"points": ["a", "b"], "probs": [0.9, 0.1]}}, "mu"),
+        # A JSON object is no point label: it cannot be hashed.
+        ("divergence", {"kind": "tv", "mu": {"points": [{"a": 1}, "b"], "probs": [0.5, 0.5]},
+                        "nu": {"points": ["a", "b"], "probs": [0.9, 0.1]}}, "mu"),
+        ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": [0.5, 0.5]},
+                        "nu": {"points": [["a", {"b": 1}], "c"], "probs": [0.9, 0.1]}}, "nu"),
+        # true is no coordinate, so the law carries none.
+        ("divergence", {"kind": "w_inf", "mu": {"points": [[0.0], [True]], "probs": [0.5, 0.5]},
+                        "nu": {"points": [[0.0], [1.0]], "probs": [0.5, 0.5]}}, "mu"),
     ])
     def test_non_number_entries_exit_2(self, tmp_path, capsys, command, payload, field):
         # np.asarray would read "1" and true as numbers; the CLI does not.
@@ -338,6 +347,16 @@ class TestOuCommand:
         assert float(theta_line.split(":")[1]) == pytest.approx(math.log(1.5), abs=1e-12)
         assert float(rows[0][header.index("ratio")]) <= 2 / 3 + 1e-9
 
+    @pytest.mark.parametrize("change, t", [({"t_grid": [1e-320]}, "1e-320"), ({"theta": 1e-320}, "1.0")])
+    def test_closed_forms_beyond_float_range_exit_2(self, tmp_path, capsys, change, t):
+        # lambda_t overflows at the subnormal t; at the subnormal theta,
+        # rho^2 / theta does, in mse_ou, mse_gm and the ratio.
+        cfg = write_config(tmp_path, {"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0],
+                                      "theta": 1.0, "rho": 1.0, **change})
+        code, out, err = run_cli(["ou", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: t_grid: the closed forms leave the float range at t={t} (a product overflowed to inf)\n"
+
     def test_planner_conflicts_with_theta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plan_epsilon": 1.0, "theta": 1.0, "rho": 1.0,
                                       "d": 1, "R": 1.0, "delta": 1.0, "t_grid": [1.0]})
@@ -410,6 +429,14 @@ class TestDivergenceCommand:
         code, out, err = run_cli(["divergence", "--config", cfg], capsys)
         assert (code, out) == (2, "")
         assert err == "error: mu: coordinate points must all have the same dimension\n"
+
+    def test_min_form_is_no_kind(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kind": "hockey_stick_via_min",
+            "mu": {"points": ["a", "b"], "probs": [0.5, 0.5]},
+            "nu": {"points": ["a", "b"], "probs": [0.9, 0.1]}})
+        code, out, err = run_cli(["divergence", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "error: kind: unknown divergence 'hockey_stick_via_min'\n")
 
     def test_invalid_distribution_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -591,6 +618,13 @@ class TestReproducibility:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 4
+
+
+def test_numpy_scalar_cells_print_their_value():
+    # A numpy scalar is not of a type that CELL_FORMAT_BY_TYPE names: its
+    # cell is its str, not its repr "np.float64(0.5)".
+    assert [cli.format_cell(v) for v in (np.float64(0.5), np.float64(-0.0), np.int64(7))] == [
+        "0.5", "-0.0", "7"]
 
 
 class TestTransportByteIdentity:

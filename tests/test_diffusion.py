@@ -20,7 +20,8 @@ from amplify_dp.diffusion import (
     pgm_mse_bound,
     plan_ou,
 )
-from amplify_dp.divergences import renyi_gaussian, renyi_numeric_1d
+from amplify_dp.divergences import renyi_numeric_1d
+from reference_impls import renyi_gaussian
 
 
 def quadrature_renyi_between(law_p: GaussianDist, law_q: GaussianDist, alpha: float) -> float:

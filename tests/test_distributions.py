@@ -19,7 +19,7 @@ from amplify_dp.distributions import (
     quadrature_domain,
     sample,
 )
-from amplify_dp.mixing import DiscreteKernel, pushforward
+from amplify_dp.mixing import DiscreteKernel, independent_coupling, mixture_decompose, pushforward
 from reference_impls import gaussian_density_numpy
 
 
@@ -106,6 +106,19 @@ class TestDiscreteDist:
         d = DiscreteDist([[0.0], [1.5]], [0.3, 0.7])
         assert d.points == ((0.0,), (1.5,))
         assert d.has_coords
+        # A boolean is kept, not read as 1.0, and is no coordinate.
+        d = DiscreteDist([[0.0], [True]], [0.3, 0.7])
+        assert d.points == ((0.0,), (True,)) and type(d.points[1][0]) is bool
+        assert not d.has_coords
+
+    def test_value_types_compare_by_identity(self):
+        # A generated __eq__ and __hash__ would compare and hash the numpy
+        # arrays: == raised on ambiguous truth values, hash() on unhashable arrays.
+        mu, nu = DiscreteDist(["a", "b"], [0.5, 0.5]), DiscreteDist(["a", "b"], [0.5, 0.5])
+        assert (mu == nu) is False and (mu == mu) is True
+        kernel = DiscreteKernel.from_matrix([[0.5, 0.5], [0.2, 0.8]])
+        values = [mu, kernel, independent_coupling(mu, nu), mixture_decompose(mu, nu, 0.5)]
+        assert len(set(values)) == 4
 
     def test_callers_array_stays_writeable(self):
         p = np.array([0.25, 0.75])

@@ -1,6 +1,7 @@
 """Checks on the package's source as a whole."""
 
 import ast
+import importlib
 import pathlib
 
 import amplify_dp
@@ -45,3 +46,17 @@ def test_every_definition_is_exported_or_used():
             if not any(node.name in names for other, names in uses if other is not node):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+def test_star_imported_modules_declare_their_public_names():
+    # The package is the union of the __all__ of the modules it star-imports;
+    # a module without one would leak its imports (np, math, dataclass).
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    starred = [node.module for node in init.body
+               if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]]
+    assert starred
+    for module in starred:
+        public = getattr(importlib.import_module(f"amplify_dp.{module}"), "__all__", None)
+        assert public is not None, module
+        assert [name for name in public if name.startswith("_")] == [], module
+        assert set(public) <= set(dir(amplify_dp)), module

@@ -18,8 +18,9 @@ from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import (
     EXP_ARG_MAX,
     DpGuarantee,
+    _hockey_sticks,
+    aligned_masses,
     hockey_stick,
-    hockey_stick_via_min,
     tv,
     w_inf_optimal_coupling,
 )
@@ -47,6 +48,7 @@ from reference_impls import (
     eps_dobrushin_coeff_pairs,
     greedy_coupling_pairs,
     hockey_stick_scalar,
+    hockey_stick_via_min,
     mixture_decompose_per_pair,
     random_joint_coupling_per_pair,
     render_rows_per_cell,
@@ -221,23 +223,25 @@ EPS_EDGES = [0.0, EXP_ARG_MAX, 710.0, 800.0, 1e6, math.inf]
 @example((DiscreteDist(["a0", "a1"], [0.25, 0.75]), DiscreteDist(["a0", "a1"], [0.0, 1.0])),
          EPS_EDGES)
 def test_hockey_stick_sequence_form(pair, eps_values):
-    # One call over a sequence of eps is == one call per eps, and == the
-    # 1-D sum the scalar form used to take.
+    # One stacked call over a sequence of eps, on a stack of one pair, is ==
+    # one call per eps, and == the 1-D sum the one-pair form used to take.
     mu, nu = pair
-    batch = hockey_stick(mu, nu, eps_values)
+    _, p, q = aligned_masses(mu, nu)
+    (batch,) = _hockey_sticks(p[None], q[None], [eps_values])
     assert batch == [hockey_stick(mu, nu, eps) for eps in eps_values]
     assert batch == [hockey_stick_scalar(mu, nu, eps) for eps in eps_values]
-    assert hockey_stick(mu, nu, tuple(eps_values)) == batch
-    assert hockey_stick(mu, nu, np.asarray(eps_values, dtype=np.float64)) == batch
+    assert _hockey_sticks(p[None], q[None], [tuple(eps_values)]) == [batch]
+    assert _hockey_sticks(p[None], q[None], [np.asarray(eps_values, dtype=np.float64)]) == [batch]
 
 
 def test_hockey_stick_sequence_rejects_negative_eps():
     mu, nu = DiscreteDist(["a", "b"], [0.5, 0.5]), DiscreteDist(["a", "b"], [0.2, 0.8])
+    p, q = mu.probs[None], nu.probs[None]
     with pytest.raises(ValueError, match="non-negative"):
-        hockey_stick(mu, nu, [0.5, -1e-300, 1.0])
+        _hockey_sticks(p, q, [[0.5, -1e-300, 1.0]])
     with pytest.raises(ValueError, match="non-negative"):
         hockey_stick(mu, nu, -1.0)
-    assert hockey_stick(mu, nu, []) == []
+    assert _hockey_sticks(p, q, [[]]) == [[]]
 
 
 def coupling_specs():
@@ -355,7 +359,7 @@ def test_mixing_command_never_raises(rows, eps, delta):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["hockey_stick", "hockey_stick_via_min", "tv", "renyi"]),
+@given(st.sampled_from(["hockey_stick", "tv", "renyi", "w_inf"]),
        dist_config(), dist_config(), st.floats(0.0, 1e6), st.floats(0.0, 1e6))
 def test_divergence_command_never_raises(kind, mu, nu, eps, alpha):
     config = {"kind": kind, "mu": mu, "nu": nu, "eps": eps, "alpha": alpha}
@@ -381,8 +385,21 @@ def ou_config():
 @given(ou_config())
 @example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0], "theta": 400.0, "rho": 1.0})
 @example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0], "plan_epsilon": 1e-300})
+@example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1e-320], "theta": 1.0, "rho": 1.0})
+@example({"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0], "theta": 1e-320, "rho": 1.0})
+@example({"delta": 1.0, "R": 0.0, "d": 1, "t_grid": [1.0], "theta": 1.0, "rho": 1.0})
 def test_ou_command_never_raises(config):
-    assert run_cli_config("ou", config) in (0, 2)
+    # Every config value is finite, so each cell is finite or the run exits
+    # 2; only mse_pgm_bound may be NaN, and only at R = 0.
+    code, text = run_cli_output("ou", config)
+    assert code in (0, 2)
+    if code == 0:
+        rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        for row in rows[1:]:
+            cells = dict(zip(rows[0], map(float, row)))
+            if config["R"] == 0.0:
+                assert math.isnan(cells.pop("mse_pgm_bound"))
+            assert all(map(math.isfinite, cells.values()))
 
 
 def optional(**fields):

@@ -404,10 +404,10 @@ class TestReportExport:
         # The bytes of each kind of cell, pinned; text with a comma, a quote
         # or a newline is quoted, with its quotes doubled, so csv reads back
         # every cell, whether one column holds one kind or several.
-        assert [verify.format_cell(v) for v in (0.1, -0.0, math.nan, 7, True, False)] == [
+        assert [cli.format_cell(v) for v in (0.1, -0.0, math.nan, 7, True, False)] == [
             "0.1", "-0.0", "nan", "7", "true", "false"]
         texts = ['plain', 'a,b', 'say "hi"', 'two\nlines', '"', '']
-        assert [verify.format_cell(t) for t in texts] == [
+        assert [cli.format_cell(t) for t in texts] == [
             'plain', '"a,b"', '"say ""hi"""', '"two\nlines"', '""""', '']
         for rows in ([[t] for t in texts], [[t, i, t == "", 0.5] for i, t in enumerate(texts)],
                      [[t] for t in texts] + [[1]]):
