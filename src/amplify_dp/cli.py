@@ -23,7 +23,7 @@ from .diffusion import OuParams, gm_mse, ou_intrinsic_sensitivity, ou_mse, pgm_m
 from .iteration import IterationChain, SgdConfig, contraction_coeff, sgd_rdp_at_index, winf_contractive_bound, winf_path_bound
 from .mixing import DiscreteKernel, amplify_with_kernel, eps_tilde
 from .verify import (CSV_COLUMNS, certify_diffusion, certify_theorem1, certify_transport_and_decompose,
-                     reports_summary)
+                     draw_trials, reports_summary)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -371,10 +371,14 @@ def cmd_verify(config: dict, seed) -> tuple[list[str], list[list], list[str], in
         _integer(config, "mc_samples", lo=100)
 
     reports = []
+    # Both seeded suites read one shared draw per trial; transport alone draws
+    # a window at a time, so that its memory stays bounded.
+    seeded = [suite for suite in ("theorem1", "transport") if suite in suites]
+    draws = draw_trials(trials, sizes, seed, shared=len(seeded) == 2) if seeded else None
     if "theorem1" in suites:
-        reports += certify_theorem1(trials, sizes, eps_grid, seed)
+        reports += certify_theorem1(draws, eps_grid)
     if "transport" in suites:
-        reports += certify_transport_and_decompose(trials, sizes, seed)
+        reports += certify_transport_and_decompose(draws)
     if "diffusion" in suites:
         reports += certify_diffusion()
 

@@ -47,7 +47,8 @@ AMPLIFY_CONDITIONS = ("dobrushin", "eps_dobrushin", "doeblin", "ultra")
 # (512 KiB, so a tile stays in cache), or one row against all rows where that
 # is more.  A stack of kernels is cut into windows of consecutive kernels whose
 # tiles fit, so sixteen 16x16 kernels share one tile, and a window of one
-# kernel is cut into row blocks.  Sinkhorn stacks share the bound.
+# kernel is cut into row blocks.  Sinkhorn stacks share the bound, each
+# coupling counted at its zero-padded summation widths (_summation_width).
 PAIR_BLOCK_ENTRIES = 2**16
 
 # Sinkhorn stops once every row sum is within SINKHORN_ATOL of its target
@@ -477,7 +478,12 @@ def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
     trial whose row sums are within ``SINKHORN_ATOL`` of ``p`` is written back
     and leaves the stack, so later sweeps run on the live trials only; every
     trial stops after ``SINKHORN_MAX_SWEEPS``.  Row and column sums run along
-    the same axes, in the same order, as on one matrix.
+    the same axes, in the same order, as on one matrix.  A trial may be padded
+    with zero atoms (zeros in ``p``, ``q`` and their rows and columns of
+    ``mass``) up to its :func:`_summation_width` in each dimension: a padded
+    row sum is ``==`` the unpadded one, a column sum adds +0.0 per padded row,
+    a padded atom's residual is 0 and it never gets a scale, so the unpadded
+    block of the result is the trial solved alone.
     """
     # A scale entry is written only where its row or column sum is positive:
     # zero-mass atoms keep 0, and a sum that underflowed to 0 scales no mass.
@@ -503,23 +509,38 @@ def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
         mass[live] = sub
 
 
+def _summation_width(n: int) -> int:
+    """The widest zero padding of ``n`` float64 entries whose contiguous numpy sum
+    is ``==`` the unpadded one.  Below 128 entries numpy adds a row in eight
+    accumulators over whole 8-entry blocks (one running sum below 8) and then
+    the tail in order, so trailing zeros that start no new block change no bit;
+    from 128 on it splits the row in halves, so a row keeps its own width.
+    Lengths of one width form a summation class."""
+    return n | 7 if n < 128 else n
+
+
 def _pair_windows(shapes: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int], list[int]]]:
-    """Indices of consecutive couplings of support shapes ``shapes`` in windows of at most
-    ``PAIR_BLOCK_ENTRIES`` entries (at least one coupling each), grouped by shape."""
+    """Indices of consecutive couplings of support shapes ``shapes`` in windows,
+    grouped by summation class: ``{(width_n, width_m): indices}``, the widths
+    those of :func:`_summation_width`.  A window holds at least one coupling,
+    and at most ``PAIR_BLOCK_ENTRIES`` entries with each coupling counted at its
+    widths, so a class stack padded to its largest shape fits too."""
     windows, entries = [{}], 0
     for i, (n, m) in enumerate(shapes):
-        if entries + n * m > PAIR_BLOCK_ENTRIES and windows[-1]:
+        widths = _summation_width(n), _summation_width(m)
+        if entries + widths[0] * widths[1] > PAIR_BLOCK_ENTRIES and windows[-1]:
             windows.append({})
             entries = 0
-        entries += n * m
-        windows[-1].setdefault((n, m), []).append(i)
+        entries += widths[0] * widths[1]
+        windows[-1].setdefault(widths, []).append(i)
     return windows
 
 
-def _sinkhorn_starts(seeds: Sequence[int], n: int, m: int) -> np.ndarray:
-    """The ``(k, n, m)`` Sinkhorn starts of :func:`random_joint_coupling`: for each
-    seed, one draw of ``n * m`` uniforms from its stream, as standard exponentials."""
-    return -np.log(np.array([uniform_open(rng_from_seed(s), (n, m)) for s in seeds]))
+def _stream_exponentials(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """For each seed, one draw of ``counts[i]`` uniforms from its own stream, as
+    standard exponentials, end to end.  A stream's shorter draw is the head of
+    its longer one."""
+    return -np.log(np.concatenate([uniform_open(rng_from_seed(s), c) for s, c in zip(seeds, counts)]))
 
 
 def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coupling:
@@ -531,7 +552,7 @@ def random_joint_coupling(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> Coup
     to a few ulps.  It is a stack of one for :func:`_sinkhorn_stack`.
     """
     p, q = mu.probs[None], nu.probs[None]
-    mass = _sinkhorn_starts([seed], len(mu.probs), len(nu.probs))
+    mass = _stream_exponentials([seed], [p.size * q.size]).reshape(1, p.size, q.size)
     mass *= (p > 0.0)[:, :, None] & (q > 0.0)[:, None, :]
     _sinkhorn_stack(p, q, mass)
     return _trusted(Coupling, mu.points, nu.points, mass[0])

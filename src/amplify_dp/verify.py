@@ -10,6 +10,7 @@ Violations are reported, never raised: a failing row is the caller's signal.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Sequence
 
@@ -22,7 +23,7 @@ from .divergences import DpGuarantee, _hockey_sticks, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from .mixing import (DiscreteKernel, _amplify_stack, _greedy_mass, _independent_masses, _marginals,
                      _mixture_decomposes, _operator_rows, _pair_windows, _pushforward_stack,
-                     _sinkhorn_stack, _sinkhorn_starts)
+                     _sinkhorn_stack, _stream_exponentials)
 # Not called here: bench/tracing.py wraps these names where verify looks them up.
 from .diffusion import ou_sample  # noqa: F401
 from .divergences import hockey_stick, renyi_numeric_1d  # noqa: F401
@@ -31,6 +32,8 @@ from .mixing import (dobrushin_coeff, doeblin_coeff, eps_dobrushin_coeff, mixtur
 
 __all__ = [
     "TrialReport",
+    "TrialDraws",
+    "draw_trials",
     "random_instance",
     "certify_theorem1",
     "certify_transport_and_decompose",
@@ -85,27 +88,26 @@ def random_instance(nx: int, ny: int, seed: int) -> tuple[DiscreteDist, Discrete
     """
     if nx < 2 or ny < 2:
         raise ValueError("support sizes must be >= 2")
-    laws, kernels = _instance_stacks([(nx, ny)], [seed])
+    laws, kernels = _instance_stacks([(nx, ny)], _stream_exponentials([seed], [nx * (ny + 2)]), np.zeros(1, int))
     points = tuple(f"x{i}" for i in range(nx))
     mu, nu = (_trusted(DiscreteDist, points, law.copy()) for law in laws[nx][1][0])
     return mu, nu, _trusted(DiscreteKernel, kernels[ny][1][0].copy(), points, tuple(f"y{j}" for j in range(ny)))
 
 
-def _instance_stacks(shapes: Sequence[tuple[int, int]], seeds: Sequence[int]) -> tuple[dict, dict]:
+def _instance_stacks(shapes: Sequence[tuple[int, int]], exponentials: np.ndarray,
+                     offsets: np.ndarray) -> tuple[dict, dict]:
     """The masses of ``random_instance(nx, ny, seed)`` for each ``(nx, ny)`` of
-    ``shapes`` and seed of ``seeds``, grouped by size.
+    ``shapes``, whose trial's draw from its own stream starts at its entry of
+    ``offsets`` in ``exponentials``, grouped by size.
 
     Returns ``{nx: (trials, laws)}``, ``laws[j]`` the ``(2, nx)`` masses of
     mu and nu of trial ``trials[j]``, and ``{ny: (trials, kernels)}``,
     ``kernels[j]`` that trial's kernel rows, padded to the group's largest row
-    count by repeating its first row.  A trial's uniforms are one draw of
-    ``2 nx + nx ny`` from its own stream: mu, nu, then the kernel rows.  Each
-    row is normalized in a stack of rows of one length, so its sum runs along
-    its contiguous axis, as on the row alone.
+    count by repeating its first row.  A trial reads the first ``2 nx + nx ny``
+    of its draw: mu, nu, then the kernel rows.  Each row is normalized in a
+    stack of rows of one length, so its sum runs along its contiguous axis, as
+    on the row alone.
     """
-    draws = [uniform_open(rng_from_seed(s), nx * (ny + 2)) for (nx, ny), s in zip(shapes, seeds)]
-    raw = -np.log(np.concatenate(draws))
-    starts = np.cumsum([0] + [len(d) for d in draws[:-1]])
     by_nx: dict[int, list[int]] = {}
     by_ny: dict[int, list[int]] = {}
     for t, (nx, ny) in enumerate(shapes):
@@ -113,14 +115,14 @@ def _instance_stacks(shapes: Sequence[tuple[int, int]], seeds: Sequence[int]) ->
         by_ny.setdefault(ny, []).append(t)
     laws = {}
     for nx, trials in by_nx.items():
-        stack = raw[starts[trials, None] + np.arange(2 * nx)].reshape(-1, 2, nx)
+        stack = exponentials[offsets[trials, None] + np.arange(2 * nx)].reshape(-1, 2, nx)
         laws[nx] = (trials, stack / stack.sum(axis=2, keepdims=True))
     kernels = {}
     for ny, trials in by_ny.items():
         nxs = np.array([shapes[t][0] for t in trials])
         rows = np.arange(nxs.max())
         rows = np.where(rows < nxs[:, None], rows, 0)
-        stack = raw[(starts[trials] + 2 * nxs)[:, None, None] + rows[:, :, None] * ny + np.arange(ny)]
+        stack = exponentials[(offsets[trials] + 2 * nxs)[:, None, None] + rows[:, :, None] * ny + np.arange(ny)]
         kernels[ny] = (trials, stack / stack.sum(axis=2, keepdims=True))
     return laws, kernels
 
@@ -136,13 +138,62 @@ def _trial_sizes(seed: int, trials: int, sizes: tuple[int, int]) -> np.ndarray:
     return master.integers(lo, hi + 1, size=(trials, 2))
 
 
-def certify_theorem1(
-    trials: int,
-    sizes: tuple[int, int],
-    eps_grid: Sequence[float],
-    seed: int,
-) -> list[TrialReport]:
-    """Check all four mixing amplification rules against exact divergences.
+@dataclass(frozen=True, eq=False)
+class TrialDraws:
+    """The seeded trials of the theorem1 and transport suites, made by
+    :func:`draw_trials`.  Trial ``t`` has the stream seed ``seeds[t]`` and the
+    sizes ``shapes[t] = (nx, ny)``.  A shared record also holds each trial's
+    one draw, the ``nx * max(ny + 2, nx)`` standard exponentials of
+    ``exponentials`` from ``offsets[t]`` on (read-only arrays); otherwise both
+    are None, and each suite draws what it reads when it reads it."""
+
+    seed: int
+    seeds: tuple[int, ...]
+    shapes: tuple[tuple[int, int], ...]
+    exponentials: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+
+
+def draw_trials(trials: int, sizes: tuple[int, int], seed: int, shared: bool = False) -> TrialDraws:
+    """Draw ``trials`` seeded trials with support sizes in ``[lo, hi]`` at ``seed``.
+
+    Each trial's stream seed and sizes come from two substreams of ``seed``.
+    A trial's uniforms come from its own stream, and a stream's shorter draw
+    is the head of its longer one: theorem1 reads the first ``nx * (ny + 2)``
+    (its instance) and the transport suite the first ``nx * nx`` (its pair and
+    Sinkhorn start).  With ``shared``, each trial's stream is drawn once, here,
+    long enough for both suites, which then hold ``nx * max(ny + 2, nx)`` floats
+    per trial; without, each suite draws its own head of the stream, theorem1
+    for all trials at once and the transport suite one window at a time, so
+    that it alone holds at most about ``PAIR_BLOCK_ENTRIES`` drawn floats.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    seeds = tuple(_trial_seeds(seed, trials).tolist())
+    shapes = tuple(map(tuple, _trial_sizes(seed, trials, sizes).tolist()))
+    if not shared:
+        return TrialDraws(seed, seeds, shapes)
+    counts = [nx * max(ny + 2, nx) for nx, ny in shapes]
+    exponentials = _stream_exponentials(seeds, counts)
+    offsets = np.cumsum([0] + counts[:-1])
+    exponentials.flags.writeable = offsets.flags.writeable = False
+    return TrialDraws(seed, seeds, shapes, exponentials, offsets)
+
+
+def _trial_exponentials(draws: TrialDraws, trials: Sequence[int],
+                        counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentials and, for each trial ``trials[j]`` of ``draws``, the offset
+    of its draw of at least ``counts[j]`` in them: the shared draw, or a new
+    draw of ``counts[j]`` from each trial's stream."""
+    if draws.exponentials is not None:
+        return draws.exponentials, draws.offsets[list(trials)]
+    return (_stream_exponentials([draws.seeds[t] for t in trials], counts),
+            np.cumsum([0, *counts[:-1]]))
+
+
+def certify_theorem1(draws: TrialDraws, eps_grid: Sequence[float]) -> list[TrialReport]:
+    """Check all four mixing amplification rules against exact divergences on
+    the trials of ``draws``.
 
     For each trial and eps, the measured pre-divergence plays the role of the
     mechanism's delta; the amplified pair (eps', delta') must dominate the
@@ -150,12 +201,11 @@ def certify_theorem1(
     on the stack of the trials of that size: pre-divergences by nx, and the
     coefficients, pushed laws and post-divergences by ny.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    inst_seeds = _trial_seeds(seed, trials).tolist()
-    inst_sizes = _trial_sizes(seed, trials, sizes).tolist()
+    inst_seeds, inst_sizes = draws.seeds, draws.shapes
+    trials = len(inst_seeds)
     eps_grid = list(eps_grid)
-    laws_by_nx, kernels_by_ny = _instance_stacks(inst_sizes, inst_seeds)
+    laws_by_nx, kernels_by_ny = _instance_stacks(inst_sizes, *_trial_exponentials(
+        draws, range(trials), [nx * (ny + 2) for nx, ny in inst_sizes]))
     laws: list = [None] * trials
     guarantees: list = [None] * trials
     for group, stack in laws_by_nx.values():
@@ -192,44 +242,60 @@ def certify_theorem1(
     return reports
 
 
-def certify_transport_and_decompose(trials: int, sizes: tuple[int, int], seed: int) -> list[TrialReport]:
+def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
     """Certify the transport-operator identity and the overlapping mixture
-    decomposition on random instances.
+    decomposition on the trials of ``draws``.
 
-    Each trial draws ``n * n`` uniforms from its own stream: the first ``2n``
-    give its pair (mu, nu), and all of them the start of its random coupling's
-    Sinkhorn scaling, as :func:`random_joint_coupling` draws it.  Trials are cut
-    into the windows of ``mixing._pair_windows`` (at most ``PAIR_BLOCK_ENTRIES``
-    coupling entries each), and each step runs once per support size in a
-    window, on the stack of its trials.  ``random_joint_coupling``,
-    ``transport_operator``, ``Coupling.marginals``, ``pushforward`` and
-    ``mixture_decompose`` are the one-item calls of these stacked steps, so
-    each row is the one that the trial alone gives.
+    A trial on ``n = nx`` points reads the first ``n * n`` of its draw: the
+    first ``2n`` give its pair (mu, nu), and all of them the start of its
+    random coupling's Sinkhorn scaling, as :func:`random_joint_coupling` draws
+    it.  Trials are cut into the windows of ``mixing._pair_windows`` (at most
+    ``PAIR_BLOCK_ENTRIES`` padded coupling entries each).  Sinkhorn runs once
+    per summation class in a window, on the stack of its trials padded with
+    zero atoms to the class's largest n, which changes no bit of a coupling;
+    each trial is then cut back to its n points, and every other step runs
+    once per support size in a window, on the stack of its trials.
+    ``random_joint_coupling``, ``transport_operator``, ``Coupling.marginals``,
+    ``pushforward`` and ``mixture_decompose`` are the one-item calls of these
+    stacked steps, so each row is the one that the trial alone gives.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    iseeds = _trial_seeds(seed, trials).tolist()
-    ns = _trial_sizes(seed, trials, sizes)[:, 0].tolist()
-    eps_values = (uniform_open(rng_from_seed(seed, 3), trials) * 2.0).tolist()
+    ns = [nx for nx, _ in draws.shapes]
+    eps_values = (uniform_open(rng_from_seed(draws.seed, 3), len(ns)) * 2.0).tolist()
     reports: list[TrialReport] = []
     for window in _pair_windows([(n, n) for n in ns]):
         rows = {}
-        for (n, _), group in window.items():
-            laws, masses = _transport_draws([iseeds[t] for t in group], n)
+        for group in window.values():
+            laws, masses = _transport_draws(draws, group)
             # Sinkhorn scales each start matrix, in place, into its trial's random coupling.
             _sinkhorn_stack(laws[:, 0], laws[:, 1], masses)
-            descs = [f"n={n},seed={iseeds[t]},eps={eps_values[t]!r}" for t in group]
-            rows.update(zip(group, _transport_stack_rows(
-                group, descs, [eps_values[t] for t in group], laws[:, 0], laws[:, 1], masses)))
+            # The other steps run per exact n: the pushforward is a BLAS product and the
+            # independent coupling sums the flattened n * n block, so padding would change bits.
+            by_n: dict[int, list[int]] = {}
+            for j, t in enumerate(group):
+                by_n.setdefault(ns[t], []).append(j)
+            for n, picks in by_n.items():
+                trials = [group[j] for j in picks]
+                descs = [f"n={n},seed={draws.seeds[t]},eps={eps_values[t]!r}" for t in trials]
+                rows.update(zip(trials, _transport_stack_rows(
+                    trials, descs, [eps_values[t] for t in trials], laws[picks, 0, :n], laws[picks, 1, :n],
+                    masses[picks, :n, :n])))
         reports += [report for t in sorted(rows) for report in rows[t]]
     return reports
 
 
-def _transport_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each seed's one draw of ``n * n`` uniforms as standard exponentials: the
-    ``(k, 2, n)`` masses of mu and nu, its first ``2n`` with each row
-    normalized, and the ``(k, n, n)`` stack of all of them."""
-    start = _sinkhorn_starts(seeds, n, n)
+def _transport_draws(draws: TrialDraws, trials: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(k, 2, w)`` masses of mu and nu and the ``(k, w, w)`` Sinkhorn
+    starts of the transport trials ``trials`` of ``draws``, one summation class,
+    each padded with zeros from its ``n = nx`` points to the largest, ``w``: a
+    trial's start is the first ``n * n`` of its draw, and its pair the start's
+    first two rows, each normalized by its padded sum, which is the unpadded one."""
+    ns = np.array([draws.shapes[t][0] for t in trials])
+    exponentials, offsets = _trial_exponentials(draws, trials, (ns * ns).tolist())
+    at = np.arange(ns.max())
+    inside = at < ns[:, None]
+    cells = inside[:, :, None] & inside[:, None, :]
+    index = offsets[:, None, None] + at[:, None] * ns[:, None, None] + at
+    start = np.where(cells, exponentials[np.where(cells, index, 0)], 0.0)
     return start[:, :2] / start[:, :2].sum(axis=2, keepdims=True), start
 
 

@@ -32,6 +32,7 @@ from amplify_dp.mixing import dobrushin_coeff, doeblin_coeff, eps_dobrushin_coef
 from amplify_dp.verify import (
     certify_theorem1,
     certify_transport_and_decompose,
+    draw_trials,
     random_instance,
 )
 
@@ -48,8 +49,8 @@ def announce(number: int, description: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_theorem1_soundness():
     start = time.monotonic()
-    reports = certify_theorem1(trials=500, sizes=(2, 16),
-                               eps_grid=(0.0, 0.5, 1.0, 2.0), seed=20240501)
+    reports = certify_theorem1(draw_trials(trials=500, sizes=(2, 16), seed=20240501),
+                               eps_grid=(0.0, 0.5, 1.0, 2.0))
     elapsed = time.monotonic() - start
     violations = [r for r in reports if not r.passed]
     per_case = len(reports) // 4
@@ -211,8 +212,7 @@ def test_criterion_7_lap2_branch_of_density():
 
 
 def test_criterion_8_transport_and_decomposition():
-    reports = certify_transport_and_decompose(trials=200, sizes=(2, 16),
-                                              seed=20240502)
+    reports = certify_transport_and_decompose(draw_trials(trials=200, sizes=(2, 16), seed=20240502))
     violations = [r for r in reports if not r.passed]
     overlap_exact = all(r.measured == 0.0 for r in reports
                         if r.case == "decompose_overlap")

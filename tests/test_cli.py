@@ -556,14 +556,16 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {field}: ")
 
     def test_caps_are_accepted(self, tmp_path, capsys, monkeypatch):
-        # trials and hi at their caps pass validation (the suites are stubbed).
+        # trials and hi at their caps pass validation (the draw and the suites
+        # are stubbed).
         calls = []
+        monkeypatch.setattr(cli, "draw_trials", lambda *args, **kwargs: (args, kwargs))
         monkeypatch.setattr(cli, "certify_theorem1", lambda *args: calls.append(args) or [])
         cfg = write_config(tmp_path, {"suites": ["theorem1"], "trials": cli.MAX_TRIALS,
                                       "sizes": [2, cli.MAX_SUPPORT]})
         code, _, err = run_cli(["verify", "--config", cfg, "--seed", "1"], capsys)
         assert (code, err) == (0, "")
-        assert calls == [(cli.MAX_TRIALS, (2, cli.MAX_SUPPORT), [0.0, 0.5, 1.0, 2.0], 1)]
+        assert calls == [(((cli.MAX_TRIALS, (2, cli.MAX_SUPPORT), 1), {"shared": False}), [0.0, 0.5, 1.0, 2.0])]
 
     def test_violations_exit_3(self, tmp_path, capsys, monkeypatch):
         # Force a failing report through the wiring; theorems hold, so a real
@@ -571,7 +573,7 @@ class TestVerifyCommand:
         from amplify_dp import cli as cli_mod
         from amplify_dp.verify import TrialReport
 
-        def fake_certify(trials, sizes, eps_grid, seed):
+        def fake_certify(draws, eps_grid):
             return [TrialReport(0, "theorem1_dobrushin", "synthetic", 0.5, 0.5,
                                 measured=1.0, bound=0.1, tolerance=1e-12,
                                 passed=False, slack=-0.9)]
@@ -636,7 +638,8 @@ class TestTransportByteIdentity:
         cfg = write_config(tmp_path, {"suites": ["transport"], "trials": 60, "sizes": [2, 40]})
         args = ["verify", "--config", cfg, "--seed", seed, "--format", fmt]
         shipped = run_cli(args, capsys)
-        monkeypatch.setattr(cli, "certify_transport_and_decompose", certify_transport_per_trial)
+        monkeypatch.setattr(cli, "certify_transport_and_decompose",
+                            lambda draws: certify_transport_per_trial(60, (2, 40), int(seed)))
         assert run_cli(args, capsys) == shipped
         assert shipped[0] == 0 and len(shipped[1]) > 10000
 

@@ -20,6 +20,7 @@ from amplify_dp.distributions import (
     sample,
 )
 from amplify_dp.mixing import DiscreteKernel, independent_coupling, mixture_decompose, pushforward
+from amplify_dp.verify import draw_trials
 from reference_impls import gaussian_density_numpy
 
 
@@ -117,8 +118,9 @@ class TestDiscreteDist:
         mu, nu = DiscreteDist(["a", "b"], [0.5, 0.5]), DiscreteDist(["a", "b"], [0.5, 0.5])
         assert (mu == nu) is False and (mu == mu) is True
         kernel = DiscreteKernel.from_matrix([[0.5, 0.5], [0.2, 0.8]])
-        values = [mu, kernel, independent_coupling(mu, nu), mixture_decompose(mu, nu, 0.5)]
-        assert len(set(values)) == 4
+        values = [mu, kernel, independent_coupling(mu, nu), mixture_decompose(mu, nu, 0.5),
+                  draw_trials(2, (2, 3), 0, shared=True)]
+        assert len(set(values)) == 5 and values[4] != draw_trials(2, (2, 3), 0, shared=True)
 
     def test_callers_array_stays_writeable(self):
         p = np.array([0.25, 0.75])

@@ -552,6 +552,31 @@ class TestTransportOperator:
         assert np.all(pi.mass[:, 2] == 0.0)
         assert np.abs(pi.mass.sum(axis=0) - mu.probs).max() <= 1e-15
 
+    def test_summation_classes_keep_numpy_sums(self):
+        # The padding that Sinkhorn class stacks rely on: zero-padded
+        # contiguous row sums of a (k, rows, width) stack are == the unpadded
+        # ones for every n < 128 and width up to _summation_width(n), and
+        # trailing zero rows leave the strided column sums ==.  Just past a
+        # class top the row sums differ, so the boundary is numpy's, and a
+        # change to its pairwise sum fails here.
+        rng = np.random.default_rng(26)
+        for n in range(1, 128):
+            top = mixing._summation_width(n)
+            assert top == n | 7
+            values = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), size=(4, n, n)))
+            rows, cols = values.sum(axis=2), values.sum(axis=1)
+            for width in range(n, top + 1):
+                padded = np.zeros((4, width, width))
+                padded[:, :n, :n] = values
+                assert np.array_equal(padded[:, :n].sum(axis=2), rows), (n, width)
+                assert np.array_equal(padded[:, :, :n].sum(axis=1), cols), (n, width)
+        assert [mixing._summation_width(n) for n in (128, 129, 500)] == [128, 129, 500]
+        for n, width in ((7, 8), (9, 16)):
+            values = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), size=(64, n)))
+            padded = np.zeros((64, width))
+            padded[:, :n] = values
+            assert not np.array_equal(padded.sum(axis=1), values.sum(axis=1)), (n, width)
+
 
 def _labeled(rows, cols, matrix) -> dict:
     return {(x, y): float(v) for x, row in zip(rows, matrix) for y, v in zip(cols, row)}

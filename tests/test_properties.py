@@ -259,9 +259,10 @@ def coupling_pair(w_mu, w_nu, drift=False):
 
 
 def assert_couplings_equal_per_pair(pairs, seeds, block):
-    # Each pair through random_joint_coupling, and the pairs of one shape in
-    # a window of PAIR_BLOCK_ENTRIES = block as one Sinkhorn stack: both give
-    # the one-pair loop's masses.
+    # Each pair through random_joint_coupling, and the pairs of one summation
+    # class in a window of PAIR_BLOCK_ENTRIES = block as one Sinkhorn stack,
+    # padded with zero atoms to its largest shape: both give the one-pair
+    # loop's masses, and the padding stays 0.
     for (mu, nu), seed in zip(pairs, seeds):
         pi, ref = random_joint_coupling(mu, nu, seed), random_joint_coupling_per_pair(mu, nu, seed)
         assert (pi.first_points, pi.second_points) == (ref.first_points, ref.second_points)
@@ -269,12 +270,18 @@ def assert_couplings_equal_per_pair(pairs, seeds, block):
     with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
         windows = mixing._pair_windows([(len(mu.probs), len(nu.probs)) for mu, nu in pairs])
     for stack in (stack for window in windows for stack in window.values()):
-        p, q = (np.stack([pairs[i][side].probs for i in stack]) for side in (0, 1))
-        start = np.stack([sinkhorn_start_per_pair(p[k], q[k], seeds[i]) for k, i in enumerate(stack)])
+        laws = [(pairs[i][0].probs, pairs[i][1].probs) for i in stack]
+        n, m = (max(len(law[side]) for law in laws) for side in (0, 1))
+        p, q, start = np.zeros((len(stack), n)), np.zeros((len(stack), m)), np.zeros((len(stack), n, m))
+        for k, ((a, b), i) in enumerate(zip(laws, stack)):
+            p[k, :a.size], q[k, :b.size] = a, b
+            start[k, :a.size, :b.size] = sinkhorn_start_per_pair(a, b, seeds[i])
         mass = start.copy()
         mixing._sinkhorn_stack(p, q, mass)
-        for k in range(len(stack)):
-            assert np.array_equal(mass[k], sinkhorn_per_pair(p[k], q[k], start[k].copy()))
+        for k, (a, b) in enumerate(laws):
+            solved = sinkhorn_per_pair(a, b, start[k, :a.size, :b.size].copy())
+            assert np.array_equal(mass[k, :a.size, :b.size], solved)
+            assert not mass[k, a.size:].any() and not mass[k, :, b.size:].any()
 
 
 @settings(max_examples=120, deadline=None)

@@ -16,7 +16,6 @@ import pytest
 
 import amplify_dp
 from amplify_dp import cli, distributions, mixing, verify
-from amplify_dp._rng import rng_from_seed
 from amplify_dp.diffusion import OuParams, ou_mse
 from amplify_dp.distributions import DiscreteDist, GaussianDist
 from amplify_dp.divergences import QuadratureError
@@ -38,6 +37,7 @@ from amplify_dp.verify import (
     certify_diffusion,
     certify_theorem1,
     certify_transport_and_decompose,
+    draw_trials,
     mse_numeric,
     random_instance,
     reports_summary,
@@ -46,7 +46,6 @@ from reference_impls import (
     certify_theorem1_per_trial,
     certify_transport_per_trial,
     random_instance_per_trial,
-    random_pair_per_trial,
     stacked_transport_rows,
 )
 
@@ -94,7 +93,7 @@ class TestRandomInstance:
 
 class TestCertifyTheorem1:
     def test_no_violations(self):
-        reports = certify_theorem1(100, (2, 8), (0.0, 0.5, 1.0, 2.0), seed=5)
+        reports = certify_theorem1(draw_trials(100, (2, 8), 5), (0.0, 0.5, 1.0, 2.0))
         assert len(reports) == 100 * 4 * 4
         assert all(r.passed for r in reports)
 
@@ -106,20 +105,20 @@ class TestCertifyTheorem1:
         # eps-Dobrushin is read at eps_tilde = +inf.
         zero_deltas = 0
         for seed in range(10):
-            got = certify_theorem1(40, sizes, eps_grid, seed)
+            got = certify_theorem1(draw_trials(40, sizes, seed), eps_grid)
             assert list(map(repr, got)) == list(map(repr, certify_theorem1_per_trial(40, sizes, eps_grid, seed)))
             zero_deltas += sum(r.delta_before == 0.0 for r in got)
         if 1e308 in eps_grid:
             assert zero_deltas > 0
 
     def test_reproducible(self):
-        a = certify_theorem1(20, (2, 6), (0.0, 1.0), seed=3)
-        b = certify_theorem1(20, (2, 6), (0.0, 1.0), seed=3)
+        a = certify_theorem1(draw_trials(20, (2, 6), 3), (0.0, 1.0))
+        b = certify_theorem1(draw_trials(20, (2, 6), 3), (0.0, 1.0))
         assert a == b
 
     def test_different_seed_differs(self):
-        a = certify_theorem1(5, (2, 6), (0.5,), seed=1)
-        b = certify_theorem1(5, (2, 6), (0.5,), seed=2)
+        a = certify_theorem1(draw_trials(5, (2, 6), 1), (0.5,))
+        b = certify_theorem1(draw_trials(5, (2, 6), 2), (0.5,))
         assert a != b
 
     def test_identity_kernel_keeps_guarantee(self):
@@ -145,7 +144,7 @@ class TestCertifyTheorem1:
         assert hockey_stick(pushforward(mu, kernel), pushforward(nu, kernel), 0.0) == 0.0
 
     def test_report_fields(self):
-        (report,) = certify_theorem1(1, (2, 2), (0.5,), seed=0)[:1]
+        (report,) = certify_theorem1(draw_trials(1, (2, 2), 0), (0.5,))[:1]
         assert isinstance(report, TrialReport)
         assert report.case.startswith("theorem1_")
         assert report.slack == report.bound - report.measured
@@ -154,56 +153,107 @@ class TestCertifyTheorem1:
 
 class TestCertifyTransport:
     def test_no_violations(self):
-        reports = certify_transport_and_decompose(60, (2, 10), seed=11)
+        reports = certify_transport_and_decompose(draw_trials(60, (2, 10), 11))
         assert all(r.passed for r in reports)
         cases = {r.case for r in reports}
         assert {"transport_independent", "transport_greedy",
                 "transport_random_joint", "decompose_theta"} <= cases
 
     def test_overlap_rows_exact(self):
-        reports = certify_transport_and_decompose(40, (2, 10), seed=2)
+        reports = certify_transport_and_decompose(draw_trials(40, (2, 10), 2))
         overlap_rows = [r for r in reports if r.case == "decompose_overlap"]
         assert overlap_rows
         assert all(r.measured == 0.0 for r in overlap_rows)
 
     def test_theta_matches_divergence(self):
-        reports = certify_transport_and_decompose(40, (2, 10), seed=8)
+        reports = certify_transport_and_decompose(draw_trials(40, (2, 10), 8))
         for r in reports:
             if r.case == "decompose_theta":
                 assert r.measured <= 1e-12
 
-    @pytest.mark.parametrize("sizes", [(2, 2), (2, 16), (16, 16), (2, 40)])
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 16), (16, 16), (2, 40), (7, 9), (120, 136)])
     def test_stacks_equal_per_trial_reference(self, sizes):
         # Every row is the per-trial suite's, at the default windows, at
-        # windows of one trial each and at windows of a few trials.
-        for seed in range(40):
+        # windows of one trial each and at windows of a few trials, from the
+        # suite's own draws, and on ten seeds from the shared ones at the
+        # default windows.  (7, 9) spans two summation classes; (120, 136)
+        # pads to 127 below 128 and solves exact-n stacks from 128 on, on
+        # fewer seeds to bound runtime.
+        for seed in range(3 if sizes[0] >= 100 else 40):
             want = list(map(repr, certify_transport_per_trial(12, sizes, seed)))
+            if seed < 10:
+                shared = draw_trials(12, sizes, seed, shared=True)
+                assert list(map(repr, certify_transport_and_decompose(shared))) == want
             for block in (mixing.PAIR_BLOCK_ENTRIES, 1, 40, 300):
                 with mock.patch.object(mixing, "PAIR_BLOCK_ENTRIES", block):
-                    assert list(map(repr, certify_transport_and_decompose(12, sizes, seed))) == want
+                    assert list(map(repr, certify_transport_and_decompose(draw_trials(12, sizes, seed)))) == want
+
+    @pytest.mark.parametrize("seed", [0, 11, 30])
+    def test_one_sinkhorn_stack_per_class(self, monkeypatch, seed):
+        # 200 trials on 2..16 points fit one window and fall into three
+        # summation classes: n < 8, 8 <= n < 16 and n = 16.
+        calls, solve = [], verify._sinkhorn_stack
+        monkeypatch.setattr(verify, "_sinkhorn_stack", lambda p, q, mass: calls.append(mass.shape) or solve(p, q, mass))
+        certify_transport_and_decompose(draw_trials(200, (2, 16), seed))
+        assert sorted(shape[1:] for shape in calls) == [(7, 7), (15, 15), (16, 16)]
+        assert sum(shape[0] for shape in calls) == 200
+
+    @pytest.mark.parametrize("block", [1, 40, 300, mixing.PAIR_BLOCK_ENTRIES])
+    def test_class_stacks_stay_within_the_block(self, monkeypatch, block):
+        # A class stack, padded to its largest trial, holds at most
+        # max(PAIR_BLOCK_ENTRIES, one padded trial) entries.
+        shapes, solve = [], verify._sinkhorn_stack
+        monkeypatch.setattr(verify, "_sinkhorn_stack", lambda p, q, mass: shapes.append(mass.shape) or solve(p, q, mass))
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", block)
+        for trials, sizes in ((60, (2, 10)), (30, (2, 40)), (6, (100, 140))):
+            certify_transport_and_decompose(draw_trials(trials, sizes, 5))
+        assert any(k > 1 for k, _, _ in shapes) == (block > 40)
+        assert all(k * n * m <= max(block, n * m) for k, n, m in shapes)
 
     def test_one_draw_gives_the_pair_and_the_sinkhorn_start(self, monkeypatch):
-        # A trial's n * n uniforms: its first 2n are the pair the per-trial
-        # suite drew, and all of them the start that random_joint_coupling
-        # draws from a second stream of the same seed.
+        # A trial's one shared draw of nx * max(ny + 2, nx) exponentials: its
+        # first 2 nx + nx ny are random_instance's mu, nu and kernel, and its
+        # first nx * nx the start that random_joint_coupling draws for that
+        # pair, which is also what the transport suite draws on its own.
         starts, solve = [], mixing._sinkhorn_stack
         monkeypatch.setattr(mixing, "_sinkhorn_stack",
                             lambda p, q, mass: starts.append(mass.copy()) or solve(p, q, mass))
-        seeds = verify._trial_seeds(1, 10).tolist()
-        for n in (2, 3, 16):
-            laws, start = verify._transport_draws(seeds, n)
-            for seed, law, mass in zip(seeds, laws, start):
-                mu, nu = random_pair_per_trial(rng_from_seed(seed), n)
-                assert law[0].tobytes() == mu.probs.tobytes() and law[1].tobytes() == nu.probs.tobytes()
+        for sizes in ((2, 16), (7, 9)):
+            draws, own = draw_trials(10, sizes, 1, shared=True), draw_trials(10, sizes, 1)
+            assert own.exponentials is None and own.offsets is None
+            assert not draws.exponentials.flags.writeable and not draws.offsets.flags.writeable
+            ends = list(draws.offsets[1:]) + [draws.exponentials.size]
+            for t, (seed, (nx, ny)) in enumerate(zip(draws.seeds, draws.shapes)):
+                draw = draws.exponentials[draws.offsets[t]:ends[t]]
+                assert draw.size == nx * max(ny + 2, nx)
+                pair = draw[:2 * nx].reshape(2, nx)
+                pair = pair / pair.sum(axis=1, keepdims=True)
+                rows = draw[2 * nx:nx * (ny + 2)].reshape(nx, ny)
+                mu, nu, kernel = random_instance(nx, ny, seed)
+                assert pair[0].tobytes() == mu.probs.tobytes() and pair[1].tobytes() == nu.probs.tobytes()
+                assert (rows / rows.sum(axis=1, keepdims=True)).tobytes() == kernel.rows.tobytes()
                 starts.clear()
                 verify.random_joint_coupling(mu, nu, seed)
-                assert starts[0][0].tobytes() == mass.tobytes()
+                assert starts[0][0].tobytes() == draw[:nx * nx].reshape(nx, nx).tobytes()
+                for record in (draws, own):
+                    laws, start = verify._transport_draws(record, [t])
+                    assert laws[0].tobytes() == pair.tobytes() and start[0].tobytes() == starts[0][0].tobytes()
+
+    @pytest.mark.parametrize("suites", [["theorem1"], ["transport"], ["theorem1", "transport"]])
+    def test_each_trial_stream_drawn_once(self, monkeypatch, suites):
+        # verify draws each seeded trial's stream once, whichever seeded
+        # suites run: both suites read one shared draw.
+        streams, make = [], mixing.rng_from_seed
+        monkeypatch.setattr(mixing, "rng_from_seed", lambda seed: streams.append(seed) or make(seed))
+        cli.cmd_verify({"suites": suites, "trials": 30, "sizes": [2, 16]}, 4)
+        assert sorted(streams) == sorted(draw_trials(30, (2, 16), 4).seeds)
 
     def test_pushed_laws_equal_pushforward(self):
         # Each stacked first marginal is a strided column of a cumulative sum;
         # a product with that view differs from pushforward's in the last bit
         # on some of these laws, so the stack must push a contiguous copy.
-        laws, _ = verify._transport_draws(range(20), 10)
+        start = mixing._stream_exponentials(range(20), [100] * 20).reshape(20, 10, 10)
+        laws = start[:, :2] / start[:, :2].sum(axis=2, keepdims=True)
         couplings = mixing._independent_masses(laws[:, 0], laws[:, 1])
         pushed, seconds = verify._pushforwards(couplings)
         points, strided_differs = [f"x{i}" for i in range(10)], False
@@ -335,38 +385,44 @@ class TestTransportWindows:
     def test_rows_do_not_depend_on_window_size(self, monkeypatch):
         # Couplings are solved a window of trials at a time; the rows must not
         # depend on where the windows split.
-        full = certify_transport_and_decompose(30, (2, 9), seed=13)
+        full = certify_transport_and_decompose(draw_trials(30, (2, 9), 13))
         for block in (1, 40, 300):
             monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", block)
-            assert certify_transport_and_decompose(30, (2, 9), seed=13) == full
+            assert certify_transport_and_decompose(draw_trials(30, (2, 9), 13)) == full
 
     def test_windows(self, monkeypatch):
-        # The stacks that the transport suite solves, as lists of trial
-        # indices: trial i couples two laws on sizes[i] points.
+        # The Sinkhorn stacks that the transport suite solves, keyed by their
+        # summation widths, as lists of trial indices: trial i couples two
+        # laws on sizes[i] points.
         def windows(sizes):
-            return [stack for window in mixing._pair_windows([(n, n) for n in sizes])
-                    for stack in window.values()]
+            return mixing._pair_windows([(n, n) for n in sizes])
 
-        # One window: each support shape is one stack.
-        assert windows([3, 4, 2, 5, 6]) == [[0], [1], [2], [3], [4]]
-        assert windows([3, 3, 3, 5, 3]) == [[0, 1, 2, 4], [3]]
-        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 20)
-        # Square sizes 3, 3, 3, 5, 3: 9 + 9 fit and 9 + 9 + 9 do not; 9 + 25
-        # do not, and 25 stands alone: a pair larger than the bound is a
-        # window of its own.
-        assert windows([3, 3, 3, 5, 3]) == [[0, 1], [2], [3], [4]]
-        assert windows([6, 2]) == [[0], [1]]
+        # One window: each summation class is one stack.
+        assert windows([3, 4, 2, 5, 6]) == [{(7, 7): [0, 1, 2, 3, 4]}]
+        assert windows([3, 9, 7, 15, 16, 127, 128, 128]) == [
+            {(7, 7): [0, 2], (15, 15): [1, 3], (23, 23): [4], (127, 127): [5], (128, 128): [6, 7]}]
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 500)
+        # Each trial counts at its padded width: 15 * 15 = 225 from 8 to 15
+        # points, 7 * 7 = 49 below 8.  225 + 225 + 49 fit and one more 49 does
+        # not; a pair larger than the bound is a window of its own.
+        assert windows([9, 10, 3, 2, 30, 2]) == [
+            {(15, 15): [0, 1], (7, 7): [2]}, {(7, 7): [3]}, {(31, 31): [4]}, {(7, 7): [5]}]
 
     def test_couplings_not_held_across_trials(self):
         # A 200 x 200 coupling fills a window of its own, and each is dropped
         # once its trial's rows are made: 12 trials peak about where 3 do,
-        # where holding all couplings at once would add 9 x 320 KB.
-        certify_transport_and_decompose(1, (200, 200), seed=3)
+        # where holding all couplings at once would add 9 x 320 KB.  verify
+        # alone, draw included, is measured: the suite draws its trials a
+        # window at a time when it runs without theorem1.
+        def run(trials):
+            cli.cmd_verify({"suites": ["transport"], "trials": trials, "sizes": [200, 200]}, 3)
+
+        run(1)
         peaks = []
         for trials in (3, 12):
             tracemalloc.start()
             try:
-                certify_transport_and_decompose(trials, (200, 200), seed=3)
+                run(trials)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -385,7 +441,7 @@ def theorem1_csv_lines(tmp_path, trials, sizes, eps_grid, seed):
 
 class TestReportExport:
     def test_csv_shape(self, tmp_path):
-        reports = certify_theorem1(2, (2, 4), (0.5,), seed=1)
+        reports = certify_theorem1(draw_trials(2, (2, 4), 1), (0.5,))
         lines = theorem1_csv_lines(tmp_path, 2, (2, 4), (0.5,), seed=1)
         assert lines[0].startswith("trial_id,case,descriptor")
         assert len(lines) == 1 + len(reports)
@@ -394,7 +450,7 @@ class TestReportExport:
         assert len(parsed[1]) == len(parsed[0])
 
     def test_csv_floats_round_trip(self, tmp_path):
-        reports = certify_theorem1(1, (3, 3), (0.5,), seed=7)
+        reports = certify_theorem1(draw_trials(1, (3, 3), 7), (0.5,))
         line = theorem1_csv_lines(tmp_path, 1, (3, 3), (0.5,), seed=7)[1]
         row = next(iter(csv.reader([line])))
         measured = float(row[5])
@@ -418,7 +474,7 @@ class TestReportExport:
             assert [row[0] if row else "" for row in parsed] == [str(row[0]) for row in rows]
 
     def test_summary(self):
-        reports = certify_theorem1(3, (2, 4), (0.0, 1.0), seed=6)
+        reports = certify_theorem1(draw_trials(3, (2, 4), 6), (0.0, 1.0))
         summary = reports_summary(reports)
         assert set(summary) == {"theorem1_dobrushin", "theorem1_eps_dobrushin",
                                 "theorem1_doeblin", "theorem1_ultra"}
@@ -484,7 +540,7 @@ def test_benchmark_tracer_installs_and_restores():
              "mixing.ultra")
     try:
         tracer.install()
-        reports = cli.certify_theorem1(2, (2, 4), (0.0, 1.0), seed=3)
+        reports = cli.certify_theorem1(draw_trials(2, (2, 4), 3), (0.0, 1.0))
         theorem1_calls = {name: sum(1 for span in tracer.spans if span[2] == name) for name in names}
         cli.amplify_with_kernel(random_instance(3, 4, 1)[2], [DpGuarantee(0.5, 0.1)])
     finally:
