@@ -1,7 +1,7 @@
 """Coupling-based RDP amplification for noisy Lipschitz maps: closed-form
 bounds for Gaussian/Laplace/Lipschitz kernels, iterated path bounds driven by
-infinity-Wasserstein increments, the strongly convex noisy-SGD per-index
-accountant, and a reference simulator for the projected noisy SGD loop.
+infinity-Wasserstein increments, and the strongly convex noisy-SGD per-index
+accountant.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import normal_open, rng_from_seed
 from .divergences import DpGuarantee, RdpPoint, log_laplace_g
 
 __all__ = [
     "IterationChain",
     "SgdConfig",
-    "QuadraticLoss",
     "iterated_gaussian_bound",
     "lipschitz_kernel_bound",
     "iterated_laplace_bound",
@@ -28,8 +26,6 @@ __all__ = [
     "geometric_increments",
     "contraction_coeff",
     "sgd_rdp_at_index",
-    "noisy_proj_sgd",
-    "project_to_ball",
 ]
 
 
@@ -48,11 +44,12 @@ class IterationChain:
         ls = tuple(float(l) for l in (lipschitz if isinstance(lipschitz, (list, tuple, np.ndarray)) else [lipschitz] * r))
         if len(ls) != r:
             raise ValueError(f"expected {r} Lipschitz constants, got {len(ls)}")
-        if any(l <= 0 for l in ls):
+        # Written so that NaN fails too.
+        if not all(l > 0 for l in ls):
             raise ValueError("Lipschitz constants must be positive")
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        if delta0 < 0:
+        if not delta0 >= 0:
             raise ValueError("delta0 must be non-negative")
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "lipschitz", ls)
@@ -62,10 +59,7 @@ class IterationChain:
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Hyperparameters of projected noisy SGD on a smooth strongly convex loss.
-
-    ``dim`` and ``radius`` (the projection ball) are read by the simulator
-    only; the accountant does not depend on them."""
+    """Hyperparameters of projected noisy SGD on a smooth strongly convex loss."""
 
     n: int
     C: float
@@ -73,24 +67,19 @@ class SgdConfig:
     rho: float
     eta: float
     sigma: float
-    dim: int = 1
-    radius: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.dim < 1:
-            raise ValueError("n and dim must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if not (0 < self.rho <= self.beta):
             raise ValueError("need 0 < rho <= beta")
         if not (0 < self.eta <= 2.0 / (self.beta + self.rho)):
             raise ValueError("need 0 < eta <= 2/(beta + rho)")
         if not self.C > 0:
             raise ValueError("C must be positive")
-        if self.sigma < 0:
-            # sigma = 0 is allowed for noise-free simulator runs; the
-            # accountant itself requires sigma > 0.
-            raise ValueError("sigma must be non-negative")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        # Written so that NaN fails too.
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
 
 
 def iterated_gaussian_bound(sensitivity: float, sigma1: float, sigma2: float,
@@ -193,7 +182,8 @@ def winf_path_bound(chain: IterationChain, path_distances: Sequence[float],
     """
     if len(path_distances) != chain.r:
         raise ValueError(f"expected {chain.r} path increments, got {len(path_distances)}")
-    if any(d < 0 for d in path_distances):
+    # Written so that NaN fails too.
+    if not all(d >= 0 for d in path_distances):
         raise ValueError("path increments must be non-negative")
     if not any(path_distances):
         # Identical starting points: divergence 0 at every order, alpha = inf too.
@@ -218,6 +208,9 @@ def winf_contractive_bound(chain: IterationChain, sensitivity: float,
     lip = ls.pop()
     if lip > 1.0:
         raise ValueError("closed form requires L <= 1 (the sum diverges otherwise)")
+    # Written so that NaN fails too.
+    if not sensitivity >= 0:
+        raise ValueError("sensitivity must be non-negative")
     if sensitivity == 0.0:
         # Identical starting points: divergence 0 at every order, alpha = inf too.
         return RdpPoint(alpha, 0.0)
@@ -261,86 +254,9 @@ def sgd_rdp_at_index(cfg: SgdConfig, i: int, alpha: float) -> RdpPoint:
         raise ValueError(f"index {i} outside 1..{cfg.n}")
     if not (alpha > 1 or math.isinf(alpha)):
         raise ValueError("alpha must be > 1")
-    if not cfg.sigma > 0:
-        raise ValueError("the accountant requires sigma > 0")
     if i == cfg.n:
         eps_i = 2.0 * cfg.C**2 / cfg.sigma**2
     else:
         lip = contraction_coeff(cfg.beta, cfg.rho, cfg.eta)
         eps_i = 2.0 * cfg.C**2 / ((cfg.n - i) * cfg.sigma**2) * lip ** (cfg.n - i + 1)
     return RdpPoint(alpha, alpha * eps_i)
-
-
-def project_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the centered ball, over the last axis."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    scale = np.where(norms > radius, radius / np.where(norms == 0, 1.0, norms), 1.0)
-    return x * scale
-
-
-@dataclass(frozen=True)
-class QuadraticLoss:
-    """Loss (strength/2) * ||x - z||^2; smoothness and strong convexity both
-    equal ``strength``, so every analysis constant is known in closed form."""
-
-    strength: float
-
-    def __post_init__(self):
-        if not self.strength > 0:
-            raise ValueError("strength must be positive")
-
-    @property
-    def beta(self) -> float:
-        return self.strength
-
-    @property
-    def rho(self) -> float:
-        return self.strength
-
-    def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.strength * (x - z)
-
-    def lipschitz_on_ball(self, radius: float, data_norm: float) -> float:
-        """Gradient-norm bound over the ball for records of norm <= data_norm."""
-        return self.strength * (radius + data_norm)
-
-
-def noisy_proj_sgd(
-    dataset: np.ndarray,
-    loss: QuadraticLoss,
-    cfg: SgdConfig,
-    seed: int,
-    x0: np.ndarray | None = None,
-    return_trajectory: bool = False,
-):
-    """One pass of projected noisy SGD, one record per step, deterministic per seed.
-
-    The config must be consistent with the loss family: beta and rho equal the
-    quadratic strength, and C must dominate the loss's gradient norm over the
-    projection ball for this dataset.
-    """
-    data = np.asarray(dataset, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.shape != (cfg.n, cfg.dim):
-        raise ValueError(f"dataset shape {data.shape} does not match config "
-                         f"({cfg.n}, {cfg.dim})")
-    if cfg.beta != loss.beta or cfg.rho != loss.rho:
-        raise ValueError("config smoothness/convexity do not match the loss family")
-    data_norm = float(np.linalg.norm(data, axis=1).max())
-    required_c = loss.lipschitz_on_ball(cfg.radius, data_norm)
-    if cfg.C < required_c - 1e-12:
-        raise ValueError(
-            f"C={cfg.C} is below the loss's Lipschitz constant {required_c} on the ball")
-
-    x = np.zeros(cfg.dim) if x0 is None else project_to_ball(
-        np.asarray(x0, dtype=np.float64), cfg.radius)
-    noise = normal_open(rng_from_seed(seed), (cfg.n, cfg.dim)) * cfg.sigma
-    trajectory = [x.copy()]
-    for i in range(cfg.n):
-        x = project_to_ball(x - cfg.eta * (loss.gradient(x, data[i]) + noise[i]),
-                            cfg.radius)
-        if return_trajectory:
-            trajectory.append(x.copy())
-    return (x, trajectory) if return_trajectory else x
-

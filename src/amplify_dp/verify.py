@@ -169,6 +169,11 @@ def draw_trials(trials: int, sizes: tuple[int, int], seed: int, shared: bool = F
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    lo, hi = sizes
+    if lo < 2:
+        raise ValueError("support sizes must be >= 2")
+    if lo > hi:
+        raise ValueError(f"support sizes need lo <= hi, got {tuple(sizes)}")
     seeds = tuple(_trial_seeds(seed, trials).tolist())
     shapes = tuple(map(tuple, _trial_sizes(seed, trials, sizes).tolist()))
     if not shared:

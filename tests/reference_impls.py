@@ -2,7 +2,8 @@
 
 Each one is the straightforward construction a library function used before
 it was replaced by an exact shortcut, or a second formula for a library
-value; the tests require both to agree.
+value; the tests require both to agree.  ``project_to_ball`` is instead the
+step of the algorithm whose hypotheses the SGD accountant's tests check.
 """
 
 from __future__ import annotations
@@ -376,6 +377,14 @@ def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float
             d = a + invphi * (b - a)
             fd = f(d)
     return max(min(min(vals), fc, fd), 0.0) / (alpha - 1.0)
+
+
+def project_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto the centered ball, over the last axis: the
+    projection of the projected noisy SGD step that ``contraction_coeff`` bounds."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    scale = np.where(norms > radius, radius / np.where(norms == 0, 1.0, norms), 1.0)
+    return x * scale
 
 
 def coupling_pairs(pi: Coupling) -> DiscreteDist:

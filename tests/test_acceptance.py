@@ -25,7 +25,6 @@ from amplify_dp.iteration import (
     SgdConfig,
     contraction_coeff,
     iterated_gaussian_bound,
-    project_to_ball,
     sgd_rdp_at_index,
 )
 from amplify_dp.mixing import dobrushin_coeff, doeblin_coeff, eps_dobrushin_coeff, ultra_coeff
@@ -35,6 +34,7 @@ from amplify_dp.verify import (
     draw_trials,
     random_instance,
 )
+from reference_impls import project_to_ball
 
 EXACT_TOL = 1e-12
 QUAD_TOL = 1e-6
@@ -143,8 +143,7 @@ def test_criterion_6_sgd_structure_and_coupling():
     identity_ok = True
     for n, eta, beta, rho in itertools.product((5, 12, 30), (0.1, 0.3),
                                                (2.0, 4.0), (0.5, 1.0)):
-        cfg = SgdConfig(n=n, C=1.2, beta=beta, rho=rho, eta=eta, sigma=0.9,
-                        dim=1, radius=1.0)
+        cfg = SgdConfig(n=n, C=1.2, beta=beta, rho=rho, eta=eta, sigma=0.9)
         lip = contraction_coeff(beta, rho, eta)
         for i in range(1, n):
             strong = sgd_rdp_at_index(cfg, i, 2.0).epsilon

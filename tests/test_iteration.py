@@ -7,21 +7,18 @@ from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.divergences import log_laplace_g
 from amplify_dp.iteration import (
     IterationChain,
-    QuadraticLoss,
     SgdConfig,
     contraction_coeff,
     geometric_increments,
     iterated_gaussian_bound,
     iterated_laplace_bound,
     lipschitz_kernel_bound,
-    noisy_proj_sgd,
-    project_to_ball,
     pure_dp_iterated_laplace,
     sgd_rdp_at_index,
     winf_contractive_bound,
     winf_path_bound,
 )
-from reference_impls import laplace_bound_grid_golden
+from reference_impls import laplace_bound_grid_golden, project_to_ball
 
 
 class TestClosedFormBounds:
@@ -174,6 +171,28 @@ class TestWinfBounds:
                 assert closed.epsilon >= path.epsilon - 1e-15
 
 
+
+UNIT_CHAIN = IterationChain(2, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: IterationChain(2, math.nan, 1.0, math.nan), "Lipschitz"),
+    (lambda: IterationChain(2, [1.0, math.nan], 1.0, 1.0), "Lipschitz"),
+    (lambda: IterationChain(2, 1.0, 1.0, math.nan), "delta0"),
+    (lambda: winf_path_bound(UNIT_CHAIN, [math.nan, 0.5], 2.0), "increments"),
+    (lambda: winf_contractive_bound(UNIT_CHAIN, math.nan, 2.0), "sensitivity"),
+    (lambda: winf_contractive_bound(UNIT_CHAIN, -1.0, 2.0), "sensitivity"),
+    (lambda: SgdConfig(n=5, C=1.0, beta=1.0, rho=1.0, eta=0.5, sigma=math.nan), "sigma"),
+], ids=["chain-nan-lipschitz-and-delta0", "chain-nan-lipschitz-entry", "chain-nan-delta0",
+        "path-nan-increment", "contractive-nan-sensitivity", "contractive-negative-sensitivity",
+        "sgd-nan-sigma"])
+def test_nan_and_negative_inputs_rejected(call, match):
+    # A NaN fails every check (none is written as `x < 0`), so it is a
+    # ValueError here and not an ArithmeticError in a bound later.
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestContractionCoeff:
     def test_full_contraction(self):
         assert contraction_coeff(1.0, 1.0, 1.0) == 0.0
@@ -193,7 +212,7 @@ class TestContractionCoeff:
             contraction_coeff(1.0, 2.0, 0.1)
 
 
-CFG = SgdConfig(n=10, C=1.0, beta=3.0, rho=1.0, eta=0.5, sigma=1.0, dim=1, radius=1.0)
+CFG = SgdConfig(n=10, C=1.0, beta=3.0, rho=1.0, eta=0.5, sigma=1.0)
 
 
 class TestSgdAccountant:
@@ -206,8 +225,7 @@ class TestSgdAccountant:
 
     def test_convex_baseline_limit(self):
         # rho -> 0 pushes L -> 1 and the bound to 2C^2/((n-i) sigma^2).
-        cfg = SgdConfig(n=10, C=1.0, beta=3.0, rho=1e-12, eta=0.5,
-                        sigma=1.0, dim=1, radius=1.0)
+        cfg = SgdConfig(n=10, C=1.0, beta=3.0, rho=1e-12, eta=0.5, sigma=1.0)
         got = sgd_rdp_at_index(cfg, 5, 2.0).epsilon
         assert got == pytest.approx(2.0 * 2.0 / 5.0, rel=1e-9)
 
@@ -215,8 +233,7 @@ class TestSgdAccountant:
         # eps_i(strongly convex) / eps_i(baseline) = L^(n-i+1) exactly.
         for n in (5, 20):
             for eta in (0.1, 0.4):
-                cfg = SgdConfig(n=n, C=1.3, beta=4.0, rho=1.0, eta=eta,
-                                sigma=0.8, dim=2, radius=1.0)
+                cfg = SgdConfig(n=n, C=1.3, beta=4.0, rho=1.0, eta=eta, sigma=0.8)
                 lip = contraction_coeff(cfg.beta, cfg.rho, cfg.eta)
                 for i in range(1, n):
                     strong = sgd_rdp_at_index(cfg, i, 2.0).epsilon
@@ -231,82 +248,38 @@ class TestSgdAccountant:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SgdConfig(n=10, C=1.0, beta=1.0, rho=2.0, eta=0.1, sigma=1.0, dim=1, radius=1.0)
+            SgdConfig(n=10, C=1.0, beta=1.0, rho=2.0, eta=0.1, sigma=1.0)
         with pytest.raises(ValueError):
-            SgdConfig(n=10, C=1.0, beta=3.0, rho=1.0, eta=0.6, sigma=1.0, dim=1, radius=1.0)
+            SgdConfig(n=10, C=1.0, beta=3.0, rho=1.0, eta=0.6, sigma=1.0)
 
     def test_zero_sigma_rejected_by_accountant(self):
-        cfg = SgdConfig(n=5, C=1.0, beta=1.0, rho=1.0, eta=0.5, sigma=0.0,
-                        dim=1, radius=1.0)
-        with pytest.raises(ValueError, match="sigma"):
-            sgd_rdp_at_index(cfg, 1, 2.0)
+        # The accountant's bound is infinite at sigma = 0: its config rejects it.
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            SgdConfig(n=5, C=1.0, beta=1.0, rho=1.0, eta=0.5, sigma=0.0)
 
 
 class TestSimulator:
-    def _cfg(self, n, sigma=0.0, eta=0.25, strength=1.0, radius=4.0, dim=2):
-        loss = QuadraticLoss(strength)
-        c = loss.lipschitz_on_ball(radius, radius)
-        return loss, SgdConfig(n=n, C=c, beta=strength, rho=strength, eta=eta,
-                               sigma=sigma, dim=dim, radius=radius)
-
-    def test_fixed_point(self):
-        loss, cfg = self._cfg(6)
-        z = np.array([0.5, -0.25])
-        data = np.tile(z, (6, 1))
-        out = noisy_proj_sgd(data, loss, cfg, seed=1, x0=z)
-        np.testing.assert_allclose(out, z, atol=1e-12)
-
-    def test_deterministic_per_seed(self):
-        loss, cfg = self._cfg(8, sigma=0.5)
-        data = np.linspace(-1, 1, 16).reshape(8, 2)
-        a = noisy_proj_sgd(data, loss, cfg, seed=42)
-        b = noisy_proj_sgd(data, loss, cfg, seed=42)
-        np.testing.assert_array_equal(a, b)
-        c = noisy_proj_sgd(data, loss, cfg, seed=43)
-        assert not np.array_equal(a, c)
-
-    def test_iterates_stay_in_ball(self):
-        loss, cfg = self._cfg(20, sigma=3.0, radius=1.5)
-        data = np.ones((20, 2))  # norm sqrt(2), inside the C budget
-        _, traj = noisy_proj_sgd(data, loss, cfg, seed=5, return_trajectory=True)
-        for x in traj:
-            assert np.linalg.norm(x) <= cfg.radius + 1e-12
-
     def test_coupled_divergence_bound(self):
-        # Two noise-free runs differing in record i end within
-        # 2 eta C L^(n-i) of each other.
-        loss, cfg = self._cfg(12, sigma=0.0, eta=0.25, strength=1.0)
+        # Two noise-free projected SGD runs on the quadratic loss
+        # (strength/2)|x - z|^2, differing in record i, end within
+        # 2 eta C L^(n-i) of each other: the gap the accountant's bound rests on.
+        n, strength, eta, radius = 12, 1.0, 0.25, 4.0
+        c = strength * (radius + radius)  # gradient-norm bound on the ball for |z| <= radius
+        lip = contraction_coeff(strength, strength, eta)
+
+        def last_iterate(records):
+            x = np.zeros(2)
+            for z in records:
+                x = project_to_ball(x - eta * strength * (x - z), radius)
+            return x
+
         rng = np.random.default_rng(3)
-        data = rng.uniform(-1, 1, size=(12, 2))
-        lip = contraction_coeff(cfg.beta, cfg.rho, cfg.eta)
+        data = rng.uniform(-1, 1, size=(n, 2))
         for i in (3, 8, 12):
             other = data.copy()
             other[i - 1] = rng.uniform(-1, 1, size=2)
-            a = noisy_proj_sgd(data, loss, cfg, seed=7)
-            b = noisy_proj_sgd(other, loss, cfg, seed=7)
-            gap = np.linalg.norm(a - b)
-            assert gap <= 2 * cfg.eta * cfg.C * lip ** (cfg.n - i) + 1e-12
-
-    def test_config_loss_mismatch(self):
-        loss = QuadraticLoss(2.0)
-        cfg = SgdConfig(n=4, C=10.0, beta=1.0, rho=1.0, eta=0.5, sigma=0.0,
-                        dim=1, radius=1.0)
-        with pytest.raises(ValueError, match="loss family"):
-            noisy_proj_sgd(np.zeros((4, 1)), loss, cfg, seed=0)
-
-    def test_insufficient_lipschitz_constant(self):
-        loss, cfg = self._cfg(4)
-        weak = SgdConfig(n=4, C=0.1, beta=cfg.beta, rho=cfg.rho, eta=cfg.eta,
-                         sigma=0.0, dim=2, radius=cfg.radius)
-        with pytest.raises(ValueError, match="Lipschitz"):
-            noisy_proj_sgd(np.ones((4, 2)), loss, weak, seed=0)
-
-    def test_return_trajectory_length(self):
-        loss, cfg = self._cfg(3)
-        data = np.zeros((3, 2))
-        _, traj = noisy_proj_sgd(data, loss, cfg, seed=1, x0=np.array([1.0, 0.0]),
-                                 return_trajectory=True)
-        assert len(traj) == 4  # initial point + 3 steps
+            gap = np.linalg.norm(last_iterate(data) - last_iterate(other))
+            assert gap <= 2 * eta * c * lip ** (n - i) + 1e-12
 
 
 class TestSharedNoiseContraction:
@@ -314,7 +287,6 @@ class TestSharedNoiseContraction:
         # Shared-noise projected steps contract pairwise distances by L,
         # for every single draw.
         strength, eta, radius = 1.0, 0.25, 2.0
-        loss = QuadraticLoss(strength)
         lip = contraction_coeff(strength, strength, eta)
         rng = rng_from_seed(314)
         n = 10**4
@@ -328,18 +300,3 @@ class TestSharedNoiseContraction:
         gap_after = np.linalg.norm(step(x) - step(y), axis=1)
         assert np.all(gap_after <= lip * gap_before + 1e-12)
 
-
-class TestProjection:
-    def test_inside_unchanged(self):
-        x = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(project_to_ball(x, 1.0), x)
-
-    def test_outside_rescaled(self):
-        x = np.array([3.0, 4.0])
-        out = project_to_ball(x, 1.0)
-        np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
-
-    def test_batch(self):
-        x = np.array([[3.0, 4.0], [0.1, 0.0]])
-        out = project_to_ball(x, 1.0)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0, 0.1], atol=1e-15)

@@ -91,6 +91,18 @@ class TestRandomInstance:
                 assert (got[0].points, got[2].output_points) == (ref[0].points, ref[2].output_points)
 
 
+@pytest.mark.parametrize("sizes,match", [
+    ((1, 2), "must be >= 2"),
+    ((0, 2), "must be >= 2"),
+    ((3, 2), "lo <= hi"),
+], ids=["lo-1", "lo-0", "lo-above-hi"])
+def test_draw_trials_rejects_bad_sizes(sizes, match):
+    # Unchecked, these sizes ended in an IndexError, a reshape ValueError or
+    # numpy's "low >= high" inside the suites.
+    with pytest.raises(ValueError, match=match):
+        draw_trials(3, sizes, 0)
+
+
 class TestCertifyTheorem1:
     def test_no_violations(self):
         reports = certify_theorem1(draw_trials(100, (2, 8), 5), (0.0, 0.5, 1.0, 2.0))
