@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -408,6 +408,7 @@ def _quote(text: str) -> str:
 # lowercase booleans, and RFC-4180 quoting.
 CELL_FORMAT_BY_TYPE = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__,
                        str: _quote}
+CSV_BLOCK_ROWS = 1024  # Rows per rendered block: only a block's tables of distinct cells are held.
 
 
 def format_cell(value) -> str:
@@ -425,12 +426,24 @@ def _render_csv(command: str, config: dict, seed, header: list[str],
         lines.append(f"# seed: {seed}")
     lines.extend(extra)
     lines.append(",".join(header))
-    # Column by column: a column whose cells all have one type that
-    # CELL_FORMAT_BY_TYPE names needs no per-cell dispatch.
-    columns = [map(CELL_FORMAT_BY_TYPE.get(type(col[0]), format_cell)
-                   if len(set(map(type, col))) == 1 else format_cell, col) for col in zip(*rows)]
-    lines.extend(map(",".join, zip(*columns)))
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        lines.extend(map(",".join, zip(*map(_column_cells, zip(*rows[start:start + CSV_BLOCK_ROWS])))))
     return "\n".join(lines) + "\n"
+
+
+def _column_cells(column: tuple) -> Iterator[str]:
+    """The CSV cells of one column, lazily.  A column of floats or of strs formats each
+    distinct value once, floats keyed by their float64 bits (0.0 == -0.0, but they print
+    differently); any other column of one type that CELL_FORMAT_BY_TYPE names needs no
+    per-cell dispatch."""
+    kinds = set(map(type, column))
+    if kinds not in ({float}, {str}):
+        return map(CELL_FORMAT_BY_TYPE.get(type(column[0]), format_cell) if len(kinds) == 1 else format_cell, column)
+    # Dicts, not np.unique, whose sort maps about 256 KiB more of numpy's code.
+    keys = np.array(column).view(np.int64).tolist() if kinds == {float} else column
+    distinct = dict(zip(keys, column))
+    cells = dict(zip(distinct, map(CELL_FORMAT_BY_TYPE[kinds.pop()], distinct.values())))
+    return map(cells.__getitem__, keys)
 
 
 def _render_json(command: str, config: dict, seed, header: list[str],

@@ -89,8 +89,8 @@ def iterated_gaussian_bound(sensitivity: float, sigma1: float, sigma2: float,
     The optimally shifted coupling makes the two noise scales add in variance:
     epsilon = alpha * sensitivity^2 / (2 * (sigma1^2 + sigma2^2)).  Tight.
     """
-    if not sigma1 > 0 or sigma2 < 0:
-        raise ValueError("sigma1 must be positive and sigma2 non-negative")
+    if not (sigma1 > 0 and sigma2 >= 0 and sensitivity >= 0):
+        raise ValueError("sigma1 must be positive, and sigma2 and sensitivity non-negative")
     eps = alpha * sensitivity**2 / (2.0 * (sigma1**2 + sigma2**2))
     return RdpPoint(alpha, eps)
 
@@ -104,8 +104,8 @@ def lipschitz_kernel_bound(sensitivity: float, sigma1: float, sigma2: float,
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be positive")
-    if not (sigma1 > 0 and sigma2 > 0):
-        raise ValueError("noise scales must be positive")
+    if not (sigma1 > 0 and sigma2 > 0 and sensitivity >= 0):
+        raise ValueError("noise scales must be positive and sensitivity non-negative")
     sigma_star2 = sigma1**2 + sigma2**2 / lipschitz**2
     return RdpPoint(alpha, alpha * sensitivity**2 / (2.0 * sigma_star2))
 
@@ -128,8 +128,8 @@ def iterated_laplace_bound(sensitivity: float, lambda1: float, lambda2: float,
     spacing of doubles), plus both endpoints, where the optimum sits as a
     scale tends to 0.
     """
-    if not (lambda1 > 0 and lambda2 > 0):
-        raise ValueError("scales must be positive")
+    if not (lambda1 > 0 and lambda2 > 0 and sensitivity >= 0):
+        raise ValueError("scales must be positive and sensitivity non-negative")
     if not (alpha > 1 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and > 1")
     if sensitivity == 0.0:
@@ -139,7 +139,7 @@ def iterated_laplace_bound(sensitivity: float, lambda1: float, lambda2: float,
         return _laplace_pair_log_bound(w, sensitivity, lambda1, lambda2, alpha)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = sorted((0.0, sensitivity))
+    a, b = 0.0, sensitivity
     wtol = 1e-10 * max(1.0, b - a)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -165,10 +165,8 @@ def pure_dp_iterated_laplace(sensitivity: float, lambda1: float,
     sensitivity / max(lambda1, lambda2) in the tails, and no smaller epsilon
     is achievable.
     """
-    if not (lambda1 > 0 and lambda2 > 0):
-        raise ValueError("scales must be positive")
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be non-negative")
+    if not (lambda1 > 0 and lambda2 > 0 and sensitivity >= 0):
+        raise ValueError("scales must be positive and sensitivity non-negative")
     return DpGuarantee(sensitivity / max(lambda1, lambda2), 0.0)
 
 

@@ -56,6 +56,10 @@ PAIR_BLOCK_ENTRIES = 2**16
 SINKHORN_ATOL = 1e-15
 SINKHORN_MAX_SWEEPS = 400
 
+# Greedy stacks of this many couplings on go in lockstep: a lockstep step costs about
+# as much as 20 line-pass moves (18 us of numpy calls against 1 us per move and coupling).
+GREEDY_LOCKSTEP_TRIALS = 32
+
 
 def _labeled_matrix(values, first_points, second_points, what: str) -> tuple:
     """Read-only float copy of ``values``, non-negative and shaped like the supports,
@@ -308,15 +312,6 @@ def eps_tilde(guarantee: DpGuarantee) -> float:
     return float(np.logaddexp(log_delta, eps + math.log(-math.expm1(-eps)))) - log_delta
 
 
-def _amplified_eps(eps: float, gamma: float) -> float:
-    # log(1 + gamma*(e^eps - 1)), stable for eps past the overflow point.
-    if gamma == 0.0:
-        return 0.0
-    if eps < 700.0:
-        return math.log1p(gamma * math.expm1(eps))
-    return eps + math.log(gamma + (1.0 - gamma) * math.exp(-eps))
-
-
 def amplify(guarantee: DpGuarantee, condition: str, gamma: float) -> DpGuarantee:
     """Guarantee of the post-processed mechanism under a mixing condition.
 
@@ -328,17 +323,22 @@ def amplify(guarantee: DpGuarantee, condition: str, gamma: float) -> DpGuarantee
         raise ValueError(f"unknown condition {condition!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    eps, delta = guarantee.epsilon, guarantee.delta
+    return DpGuarantee(*_amplify_step(guarantee.epsilon, guarantee.delta, condition, gamma))
+
+
+def _amplify_step(eps: float, delta: float, condition: str, gamma: float) -> tuple[float, float]:
+    """:func:`amplify`'s (eps', delta') of a valid (eps, delta), condition and gamma."""
     if condition in ("dobrushin", "eps_dobrushin"):
-        return DpGuarantee(eps, gamma * delta)
-    eps_prime = _amplified_eps(eps, gamma)
-    # beta = e^(eps' - eps) in closed form, immune to overflow.
+        return eps, gamma * delta
+    # beta = e^(eps' - eps) in closed form, immune to overflow; so past e^eps's
+    # overflow point eps' = log(1 + gamma*(e^eps - 1)) is eps + log(beta).
     beta = gamma + (1.0 - gamma) * math.exp(-eps)
+    eps_prime = 0.0 if gamma == 0.0 else math.log1p(gamma * math.expm1(eps)) if eps < 700.0 else eps + math.log(beta)
     if condition == "doeblin":
         delta_prime = gamma * (1.0 - beta * (1.0 - delta))
     else:
         delta_prime = gamma * delta * beta
-    return DpGuarantee(eps_prime, min(max(delta_prime, 0.0), 1.0))
+    return eps_prime, min(max(delta_prime, 0.0), 1.0)
 
 
 def amplify_with_kernel(
@@ -354,23 +354,26 @@ def amplify_with_kernel(
     gamma_doe, _ = doeblin_coeff(kernel)
     gamma_ultra = ultra_coeff(kernel)
     gammas_eps = eps_dobrushin_coeff(kernel, [eps_tilde(g) for g in guarantees])
-    return _amplified(guarantees, gamma_dob, gammas_eps, gamma_doe, gamma_ultra)
+    return [{cond: (gamma, DpGuarantee(eps, delta)) for cond, gamma, eps, delta in rows}
+            for rows in _amplified(guarantees, gamma_dob, gammas_eps, gamma_doe, gamma_ultra)]
 
 
 def _amplify_stack(r: np.ndarray, guarantees: Sequence[Sequence[DpGuarantee]]) -> list:
     """:func:`amplify_with_kernel` for each kernel ``r[w]`` of the ``(k, n, m)``
     stack and its guarantees ``guarantees[w]``, each coefficient measured on
-    the whole stack.  A kernel may repeat its first row to fill the n rows."""
+    the whole stack, as :func:`_amplified` floats.  A kernel may repeat its
+    first row to fill the n rows."""
     gammas_eps = _eps_dobrushin_coeffs(r, [[eps_tilde(g) for g in gs] for gs in guarantees])
     return list(map(_amplified, guarantees, _dobrushin_coeffs(r).tolist(), gammas_eps,
                     _doeblin_coeffs(r)[0].tolist(), _ultra_coeffs(r).tolist()))
 
 
 def _amplified(guarantees: Sequence[DpGuarantee], gamma_dob: float, gammas_eps: Sequence[float],
-               gamma_doe: float, gamma_ultra: float) -> list[dict[str, tuple[float, DpGuarantee]]]:
-    """Each guarantee amplified under the four conditions, eps-Dobrushin at its own gamma."""
-    return [{cond: (g, amplify(guarantee, cond, g))
-             for cond, g in zip(AMPLIFY_CONDITIONS, (gamma_dob, gamma_eps, gamma_doe, gamma_ultra))}
+               gamma_doe: float, gamma_ultra: float) -> list[list[tuple[str, float, float, float]]]:
+    """Each guarantee's ``(condition, gamma, eps', delta')`` under the four
+    conditions, eps-Dobrushin at its own gamma; measured gammas lie in [0, 1]."""
+    return [[(cond, g, *_amplify_step(guarantee.epsilon, guarantee.delta, cond, g))
+             for cond, g in zip(AMPLIFY_CONDITIONS, (gamma_dob, gamma_eps, gamma_doe, gamma_ultra))]
             for guarantee, gamma_eps in zip(guarantees, gammas_eps)]
 
 
@@ -456,19 +459,47 @@ def _independent_masses(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
-    """Northwest-corner coupling: match mass greedily in support order.  It is
-    W-infinity's line pass with every pair admissible."""
-    return _trusted(Coupling, mu.points, nu.points, _greedy_mass(mu.probs, nu.probs))
+    """Northwest-corner coupling: match mass greedily in support order; W-infinity's
+    line pass with every pair admissible, as a stack of one for :func:`_greedy_masses`."""
+    return _trusted(Coupling, mu.points, nu.points, _greedy_masses(mu.probs[None], nu.probs[None])[0])
 
 
-def _greedy_mass(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The mass matrix of :func:`greedy_coupling` between the masses ``p`` and ``q``."""
-    mass = np.zeros((len(p), len(q)))
-    moves, routed = _line_pass(np.ones(mass.shape, dtype=bool), p, q)
-    rows, cols, amounts = zip(*moves)
-    mass[list(rows), list(cols)] = amounts
-    # The moves run right or down only: routed adds the masses in row-major order.
-    return mass / routed
+def _greedy_masses(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`greedy_coupling` of each row of the ``(k, n)`` and ``(k, m)`` stacks ``p``
+    and ``q``: a line pass per row below ``GREEDY_LOCKSTEP_TRIALS`` rows, else in lockstep,
+    each step moving ``min(left, room[j])`` from row ``i`` to column ``j`` as the line pass
+    does, then going down where ``j`` keeps room or ``i`` is spent and right where ``j`` is
+    full.  A row of no mass takes steps of no mass, and may pass a full column as every
+    later row would, so the moves and their sum are the line pass's, in order."""
+    (k, n), m = p.shape, q.shape[1]
+    mass = np.zeros((k, n, m))
+    if k < GREEDY_LOCKSTEP_TRIALS:
+        for row_p, row_q, out in zip(p, q, mass):
+            moves, routed = _line_pass(np.ones((n, m), dtype=bool), row_p, row_q)
+            rows, cols, amounts = zip(*moves)
+            out[list(rows), list(cols)] = amounts
+            # The moves run right or down only: routed adds the masses in row-major order.
+            out /= routed
+        return mass
+    live, i, j = np.arange(k), np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp)
+    left, room, routed = p[:, 0].copy(), q.copy(), np.zeros(k)
+    while live.size:
+        have = room[live, j]
+        # Python's min(left, have): have where have < left, else left.
+        amount = np.where(have < left, have, left)
+        # A move of no mass (-0.0 included) leaves its cell 0.
+        mass[live, i, j] = np.where(amount > 0.0, amount, 0.0)
+        left -= amount
+        room[live, j] = have = have - amount
+        routed[live] += amount
+        full = ~(have > 0.0)
+        down = ~full | ~(left > 0.0)
+        i, j = i + down, j + full
+        keep = (i < n) & (j < m)
+        live, i, j = live[keep], i[keep], j[keep]
+        left = np.where(down[keep], p[live, i], left[keep])
+    mass /= routed[:, None, None]
+    return mass
 
 
 def _sinkhorn_stack(p: np.ndarray, q: np.ndarray, mass: np.ndarray) -> None:
@@ -524,7 +555,8 @@ def _pair_windows(shapes: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int
     grouped by summation class: ``{(width_n, width_m): indices}``, the widths
     those of :func:`_summation_width`.  A window holds at least one coupling,
     and at most ``PAIR_BLOCK_ENTRIES`` entries with each coupling counted at its
-    widths, so a class stack padded to its largest shape fits too."""
+    widths, so each of the transport suite's two class stacks (Sinkhorn's and the
+    greedy pass's), padded to the class's largest shape, fits too."""
     windows, entries = [{}], 0
     for i, (n, m) in enumerate(shapes):
         widths = _summation_width(n), _summation_width(m)

@@ -21,8 +21,8 @@ from ._rng import rng_from_seed, uniform_open
 from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, quadrature_domain
 from .divergences import DpGuarantee, _hockey_sticks, renyi_numeric_log
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
-from .mixing import (DiscreteKernel, _amplify_stack, _greedy_mass, _independent_masses, _marginals,
-                     _mixture_decomposes, _operator_rows, _pair_windows, _pushforward_stack,
+from .mixing import (AMPLIFY_CONDITIONS, DiscreteKernel, _amplify_stack, _greedy_masses, _independent_masses,
+                     _marginals, _mixture_decomposes, _operator_rows, _pair_windows, _pushforward_stack,
                      _sinkhorn_stack, _stream_exponentials)
 # Not called here: bench/tracing.py wraps these names where verify looks them up.
 from .diffusion import ou_sample  # noqa: F401
@@ -218,33 +218,26 @@ def certify_theorem1(draws: TrialDraws, eps_grid: Sequence[float]) -> list[Trial
         for t, law, row in zip(group, stack, deltas):
             laws[t] = law
             guarantees[t] = [DpGuarantee(eps, delta) for eps, delta in zip(eps_grid, row)]
-    amplified: list = [None] * trials
-    measured: list = [None] * trials
+    cases = {cond: f"theorem1_{cond}" for cond in AMPLIFY_CONDITIONS}
+    by_trial: list = [None] * trials
+    # Rows are built one group at a time: freed short tuples stay on the
+    # interpreter's free list (2000 per length), so only a group's are kept.
     for group, stack in kernels_by_ny.values():
-        for t, by_eps in zip(group, _amplify_stack(stack, [guarantees[t] for t in group])):
-            amplified[t] = by_eps
+        amplified = _amplify_stack(stack, [guarantees[t] for t in group])
         pushed = _pushforward_stack([(law, rows[:inst_sizes[t][0]]) for t, rows in zip(group, stack)
                                      for law in laws[t]]).reshape(len(group), 2, -1)
         # The post-processed divergence at each distinct eps' of a trial.
-        eps_primes = [list(dict.fromkeys(out.epsilon for by_cond in amplified[t]
-                                         for _, out in by_cond.values())) for t in group]
-        for t, values, post in zip(group, eps_primes, _hockey_sticks(pushed[:, 0], pushed[:, 1], eps_primes)):
-            measured[t] = dict(zip(values, post))
-    reports: list[TrialReport] = []
-    for t in range(trials):
-        nx, ny = inst_sizes[t]
-        for eps, guarantee, by_cond in zip(eps_grid, guarantees[t], amplified[t]):
-            desc = f"nx={nx},ny={ny},seed={inst_seeds[t]},eps={eps}"
-            for cond, (gamma, out) in by_cond.items():
-                reports.append(_report(
-                    t, f"theorem1_{cond}", desc,
-                    measured=measured[t][out.epsilon],
-                    bound=out.delta,
-                    tolerance=EXACT_TOL,
-                    delta_before=guarantee.delta,
-                    coefficient=gamma,
-                ))
-    return reports
+        eps_primes = [list(dict.fromkeys(eps for rows in by_eps for _, _, eps, _ in rows)) for by_eps in amplified]
+        posts = _hockey_sticks(pushed[:, 0], pushed[:, 1], eps_primes)
+        for t, by_eps, values, post in zip(group, amplified, eps_primes, posts):
+            measured = dict(zip(values, post))
+            nx, ny = inst_sizes[t]
+            reports = by_trial[t] = []
+            for eps, guarantee, rows in zip(eps_grid, guarantees[t], by_eps):
+                desc = f"nx={nx},ny={ny},seed={inst_seeds[t]},eps={eps}"
+                reports += [_report(t, cases[c], desc, measured[eps_p], delta_p, EXACT_TOL, guarantee.delta, gamma)
+                            for c, gamma, eps_p, delta_p in rows]
+    return [report for reports in by_trial for report in reports]
 
 
 def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
@@ -255,14 +248,16 @@ def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
     first ``2n`` give its pair (mu, nu), and all of them the start of its
     random coupling's Sinkhorn scaling, as :func:`random_joint_coupling` draws
     it.  Trials are cut into the windows of ``mixing._pair_windows`` (at most
-    ``PAIR_BLOCK_ENTRIES`` padded coupling entries each).  Sinkhorn runs once
-    per summation class in a window, on the stack of its trials padded with
-    zero atoms to the class's largest n, which changes no bit of a coupling;
-    each trial is then cut back to its n points, and every other step runs
-    once per support size in a window, on the stack of its trials.
+    ``PAIR_BLOCK_ENTRIES`` padded coupling entries each).  Sinkhorn and the
+    greedy pass (in lockstep from ``mixing.GREEDY_LOCKSTEP_TRIALS`` trials on)
+    run once per summation class in a window, on the stack of its trials
+    padded with zero atoms to the class's largest n, which changes no bit of a
+    coupling; each trial is then cut back to its n points, and every other
+    step runs once per support size in a window, on its trials' stack.
     ``random_joint_coupling``, ``transport_operator``, ``Coupling.marginals``,
     ``pushforward`` and ``mixture_decompose`` are the one-item calls of these
-    stacked steps, so each row is the one that the trial alone gives.
+    stacked steps, and the greedy pass gives each trial's ``greedy_coupling``,
+    so each row is the trial's alone.
     """
     ns = [nx for nx, _ in draws.shapes]
     eps_values = (uniform_open(rng_from_seed(draws.seed, 3), len(ns)) * 2.0).tolist()
@@ -273,6 +268,7 @@ def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
             laws, masses = _transport_draws(draws, group)
             # Sinkhorn scales each start matrix, in place, into its trial's random coupling.
             _sinkhorn_stack(laws[:, 0], laws[:, 1], masses)
+            greedy = _greedy_masses(laws[:, 0], laws[:, 1])
             # The other steps run per exact n: the pushforward is a BLAS product and the
             # independent coupling sums the flattened n * n block, so padding would change bits.
             by_n: dict[int, list[int]] = {}
@@ -283,7 +279,7 @@ def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
                 descs = [f"n={n},seed={draws.seeds[t]},eps={eps_values[t]!r}" for t in trials]
                 rows.update(zip(trials, _transport_stack_rows(
                     trials, descs, [eps_values[t] for t in trials], laws[picks, 0, :n], laws[picks, 1, :n],
-                    masses[picks, :n, :n])))
+                    greedy[picks, :n, :n], masses[picks, :n, :n])))
         reports += [report for t in sorted(rows) for report in rows[t]]
     return reports
 
@@ -305,11 +301,12 @@ def _transport_draws(draws: TrialDraws, trials: Sequence[int]) -> tuple[np.ndarr
 
 
 def _transport_stack_rows(trials: Sequence[int], descs: Sequence[str], eps: Sequence[float],
-                          p: np.ndarray, q: np.ndarray, random_masses: np.ndarray) -> list[list[TrialReport]]:
-    """The transport and decomposition rows of each trial ``trials[j]``: mu and
-    nu are ``p[j]`` and ``q[j]`` on the same points, ``eps[j]`` is its level
-    and ``random_masses[j]`` its random coupling."""
-    couplings = np.stack([_independent_masses(p, q), [_greedy_mass(a, b) for a, b in zip(p, q)], random_masses])
+                          p: np.ndarray, q: np.ndarray, greedy_masses: np.ndarray,
+                          random_masses: np.ndarray) -> list[list[TrialReport]]:
+    """The transport and decomposition rows of each trial ``trials[j]``: mu and nu are
+    ``p[j]`` and ``q[j]`` on the same points, ``eps[j]`` is its level, and its greedy
+    and random couplings are ``greedy_masses[j]`` and ``random_masses[j]``."""
+    couplings = np.stack([_independent_masses(p, q), greedy_masses, random_masses])
     pushed, seconds = _pushforwards(couplings)
     pushed_err, nu_err = np.abs(pushed - seconds).max(axis=2), np.abs(seconds - q).max(axis=2)
     # Python's max(a, b), NaN included: b where b > a, else a.

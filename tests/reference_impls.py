@@ -25,6 +25,7 @@ from amplify_dp.mixing import (
     SINKHORN_MAX_SWEEPS,
     Coupling,
     DiscreteKernel,
+    _greedy_masses,
     amplify_with_kernel,
     greedy_coupling,
     pushforward,
@@ -415,6 +416,26 @@ def greedy_coupling_pairs(mu: DiscreteDist, nu: DiscreteDist) -> DiscreteDist:
     return DiscreteDist(points, [x / total for x in probs])
 
 
+def amplify_closed_forms(eps: float, delta: float, condition: str, gamma: float) -> tuple[float, float]:
+    """``mixing.amplify``'s (eps', delta') as it computed them before its
+    arithmetic moved into ``mixing._amplify_step``, with the old helper's
+    three-branch eps' = log(1 + gamma*(e^eps - 1))."""
+    if condition in ("dobrushin", "eps_dobrushin"):
+        return eps, gamma * delta
+    if gamma == 0.0:
+        eps_prime = 0.0
+    elif eps < 700.0:
+        eps_prime = math.log1p(gamma * math.expm1(eps))
+    else:
+        eps_prime = eps + math.log(gamma + (1.0 - gamma) * math.exp(-eps))
+    beta = gamma + (1.0 - gamma) * math.exp(-eps)
+    if condition == "doeblin":
+        delta_prime = gamma * (1.0 - beta * (1.0 - delta))
+    else:
+        delta_prime = gamma * delta * beta
+    return eps_prime, min(max(delta_prime, 0.0), 1.0)
+
+
 def joint_as_matrix(pi: DiscreteDist) -> tuple[list, list, np.ndarray]:
     """Pair coupling back to a matrix, supports in order of first appearance."""
     xs: list = []
@@ -644,7 +665,8 @@ def certify_transport_per_trial(trials: int, sizes: tuple[int, int], seed: int) 
 def stacked_transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
                            pi_random: Coupling) -> list:
     """``verify._transport_stack_rows`` of one trial; ``mu`` and ``nu`` share their points."""
-    return _transport_stack_rows([t], [desc], [eps], mu.probs[None], nu.probs[None], pi_random.mass[None])[0]
+    p, q = mu.probs[None], nu.probs[None]
+    return _transport_stack_rows([t], [desc], [eps], p, q, _greedy_masses(p, q), pi_random.mass[None])[0]
 
 
 def transport_rows_per_trial(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,

@@ -183,9 +183,19 @@ UNIT_CHAIN = IterationChain(2, 1.0, 1.0, 1.0)
     (lambda: winf_contractive_bound(UNIT_CHAIN, math.nan, 2.0), "sensitivity"),
     (lambda: winf_contractive_bound(UNIT_CHAIN, -1.0, 2.0), "sensitivity"),
     (lambda: SgdConfig(n=5, C=1.0, beta=1.0, rho=1.0, eta=0.5, sigma=math.nan), "sigma"),
+    (lambda: iterated_gaussian_bound(1.0, 1.0, math.nan, 2.0), "sigma2"),
+    (lambda: iterated_gaussian_bound(math.nan, 1.0, 1.0, 2.0), "sensitivity"),
+    (lambda: iterated_gaussian_bound(-1.0, 1.0, 1.0, 2.0), "sensitivity"),
+    (lambda: lipschitz_kernel_bound(math.nan, 1.0, 1.0, 1.0, 2.0), "sensitivity"),
+    (lambda: lipschitz_kernel_bound(-1.0, 1.0, 1.0, 1.0, 2.0), "sensitivity"),
+    (lambda: iterated_laplace_bound(math.nan, 1.0, 1.0, 2.0), "sensitivity"),
+    (lambda: iterated_laplace_bound(-1.0, 1.0, 1.0, 2.0), "sensitivity"),
+    (lambda: pure_dp_iterated_laplace(math.nan, 1.0, 1.0), "sensitivity"),
 ], ids=["chain-nan-lipschitz-and-delta0", "chain-nan-lipschitz-entry", "chain-nan-delta0",
         "path-nan-increment", "contractive-nan-sensitivity", "contractive-negative-sensitivity",
-        "sgd-nan-sigma"])
+        "sgd-nan-sigma", "gaussian-nan-sigma2", "gaussian-nan-sensitivity", "gaussian-negative-sensitivity",
+        "lipschitz-nan-sensitivity", "lipschitz-negative-sensitivity", "laplace-nan-sensitivity",
+        "laplace-negative-sensitivity", "pure-laplace-nan-sensitivity"])
 def test_nan_and_negative_inputs_rejected(call, match):
     # A NaN fails every check (none is written as `x < 0`), so it is a
     # ValueError here and not an ArithmeticError in a bound later.

@@ -44,6 +44,7 @@ from amplify_dp.mixing import (
     ultra_coeff,
 )
 from reference_impls import (
+    amplify_closed_forms,
     coupling_marginals_by_sum,
     eps_dobrushin_coeff_pairs,
     greedy_coupling_pairs,
@@ -89,6 +90,19 @@ def test_hockey_stick_forms_agree(pair, eps):
 def test_hockey_stick_monotone(pair, eps, bump):
     mu, nu = map(normalize, pair)
     assert hockey_stick(mu, nu, eps + bump) <= hockey_stick(mu, nu, eps) + 1e-12
+
+
+@pytest.mark.parametrize("condition", AMPLIFY_CONDITIONS)
+def test_amplify_step_equals_amplify(condition):
+    # The private float step that theorem1 calls per row, the public amplify
+    # and the closed forms as amplify wrote them out give the same bits.
+    for gamma in (0.0, 0.3, 1.0):
+        for eps in (0.0, 1.0, 699.0, 701.0, 1e3):
+            for delta in (0.0, 0.5, 1.0):
+                out = amplify(DpGuarantee(eps, delta), condition, gamma)
+                step = mixing._amplify_step(eps, delta, condition, gamma)
+                want = amplify_closed_forms(eps, delta, condition, gamma)
+                assert [x.hex() for x in step] == [out.epsilon.hex(), out.delta.hex()] == [x.hex() for x in want]
 
 
 @settings(max_examples=50, deadline=None)
@@ -513,6 +527,13 @@ def csv_rows(draw):
 @example([])
 @example([[math.nan, -0.0], [math.inf, 5e-324], [-math.inf, 0.0]])
 @example([[1.0, np.float64(1.0)], [True, 'a,"b"\nc']])
+# More rows than one rendered block: signed zeros, NaNs of both signs, a tiny
+# value and repeats in one float column; float and np.float64 mixed in one
+# column, and in another only past the first block.
+@example([[[0.0, -0.0, math.nan, -math.nan, 1e-12, 1e-12, -0.0][i % 7],
+           (float if i % 3 else np.float64)(i % 5 / 3),
+           float(i % 11) if i < cli.CSV_BLOCK_ROWS else np.float64(i % 11), f"d,{i % 4}"]
+          for i in range(cli.CSV_BLOCK_ROWS + 77)])
 def test_render_csv_matches_per_cell_reference(rows):
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
     assert cli._render_csv("verify", {}, None, header, rows, []) == render_per_cell(header, rows)
@@ -533,6 +554,53 @@ EDGE_MASS = st.one_of(st.just(0.0), st.sampled_from(SUBNORMALS), st.floats(1e-3,
 
 def edge_weights(n):
     return st.lists(EDGE_MASS, min_size=n, max_size=n).filter(lambda w: sum(w) > 0.0)
+
+
+@st.composite
+def greedy_class_stacks(draw):
+    """Pairs of mass vectors for one lockstep greedy pass: their lengths n and
+    m each of one summation class (1 to 7 or 8 to 15), masses with zeros and
+    subnormals, normalized."""
+    n_class, m_class = draw(st.sampled_from([(1, 7), (8, 15)])), draw(st.sampled_from([(1, 7), (8, 15)]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n, m = draw(st.integers(*n_class)), draw(st.integers(*m_class))
+        pairs.append(tuple(np.asarray(w) / np.sum(w) for w in (draw(edge_weights(n)), draw(edge_weights(m)))))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_class_stacks())
+@example([(np.array([1.0]), np.array([1.0])), (np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0]))])
+@example([(np.array([0.5, 5e-324, 0.5 - 5e-324]), np.array([5e-324, 1.0 - 5e-324])),
+          (np.array([0.25, 0.0, 0.75, 0.0]), np.array([0.0, 0.75, 0.25]))])
+# A -0.0 atom: the move of no mass to it must leave its cell +0.0.
+@example([(np.array([0.5, 0.5]), np.array([0.5, -0.0, 0.5]))])
+# The last row keeps a rounding leftover once every column is full.
+@example([(np.array([0.5, 0.5 + 2**-53]), np.array([1.0])), (np.array([0.3, 0.7]), np.array([0.6, 0.4]))])
+def test_greedy_stack_equals_line_pass_and_northwest_corner_loop(pairs):
+    # The pass on the zero-padded stack gives, for each pair, the masses of the
+    # all-admissible line pass and of the northwest-corner loop, == entry by
+    # entry, and leaves the padding 0: in lockstep on the pairs repeated up to
+    # GREEDY_LOCKSTEP_TRIALS rows, and one line pass per row on the pairs alone.
+    n, m = max(p.size for p, _ in pairs), max(q.size for _, q in pairs)
+    p_stack, q_stack = np.zeros((len(pairs), n)), np.zeros((len(pairs), m))
+    for k, (p, q) in enumerate(pairs):
+        p_stack[k, :p.size], q_stack[k, :q.size] = p, q
+    lockstep = mixing._greedy_masses(*(np.resize(s, (mixing.GREEDY_LOCKSTEP_TRIALS, s.shape[1]))
+                                       for s in (p_stack, q_stack)))
+    for mass in (lockstep, mixing._greedy_masses(p_stack, q_stack)):
+        for k, (p, q) in enumerate(pairs):
+            mu = DiscreteDist([f"x{i}" for i in range(p.size)], p)
+            nu = DiscreteDist([f"y{j}" for j in range(q.size)], q)
+            ref, expected = greedy_coupling_pairs(mu, nu), np.zeros((p.size, q.size))
+            for (x, y), prob in zip(ref.points, ref.probs):
+                expected[mu.points.index(x), nu.points.index(y)] = prob
+            got = mass[k, :p.size, :q.size]
+            assert got.tobytes() == greedy_coupling(mu, nu).mass.tobytes() == expected.tobytes()
+            assert not mass[k, p.size:].any() and not mass[k, :, q.size:].any()
+    # Each repeat of a pair in the lockstep stack is that pair's coupling.
+    assert lockstep.tobytes() == np.resize(lockstep[:len(pairs)], lockstep.shape).tobytes()
 
 
 @st.composite
