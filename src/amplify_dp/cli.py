@@ -198,19 +198,21 @@ def cmd_divergence(config: dict, seed) -> tuple[list[str], list[list], list[str]
     mu = _dist_from_config(config["mu"], "mu")
     nu = _dist_from_config(config["nu"], "nu")
     if kind == "hockey_stick":
+        _require_keys(config, ["kind", "mu", "nu"], ["eps"])
         eps = _number(config, "eps", lo=0.0) if "eps" in config else 0.0
         value, param = hockey_stick(mu, nu, eps), eps
     elif kind == "renyi":
-        if "alpha" not in config:
-            raise ValidationFailure("alpha", "missing required key")
+        _require_keys(config, ["kind", "mu", "nu", "alpha"])
         alpha = _number(config, "alpha")
         try:
             value, param = renyi_discrete(mu, nu, alpha), alpha
         except ValueError as exc:
             raise ValidationFailure("alpha", str(exc)) from exc
     elif kind == "tv":
+        _require_keys(config, ["kind", "mu", "nu"])
         value, param = tv(mu, nu), 0.0
     elif kind == "w_inf":
+        _require_keys(config, ["kind", "mu", "nu"])
         try:
             mu.coords()
         except ValueError as exc:

@@ -307,36 +307,50 @@ def _start_threshold(dist: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return start
 
 
-def _line_pass(within: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[list, float]:
-    """Greedy transport on the line along the pairs that ``within`` admits.
+def _line_passes(p: list, q: list, first: list, stop: list) -> tuple[np.ndarray, list]:
+    """Greedy transport on the line for each pair ``(p[k], q[k])`` of a stack of
+    mass lists, source ``i`` moving mass to the targets ``first[i] <= j < stop[i]``.
 
-    Sources and targets are in increasing coordinate order, so each source's
-    admissible targets form an interval whose two ends never decrease.  Each
-    source fills the leftmost targets that still have room; a target it
-    passes is full or out of reach of every later source, which makes the
-    routed mass maximal.  With every pair admissible it is the northwest-corner
-    rule.  Returns the ``(i, j, amount)`` moves, in order, and the mass routed.
+    Sources and targets are in increasing coordinate order, so the two ends of
+    each source's interval never decrease.  Each source fills the leftmost
+    targets that still have room; a target it passes is full or out of reach
+    of every later source, which makes the routed mass maximal.  With every
+    pair admissible it is the northwest-corner rule.  Returns the ``(k, n, m)``
+    masses moved, at most one move per cell, and the mass routed per pair,
+    summed in the order of the moves, which is row-major.
     """
-    m = within.shape[1]
-    reaches = within.any(axis=1).tolist()
-    first = within.argmax(axis=1).tolist()
-    stop = (m - within[:, ::-1].argmax(axis=1)).tolist()
-    room, moves, routed, j = q.tolist(), [], 0.0, 0
-    for i, left in enumerate(p.tolist()):
-        if not (reaches[i] and left > 0.0):
-            continue
-        j = max(j, first[i])
-        while left > 0.0 and j < stop[i]:
-            amount = min(left, room[j])
-            if amount > 0.0:
-                moves.append((i, j, amount))
-                left -= amount
-                room[j] -= amount
-                routed += amount
-            if room[j] > 0.0:
-                break
-            j += 1
-    return moves, routed
+    n, m = len(first), len(q[0])
+    moved = np.zeros((len(p), n, m))
+    # Each move is written through a flat float64 view of ``moved``, which costs
+    # less than collecting the moves in lists and scattering them afterwards.
+    cells, routes, base = memoryview(moved).cast("B").cast("d"), [], -m
+    for row_p, row_q in zip(p, q):
+        room, routed, j = list(row_q), 0.0, 0
+        for lo, hi, left in zip(first, stop, row_p):
+            base += m
+            if not left > 0.0:
+                continue
+            if j < lo:
+                j = lo
+            while j < hi:
+                have = room[j]
+                # The move is min(left, have).  Where it is have, the target
+                # fills and is never reached again, and left stays positive.
+                if have < left:
+                    if have > 0.0:
+                        cells[base + j] = have
+                        left -= have
+                        routed += have
+                    j += 1
+                else:
+                    cells[base + j] = left
+                    routed += left
+                    room[j] = have = have - left
+                    if not have > 0.0:
+                        j += 1
+                    break
+        routes.append(routed)
+    return moved, routes
 
 
 def _w_inf_line(x: np.ndarray, y: np.ndarray, dist: np.ndarray, p: np.ndarray,
@@ -344,26 +358,28 @@ def _w_inf_line(x: np.ndarray, y: np.ndarray, dist: np.ndarray, p: np.ndarray,
     """Bottleneck transport on the line by binary search over the distances.
 
     The candidate thresholds are the distinct entries of ``dist`` from
-    ``start`` up, and each is decided by one :func:`_line_pass` under the
+    ``start`` up, and each is decided by one :func:`_line_passes` under the
     search's stopping rule, so the value is the smallest candidate at which
     the routed mass is within ``FLOW_ATOL`` of ``total``.
     """
     ox, oy = np.argsort(x), np.argsort(y)
-    ordered, p, q = dist[np.ix_(ox, oy)], p[ox], q[oy]
+    ordered, p, q = dist[np.ix_(ox, oy)], [p[ox].tolist()], [q[oy].tolist()]
     thresholds = np.unique(dist[dist >= start])
     lo, hi, best = 0, len(thresholds) - 1, None
     while lo <= hi:
         mid = (lo + hi) // 2
-        moves, routed = _line_pass(ordered <= thresholds[mid], p, q)
+        within = ordered <= thresholds[mid]
+        # A source with no target in reach gets the empty interval [0, 0).
+        stop = np.where(within.any(axis=1), len(oy) - within[:, ::-1].argmax(axis=1), 0)
+        moved, (routed,) = _line_passes(p, q, within.argmax(axis=1).tolist(), stop.tolist())
         if total - routed <= FLOW_ATOL:
-            best, hi = (thresholds[mid], moves), mid - 1
+            best, hi = (thresholds[mid], moved[0]), mid - 1
         else:
             lo = mid + 1
     if best is None:
         raise RuntimeError("transport infeasible at the maximal distance")
-    rows, cols, amounts = zip(*best[1])
     flow = np.zeros_like(dist)
-    flow[ox[list(rows)], oy[list(cols)]] = amounts
+    flow[np.ix_(ox, oy)] = best[1]
     return float(best[0]), flow
 
 

@@ -17,7 +17,7 @@ from .divergences import (
     EXP_ARG_MAX,
     DpGuarantee,
     _exp_times_stack,
-    _line_pass,
+    _line_passes,
     _padded,
     aligned_masses,
 )
@@ -55,10 +55,6 @@ PAIR_BLOCK_ENTRIES = 2**16
 # (the columns are exact after each sweep), or after SINKHORN_MAX_SWEEPS.
 SINKHORN_ATOL = 1e-15
 SINKHORN_MAX_SWEEPS = 400
-
-# Greedy stacks of this many couplings on go in lockstep: a lockstep step costs about
-# as much as 20 line-pass moves (18 us of numpy calls against 1 us per move and coupling).
-GREEDY_LOCKSTEP_TRIALS = 32
 
 
 def _labeled_matrix(values, first_points, second_points, what: str) -> tuple:
@@ -459,46 +455,19 @@ def _independent_masses(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def greedy_coupling(mu: DiscreteDist, nu: DiscreteDist) -> Coupling:
-    """Northwest-corner coupling: match mass greedily in support order; W-infinity's
-    line pass with every pair admissible, as a stack of one for :func:`_greedy_masses`."""
+    """Northwest-corner coupling: match mass greedily in support order.  It is
+    the one-pair call of :func:`_greedy_masses`, W-infinity's line pass
+    (``divergences._line_passes``) with every pair admissible."""
     return _trusted(Coupling, mu.points, nu.points, _greedy_masses(mu.probs[None], nu.probs[None])[0])
 
 
 def _greedy_masses(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`greedy_coupling` of each row of the ``(k, n)`` and ``(k, m)`` stacks ``p``
-    and ``q``: a line pass per row below ``GREEDY_LOCKSTEP_TRIALS`` rows, else in lockstep,
-    each step moving ``min(left, room[j])`` from row ``i`` to column ``j`` as the line pass
-    does, then going down where ``j`` keeps room or ``i`` is spent and right where ``j`` is
-    full.  A row of no mass takes steps of no mass, and may pass a full column as every
-    later row would, so the moves and their sum are the line pass's, in order."""
-    (k, n), m = p.shape, q.shape[1]
-    mass = np.zeros((k, n, m))
-    if k < GREEDY_LOCKSTEP_TRIALS:
-        for row_p, row_q, out in zip(p, q, mass):
-            moves, routed = _line_pass(np.ones((n, m), dtype=bool), row_p, row_q)
-            rows, cols, amounts = zip(*moves)
-            out[list(rows), list(cols)] = amounts
-            # The moves run right or down only: routed adds the masses in row-major order.
-            out /= routed
-        return mass
-    live, i, j = np.arange(k), np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp)
-    left, room, routed = p[:, 0].copy(), q.copy(), np.zeros(k)
-    while live.size:
-        have = room[live, j]
-        # Python's min(left, have): have where have < left, else left.
-        amount = np.where(have < left, have, left)
-        # A move of no mass (-0.0 included) leaves its cell 0.
-        mass[live, i, j] = np.where(amount > 0.0, amount, 0.0)
-        left -= amount
-        room[live, j] = have = have - amount
-        routed[live] += amount
-        full = ~(have > 0.0)
-        down = ~full | ~(left > 0.0)
-        i, j = i + down, j + full
-        keep = (i < n) & (j < m)
-        live, i, j = live[keep], i[keep], j[keep]
-        left = np.where(down[keep], p[live, i], left[keep])
-    mass /= routed[:, None, None]
+    and ``q``: one line pass over the stack with every pair admissible, each
+    coupling divided by the mass it routed."""
+    n, m = p.shape[1], q.shape[1]
+    mass, routed = _line_passes(p.tolist(), q.tolist(), [0] * n, [m] * n)
+    mass /= np.array(routed)[:, None, None]
     return mass
 
 
@@ -555,8 +524,7 @@ def _pair_windows(shapes: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int
     grouped by summation class: ``{(width_n, width_m): indices}``, the widths
     those of :func:`_summation_width`.  A window holds at least one coupling,
     and at most ``PAIR_BLOCK_ENTRIES`` entries with each coupling counted at its
-    widths, so each of the transport suite's two class stacks (Sinkhorn's and the
-    greedy pass's), padded to the class's largest shape, fits too."""
+    widths, so a class stack padded to its largest shape fits too."""
     windows, entries = [{}], 0
     for i, (n, m) in enumerate(shapes):
         widths = _summation_width(n), _summation_width(m)

@@ -248,16 +248,15 @@ def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
     first ``2n`` give its pair (mu, nu), and all of them the start of its
     random coupling's Sinkhorn scaling, as :func:`random_joint_coupling` draws
     it.  Trials are cut into the windows of ``mixing._pair_windows`` (at most
-    ``PAIR_BLOCK_ENTRIES`` padded coupling entries each).  Sinkhorn and the
-    greedy pass (in lockstep from ``mixing.GREEDY_LOCKSTEP_TRIALS`` trials on)
-    run once per summation class in a window, on the stack of its trials
-    padded with zero atoms to the class's largest n, which changes no bit of a
-    coupling; each trial is then cut back to its n points, and every other
-    step runs once per support size in a window, on its trials' stack.
-    ``random_joint_coupling``, ``transport_operator``, ``Coupling.marginals``,
-    ``pushforward`` and ``mixture_decompose`` are the one-item calls of these
-    stacked steps, and the greedy pass gives each trial's ``greedy_coupling``,
-    so each row is the trial's alone.
+    ``PAIR_BLOCK_ENTRIES`` padded coupling entries each).  Sinkhorn runs once
+    per summation class in a window, on the stack of its trials padded with
+    zero atoms to the class's largest n, which changes no bit of a coupling;
+    each trial is then cut back to its n points, and every other step, the
+    greedy pass included, runs once per support size in a window, on the stack
+    of its trials.  ``random_joint_coupling``, ``greedy_coupling``,
+    ``transport_operator``, ``Coupling.marginals``, ``pushforward`` and
+    ``mixture_decompose`` are the one-item calls of these stacked steps, so
+    each row is the one that the trial alone gives.
     """
     ns = [nx for nx, _ in draws.shapes]
     eps_values = (uniform_open(rng_from_seed(draws.seed, 3), len(ns)) * 2.0).tolist()
@@ -268,7 +267,6 @@ def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
             laws, masses = _transport_draws(draws, group)
             # Sinkhorn scales each start matrix, in place, into its trial's random coupling.
             _sinkhorn_stack(laws[:, 0], laws[:, 1], masses)
-            greedy = _greedy_masses(laws[:, 0], laws[:, 1])
             # The other steps run per exact n: the pushforward is a BLAS product and the
             # independent coupling sums the flattened n * n block, so padding would change bits.
             by_n: dict[int, list[int]] = {}
@@ -279,7 +277,7 @@ def certify_transport_and_decompose(draws: TrialDraws) -> list[TrialReport]:
                 descs = [f"n={n},seed={draws.seeds[t]},eps={eps_values[t]!r}" for t in trials]
                 rows.update(zip(trials, _transport_stack_rows(
                     trials, descs, [eps_values[t] for t in trials], laws[picks, 0, :n], laws[picks, 1, :n],
-                    greedy[picks, :n, :n], masses[picks, :n, :n])))
+                    masses[picks, :n, :n])))
         reports += [report for t in sorted(rows) for report in rows[t]]
     return reports
 
@@ -301,12 +299,11 @@ def _transport_draws(draws: TrialDraws, trials: Sequence[int]) -> tuple[np.ndarr
 
 
 def _transport_stack_rows(trials: Sequence[int], descs: Sequence[str], eps: Sequence[float],
-                          p: np.ndarray, q: np.ndarray, greedy_masses: np.ndarray,
-                          random_masses: np.ndarray) -> list[list[TrialReport]]:
+                          p: np.ndarray, q: np.ndarray, random_masses: np.ndarray) -> list[list[TrialReport]]:
     """The transport and decomposition rows of each trial ``trials[j]``: mu and nu are
-    ``p[j]`` and ``q[j]`` on the same points, ``eps[j]`` is its level, and its greedy
-    and random couplings are ``greedy_masses[j]`` and ``random_masses[j]``."""
-    couplings = np.stack([_independent_masses(p, q), greedy_masses, random_masses])
+    ``p[j]`` and ``q[j]`` on the same points, ``eps[j]`` is its level, and its random
+    coupling is ``random_masses[j]``."""
+    couplings = np.stack([_independent_masses(p, q), _greedy_masses(p, q), random_masses])
     pushed, seconds = _pushforwards(couplings)
     pushed_err, nu_err = np.abs(pushed - seconds).max(axis=2), np.abs(seconds - q).max(axis=2)
     # Python's max(a, b), NaN included: b where b > a, else a.

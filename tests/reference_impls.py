@@ -25,9 +25,7 @@ from amplify_dp.mixing import (
     SINKHORN_MAX_SWEEPS,
     Coupling,
     DiscreteKernel,
-    _greedy_masses,
     amplify_with_kernel,
-    greedy_coupling,
     pushforward,
     random_joint_coupling,
 )
@@ -416,6 +414,48 @@ def greedy_coupling_pairs(mu: DiscreteDist, nu: DiscreteDist) -> DiscreteDist:
     return DiscreteDist(points, [x / total for x in probs])
 
 
+def northwest_corner_mass(mu: DiscreteDist, nu: DiscreteDist) -> np.ndarray:
+    """:func:`greedy_coupling_pairs` as a mass matrix on the supports of ``mu`` and ``nu``."""
+    pairs, mass = greedy_coupling_pairs(mu, nu), np.zeros((len(mu.points), len(nu.points)))
+    for (x, y), prob in zip(pairs.points, pairs.probs):
+        mass[mu.points.index(x), nu.points.index(y)] = prob
+    return mass
+
+
+def line_pass(within: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[list, float]:
+    """Greedy transport on the line along the pairs that ``within`` admits,
+    one pair of mass vectors at a time, as W-infinity's search decided each
+    threshold before the pass ran on stacks of mass lists.
+
+    Sources and targets are in increasing coordinate order, so each source's
+    admissible targets form an interval whose two ends never decrease.  Each
+    source fills the leftmost targets that still have room; a target it
+    passes is full or out of reach of every later source, which makes the
+    routed mass maximal.  With every pair admissible it is the northwest-corner
+    rule.  Returns the ``(i, j, amount)`` moves, in order, and the mass routed.
+    """
+    m = within.shape[1]
+    reaches = within.any(axis=1).tolist()
+    first = within.argmax(axis=1).tolist()
+    stop = (m - within[:, ::-1].argmax(axis=1)).tolist()
+    room, moves, routed, j = q.tolist(), [], 0.0, 0
+    for i, left in enumerate(p.tolist()):
+        if not (reaches[i] and left > 0.0):
+            continue
+        j = max(j, first[i])
+        while left > 0.0 and j < stop[i]:
+            amount = min(left, room[j])
+            if amount > 0.0:
+                moves.append((i, j, amount))
+                left -= amount
+                room[j] -= amount
+                routed += amount
+            if room[j] > 0.0:
+                break
+            j += 1
+    return moves, routed
+
+
 def amplify_closed_forms(eps: float, delta: float, condition: str, gamma: float) -> tuple[float, float]:
     """``mixing.amplify``'s (eps', delta') as it computed them before its
     arithmetic moved into ``mixing._amplify_step``, with the old helper's
@@ -665,23 +705,23 @@ def certify_transport_per_trial(trials: int, sizes: tuple[int, int], seed: int) 
 def stacked_transport_rows(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
                            pi_random: Coupling) -> list:
     """``verify._transport_stack_rows`` of one trial; ``mu`` and ``nu`` share their points."""
-    p, q = mu.probs[None], nu.probs[None]
-    return _transport_stack_rows([t], [desc], [eps], p, q, _greedy_masses(p, q), pi_random.mass[None])[0]
+    return _transport_stack_rows([t], [desc], [eps], mu.probs[None], nu.probs[None], pi_random.mass[None])[0]
 
 
 def transport_rows_per_trial(t: int, desc: str, eps: float, mu: DiscreteDist, nu: DiscreteDist,
                              pi_random: Coupling) -> list:
     """The transport suite's rows of one trial as they were before they ran on
     stacks, with every coupling formula written out here: the independent
-    coupling, the transport operator (rows over their sums, rows of no mass
-    dropped), the marginals (cumulative sums), the pushforward (one product,
-    normalized) and the decomposition as they were before they had stacked
-    forms, so that nothing is shared with the stacked path."""
+    coupling, the greedy coupling (the northwest-corner loop), the transport
+    operator (rows over their sums, rows of no mass dropped), the marginals
+    (cumulative sums), the pushforward (one product, normalized) and the
+    decomposition as they were before they had stacked forms, so that nothing
+    is shared with the stacked path."""
     reports = []
     product = np.outer(mu.probs, nu.probs)
     couplings = {
         "independent": product / product.sum(),
-        "greedy": greedy_coupling(mu, nu).mass,
+        "greedy": northwest_corner_mass(mu, nu),
         "random_joint": pi_random.mass,
     }
     for name, mass in couplings.items():

@@ -430,6 +430,17 @@ class TestDivergenceCommand:
         assert (code, out) == (2, "")
         assert err == "error: mu: coordinate points must all have the same dimension\n"
 
+    @pytest.mark.parametrize("kind,key", [("tv", "eps"), ("renyi", "eps"), ("w_inf", "eps"),
+                                          ("hockey_stick", "alpha"), ("tv", "alpha"), ("w_inf", "alpha")])
+    def test_parameter_the_kind_does_not_read_exit_2(self, tmp_path, capsys, kind, key):
+        # Only hockey_stick reads eps and only renyi reads alpha.
+        laws = {"mu": {"points": [[0.0], [1.0]], "probs": [0.5, 0.5]},
+                "nu": {"points": [[0.0], [1.0]], "probs": [0.9, 0.1]}}
+        params = {"alpha": 2.0} if kind == "renyi" else {}
+        cfg = write_config(tmp_path, {"kind": kind, **laws, **params, key: 0.5})
+        code, out, err = run_cli(["divergence", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", f"error: {key}: unknown config key\n")
+
     def test_min_form_is_no_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "hockey_stick_via_min",

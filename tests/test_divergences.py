@@ -22,6 +22,7 @@ from amplify_dp.divergences import (
     DpGuarantee,
     _distances,
     _hockey_sticks,
+    _line_passes,
     _logsumexp,
     RdpPoint,
     hockey_stick,
@@ -38,6 +39,7 @@ from amplify_dp.mixing import DiscreteKernel, eps_dobrushin_coeff, mixture_decom
 from reference_impls import (
     hockey_stick_scalar,
     hockey_stick_via_min,
+    line_pass,
     renyi_gaussian,
     renyi_numeric_1d_scalar,
     w_inf_bfs_search,
@@ -797,7 +799,7 @@ def w_inf_laws(draw, d, n):
 
 @st.composite
 def w_inf_pairs(draw):
-    d, n = draw(st.integers(2, 3)), draw(st.sampled_from([1, 4, 12]))
+    d, n = draw(st.integers(1, 3)), draw(st.sampled_from([1, 4, 12]))
     mu = draw(w_inf_laws(d, n))
     return mu, mu if draw(st.booleans()) and n > 1 else draw(w_inf_laws(d, n))
 
@@ -808,9 +810,10 @@ def w_inf_pairs(draw):
 @example((coord_dist([[0.0, 0.0], [1.0, 0.0], [50.0, 0.0]], [0.5, 0.5 - 3e-13, 3e-13]),
           coord_dist([[0.0, 1.0], [1.0, 1.0]], [0.3, 0.7])))
 def test_w_inf_phases_equal_numpy_searches(pair):
-    # The blocking-flow phases give the value of the one-path-per-BFS search
-    # they replaced and of the search that restarted after every raise, and a
-    # witness whose marginals are right and whose largest move is the value.
+    # The search (the line pass on the line, blocking-flow phases above) gives
+    # the value of the one-path-per-BFS search and of the search that restarted
+    # after every raise, and a witness whose marginals are right and whose
+    # largest move is the value.
     mu, nu = pair
     w, pi = w_inf_optimal_coupling(mu, nu)
     assert w == w_inf_discrete(mu, nu) == w_inf_bfs_search(mu, nu)[0] == w_inf_restart_search(mu, nu)[0]
@@ -821,6 +824,54 @@ def test_w_inf_phases_equal_numpy_searches(pair):
     assert np.abs(np.array(list(first.values())) - mu.probs).max() <= 1e-12
     assert np.abs(np.array(list(second.values())) - nu.probs).max() <= 1e-12
     assert max(_distances(np.array([a]), np.array([b]))[0, 0] for a, b in pi.points) == w
+
+
+LINE_MASS = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from([5e-324, 1e-310, 2.2e-308]),
+                      st.floats(1e-3, 1.0))
+
+
+@st.composite
+def line_pass_instances(draw):
+    """Sorted sources and targets on the line (lattice points, so ties, or
+    floats), the pairs within a threshold drawn among their distances, and one
+    to three rows of masses on each side with zeros, -0.0 and subnormals."""
+    coords = st.integers(0, 6).map(float) if draw(st.booleans()) else st.floats(-4.0, 4.0)
+    x, y = (np.sort(draw(st.lists(coords, min_size=1, max_size=8))) for _ in "xy")
+    dist = np.abs(x[:, None] - y[None, :])
+    within = dist <= draw(st.sampled_from(sorted(set(dist.ravel().tolist()))))
+    k = draw(st.integers(1, 3))
+    p, q = (draw(st.lists(st.lists(LINE_MASS, min_size=size, max_size=size), min_size=k, max_size=k))
+            for size in within.shape)
+    return within, p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_pass_instances())
+@example((np.array([[True, True, False], [False, True, True]]),
+          [[0.5, 0.5], [5e-324, 1.0]], [[-0.0, 0.5, 0.5], [1.0, 0.0, 5e-324]]))
+@example((np.array([[False, False], [True, False], [False, True]]),
+          [[0.25, 0.5, 0.25]], [[0.5, 0.5]]))
+def test_line_passes_equal_per_pair_line_pass(instance):
+    # The stacked pass makes, for each pair of mass rows, the moves of the
+    # per-pair line pass it replaced, bit for bit, and routes the same mass,
+    # summed in the same order.
+    within, p, q = instance
+    n, m = within.shape
+    first, stop = [0] * n, [0] * n
+    for i, row in enumerate(within.tolist()):
+        if any(row):
+            first[i], stop[i] = row.index(True), m - row[::-1].index(True)
+    moved, routed = _line_passes(p, q, first, stop)
+    assert moved.shape == (len(p), n, m)
+    for k, (row_p, row_q) in enumerate(zip(p, q)):
+        ref_moves, ref_routed = line_pass(within, np.array(row_p), np.array(row_q))
+        # The moves run in row-major order, at most one per cell, and every other cell is +0.0.
+        expected = np.zeros((n, m))
+        for i, j, amount in ref_moves:
+            expected[i, j] = amount
+        assert moved[k].tobytes() == expected.tobytes()
+        assert len(ref_moves) == np.count_nonzero(expected)
+        assert routed[k].hex() == ref_routed.hex()
 
 
 def test_import_does_not_load_scipy():

@@ -47,10 +47,10 @@ from reference_impls import (
     amplify_closed_forms,
     coupling_marginals_by_sum,
     eps_dobrushin_coeff_pairs,
-    greedy_coupling_pairs,
     hockey_stick_scalar,
     hockey_stick_via_min,
     mixture_decompose_per_pair,
+    northwest_corner_mass,
     random_joint_coupling_per_pair,
     render_rows_per_cell,
     sinkhorn_per_pair,
@@ -345,12 +345,9 @@ def test_greedy_coupling_equals_northwest_corner_loop(pair):
     # The line pass with every pair admissible gives the masses of the
     # northwest-corner loop it replaced, == entry by entry, zeros included.
     mu, nu = pair
-    pi, ref = greedy_coupling(mu, nu), greedy_coupling_pairs(mu, nu)
-    expected = np.zeros((len(mu.points), len(nu.points)))
-    for (x, y), prob in zip(ref.points, ref.probs):
-        expected[mu.points.index(x), nu.points.index(y)] = prob
+    pi = greedy_coupling(mu, nu)
     assert (pi.first_points, pi.second_points) == (mu.points, nu.points)
-    assert pi.mass.tobytes() == expected.tobytes()
+    assert pi.mass.tobytes() == northwest_corner_mass(mu, nu).tobytes()
 
 
 def test_sinkhorn_stack_freezes_converged_trials():
@@ -558,7 +555,7 @@ def edge_weights(n):
 
 @st.composite
 def greedy_class_stacks(draw):
-    """Pairs of mass vectors for one lockstep greedy pass: their lengths n and
+    """Pairs of mass vectors for one stacked greedy pass: their lengths n and
     m each of one summation class (1 to 7 or 8 to 15), masses with zeros and
     subnormals, normalized."""
     n_class, m_class = draw(st.sampled_from([(1, 7), (8, 15)])), draw(st.sampled_from([(1, 7), (8, 15)]))
@@ -581,26 +578,18 @@ def greedy_class_stacks(draw):
 def test_greedy_stack_equals_line_pass_and_northwest_corner_loop(pairs):
     # The pass on the zero-padded stack gives, for each pair, the masses of the
     # all-admissible line pass and of the northwest-corner loop, == entry by
-    # entry, and leaves the padding 0: in lockstep on the pairs repeated up to
-    # GREEDY_LOCKSTEP_TRIALS rows, and one line pass per row on the pairs alone.
+    # entry, and leaves the padding 0.
     n, m = max(p.size for p, _ in pairs), max(q.size for _, q in pairs)
     p_stack, q_stack = np.zeros((len(pairs), n)), np.zeros((len(pairs), m))
     for k, (p, q) in enumerate(pairs):
         p_stack[k, :p.size], q_stack[k, :q.size] = p, q
-    lockstep = mixing._greedy_masses(*(np.resize(s, (mixing.GREEDY_LOCKSTEP_TRIALS, s.shape[1]))
-                                       for s in (p_stack, q_stack)))
-    for mass in (lockstep, mixing._greedy_masses(p_stack, q_stack)):
-        for k, (p, q) in enumerate(pairs):
-            mu = DiscreteDist([f"x{i}" for i in range(p.size)], p)
-            nu = DiscreteDist([f"y{j}" for j in range(q.size)], q)
-            ref, expected = greedy_coupling_pairs(mu, nu), np.zeros((p.size, q.size))
-            for (x, y), prob in zip(ref.points, ref.probs):
-                expected[mu.points.index(x), nu.points.index(y)] = prob
-            got = mass[k, :p.size, :q.size]
-            assert got.tobytes() == greedy_coupling(mu, nu).mass.tobytes() == expected.tobytes()
-            assert not mass[k, p.size:].any() and not mass[k, :, q.size:].any()
-    # Each repeat of a pair in the lockstep stack is that pair's coupling.
-    assert lockstep.tobytes() == np.resize(lockstep[:len(pairs)], lockstep.shape).tobytes()
+    mass = mixing._greedy_masses(p_stack, q_stack)
+    for k, (p, q) in enumerate(pairs):
+        mu = DiscreteDist([f"x{i}" for i in range(p.size)], p)
+        nu = DiscreteDist([f"y{j}" for j in range(q.size)], q)
+        got = mass[k, :p.size, :q.size]
+        assert got.tobytes() == greedy_coupling(mu, nu).mass.tobytes() == northwest_corner_mass(mu, nu).tobytes()
+        assert not mass[k, p.size:].any() and not mass[k, :, q.size:].any()
 
 
 @st.composite
