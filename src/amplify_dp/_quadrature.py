@@ -2,12 +2,22 @@
 
 Used as the numeric oracle that certifies closed-form divergences, so it
 deliberately stays independent of every closed form in the package.
+
+One sweep loop runs a whole stack of integrals (a :class:`_Stack`).  Each
+integral keeps its own domain, tolerance, breakpoints, running maximum,
+accepted sum, NaN-neighbour state and evaluation budget.  Its panels stay
+contiguous and in the order the loop holds them for that integral alone, so
+every sum its result depends on is the same pairwise ``.sum()``: an integral
+gets the same bits in a stack as alone.  An integral that fails leaves the
+stack with its :class:`QuadratureError`, and the others go on.
+:func:`integrate` is the one-item call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,9 +28,44 @@ INITIAL_PANELS = 32
 # Evaluation budget of one integral.
 MAX_EVALS = 10**6
 
+# Rows of a sweep's panel table: the logs at a panel's ends and midpoint, at its
+# quarter points, and its left end, midpoint and right end, so that rows
+# X0:X1 and XM:X1 + 1 are the left and right ends of its halves.
+L0, LM, L1, LL, LR, X0, XM, X1 = range(8)
+# The table rows that become the (L0, LM, L1, X0, X1) rows of a panel's left
+# and right halves; the rows a sweep fills itself are padded with 0.
+_HALVES = np.array([[L0, LL, LM, 0, 0, X0, 0, XM], [LM, LR, L1, 0, 0, XM, 0, X1]])
+# The ends of a panel and of its halves, and their Simpson nodes, for the rows
+# s, sl and sr: s = (x1 - x0) / 6 * (f0 + 4 fm + f1) and likewise.
+_WIDTH_ENDS = np.array([[X1, XM, X1], [X0, X0, XM]])
+_SIMPSON_NODES = np.array([[L0, L0, LM], [LM, LL, LR], [L1, LM, L1]])
+
 
 class QuadratureError(RuntimeError):
     """Raised when the integrator cannot reach the tolerance within budget."""
+
+
+class _Stack(NamedTuple):
+    """Integrals for one sweep loop.  ``log_f(x, which)`` maps an array of
+    points to their log-integrand values, where the int array ``which`` holds
+    the index in the stack of each point's integral."""
+
+    log_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    domains: Sequence[tuple[float, float]]
+    rtols: Sequence[float]
+    breakpoints: Sequence[Sequence[float]]
+
+
+def _single(log_f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The stacked form of the log-integrand of a one-item stack."""
+    return lambda x, which: log_f(x)
+
+
+def _value(outcome):
+    """An outcome of a stacked call: a ``QuadratureError`` is raised, anything else returned."""
+    if isinstance(outcome, QuadratureError):
+        raise outcome
+    return outcome
 
 
 def _seed_edges(a: float, b: float, breakpoints: Sequence[float]) -> np.ndarray:
@@ -62,84 +107,217 @@ def integrate(
     Raises :class:`QuadratureError` when that rule fails (the integrand is not
     negligible next to an unrepresentable point), when ``log_f`` is ``+inf``
     somewhere, or when a sweep would take the evaluation count past
-    ``MAX_EVALS``.
+    ``MAX_EVALS``.  Raises ``ValueError`` unless ``a < b`` with ``b - a``
+    finite and ``rtol > 0``.
     """
-    if not b > a:
-        raise ValueError("domain must satisfy a < b")
-    total = b - a
-    evals = 0
+    return _value(_integrate_stack(_Stack(_single(log_f), [(a, b)], [rtol], [breakpoints]))[0])
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        if evals + len(x) > MAX_EVALS:
-            raise QuadratureError(f"quadrature exceeded {MAX_EVALS} evaluations before converging")
-        evals += len(x)
-        logs = np.asarray(log_f(x), dtype=np.float64)
-        if np.any(logs == math.inf):
-            raise QuadratureError(f"log-integrand is +inf at x={float(x[logs == math.inf][0])!r}")
-        return logs
 
-    edges = _seed_edges(a, b, breakpoints)
-    x0, x1 = edges[:-1], edges[1:]
-    n = len(x0)
-    logs = evaluate(np.concatenate([edges, 0.5 * (x0 + x1)]))
-    l0, l1, lm = logs[:n], logs[1:n + 1], logs[n + 1:]
-    top, acc = -math.inf, 0.0  # running maximum M; accepted panels, in units of exp(M)
+def _budget_error() -> QuadratureError:
+    return QuadratureError(f"quadrature exceeded {MAX_EVALS} evaluations before converging")
+
+
+def _integrate_stack(stack: _Stack) -> list:
+    """:func:`integrate` over every integral of ``stack`` in one sweep loop.
+
+    Returns, per integral, the log of its integral or the ``QuadratureError``
+    that :func:`integrate` would raise for it alone.  The panel table holds
+    each live integral's open panels as one contiguous run of columns, and a
+    sweep's values that are per integral (its running maximum, estimate and
+    acceptance threshold) are repeated over its run.
+    """
+    for (a, b), rtol in zip(stack.domains, stack.rtols):
+        if not b > a:
+            raise ValueError("domain must satisfy a < b")
+        if not math.isfinite(b - a):
+            raise ValueError(f"domain ({a!r}, {b!r}) must have a finite length")
+        if not rtol > 0:
+            raise ValueError(f"rtol must be > 0, got {rtol!r}")
+    log_f, rtols = stack.log_f, stack.rtols
+    k = len(rtols)
+    totals = [b - a for a, b in stack.domains]
+    out: list = [None] * k
+    evals = [0] * k
+    top, acc = [-math.inf] * k, [0.0] * k  # running maximum M; accepted panels, in units of exp(M)
     # Log of the largest representable node of the panels that touched a NaN
     # point, and that panel's midpoint.
-    worst, worst_at = -math.inf, None
+    worst, worst_at = [-math.inf] * k, [None] * k
 
-    while len(x0):
-        xm = 0.5 * (x0 + x1)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x1)
-        n = len(x0)
-        logs = evaluate(np.concatenate([xl, xr]))
-        ll, lr = logs[:n], logs[n:]
-        nodes = np.stack([l0, ll, lm, lr, l1])
-        unknown = np.isnan(nodes)
-        nodes[unknown] = -math.inf
+    live, counts, seeds = [], [], []
+    for j, ((a, b), breakpoints) in enumerate(zip(stack.domains, stack.breakpoints)):
+        edges = _seed_edges(a, b, breakpoints)
+        evals[j] = 2 * len(edges) - 1
+        if evals[j] > MAX_EVALS:
+            out[j] = _budget_error()
+            continue
+        live.append(j)
+        counts.append(len(edges) - 1)
+        seeds.append(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    if not live:
+        return out
+    x, sizes = np.concatenate(seeds), [2 * n + 1 for n in counts]
+    logs = _evaluate(log_f, x, np.repeat(live, sizes))
+    if np.fmax.reduce(logs) == math.inf:  # fmax skips NaN
+        _flag_infinite(logs, x, live, sizes, out, halves=False)
+    table = []
+    for n, seed, start, size in zip(counts, seeds, accumulate(sizes, initial=0), sizes):
+        part = logs[start:start + size]
+        table.append([part[:n], part[n + 1:], part[1:n + 1], seed[:n], seed[1:n + 1]])
+    panels = np.empty((8, sum(counts)))
+    panels[[L0, LM, L1, X0, X1]] = np.concatenate(table, axis=1)
+    panels, live, counts = _drop(panels, live, counts, out)
+
+    while live:
+        for j, c in zip(live, counts):
+            if evals[j] + 2 * c > MAX_EVALS:
+                out[j] = _budget_error()
+            else:
+                evals[j] += 2 * c
+        panels, live, counts = _drop(panels, live, counts, out)
+        if not live:
+            break
+        xm = panels[XM]
+        np.multiply(0.5, panels[X0] + panels[X1], out=xm)
+        # Points [left quarters, right quarters], the midpoints of the halves:
+        # each integral's points lie in two runs, one in each half.
+        x = (0.5 * (panels[X0:X1] + panels[XM:X1 + 1])).ravel()
+        own = np.arange(len(live)).repeat(counts)  # each panel's index in live
+        which = np.array(live)[own]
+        logs = _evaluate(log_f, x, np.concatenate([which, which]))
+        panels[LL:LR + 1] = logs.reshape(2, -1)
+        if np.fmax.reduce(logs) == math.inf:  # fmax skips NaN
+            _flag_infinite(logs, x, live, counts, out)
+            panels, live, counts = _drop(panels, live, counts, out)
+            if not live:
+                break
+            xm = panels[XM]
+            own = np.arange(len(live)).repeat(counts)
+        del x, logs, which  # the table holds them now
+        starts = list(accumulate(counts[:-1], initial=0))
+
+        nodes = panels[:LR + 1]
         node_max = nodes.max(axis=0)
-        new_top = float(node_max.max())
-        if new_top > top:
-            acc, top = acc * math.exp(top - new_top), new_top
-        v0, vl, vm, vr, v1 = np.exp(nodes - top) if top > -math.inf else np.zeros_like(nodes)
-        s = (x1 - x0) / 6.0 * (v0 + 4.0 * vm + v1)
-        sl = (xm - x0) / 6.0 * (v0 + 4.0 * vl + vm)
-        sr = (x1 - xm) / 6.0 * (vm + 4.0 * vr + v1)
-        refined = sl + sr
-        err = refined - s
-        estimate = acc + float(refined.sum())
-        near = np.where(unknown.any(axis=0), node_max, -math.inf)
-        i = int(np.argmax(near))
-        if near[i] > worst:
-            worst, worst_at = float(near[i]), float(xm[i])
-        if worst_at is not None and math.exp(worst - top) > rtol * estimate / total:
-            raise QuadratureError(
-                f"integrand is not negligible next to x={worst_at!r}, where it is not representable"
-            )
-        done = np.abs(err) <= 15.0 * rtol * estimate * (x1 - x0) / total
-        acc += float((refined[done] + err[done] / 15.0).sum())
+        new_tops = np.maximum.reduceat(node_max, starts).tolist()
+        # A NaN node makes its panel's maximum and its integral's NaN; no top is +inf.
+        nan = math.isnan(sum(new_tops))
+        if nan:
+            unknown = np.isnan(nodes)
+            nodes = np.where(unknown, -math.inf, nodes)
+            node_max = nodes.max(axis=0)
+            new_tops = np.maximum.reduceat(node_max, starts).tolist()
+        for j, new_top in zip(live, new_tops):
+            if new_top > top[j]:
+                acc[j], top[j] = acc[j] * math.exp(top[j] - new_top), new_top
+        # A live integral whose M is still -inf has only -inf nodes; a shift of
+        # 0 maps them to the zeros they are, where -inf - -inf would be NaN.
+        shift = np.array([top[j] if top[j] > -math.inf else 0.0 for j in live])[own]
+        refined, err = _simpson(panels, nodes, shift)
+        estimates = [acc[j] + float(refined[s:s + c].sum()) for j, s, c in zip(live, starts, counts)]
+
+        if nan:
+            near = np.where(unknown.any(axis=0), node_max, -math.inf)
+            for j, s, c in zip(live, starts, counts):
+                i = s + int(np.argmax(near[s:s + c]))
+                if near[i] > worst[j]:
+                    worst[j], worst_at[j] = float(near[i]), float(xm[i])
+        failed = [worst_at[j] is not None and math.exp(worst[j] - top[j]) > rtols[j] * estimate / totals[j]
+                  for j, estimate in zip(live, estimates)]
+        for j, f in zip(live, failed):
+            if f:
+                out[j] = QuadratureError(f"integrand is not negligible next to x={worst_at[j]!r}, "
+                                         "where it is not representable")
+
+        coefs = [15.0 * rtols[j] * estimate for j, estimate in zip(live, estimates)]
+        limits = np.array(coefs)[own] * (panels[X1] - panels[X0]) / np.array([totals[j] for j in live])[own]
+        done = np.abs(err) <= limits
+        gains = refined[done] + err[done] / 15.0
+        accepted = np.add.reduceat(done, starts, dtype=np.intp).tolist()
+        for j, g, c, f in zip(live, accumulate(accepted, initial=0), accepted, failed):
+            if c and not f:
+                acc[j] += float(gains[g:g + c].sum())
         keep = ~done
-        x0, x1 = np.concatenate([x0[keep], xm[keep]]), np.concatenate([xm[keep], x1[keep]])
-        l0, lm, l1 = (np.concatenate([l0[keep], lm[keep]]), np.concatenate([ll[keep], lr[keep]]),
-                      np.concatenate([lm[keep], l1[keep]]))
-    return math.log(acc) + top if acc > 0.0 else -math.inf
+        if any(failed):
+            keep &= np.array([not f for f in failed])[own]
+        counts = [0 if f else c - a for c, a, f in zip(counts, accepted, failed)]
+        for j, c, f in zip(live, counts, failed):
+            if c == 0 and not f:
+                out[j] = math.log(acc[j]) + top[j] if acc[j] > 0.0 else -math.inf
+        live = [j for j, c in zip(live, counts) if c]
+        counts = [c for c in counts if c]
+        if live:
+            panels = _bisected(panels[:, keep], counts)
+            counts = [2 * c for c in counts]
+    return out
 
 
-def require_negligible_ends(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rtol: float,
-    log_integral: float,
-) -> None:
-    """Domain-end rule for an integral over the whole line, computed on ``[a, b]``.
+def _simpson(panels: np.ndarray, nodes: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's Simpson value from its halves, and that value's Richardson
+    error against the panel's own, from the nodes' logs less ``shift``."""
+    widths = np.subtract(*panels[_WIDTH_ENDS])
+    f0, fm, f1 = np.exp(nodes - shift)[_SIMPSON_NODES]
+    # Rows s, sl and sr: each panel's Simpson value and its halves'.
+    simpson = widths / 6.0 * (f0 + 4.0 * fm + f1)
+    refined = simpson[1] + simpson[2]
+    return refined, refined - simpson[0]
 
-    Raises :class:`QuadratureError` unless ``f`` at both ends, times the
-    domain length, stays at or below ``rtol`` times the integral: otherwise
-    the domain cuts off mass and the integral would be under-reported.  A NaN
-    end (an underflowed density) passes.
+
+def _evaluate(log_f, x: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """``log_f`` at ``x``, whose points belong to the integrals ``which``, as floats."""
+    return np.asarray(log_f(x, which), dtype=np.float64)
+
+
+def _flag_infinite(logs: np.ndarray, x: np.ndarray, live: list, counts: list, out: list,
+                   halves: bool = True) -> None:
+    """Sets the ``out`` entry of each integral with a ``+inf`` log to its
+    ``QuadratureError``, which names its first such point.  ``logs`` holds
+    ``counts[i]`` logs of integral ``live[i]`` in each half, in order, or,
+    without ``halves``, in the whole."""
+    runs = (logs == math.inf).reshape(2 if halves else 1, -1)
+    points = x.reshape(runs.shape)
+    for j, s, c in zip(live, accumulate(counts, initial=0), counts):
+        at = np.flatnonzero(runs[:, s:s + c])
+        if len(at):
+            row, col = divmod(int(at[0]), c)
+            out[j] = QuadratureError(f"log-integrand is +inf at x={float(points[row, s + col])!r}")
+
+
+def _drop(panels: np.ndarray, live: list, counts: list, out: list) -> tuple[np.ndarray, list, list]:
+    """The panel table, live integrals and panel counts without the integrals
+    that have an outcome."""
+    alive = [out[j] is None for j in live]
+    if all(alive):
+        return panels, live, counts
+    panels = panels[:, np.repeat(alive, counts)]
+    return panels, [j for j, a in zip(live, alive) if a], [c for c, a in zip(counts, alive) if a]
+
+
+def _bisected(kept: np.ndarray, counts: list) -> np.ndarray:
+    """The panel table of the halves of the ``kept`` panels, whose integrals
+    have ``counts`` panels each: per integral, its left halves and then its
+    right halves, the order the one-integral loop keeps."""
+    left, right = kept[_HALVES]
+    return np.concatenate([half[:, s:s + c] for s, c in zip(accumulate(counts, initial=0), counts)
+                           for half in (left, right)], axis=1)
+
+
+def _ends_rule(stack: _Stack, log_integrals: list) -> list:
+    """Domain-end rule for integrals over the whole line, computed on each
+    integral's domain ``[a, b]``.
+
+    ``log_integrals`` holds, per integral of ``stack``, its log or an error.
+    Returns it with each log replaced by a :class:`QuadratureError` unless
+    ``f`` at both ends, times the domain length, stays at or below ``rtol``
+    times the integral: otherwise the domain cuts off mass and the integral
+    would be under-reported.  A NaN end (an underflowed density) passes.
     """
-    ends = log_f(np.array([a, b], dtype=np.float64))
-    if np.any(ends + math.log(b - a) > math.log(rtol) + log_integral):
-        raise QuadratureError("integrand is not negligible at a domain end")
+    live = [j for j, v in enumerate(log_integrals) if not isinstance(v, QuadratureError)]
+    if not live:
+        return list(log_integrals)
+    x = np.array([stack.domains[j] for j in live], dtype=np.float64).ravel()
+    ends = _evaluate(stack.log_f, x, np.repeat(live, 2)).reshape(-1, 2)
+    out = list(log_integrals)
+    for j, end in zip(live, ends):
+        (a, b), rtol = stack.domains[j], stack.rtols[j]
+        if np.any(end + math.log(b - a) > math.log(rtol) + log_integrals[j]):
+            out[j] = QuadratureError("integrand is not negligible at a domain end")
+    return out

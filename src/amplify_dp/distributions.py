@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -210,10 +210,7 @@ def log_density(family: NoiseFamily, x) -> np.ndarray:
     """
     xv = np.asarray(x, dtype=np.float64)
     if isinstance(family, GaussianDist):
-        if family.dim != 1:
-            raise ValueError("log_density is 1-D only")
-        v = family.variance
-        return -((xv - family.mean[0]) ** 2) / (2.0 * v) - 0.5 * math.log(2.0 * math.pi * v)
+        return _gaussian_log_density(xv, *_gaussian_terms(family))
     if isinstance(family, LaplaceDist):
         return -np.abs(xv - family.loc) / family.scale - math.log(2.0 * family.scale)
     if isinstance(family, Lap2Dist):
@@ -223,6 +220,29 @@ def log_density(family: NoiseFamily, x) -> np.ndarray:
         phi = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
         return -z / l1 + np.log1p((z / l1) * phi) - math.log(2.0 * (l1 + l2))
     raise TypeError(f"unsupported family {type(family).__name__}")
+
+
+def _gaussian_terms(law: GaussianDist) -> tuple[float, float, float]:
+    """A 1-D Gaussian's mean, twice its variance and its log normalizer, the
+    last from ``math`` (``np.log`` may differ in the last bit)."""
+    if law.dim != 1:
+        raise ValueError("log_density is 1-D only")
+    v = law.variance
+    return law.mean[0], 2.0 * v, 0.5 * math.log(2.0 * math.pi * v)
+
+
+def _gaussian_log_density(x: np.ndarray, mean, scale, norm) -> np.ndarray:
+    """The Gaussian log-density at ``x``, from :func:`_gaussian_terms` of one
+    law or of each point's law."""
+    return -((x - mean) ** 2) / scale - norm
+
+
+def _gaussian_log_densities(laws: Sequence[GaussianDist]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The Gaussian :func:`log_density` of a stack of 1-D laws: the returned
+    ``log_f(x, which)`` is the log-density at each point of ``x`` of its law
+    ``laws[which]``."""
+    means, scales, norms = np.array([_gaussian_terms(law) for law in laws], dtype=np.float64).T
+    return lambda x, which: _gaussian_log_density(x, means[which], scales[which], norms[which])
 
 
 def _laplace_from_uniform(u: np.ndarray, loc: float, scale: float) -> np.ndarray:

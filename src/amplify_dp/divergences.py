@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import QuadratureError, integrate, require_negligible_ends
+from ._quadrature import QuadratureError, _ends_rule, _single, _Stack, _value, integrate
 from .distributions import PROB_ATOL, DiscreteDist, _trusted
 
 __all__ = [
@@ -245,23 +245,47 @@ def renyi_numeric_log(
     to such a point or at a domain end (typically: the tilted mass lies past
     ``domain``), when q is an exact zero where p is not, when the evaluation
     budget ``_quadrature.MAX_EVALS`` runs out, or when the moment vanishes.
+    Raises ``ValueError`` unless alpha is finite and > 1 and ``tol`` > 0, and
+    where :func:`_quadrature.integrate` rejects ``domain``.
     """
     if not (alpha > 1 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and > 1")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
 
     def log_integrand(x: np.ndarray) -> np.ndarray:
-        lp, lq = log_p(x), log_q(x)
-        # Where p is an exact zero so is the integrand, also where q is (0/0 = 0).
-        with np.errstate(invalid="ignore"):
-            return np.where(lp == -math.inf, -math.inf, alpha * lp + (1.0 - alpha) * lq)
+        return _renyi_log_integrand(log_p(x), log_q(x), alpha)
 
-    a, b = domain
     rtol = 0.5 * tol * (alpha - 1.0)
-    log_moment = integrate(log_integrand, a, b, rtol=rtol, breakpoints=breakpoints)
-    if log_moment == -math.inf:
-        raise QuadratureError("moment integral vanished")
-    require_negligible_ends(log_integrand, a, b, rtol, log_moment)
-    return max(0.0, log_moment / (alpha - 1.0))
+    log_moment = integrate(log_integrand, *domain, rtol=rtol, breakpoints=breakpoints)
+    stack = _Stack(_single(log_integrand), [domain], [rtol], [breakpoints])
+    return _value(_renyi_results(stack, [alpha], [log_moment])[0])
+
+
+def _renyi_log_integrand(lp: np.ndarray, lq: np.ndarray, alpha) -> np.ndarray:
+    """Log of the moment integrand p^alpha * q^(1-alpha) from the logs of p and
+    q, for one alpha or an alpha per point."""
+    # Where p is an exact zero so is the integrand, also where q is (0/0 = 0).
+    with np.errstate(invalid="ignore"):
+        return np.where(lp == -math.inf, -math.inf, alpha * lp + (1.0 - alpha) * lq)
+
+
+def _renyi_stack(log_p, log_q, alphas: Sequence[float], domains: Sequence[tuple[float, float]],
+                 tols: Sequence[float], breakpoints: Sequence[Sequence[float]]) -> _Stack:
+    """The moment integrals of :func:`renyi_numeric_log` as one stack: ``log_p``
+    and ``log_q`` are stacked log-densities ``(x, which) -> logs``, and
+    integral ``i`` is that of ``alphas[i]`` on ``domains[i]`` to ``tols[i]``."""
+    alpha = np.array(alphas, dtype=np.float64)
+    return _Stack(lambda x, which: _renyi_log_integrand(log_p(x, which), log_q(x, which), alpha[which]),
+                  domains, [0.5 * tol * (a - 1.0) for a, tol in zip(alphas, tols)], breakpoints)
+
+
+def _renyi_results(stack: _Stack, alphas: Sequence[float], log_moments: list) -> list:
+    """Per integral of a :func:`_renyi_stack`, the divergence from its log-moment,
+    or the ``QuadratureError`` that :func:`renyi_numeric_log` raises."""
+    vanished = [QuadratureError("moment integral vanished") if m == -math.inf else m for m in log_moments]
+    return [m if isinstance(m, QuadratureError) else max(0.0, m / (alpha - 1.0))
+            for m, alpha in zip(_ends_rule(stack, vanished), alphas)]
 
 
 def renyi_numeric_1d(

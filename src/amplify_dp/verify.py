@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._quadrature import integrate, require_negligible_ends
+from ._quadrature import QuadratureError, _ends_rule, _integrate_stack, _single, _Stack, _value, integrate
 from ._rng import rng_from_seed, uniform_open
-from .distributions import DiscreteDist, GaussianDist, _trusted, log_density, quadrature_domain
-from .divergences import DpGuarantee, _hockey_sticks, renyi_numeric_log
+from .distributions import (DiscreteDist, GaussianDist, _gaussian_log_densities, _trusted, log_density,
+                            quadrature_domain)
+from .divergences import DpGuarantee, _hockey_sticks, _renyi_results, _renyi_stack
 from .diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from .mixing import (AMPLIFY_CONDITIONS, DiscreteKernel, _amplify_stack, _greedy_masses, _independent_masses,
                      _marginals, _mixture_decomposes, _operator_rows, _pair_windows, _pushforward_stack,
@@ -347,10 +347,13 @@ def _pushforwards(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def certify_diffusion() -> list[TrialReport]:
     """Certify the diffusion RDP closed forms and the OU MSE by quadrature
     (1-D cases) on ``DIFFUSION_GRID``.  The rows are deterministic: no
-    sampling, no seed."""
+    sampling, no seed.  The Renyi rows' integrals run in one stacked
+    quadrature call and the MSE rows' in another; a row whose integral raises
+    ``QuadratureError`` has ``measured`` inf, so it fails, and the other rows
+    are unchanged."""
     theta_grid, rho_grid, t_grid, alpha_grid = (
         DIFFUSION_GRID[k] for k in ("theta", "rho", "t", "alpha"))
-    # (case, descriptor, law0, law1, closed form, its params) per quadrature check.
+    # (case, descriptor, law0, law1, closed form, its params) per pair of laws.
     entries = []
     for theta in theta_grid:
         for rho in rho_grid:
@@ -363,34 +366,32 @@ def certify_diffusion() -> list[TrialReport]:
         entries.append(("brownian_rdp_quadrature", f"t={t}",
                         GaussianDist([0.0], 2.0 * t), GaussianDist([DIFFUSION_SENSITIVITY], 2.0 * t),
                         brownian_rdp, BrownianParams(t=t, delta=DIFFUSION_SENSITIVITY)))
-
-    reports: list[TrialReport] = []
-    trial = 0
+    # (case, descriptor, closed form) per row, with the Renyi rows' laws and
+    # domains, and the MSE rows' laws.
+    rows, laws0, laws1, alphas, domains = [], [], [], [], []
     for case, desc, law0, law1, rdp, params in entries:
         lo = min(quadrature_domain(law0)[0], quadrature_domain(law1)[0])
         hi = max(quadrature_domain(law0)[1], quadrature_domain(law1)[1])
         for alpha in alpha_grid:
-            closed = rdp(params, alpha).epsilon
-            quad = renyi_numeric_log(partial(log_density, law1), partial(log_density, law0),
-                                     alpha, (lo, hi))
-            reports.append(_report(
-                trial, case, f"{desc},alpha={alpha}",
-                measured=abs(quad - closed), bound=0.0, tolerance=QUAD_TOL,
-                coefficient=closed))
-            trial += 1
-
+            rows.append((case, f"{desc},alpha={alpha}", rdp(params, alpha).epsilon))
+            laws0.append(law0)
+            laws1.append(law1)
+            alphas.append(alpha)
+            domains.append((lo, hi))
+    mse_laws, x0 = [], 1.0
     for theta in theta_grid:
         for t in t_grid:
             p = OuParams(theta=theta, rho=1.0, t=t, delta=DIFFUSION_SENSITIVITY, R=1.0, d=1)
-            x0 = 1.0
-            closed = ou_mse(p, abs(x0))
-            quad = mse_numeric(ou_transition([x0], p), x0)
-            reports.append(_report(
-                trial, "ou_mse_quadrature", f"theta={theta},t={t}",
-                measured=abs(quad - closed), bound=0.0, tolerance=QUAD_TOL,
-                coefficient=closed))
-            trial += 1
-    return reports
+            rows.append(("ou_mse_quadrature", f"theta={theta},t={t}", ou_mse(p, abs(x0))))
+            mse_laws.append(ou_transition([x0], p))
+
+    renyi = _renyi_stack(_gaussian_log_densities(laws1), _gaussian_log_densities(laws0), alphas, domains,
+                         [QUAD_TOL] * len(alphas), [()] * len(alphas))
+    mse = _mse_stack(mse_laws, [x0] * len(mse_laws))
+    quads = _renyi_results(renyi, alphas, _integrate_stack(renyi)) + _mse_results(mse, _integrate_stack(mse))
+    return [_report(trial, case, desc, bound=0.0, tolerance=QUAD_TOL, coefficient=closed,
+                    measured=math.inf if isinstance(quad, QuadratureError) else abs(quad - closed))
+            for trial, ((case, desc, closed), quad) in enumerate(zip(rows, quads))]
 
 
 def mse_numeric(law: GaussianDist, x0: float) -> float:
@@ -403,13 +404,33 @@ def mse_numeric(law: GaussianDist, x0: float) -> float:
     is not negligible at a domain end, as the Renyi oracle does.
     """
     def log_integrand(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 2.0 * np.log(np.abs(x - x0)) + log_density(law, x)
+        return _mse_log_integrand(x, x0, log_density(law, x))
 
     a, b = quadrature_domain(law)
     log_moment = integrate(log_integrand, a, b, rtol=MSE_RTOL, breakpoints=(x0,))
-    require_negligible_ends(log_integrand, a, b, MSE_RTOL, log_moment)
-    return math.exp(log_moment)
+    stack = _Stack(_single(log_integrand), [(a, b)], [MSE_RTOL], [(x0,)])
+    return _value(_mse_results(stack, [log_moment])[0])
+
+
+def _mse_log_integrand(x: np.ndarray, x0, log_p: np.ndarray) -> np.ndarray:
+    """Log of the second-moment integrand (x - x0)^2 * p(x) from the log of p
+    at ``x``, for one ``x0`` or an ``x0`` per point."""
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(np.abs(x - x0)) + log_p
+
+
+def _mse_stack(laws: Sequence[GaussianDist], x0s: Sequence[float]) -> _Stack:
+    """The second-moment integrals of :func:`mse_numeric` for ``laws[i]`` about ``x0s[i]``, as one stack."""
+    log_p, x0 = _gaussian_log_densities(laws), np.array(x0s, dtype=np.float64)
+    return _Stack(lambda x, which: _mse_log_integrand(x, x0[which], log_p(x, which)),
+                  [quadrature_domain(law) for law in laws], [MSE_RTOL] * len(laws),
+                  [(v,) for v in x0s])
+
+
+def _mse_results(stack: _Stack, log_moments: list) -> list:
+    """Per integral of an :func:`_mse_stack`, the second moment from its log,
+    or the ``QuadratureError`` that :func:`mse_numeric` raises."""
+    return [m if isinstance(m, QuadratureError) else math.exp(m) for m in _ends_rule(stack, log_moments)]
 
 
 def reports_summary(reports: Sequence[TrialReport]) -> dict:

@@ -9,14 +9,17 @@ step of the algorithm whose hypotheses the SGD accountant's tests check.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import networkx as nx
 import numpy as np
 
+from amplify_dp import _quadrature
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
-from amplify_dp.distributions import DiscreteDist, GaussianDist, _trusted
+from amplify_dp.diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
+from amplify_dp.distributions import DiscreteDist, GaussianDist, _trusted, quadrature_domain
 from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _start_threshold, aligned_masses,
                                     exp_times, hockey_stick)
 from amplify_dp.iteration import _laplace_pair_log_bound
@@ -30,7 +33,8 @@ from amplify_dp.mixing import (
     random_joint_coupling,
 )
 from amplify_dp.cli import format_cell
-from amplify_dp.verify import EXACT_TOL, _report, _transport_stack_rows, _trial_seeds, _trial_sizes
+from amplify_dp.verify import (DIFFUSION_GRID, DIFFUSION_SENSITIVITY, EXACT_TOL, MSE_RTOL, QUAD_TOL, _report,
+                               _transport_stack_rows, _trial_seeds, _trial_sizes)
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
@@ -619,6 +623,171 @@ def renyi_numeric_1d_scalar(
     if not math.isfinite(moment):
         raise QuadratureError(f"moment integral is not finite: {moment!r}")
     return max(0.0, math.log(moment) / (alpha - 1.0))
+
+
+def integrate_one(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    rtol: float = 1e-8,
+    breakpoints: Sequence[float] = (),
+) -> float:
+    """The one-integral sweep loop that ``_quadrature._integrate_stack``
+    replaced, as ``_quadrature.integrate`` ran it: the same rules, the same
+    errors and the same budget, ``_quadrature.MAX_EVALS`` read at call time."""
+    if not b > a:
+        raise ValueError("domain must satisfy a < b")
+    total = b - a
+    evals = 0
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        if evals + len(x) > _quadrature.MAX_EVALS:
+            raise QuadratureError(f"quadrature exceeded {_quadrature.MAX_EVALS} evaluations before converging")
+        evals += len(x)
+        logs = np.asarray(log_f(x), dtype=np.float64)
+        if np.any(logs == math.inf):
+            raise QuadratureError(f"log-integrand is +inf at x={float(x[logs == math.inf][0])!r}")
+        return logs
+
+    edges = _quadrature._seed_edges(a, b, breakpoints)
+    x0, x1 = edges[:-1], edges[1:]
+    n = len(x0)
+    logs = evaluate(np.concatenate([edges, 0.5 * (x0 + x1)]))
+    l0, l1, lm = logs[:n], logs[1:n + 1], logs[n + 1:]
+    top, acc = -math.inf, 0.0  # running maximum M; accepted panels, in units of exp(M)
+    # Log of the largest representable node of the panels that touched a NaN
+    # point, and that panel's midpoint.
+    worst, worst_at = -math.inf, None
+
+    while len(x0):
+        xm = 0.5 * (x0 + x1)
+        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x1)
+        n = len(x0)
+        logs = evaluate(np.concatenate([xl, xr]))
+        ll, lr = logs[:n], logs[n:]
+        nodes = np.stack([l0, ll, lm, lr, l1])
+        unknown = np.isnan(nodes)
+        nodes[unknown] = -math.inf
+        node_max = nodes.max(axis=0)
+        new_top = float(node_max.max())
+        if new_top > top:
+            acc, top = acc * math.exp(top - new_top), new_top
+        v0, vl, vm, vr, v1 = np.exp(nodes - top) if top > -math.inf else np.zeros_like(nodes)
+        s = (x1 - x0) / 6.0 * (v0 + 4.0 * vm + v1)
+        sl = (xm - x0) / 6.0 * (v0 + 4.0 * vl + vm)
+        sr = (x1 - xm) / 6.0 * (vm + 4.0 * vr + v1)
+        refined = sl + sr
+        err = refined - s
+        estimate = acc + float(refined.sum())
+        near = np.where(unknown.any(axis=0), node_max, -math.inf)
+        i = int(np.argmax(near))
+        if near[i] > worst:
+            worst, worst_at = float(near[i]), float(xm[i])
+        if worst_at is not None and math.exp(worst - top) > rtol * estimate / total:
+            raise QuadratureError(
+                f"integrand is not negligible next to x={worst_at!r}, where it is not representable"
+            )
+        done = np.abs(err) <= 15.0 * rtol * estimate * (x1 - x0) / total
+        acc += float((refined[done] + err[done] / 15.0).sum())
+        keep = ~done
+        x0, x1 = np.concatenate([x0[keep], xm[keep]]), np.concatenate([xm[keep], x1[keep]])
+        l0, lm, l1 = (np.concatenate([l0[keep], lm[keep]]), np.concatenate([ll[keep], lr[keep]]),
+                      np.concatenate([lm[keep], l1[keep]]))
+    return math.log(acc) + top if acc > 0.0 else -math.inf
+
+
+def require_negligible_ends_one(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: float, rtol: float,
+                                log_integral: float) -> None:
+    """The domain-end rule as one integral's check, before it was stacked."""
+    ends = log_f(np.array([a, b], dtype=np.float64))
+    if np.any(ends + math.log(b - a) > math.log(rtol) + log_integral):
+        raise QuadratureError("integrand is not negligible at a domain end")
+
+
+def renyi_numeric_log_one(log_p, log_q, alpha: float, domain: tuple[float, float], tol: float = 1e-8,
+                          breakpoints: Sequence[float] = ()) -> float:
+    """``renyi_numeric_log`` on :func:`integrate_one`, as it was before the
+    stacked forms."""
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and > 1")
+
+    def log_integrand(x: np.ndarray) -> np.ndarray:
+        lp, lq = log_p(x), log_q(x)
+        with np.errstate(invalid="ignore"):
+            return np.where(lp == -math.inf, -math.inf, alpha * lp + (1.0 - alpha) * lq)
+
+    a, b = domain
+    rtol = 0.5 * tol * (alpha - 1.0)
+    log_moment = integrate_one(log_integrand, a, b, rtol=rtol, breakpoints=breakpoints)
+    if log_moment == -math.inf:
+        raise QuadratureError("moment integral vanished")
+    require_negligible_ends_one(log_integrand, a, b, rtol, log_moment)
+    return max(0.0, log_moment / (alpha - 1.0))
+
+
+def gaussian_log_density_one(law: GaussianDist, x: np.ndarray) -> np.ndarray:
+    """The Gaussian branch of ``log_density`` for one law, before it was stacked."""
+    v = law.variance
+    return -((x - law.mean[0]) ** 2) / (2.0 * v) - 0.5 * math.log(2.0 * math.pi * v)
+
+
+def mse_numeric_one(law: GaussianDist, x0: float) -> float:
+    """``verify.mse_numeric`` on :func:`integrate_one`, before the stacked forms."""
+    def log_integrand(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(np.abs(x - x0)) + gaussian_log_density_one(law, x)
+
+    a, b = quadrature_domain(law)
+    log_moment = integrate_one(log_integrand, a, b, rtol=MSE_RTOL, breakpoints=(x0,))
+    require_negligible_ends_one(log_integrand, a, b, MSE_RTOL, log_moment)
+    return math.exp(log_moment)
+
+
+def certify_diffusion_per_integral() -> list:
+    """``certify_diffusion`` with one :func:`integrate_one` loop per row, as it
+    ran before its integrals were stacked; a row whose integral raises
+    ``QuadratureError`` has measured inf."""
+    theta_grid, rho_grid, t_grid, alpha_grid = (
+        DIFFUSION_GRID[k] for k in ("theta", "rho", "t", "alpha"))
+    entries = []
+    for theta in theta_grid:
+        for rho in rho_grid:
+            for t in t_grid:
+                p = OuParams(theta=theta, rho=rho, t=t, delta=DIFFUSION_SENSITIVITY, R=1.0, d=1)
+                entries.append(("ou_rdp_quadrature", f"theta={theta},rho={rho},t={t}",
+                                ou_transition([0.0], p), ou_transition([DIFFUSION_SENSITIVITY], p),
+                                ou_rdp, p))
+    for t in t_grid:
+        entries.append(("brownian_rdp_quadrature", f"t={t}",
+                        GaussianDist([0.0], 2.0 * t), GaussianDist([DIFFUSION_SENSITIVITY], 2.0 * t),
+                        brownian_rdp, BrownianParams(t=t, delta=DIFFUSION_SENSITIVITY)))
+
+    def measured(quadrature, closed):
+        try:
+            return abs(quadrature() - closed)
+        except QuadratureError:
+            return math.inf
+
+    reports = []
+    for case, desc, law0, law1, rdp, params in entries:
+        lo = min(quadrature_domain(law0)[0], quadrature_domain(law1)[0])
+        hi = max(quadrature_domain(law0)[1], quadrature_domain(law1)[1])
+        for alpha in alpha_grid:
+            closed = rdp(params, alpha).epsilon
+            quad = partial(renyi_numeric_log_one, partial(gaussian_log_density_one, law1),
+                           partial(gaussian_log_density_one, law0), alpha, (lo, hi))
+            reports.append(_report(len(reports), case, f"{desc},alpha={alpha}", measured=measured(quad, closed),
+                                   bound=0.0, tolerance=QUAD_TOL, coefficient=closed))
+    for theta in theta_grid:
+        for t in t_grid:
+            p = OuParams(theta=theta, rho=1.0, t=t, delta=DIFFUSION_SENSITIVITY, R=1.0, d=1)
+            closed = ou_mse(p, 1.0)
+            quad = partial(mse_numeric_one, ou_transition([1.0], p), 1.0)
+            reports.append(_report(len(reports), "ou_mse_quadrature", f"theta={theta},t={t}",
+                                   measured=measured(quad, closed), bound=0.0, tolerance=QUAD_TOL,
+                                   coefficient=closed))
+    return reports
 
 
 def render_rows_per_cell(rows) -> list[str]:

@@ -502,6 +502,32 @@ class TestLogSpaceOracle:
                         0.0, 1.0)
         assert math.exp(val) == pytest.approx(0.5, rel=1e-8)
 
+    @pytest.mark.parametrize("a,b", [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)])
+    def test_engine_rejects_non_finite_domain(self, a, b):
+        # A domain whose length is not finite used to end in a ValueError about
+        # converting NaN to an integer, from the seeding.
+        with pytest.raises(ValueError, match=r"domain \(.*\) must have a finite length"):
+            integrate(lambda x: -x * x, a, b)
+        with pytest.raises(ValueError, match="must have a finite length"):
+            renyi_numeric_log(partial(log_density, GaussianDist([1.0], 1.0)),
+                              partial(log_density, GaussianDist([0.0], 1.0)), 2.0, (a, b))
+
+    @pytest.mark.parametrize("rtol", [math.nan, 0.0, -1.0])
+    def test_engine_rejects_non_positive_rtol(self, rtol):
+        # Such a tolerance used to spend the whole evaluation budget and then
+        # blame convergence.
+        calls = [0]
+
+        def log_f(x):
+            calls[0] += 1
+            return -x * x
+
+        with pytest.raises(ValueError, match="rtol must be > 0"):
+            integrate(log_f, -1.0, 1.0, rtol=rtol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            renyi_numeric_log(log_f, log_f, 2.0, (-1.0, 1.0), tol=rtol)
+        assert calls[0] == 0
+
     def test_engine_log_result_past_overflow(self):
         # exp(1000 - x) on [0, 1] integrates to e^1000 (1 - e^-1), far past the
         # largest double; the engine returns its log.

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amplify_dp import cli, mixing, verify
+from amplify_dp import _quadrature, cli, mixing, verify
+from amplify_dp._quadrature import QuadratureError
 from amplify_dp.distributions import DiscreteDist
 from amplify_dp.divergences import (
     EXP_ARG_MAX,
@@ -49,6 +50,7 @@ from reference_impls import (
     eps_dobrushin_coeff_pairs,
     hockey_stick_scalar,
     hockey_stick_via_min,
+    integrate_one,
     mixture_decompose_per_pair,
     northwest_corner_mass,
     random_joint_coupling_per_pair,
@@ -739,3 +741,101 @@ def test_coupling_marginals_equal_sequential_sum(rows):
     assert np.array_equal(first, ref_first) and np.array_equal(second, ref_second)
     for marginal in (first, second):
         assert marginal.flags.c_contiguous and marginal.flags.owndata
+
+
+class LogIntegrand:
+    """A test log-integrand: a Gaussian or Laplace log-density of ``center``
+    and ``scale``, with optional bands where it is an exact zero (-inf), not
+    representable (NaN) or infinite (+inf), in that order of precedence."""
+
+    def __init__(self, kind, center, scale, zero=None, nan=None, inf=None):
+        self.kind, self.center, self.scale = kind, center, scale
+        self.bands = [(band, value) for band, value in ((zero, -math.inf), (nan, math.nan), (inf, math.inf))
+                      if band is not None]
+
+    def __call__(self, x):
+        z = (x - self.center) / self.scale
+        out = -0.5 * z * z if self.kind == "gauss" else -np.abs(z) - math.log(2.0 * self.scale)
+        for (lo, hi), value in self.bands:
+            out = np.where((x >= lo) & (x <= hi), value, out)
+        return out
+
+
+def stacked(log_fs):
+    """The stacked form of per-integral log-integrands."""
+    def log_f(x, which):
+        out = np.empty(len(x))
+        for j in np.unique(which).tolist():
+            mine = which == j
+            out[mine] = log_fs[j](x[mine])
+        return out
+    return log_f
+
+
+@st.composite
+def integrals(draw):
+    a = draw(st.floats(-30.0, 10.0))
+    b = a + draw(st.floats(0.5, 60.0))
+    center, scale = draw(st.floats(a - 5.0, b + 5.0)), draw(st.floats(0.05, 5.0))
+
+    def band(chance):
+        if draw(st.integers(0, chance - 1)):
+            return None
+        lo = draw(st.floats(a - 1.0, b))
+        return lo, lo + draw(st.floats(0.0, (b - a) / 4.0))
+
+    log_f = LogIntegrand(draw(st.sampled_from(["gauss", "laplace"])), center, scale,
+                         zero=band(2), nan=band(2), inf=band(6))
+    breakpoints = tuple(draw(st.lists(st.floats(a - 1.0, b + 1.0), max_size=3)))
+    rtol = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.3]))
+    return log_f, (a, b), rtol, breakpoints
+
+
+def outcome(fn, *args, **kwargs):
+    """A float's bits, or an exception's type and message."""
+    try:
+        return fn(*args, **kwargs).hex()
+    except QuadratureError as exc:
+        return type(exc), str(exc)
+
+
+def stack_outcomes(specs):
+    log_fs, domains, rtols, breakpoints = zip(*specs)
+    got = _quadrature._integrate_stack(_quadrature._Stack(stacked(log_fs), domains, rtols, breakpoints))
+    return [outcome(lambda: _quadrature._value(g)) for g in got]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(integrals(), min_size=1, max_size=6), st.sampled_from([10**6, 4000, 600, 60]))
+def test_integrate_stack_equals_one_integral_loop(specs, budget):
+    # Each integral of a stack gets the value of the one-integral loop it
+    # replaced, ==, or its error, of the same type with the same message:
+    # a +inf log, a budget spent, or a NaN next to a non-negligible node.
+    with mock.patch.object(_quadrature, "MAX_EVALS", budget):
+        want = [outcome(integrate_one, log_f, a, b, rtol, breakpoints)
+                for log_f, (a, b), rtol, breakpoints in specs]
+        assert stack_outcomes(specs) == want
+        assert [outcome(_quadrature.integrate, log_f, a, b, rtol, breakpoints)
+                for log_f, (a, b), rtol, breakpoints in specs] == want
+
+
+def test_integrate_stack_keeps_each_integrals_error():
+    # One integral of each outcome in one stack: the failing ones leave with
+    # their own errors, the others keep their bits.
+    specs = [
+        (LogIntegrand("gauss", 0.0, 1.0), (-40.0, 40.0), 1e-8, ()),
+        (LogIntegrand("gauss", 0.0, 1.0, inf=(0.49, 0.51)), (-1.0, 1.0), 1e-8, ()),
+        (LogIntegrand("gauss", 0.0, 1.0, nan=(0.2, 0.3)), (-5.0, 5.0), 1e-8, ()),
+        (LogIntegrand("laplace", 0.3, 1.0), (-30.0, 30.0), 1e-14, ()),
+        (LogIntegrand("laplace", 0.0, 2.0, zero=(-100.0, 100.0)), (-5.0, 5.0), 1e-8, ()),
+        (LogIntegrand("laplace", 0.0, 1.0, nan=(35.0, 40.0)), (-40.0, 40.0), 1e-8, (0.0,)),
+    ]
+    with mock.patch.object(_quadrature, "MAX_EVALS", 4000):
+        got = stack_outcomes(specs)
+        assert got == [outcome(integrate_one, log_f, a, b, rtol, breakpoints)
+                       for log_f, (a, b), rtol, breakpoints in specs]
+    errors = [None, "log-integrand is +inf at x=", "integrand is not negligible next to x=",
+              "quadrature exceeded 4000 evaluations", None, None]
+    for g, error in zip(got, errors):
+        assert isinstance(g, str) if error is None else (g[0] is QuadratureError and g[1].startswith(error))
+    assert got[4] == (-math.inf).hex()

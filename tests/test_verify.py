@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,8 @@ import pytest
 import amplify_dp
 from amplify_dp import cli, distributions, mixing, verify
 from amplify_dp.diffusion import OuParams, ou_mse
-from amplify_dp.distributions import DiscreteDist, GaussianDist
-from amplify_dp.divergences import QuadratureError
+from amplify_dp.distributions import DiscreteDist, GaussianDist, log_density
+from amplify_dp.divergences import QuadratureError, renyi_numeric_log
 from amplify_dp.divergences import DpGuarantee, hockey_stick
 from amplify_dp.mixing import (
     Coupling,
@@ -43,6 +44,7 @@ from amplify_dp.verify import (
     reports_summary,
 )
 from reference_impls import (
+    certify_diffusion_per_integral,
     certify_theorem1_per_trial,
     certify_transport_per_trial,
     random_instance_per_trial,
@@ -331,6 +333,51 @@ class TestCertifyDiffusion:
             assert r.coefficient == ou_mse(p, 1.0)
             assert (r.bound, r.tolerance) == (0.0, QUAD_TOL)
             assert r.measured <= 1e-11 * r.coefficient
+
+    def test_equals_per_integral_reference(self):
+        # One stacked quadrature call gives every row the bits of its own
+        # one-integral loop.
+        assert repr(certify_diffusion()) == repr(certify_diffusion_per_integral())
+
+    def test_failing_integral_fails_its_row(self, monkeypatch):
+        # At alpha = 32 the tilted moment of the t = 0.25 pairs lies past the
+        # suite's domain, so three integrals fail the domain-end rule.
+        default = certify_diffusion()
+        monkeypatch.setitem(DIFFUSION_GRID, "alpha", (1.5, 2.0, 32.0))
+        reports = certify_diffusion()
+        assert repr(reports) == repr(certify_diffusion_per_integral())
+        failed = [r for r in reports if not r.passed]
+        assert [r.descriptor for r in failed] == [
+            "theta=0.5,rho=0.8,t=0.25,alpha=32.0", "theta=1.0,rho=0.8,t=0.25,alpha=32.0",
+            "t=0.25,alpha=32.0"]
+        assert all(r.measured == math.inf and r.slack == -math.inf for r in failed)
+        # The other rows keep their bits; only the trial ids move.
+        kept = [r[1:] for r in reports if not r.descriptor.endswith("alpha=32.0")]
+        assert repr(kept) == repr([r[1:] for r in default])
+        # The one-item oracle still raises for the failing Brownian pair.
+        law0, law1 = GaussianDist([0.0], 0.5), GaussianDist([1.0], 0.5)
+        domain = (distributions.quadrature_domain(law0)[0], distributions.quadrature_domain(law1)[1])
+        with pytest.raises(QuadratureError, match="not negligible at a domain end"):
+            renyi_numeric_log(partial(log_density, law1), partial(log_density, law0), 32.0, domain)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_integral_exits_3(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setitem(DIFFUSION_GRID, "alpha", (1.5, 2.0, 32.0))
+        config, out = tmp_path / "diffusion.json", tmp_path / f"out.{fmt}"
+        config.write_text(json.dumps({"suites": ["diffusion"]}))
+        code = cli.main(["verify", "--config", str(config), "--seed", "0", "--out", str(out), "--format", fmt])
+        assert code == 3
+        text = out.read_text()
+        if fmt == "json":
+            payload = json.loads(text)
+            assert payload["metadata"] == ["violations: 3"]
+            assert sum(row["measured"] == math.inf for row in payload["rows"]) == 3
+        else:
+            assert "# violations: 3\n" in text
+            rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+            assert [row["descriptor"] for row in rows if row["measured"] == "inf"] == [
+                "theta=0.5,rho=0.8,t=0.25,alpha=32.0", "theta=1.0,rho=0.8,t=0.25,alpha=32.0",
+                "t=0.25,alpha=32.0"]
 
     def test_mse_numeric_is_second_moment(self):
         law = GaussianDist([0.3], 2.5)
