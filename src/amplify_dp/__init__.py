@@ -7,6 +7,21 @@ mechanisms (Brownian and Ornstein-Uhlenbeck) with their mean-squared-error
 trade-offs.
 """
 
+import os as _os
+import sys as _sys
+
+# The variables OpenBLAS reads for its thread count; where one is set, or numpy
+# is already loaded, numpy starts as it would without this package.
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in _sys.modules and not _BLAS_THREAD_VARS & _os.environ.keys():
+    # The library's only BLAS call is one small gemv, and OpenBLAS's worker
+    # thread spin-waits against the importing thread (60-70 ms of start-up).
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .distributions import *
 from .divergences import *
 from .mixing import *

@@ -10,6 +10,7 @@ Every command reads one JSON config (``--config``), writes CSV or JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -462,6 +463,7 @@ def _render_json(command: str, config: dict, seed, header: list[str],
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache  # built on the first ``main`` call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amplify-dp",

@@ -28,13 +28,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_module(args):
+def run_module(args, env=None):
     """``python -m amplify_dp.cli`` in a fresh interpreter that imports the
-    package this test imported, installed or not."""
+    package this test imported, installed or not, in ``env`` (default this
+    process's environment)."""
+    env = os.environ if env is None else env
     src = os.path.dirname(os.path.dirname(amplify_dp.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "amplify_dp.cli", *args],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env={**env, "PYTHONPATH": path})
 
 
 def parse_csv(text):
@@ -614,6 +616,22 @@ class TestReproducibility:
             assert outs[2].read_bytes() == first
             assert b"\r" not in first  # LF endings
 
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # At these sizes the pushforwards' vector-matrix products pass
+        # OpenBLAS's threading threshold; the bytes must not depend on it.
+        cfg = write_config(tmp_path, {"suites": ["theorem1", "transport"], "trials": 3,
+                                      "sizes": [96, 128]})
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            proc = run_module(["verify", "--config", cfg, "--seed", "3", "--out", str(out)],
+                              env={**base, "OPENBLAS_NUM_THREADS": threads})
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+
     def test_config_echo_round_trips(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIX_CONFIG)
         code, out, _ = run_cli(["mixing", "--config", cfg], capsys)
@@ -656,6 +674,14 @@ class TestTransportByteIdentity:
 
 
 class TestEntryPoint:
+    def test_parser_is_built_once_and_fails_the_same_each_call(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--seed", "1"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: --config" in capsys.readouterr().err
+
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path, MIX_CONFIG)
         proc = run_module(["mixing", "--config", cfg])

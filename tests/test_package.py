@@ -2,11 +2,33 @@
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import amplify_dp
 
 SRC = pathlib.Path(amplify_dp.__file__).parent
+
+# The variables OpenBLAS reads for its thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs ``{imports}`` and prints whether they left os.environ as they found it,
+# the process's OS threads (null without /proc/self/task) and whether an
+# OpenBLAS library is mapped.
+STARTUP_PROBE = """
+import json, os
+before = dict(os.environ)
+{imports}
+maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+print(json.dumps({{"environ_kept": dict(os.environ) == before,
+                  "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+                  "openblas": "openblas" in maps.lower()}}))
+"""
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
@@ -60,3 +82,36 @@ def test_star_imported_modules_declare_their_public_names():
         assert public is not None, module
         assert [name for name in public if name.startswith("_")] == [], module
         assert set(public) <= set(dir(amplify_dp)), module
+
+
+def _fresh_startup(imports: str, **env: str) -> dict:
+    """STARTUP_PROBE's report from a fresh interpreter whose environment has
+    none of BLAS_THREAD_VARS but those in ``env``."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE.format(imports=imports)],
+                          capture_output=True, text=True, check=True,
+                          env={**base, **env, "PYTHONPATH": path})
+    return json.loads(proc.stdout)
+
+
+def test_import_leaves_environ_as_it_was():
+    assert _fresh_startup("import amplify_dp")["environ_kept"]
+
+
+def test_import_starts_openblas_on_one_thread():
+    probe = _fresh_startup("import amplify_dp")
+    if probe["threads"] is None or not probe["openblas"]:
+        pytest.skip("needs /proc/self/task and a numpy built on OpenBLAS")
+    assert probe["threads"] == 1
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_thread_setting_is_honoured(var):
+    # With a setting, the package starts numpy as numpy starts alone: the
+    # same environment after import and the same threads.
+    assert _fresh_startup("import amplify_dp", **{var: "2"}) == _fresh_startup("import numpy", **{var: "2"})
+
+
+def test_numpy_imported_first_changes_nothing():
+    assert _fresh_startup("import numpy, amplify_dp") == _fresh_startup("import numpy")
