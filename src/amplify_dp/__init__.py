@@ -18,7 +18,7 @@ if "numpy" not in _sys.modules and not _BLAS_THREAD_VARS & _os.environ.keys():
     # thread spin-waits against the importing thread (60-70 ms of start-up).
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy as _numpy
+        import numpy as _numpy  # noqa: F401 (loaded for its thread count only)
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 

@@ -175,6 +175,9 @@ def _out_of_range(exc: ArithmeticError) -> ValidationFailure:
 def _require_finite_bounds(config: dict, epsilons: Sequence[float]) -> None:
     # A float product overflows to inf silently, where ** raises: from a
     # validated config of finite numbers, an inf bound has left the float range.
+    # A NaN (inf / inf, or 0 * inf) is no bound, whatever the config holds.
+    if any(map(math.isnan, epsilons)):
+        raise ArithmeticError("a closed form is NaN")
     values = [v for x in config.values() for v in (x if isinstance(x, list) else [x])]
     if all(map(math.isfinite, values)) and not all(map(math.isfinite, epsilons)):
         raise OverflowError("a product overflowed to inf")
@@ -319,6 +322,9 @@ def cmd_ou(config: dict, seed) -> tuple[list[str], list[list], list[str], int]:
             raise ValidationFailure("theta", "theta and rho required without plan_epsilon")
         theta = _number(config, "theta")
         rho = _number(config, "rho")
+        for key, value in (("theta", theta), ("rho", rho)):
+            if value == math.inf:
+                raise ValidationFailure(key, "must be finite: the closed forms are inf / inf at inf")
     rows = []
     for t in t_grid:
         if t <= 0:

@@ -1,13 +1,12 @@
 """Diffusion-mechanism accounting: Brownian/Gaussian semigroup RDP, the
-Ornstein-Uhlenbeck mechanism (transition law, RDP, sampling), and the
-mean-squared-error comparison against the privacy-matched Gaussian mechanism.
+Ornstein-Uhlenbeck mechanism (transition law, RDP, sampling, planner), and the
+mean squared errors of OU and of the privacy-matched Gaussian mechanism.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .divergences import RdpPoint
 __all__ = [
     "OuParams",
     "BrownianParams",
-    "MseDominanceReport",
     "brownian_rdp",
     "ou_transition",
     "ou_intrinsic_sensitivity",
@@ -26,7 +24,6 @@ __all__ = [
     "gm_mse",
     "pgm_mse_bound",
     "plan_ou",
-    "mse_dominance_check",
     "ou_sample",
 ]
 
@@ -158,42 +155,6 @@ def plan_ou(epsilon: float, delta: float, R: float, d: int) -> OuParams:
     theta = math.log1p(x)
     rho2 = theta * delta**2 / (2.0 * epsilon * math.expm1(2.0 * theta))
     return OuParams(theta=theta, rho=math.sqrt(rho2), t=1.0, delta=delta, R=R, d=d)
-
-
-@dataclass(frozen=True)
-class MseDominanceReport:
-    """Outcome of sweeping the OU/Gaussian MSE ratio over a time grid."""
-
-    precondition_ok: bool
-    dominated: bool
-    max_ratio: float
-    final_ratio: float
-    t_grid: tuple
-
-
-def mse_dominance_check(theta: float, rho: float, d: int, R: float,
-                        t_grid: Sequence[float]) -> MseDominanceReport:
-    """Check the worst-case OU/Gaussian MSE ratio over a grid of times.
-
-    The sufficient condition theta R^2 <= 4 d rho^2 guarantees a ratio <= 1 at
-    every t; the ratio is evaluated at the worst case ||f(D)|| = R.
-    """
-    ts = sorted(float(t) for t in t_grid)
-    if not ts or ts[0] <= 0:
-        raise ValueError("t_grid must contain positive times")
-    precondition_ok = theta * R**2 <= 4.0 * d * rho**2
-    ratios = []
-    for t in ts:
-        p = OuParams(theta=theta, rho=rho, t=t, delta=0.0, R=R, d=d)
-        ratios.append(ou_mse(p, R) / gm_mse(p))
-    max_ratio = max(ratios)
-    return MseDominanceReport(
-        precondition_ok=precondition_ok,
-        dominated=max_ratio <= 1.0 + 1e-12,
-        max_ratio=max_ratio,
-        final_ratio=ratios[-1],
-        t_grid=tuple(ts),
-    )
 
 
 def ou_sample(x, p: OuParams, seed: int, n: int) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Exact divergences on finite supports, closed-form Renyi divergences for the
-noise families, a 1-D quadrature Renyi oracle, and infinity-Wasserstein
-distance on finite supports.
+"""Exact divergences on finite supports, a 1-D quadrature Renyi oracle, and
+infinity-Wasserstein distance on finite supports.
 
 Density-ratio convention throughout: 0/0 = 0, and p/0 = +infinity for p > 0.
 """
@@ -23,7 +22,6 @@ __all__ = [
     "hockey_stick",
     "tv",
     "renyi_discrete",
-    "log_laplace_g",
     "renyi_numeric_log",
     "renyi_numeric_1d",
     "w_inf_discrete",
@@ -203,17 +201,6 @@ def renyi_discrete(mu: DiscreteDist, nu: DiscreteDist, alpha: float) -> float:
         return max(0.0, float(np.max(np.log(p) - np.log(q))))
     terms = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
     return max(0.0, _logsumexp(terms) / (alpha - 1.0))
-
-
-def log_laplace_g(z: float, alpha: float) -> float:
-    """log of the Laplace Renyi moment g_alpha(z), evaluated stably."""
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise ValueError("alpha must be finite and > 1")
-    a = math.log(alpha / (2.0 * alpha - 1.0)) + z * (alpha - 1.0)
-    b = math.log((alpha - 1.0) / (2.0 * alpha - 1.0)) - z * alpha
-    return float(np.logaddexp(a, b))
 
 
 def renyi_numeric_log(

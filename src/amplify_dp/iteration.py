@@ -1,7 +1,6 @@
-"""Coupling-based RDP amplification for noisy Lipschitz maps: closed-form
-bounds for Gaussian/Laplace/Lipschitz kernels, iterated path bounds driven by
-infinity-Wasserstein increments, and the strongly convex noisy-SGD per-index
-accountant.
+"""Coupling-based RDP amplification for noisy Lipschitz maps: path bounds
+driven by infinity-Wasserstein increments, their closed form for uniformly
+contractive chains, and the strongly convex noisy-SGD per-index accountant.
 """
 
 from __future__ import annotations
@@ -12,18 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import DpGuarantee, RdpPoint, log_laplace_g
+from .divergences import RdpPoint
 
 __all__ = [
     "IterationChain",
     "SgdConfig",
-    "iterated_gaussian_bound",
-    "lipschitz_kernel_bound",
-    "iterated_laplace_bound",
-    "pure_dp_iterated_laplace",
     "winf_path_bound",
     "winf_contractive_bound",
-    "geometric_increments",
     "contraction_coeff",
     "sgd_rdp_at_index",
 ]
@@ -82,94 +76,6 @@ class SgdConfig:
             raise ValueError("sigma must be positive")
 
 
-def iterated_gaussian_bound(sensitivity: float, sigma1: float, sigma2: float,
-                            alpha: float) -> RdpPoint:
-    """RDP of a Gaussian mechanism post-processed by additive Gaussian noise.
-
-    The optimally shifted coupling makes the two noise scales add in variance:
-    epsilon = alpha * sensitivity^2 / (2 * (sigma1^2 + sigma2^2)).  Tight.
-    """
-    if not (sigma1 > 0 and sigma2 >= 0 and sensitivity >= 0):
-        raise ValueError("sigma1 must be positive, and sigma2 and sensitivity non-negative")
-    eps = alpha * sensitivity**2 / (2.0 * (sigma1**2 + sigma2**2))
-    return RdpPoint(alpha, eps)
-
-
-def lipschitz_kernel_bound(sensitivity: float, sigma1: float, sigma2: float,
-                           lipschitz: float, alpha: float) -> RdpPoint:
-    """RDP after post-processing by a noisy L-Lipschitz map.
-
-    The effective variance is sigma1^2 + sigma2^2 / L^2; L = 1 recovers the
-    iterated Gaussian bound, and amplification vanishes as L grows.
-    """
-    if not lipschitz > 0:
-        raise ValueError("lipschitz must be positive")
-    if not (sigma1 > 0 and sigma2 > 0 and sensitivity >= 0):
-        raise ValueError("noise scales must be positive and sensitivity non-negative")
-    sigma_star2 = sigma1**2 + sigma2**2 / lipschitz**2
-    return RdpPoint(alpha, alpha * sensitivity**2 / (2.0 * sigma_star2))
-
-
-def _laplace_pair_log_bound(w: float, sensitivity: float, lambda1: float,
-                            lambda2: float, alpha: float) -> float:
-    return log_laplace_g(abs(w) / lambda1, alpha) + log_laplace_g(
-        abs(sensitivity - w) / lambda2, alpha)
-
-
-def iterated_laplace_bound(sensitivity: float, lambda1: float, lambda2: float,
-                           alpha: float) -> RdpPoint:
-    """RDP of a Laplace mechanism post-processed by additive Laplace noise.
-
-    Minimizes the two-factor moment bound over the interpolation point w
-    between the two means (there is no closed form for the optimum).  Each
-    log factor is a log-sum-exp of functions affine in w, so the objective is
-    convex on [0, sensitivity]: golden-section search over the whole interval,
-    down to 1e-10 in w (relative once sensitivity exceeds 1, to stay above the
-    spacing of doubles), plus both endpoints, where the optimum sits as a
-    scale tends to 0.
-    """
-    if not (lambda1 > 0 and lambda2 > 0 and sensitivity >= 0):
-        raise ValueError("scales must be positive and sensitivity non-negative")
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise ValueError("alpha must be finite and > 1")
-    if sensitivity == 0.0:
-        return RdpPoint(alpha, 0.0)
-
-    def f(w: float) -> float:
-        return _laplace_pair_log_bound(w, sensitivity, lambda1, lambda2, alpha)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, sensitivity
-    wtol = 1e-10 * max(1.0, b - a)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > wtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    best = min(f(0.0), f(sensitivity), fc, fd)
-    return RdpPoint(alpha, max(best, 0.0) / (alpha - 1.0))
-
-
-def pure_dp_iterated_laplace(sensitivity: float, lambda1: float,
-                             lambda2: float) -> DpGuarantee:
-    """Exact pure-DP level of the two-scale Laplace convolution mechanism.
-
-    The log density ratio at shift ``sensitivity`` approaches
-    sensitivity / max(lambda1, lambda2) in the tails, and no smaller epsilon
-    is achievable.
-    """
-    if not (lambda1 > 0 and lambda2 > 0 and sensitivity >= 0):
-        raise ValueError("scales must be positive and sensitivity non-negative")
-    return DpGuarantee(sensitivity / max(lambda1, lambda2), 0.0)
-
-
 def winf_path_bound(chain: IterationChain, path_distances: Sequence[float],
                     alpha: float) -> RdpPoint:
     """RDP bound from per-step W-infinity increments along an interpolating path.
@@ -214,18 +120,6 @@ def winf_contractive_bound(chain: IterationChain, sensitivity: float,
         return RdpPoint(alpha, 0.0)
     eps = alpha * sensitivity**2 * lip ** (chain.r + 1) / (2.0 * chain.r * chain.sigma**2)
     return RdpPoint(alpha, eps)
-
-
-def geometric_increments(sensitivity: float, lipschitz: float, r: int) -> list[float]:
-    """The geometric interpolation path d_i = d_0 * L^i with sum = sensitivity."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not 0 < lipschitz <= 1:
-        raise ValueError("requires 0 < L <= 1")
-    if lipschitz == 1.0:
-        return [sensitivity / r] * r
-    d0 = (sensitivity / lipschitz) * (1.0 - lipschitz) / (1.0 - lipschitz**r)
-    return [d0 * lipschitz**i for i in range(1, r + 1)]
 
 
 def contraction_coeff(beta: float, rho: float, eta: float) -> float:

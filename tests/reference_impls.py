@@ -22,7 +22,6 @@ from amplify_dp.diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse,
 from amplify_dp.distributions import DiscreteDist, GaussianDist, _trusted, quadrature_domain
 from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _start_threshold, aligned_masses,
                                     exp_times, hockey_stick)
-from amplify_dp.iteration import _laplace_pair_log_bound
 from amplify_dp.mixing import (
     SINKHORN_ATOL,
     SINKHORN_MAX_SWEEPS,
@@ -351,35 +350,18 @@ def renyi_gaussian(u, v, sigma2: float, alpha: float) -> float:
     return alpha * float(np.sum((uv - vv) ** 2)) / (2.0 * sigma2)
 
 
-def laplace_bound_grid_golden(sensitivity: float, lambda1: float, lambda2: float,
-                              alpha: float) -> float:
-    """Iterated-Laplace RDP epsilon by a 10^4-step grid over [0, sensitivity]
-    and golden-section refinement of the bracket around the best grid point."""
-    grid = 10**4
-    if sensitivity == 0.0:
-        return 0.0
-
-    def f(w):
-        return _laplace_pair_log_bound(w, sensitivity, lambda1, lambda2, alpha)
-
-    ws = np.linspace(0.0, sensitivity, grid + 1)
-    vals = [f(w) for w in ws]
-    k = int(np.argmin(vals))
-    a, b = ws[max(k - 1, 0)], ws[min(k + 1, grid)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(min(min(vals), fc, fd), 0.0) / (alpha - 1.0)
+def renyi_laplace(shift: float, scale: float, alpha: float) -> float:
+    """Closed-form Renyi divergence between Lap(shift, scale) and Lap(0, scale):
+    log(alpha/(2 alpha - 1) e^((alpha-1) z) + (alpha-1)/(2 alpha - 1) e^(-alpha z)) / (alpha - 1)
+    with z = |shift| / scale."""
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and > 1")
+    z = abs(shift) / scale
+    a = math.log(alpha / (2.0 * alpha - 1.0)) + z * (alpha - 1.0)
+    b = math.log((alpha - 1.0) / (2.0 * alpha - 1.0)) - z * alpha
+    return float(np.logaddexp(a, b)) / (alpha - 1.0)
 
 
 def project_to_ball(x: np.ndarray, radius: float) -> np.ndarray:

@@ -359,6 +359,26 @@ class TestOuCommand:
         assert (code, out) == (2, "")
         assert err == f"error: t_grid: the closed forms leave the float range at t={t} (a product overflowed to inf)\n"
 
+    @pytest.mark.parametrize("change, err", [
+        ({"theta": math.inf}, "theta: must be finite: the closed forms are inf / inf at inf"),
+        ({"rho": math.inf}, "rho: must be finite: the closed forms are inf / inf at inf"),
+        # mse_pgm_bound is mse_gm / (1 + mse_gm / R^2) with mse_gm = inf.
+        ({"t_grid": [math.inf]}, "t_grid: the closed forms leave the float range at t=inf (a closed form is NaN)"),
+    ])
+    def test_nan_cells_exit_2(self, tmp_path, capsys, change, err):
+        cfg = write_config(tmp_path, {"delta": 1, "R": 1, "d": 1, "t_grid": [1.0],
+                                      "theta": 1, "rho": 1, **change})
+        assert run_cli(["ou", "--config", cfg], capsys) == (2, "", f"error: {err}\n")
+
+    def test_pgm_bound_nan_at_zero_radius(self, tmp_path, capsys):
+        # The documented NaN: the bound needs R > 0.
+        cfg = write_config(tmp_path, {"delta": 1.0, "R": 0.0, "d": 1, "t_grid": [1.0],
+                                      "theta": 1.0, "rho": 1.0})
+        code, out, _ = run_cli(["ou", "--config", cfg], capsys)
+        _, header, rows = parse_csv(out)
+        assert code == 0
+        assert [row[header.index("mse_pgm_bound")] for row in rows] == ["nan"]
+
     def test_planner_conflicts_with_theta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plan_epsilon": 1.0, "theta": 1.0, "rho": 1.0,
                                       "d": 1, "R": 1.0, "delta": 1.0, "t_grid": [1.0]})

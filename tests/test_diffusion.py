@@ -11,7 +11,6 @@ from amplify_dp.diffusion import (
     brownian_rdp,
     gm_mse,
     matched_gaussian_variance,
-    mse_dominance_check,
     ou_intrinsic_sensitivity,
     ou_mse,
     ou_rdp,
@@ -217,25 +216,10 @@ class TestPlanner:
 
 
 class TestDominance:
-    def test_reference_case(self):
-        rep = mse_dominance_check(1.0, 1.0, 1, 1.0, np.linspace(0.01, 10.0, 500))
-        assert rep.precondition_ok
-        assert rep.dominated
-        assert rep.final_ratio < 1e-3
-
     def test_ratio_one_at_tiny_time(self):
-        rep = mse_dominance_check(1.0, 1.0, 1, 1.0, [1e-6])
-        assert rep.max_ratio == pytest.approx(1.0, abs=1e-3)
-
-    def test_violated_precondition_reported_not_asserted(self):
-        # theta R^2 > 4 d rho^2: the check must report, never raise.
-        rep = mse_dominance_check(50.0, 0.1, 1, 10.0, np.linspace(0.01, 5.0, 100))
-        assert not rep.precondition_ok
-        assert isinstance(rep.dominated, bool)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            mse_dominance_check(1.0, 1.0, 1, 1.0, [])
+        # At the worst case ||f|| = R the OU/Gaussian MSE ratio tends to 1 as t -> 0.
+        p = OuParams(theta=1.0, rho=1.0, t=1e-6, delta=0.0, R=1.0, d=1)
+        assert ou_mse(p, 1.0) / gm_mse(p) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestOuSampling:

@@ -4,110 +4,15 @@ import numpy as np
 import pytest
 
 from amplify_dp._rng import rng_from_seed, uniform_open
-from amplify_dp.divergences import log_laplace_g
 from amplify_dp.iteration import (
     IterationChain,
     SgdConfig,
     contraction_coeff,
-    geometric_increments,
-    iterated_gaussian_bound,
-    iterated_laplace_bound,
-    lipschitz_kernel_bound,
-    pure_dp_iterated_laplace,
     sgd_rdp_at_index,
     winf_contractive_bound,
     winf_path_bound,
 )
-from reference_impls import laplace_bound_grid_golden, project_to_ball
-
-
-class TestClosedFormBounds:
-    def test_iterated_gaussian(self):
-        assert iterated_gaussian_bound(1.0, 1.0, 1.0, 2.0).epsilon == pytest.approx(0.5)
-
-    def test_iterated_gaussian_degenerate_postprocessing(self):
-        assert iterated_gaussian_bound(1.0, 1.0, 0.0, 2.0).epsilon == pytest.approx(1.0)
-
-    def test_iterated_gaussian_zero_sensitivity(self):
-        assert iterated_gaussian_bound(0.0, 1.0, 1.0, 2.0).epsilon == 0.0
-
-    def test_lipschitz_reduces_to_gaussian_at_one(self):
-        for delta, s1, s2, alpha in ((1.0, 1.0, 1.0, 2.0), (0.5, 2.0, 0.7, 3.0)):
-            assert lipschitz_kernel_bound(delta, s1, s2, 1.0, alpha).epsilon == \
-                pytest.approx(iterated_gaussian_bound(delta, s1, s2, alpha).epsilon, abs=1e-15)
-
-    def test_lipschitz_half(self):
-        assert lipschitz_kernel_bound(1.0, 1.0, 1.0, 0.5, 2.0).epsilon == pytest.approx(0.2)
-
-    def test_lipschitz_large_l_limit(self):
-        val = lipschitz_kernel_bound(1.0, 1.0, 1.0, 1e9, 2.0).epsilon
-        assert val == pytest.approx(iterated_gaussian_bound(1.0, 1.0, 0.0, 2.0).epsilon,
-                                    rel=1e-6)
-
-    def test_bounds_increase_with_alpha(self):
-        alphas = (1.5, 2.0, 4.0, 16.0)
-        gauss = [iterated_gaussian_bound(1.0, 1.0, 1.0, a).epsilon for a in alphas]
-        lap = [iterated_laplace_bound(1.0, 1.0, 1.0, a).epsilon for a in alphas]
-        assert all(x >= 0 for x in gauss + lap)
-        assert all(a < b for a, b in zip(gauss, gauss[1:]))
-        assert all(a < b + 1e-12 for a, b in zip(lap, lap[1:]))
-
-
-class TestIteratedLaplace:
-    def test_regression_target(self):
-        # Interior optimum, cross-checked against scipy bounded minimization.
-        val = iterated_laplace_bound(1.0, 1.0, 1.0, 2.0).epsilon
-        assert val == pytest.approx(0.40060779234723176, abs=1e-9)
-
-    def test_beats_single_stage(self):
-        single = log_laplace_g(1.0, 2.0)
-        assert iterated_laplace_bound(1.0, 1.0, 1.0, 2.0).epsilon < single
-
-    def test_zero_sensitivity(self):
-        assert iterated_laplace_bound(0.0, 1.0, 1.0, 2.0).epsilon == 0.0
-
-    def test_large_alpha_matches_pure_dp_limit(self):
-        for l1, l2 in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
-            limit = pure_dp_iterated_laplace(1.0, l1, l2).epsilon
-            val = iterated_laplace_bound(1.0, l1, l2, 1000.0).epsilon
-            assert val == pytest.approx(limit, rel=0.05)
-
-    def test_monotone_in_lambda2(self):
-        vals = [iterated_laplace_bound(1.0, 1.0, l2, 2.0).epsilon
-                for l2 in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_lambda2_to_zero_recovers_single_mechanism(self):
-        val = iterated_laplace_bound(1.0, 1.0, 1e-9, 2.0).epsilon
-        assert val == pytest.approx(log_laplace_g(1.0, 2.0), abs=1e-8)
-
-    def test_matches_grid_and_golden_reference(self):
-        rng = np.random.default_rng(21)
-        cases = [(1.0, 1.0, 1e-9, 2.0), (1.0, 1e-9, 1.0, 2.0), (1.0, 1.0, 1.0, 1000.0),
-                 (2.5, 0.3, 1e-9, 1000.0)]
-        for _ in range(30):
-            cases.append((float(rng.uniform(0.01, 5.0)),
-                          float(10 ** rng.uniform(-9, 1)), float(10 ** rng.uniform(-9, 1)),
-                          float(rng.choice([1.5, 2.0, 8.0, 64.0, 1000.0]))))
-        for case in cases:
-            ref = laplace_bound_grid_golden(*case)
-            val = iterated_laplace_bound(*case).epsilon
-            # Relative above 1: tiny scales make values far above 1, where
-            # 1e-11 is less than one ulp.
-            scale = max(1.0, ref)
-            assert ref - 1e-9 * scale <= val <= ref + 1e-11 * scale, case
-
-    def test_large_sensitivity_terminates(self):
-        # 1e-10 in w is below the spacing of doubles here; the search must
-        # still stop, between the limit and the better endpoint.
-        val = iterated_laplace_bound(3e6, 2.0, 1.0, 30.0).epsilon
-        ends = min(log_laplace_g(3e6 / 2.0, 30.0), log_laplace_g(3e6, 30.0)) / 29.0
-        assert pure_dp_iterated_laplace(3e6, 2.0, 1.0).epsilon * 0.99 <= val <= ends
-
-    def test_pure_dp_examples(self):
-        assert pure_dp_iterated_laplace(1.0, 2.0, 1.0).epsilon == 0.5
-        assert pure_dp_iterated_laplace(0.0, 2.0, 1.0).epsilon == 0.0
-        assert pure_dp_iterated_laplace(1.0, 1.0, 1.0).delta == 0.0
+from reference_impls import project_to_ball
 
 
 class TestWinfBounds:
@@ -155,18 +60,17 @@ class TestWinfBounds:
         with pytest.raises(ValueError, match="L <= 1"):
             winf_contractive_bound(chain, 1.0, 2.0)
 
-    def test_geometric_increments_sum_to_sensitivity(self):
-        for lip in (0.1, 0.5, 0.9, 1.0):
-            inc = geometric_increments(2.0, lip, 7)
-            assert sum(inc) == pytest.approx(2.0, abs=1e-12)
-
     def test_closed_form_dominates_geometric_path(self):
         # The contractive closed form absorbs a (r * phi(L))^2 <= 1 factor, so
-        # it must dominate the explicit geometric-path evaluation.
+        # it must dominate the explicit geometric-path evaluation, whose
+        # increments d_i = d_0 L^i sum to the sensitivity.
         for lip in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             for r in (2, 5, 11):
+                d0 = (2.0 / lip) * (1.0 - lip) / (1.0 - lip**r)
+                increments = [d0 * lip**i for i in range(1, r + 1)]
+                assert math.fsum(increments) == pytest.approx(2.0, abs=1e-12)
                 chain = IterationChain(r, lip, 1.3, 2.0)
-                path = winf_path_bound(chain, geometric_increments(2.0, lip, r), 2.0)
+                path = winf_path_bound(chain, increments, 2.0)
                 closed = winf_contractive_bound(chain, 2.0, 2.0)
                 assert closed.epsilon >= path.epsilon - 1e-15
 
@@ -183,19 +87,9 @@ UNIT_CHAIN = IterationChain(2, 1.0, 1.0, 1.0)
     (lambda: winf_contractive_bound(UNIT_CHAIN, math.nan, 2.0), "sensitivity"),
     (lambda: winf_contractive_bound(UNIT_CHAIN, -1.0, 2.0), "sensitivity"),
     (lambda: SgdConfig(n=5, C=1.0, beta=1.0, rho=1.0, eta=0.5, sigma=math.nan), "sigma"),
-    (lambda: iterated_gaussian_bound(1.0, 1.0, math.nan, 2.0), "sigma2"),
-    (lambda: iterated_gaussian_bound(math.nan, 1.0, 1.0, 2.0), "sensitivity"),
-    (lambda: iterated_gaussian_bound(-1.0, 1.0, 1.0, 2.0), "sensitivity"),
-    (lambda: lipschitz_kernel_bound(math.nan, 1.0, 1.0, 1.0, 2.0), "sensitivity"),
-    (lambda: lipschitz_kernel_bound(-1.0, 1.0, 1.0, 1.0, 2.0), "sensitivity"),
-    (lambda: iterated_laplace_bound(math.nan, 1.0, 1.0, 2.0), "sensitivity"),
-    (lambda: iterated_laplace_bound(-1.0, 1.0, 1.0, 2.0), "sensitivity"),
-    (lambda: pure_dp_iterated_laplace(math.nan, 1.0, 1.0), "sensitivity"),
 ], ids=["chain-nan-lipschitz-and-delta0", "chain-nan-lipschitz-entry", "chain-nan-delta0",
         "path-nan-increment", "contractive-nan-sensitivity", "contractive-negative-sensitivity",
-        "sgd-nan-sigma", "gaussian-nan-sigma2", "gaussian-nan-sensitivity", "gaussian-negative-sensitivity",
-        "lipschitz-nan-sensitivity", "lipschitz-negative-sensitivity", "laplace-nan-sensitivity",
-        "laplace-negative-sensitivity", "pure-laplace-nan-sensitivity"])
+        "sgd-nan-sigma"])
 def test_nan_and_negative_inputs_rejected(call, match):
     # A NaN fails every check (none is written as `x < 0`), so it is a
     # ValueError here and not an ArithmeticError in a bound later.

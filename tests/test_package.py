@@ -70,6 +70,83 @@ def test_every_definition_is_exported_or_used():
     assert unused == []
 
 
+# Definitions that no command reaches but that stay, by name, with the reason.
+# An entry leaves once a command reaches it; the dict only shrinks.
+KEPT_UNREACHED = {
+    "integrate": "the one-integral call of the quadrature sweep loop",
+    "renyi_numeric_log": "the one-pair call of the diffusion suite's stacked Renyi integrals",
+    "mse_numeric": "the one-law call of the diffusion suite's stacked MSE integrals",
+    "pushforward": "the one-law call of the transport suite's stacked pushforwards",
+    "transport_operator": "the one-coupling call of the transport suite's stacked operators",
+    "mixture_decompose": "the one-pair call of the transport suite's stacked decompositions",
+    "greedy_coupling": "the one-pair call of the transport suite's stacked line pass",
+    "independent_coupling": "the one-pair call of the transport suite's stacked products",
+    "random_joint_coupling": "the one-pair call of the transport suite's Sinkhorn stack",
+    "amplify": "the one-guarantee call of theorem1's stacked amplification step",
+    "random_instance": "the one-trial call of theorem1's stacked instance draw",
+    "w_inf_optimal_coupling": "the witness of w_inf_discrete's search, which divergence runs",
+    "renyi_numeric_1d": "the bench's scalar Renyi oracle (waits on ROADMAP item 1)",
+    "density": "the bench's scalar densities for renyi_numeric_1d (waits on ROADMAP item 1)",
+    "sample": "the bench's sampling workload (waits on ROADMAP item 1)",
+    "ou_sample": "the bench's traced OU sampler (waits on ROADMAP item 1)",
+}
+
+
+def _reached(graph: dict[str, set[str]], roots: set[str]) -> set[str]:
+    """The names of ``graph`` that a path of references leads to from ``roots``."""
+    seen, todo = set(), [name for name in roots if name in graph]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph[name] & graph.keys())
+    return seen
+
+
+def test_every_definition_is_reached_from_a_command():
+    # A name-level call graph over the module-level functions and classes:
+    # an edge from each to every name it references. Its roots are cli.main and
+    # the names that module-level statements other than imports reference
+    # (cli.COMMANDS among them). A definition that no command reaches is
+    # uncertified by any command or verify row: it goes, or KEPT_UNREACHED
+    # says why it stays.
+    graph, roots = {}, {"main"}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                graph.setdefault(node.name, set()).update(_referenced_names(node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _referenced_names(node)
+    kept = set(KEPT_UNREACHED)
+    assert sorted(kept - graph.keys()) == []
+    assert sorted(kept & _reached(graph, roots)) == []
+    assert sorted(graph.keys() - _reached(graph, roots | kept)) == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # A name counts as read where the module loads it or lists it in __all__.
+    # `from __future__`, the package's star imports and lines marked
+    # `# noqa: F401` are exempt.
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and bound not in read:
+                    unread.append(f"{path.stem}:{node.lineno}: {bound}")
+    assert unread == []
+
+
 def test_star_imported_modules_declare_their_public_names():
     # The package is the union of the __all__ of the modules it star-imports;
     # a module without one would leak its imports (np, math, dataclass).
