@@ -10,7 +10,8 @@ contiguous and in the order the loop holds them for that integral alone, so
 every sum its result depends on is the same pairwise ``.sum()``: an integral
 gets the same bits in a stack as alone.  An integral that fails leaves the
 stack with its :class:`QuadratureError`, and the others go on.
-:func:`integrate` is the one-item call.
+:func:`integrate` is the one-item call.  A sweep forms the Simpson values
+and bisects the open panels by slicing one panel table (see ``L0``).
 """
 
 from __future__ import annotations
@@ -28,17 +29,13 @@ INITIAL_PANELS = 32
 # Evaluation budget of one integral.
 MAX_EVALS = 10**6
 
-# Rows of a sweep's panel table: the logs at a panel's ends and midpoint, at its
-# quarter points, and its left end, midpoint and right end, so that rows
-# X0:X1 and XM:X1 + 1 are the left and right ends of its halves.
-L0, LM, L1, LL, LR, X0, XM, X1 = range(8)
-# The table rows that become the (L0, LM, L1, X0, X1) rows of a panel's left
-# and right halves; the rows a sweep fills itself are padded with 0.
-_HALVES = np.array([[L0, LL, LM, 0, 0, X0, 0, XM], [LM, LR, L1, 0, 0, XM, 0, X1]])
-# The ends of a panel and of its halves, and their Simpson nodes, for the rows
-# s, sl and sr: s = (x1 - x0) / 6 * (f0 + 4 fm + f1) and likewise.
-_WIDTH_ENDS = np.array([[X1, XM, X1], [X0, X0, XM]])
-_SIMPSON_NODES = np.array([[L0, L0, LM], [LM, LL, LR], [L1, LM, L1]])
+# A sweep's panel table has a column per open panel and two blocks of rows:
+# the logs at the panel's five nodes (rows L0 ... L1) and the nodes (rows
+# X0 ... X1), left to right: left end, left quarter point, midpoint, right
+# quarter point, right end.  Rows 0:3 and 2:5 of a block are the ends and
+# midpoints of the panel's halves and rows ::2 its own, so the Simpson values
+# and the bisection are slices of the table.
+L0, LL, LM, LR, L1 = X0, XL, XM, XR, X1 = range(5)
 
 
 class QuadratureError(RuntimeError):
@@ -123,8 +120,9 @@ def _integrate_stack(stack: _Stack) -> list:
     Returns, per integral, the log of its integral or the ``QuadratureError``
     that :func:`integrate` would raise for it alone.  The panel table holds
     each live integral's open panels as one contiguous run of columns, and a
-    sweep's values that are per integral (its running maximum, estimate and
-    acceptance threshold) are repeated over its run.
+    sweep's values that are per integral (its running maximum, acceptance
+    coefficient and domain length) are repeated over its run, or stay scalars
+    while one integral is live.
     """
     for (a, b), rtol in zip(stack.domains, stack.rtols):
         if not b > a:
@@ -162,9 +160,9 @@ def _integrate_stack(stack: _Stack) -> list:
     table = []
     for n, seed, start, size in zip(counts, seeds, accumulate(sizes, initial=0), sizes):
         part = logs[start:start + size]
-        table.append([part[:n], part[n + 1:], part[1:n + 1], seed[:n], seed[1:n + 1]])
-    panels = np.empty((8, sum(counts)))
-    panels[[L0, LM, L1, X0, X1]] = np.concatenate(table, axis=1)
+        table.append([[part[:n], part[n + 1:], part[1:n + 1]], [seed[:n], seed[n + 1:], seed[1:n + 1]]])
+    panels = np.empty((2, 5, sum(counts)))
+    panels[:, ::2] = np.concatenate(table, axis=2)
     panels, live, counts = _drop(panels, live, counts, out)
 
     while live:
@@ -176,26 +174,22 @@ def _integrate_stack(stack: _Stack) -> list:
         panels, live, counts = _drop(panels, live, counts, out)
         if not live:
             break
-        xm = panels[XM]
-        np.multiply(0.5, panels[X0] + panels[X1], out=xm)
-        # Points [left quarters, right quarters], the midpoints of the halves:
-        # each integral's points lie in two runs, one in each half.
-        x = (0.5 * (panels[X0:X1] + panels[XM:X1 + 1])).ravel()
-        own = np.arange(len(live)).repeat(counts)  # each panel's index in live
-        which = np.array(live)[own]
-        logs = _evaluate(log_f, x, np.concatenate([which, which]))
-        panels[LL:LR + 1] = logs.reshape(2, -1)
+        nodes, x = panels
+        # The quarter points, [left quarters, right quarters]: each integral's
+        # points lie in two runs, one in each half.
+        np.multiply(0.5, x[X0:XM + 1:2] + x[XM:X1 + 1:2], out=x[XL:XR + 1:2])
+        points = x[XL:XR + 1:2].ravel()
+        logs = _evaluate(log_f, points, np.array(live + live).repeat(counts + counts))
+        nodes[LL:LR + 1:2] = logs.reshape(2, -1)
         if np.fmax.reduce(logs) == math.inf:  # fmax skips NaN
-            _flag_infinite(logs, x, live, counts, out)
+            _flag_infinite(logs, points, live, counts, out)
             panels, live, counts = _drop(panels, live, counts, out)
             if not live:
                 break
-            xm = panels[XM]
-            own = np.arange(len(live)).repeat(counts)
-        del x, logs, which  # the table holds them now
+            nodes, x = panels
+        del points, logs  # the table holds them now
         starts = list(accumulate(counts[:-1], initial=0))
 
-        nodes = panels[:LR + 1]
         node_max = nodes.max(axis=0)
         new_tops = np.maximum.reduceat(node_max, starts).tolist()
         # A NaN node makes its panel's maximum and its integral's NaN; no top is +inf.
@@ -210,8 +204,9 @@ def _integrate_stack(stack: _Stack) -> list:
                 acc[j], top[j] = acc[j] * math.exp(top[j] - new_top), new_top
         # A live integral whose M is still -inf has only -inf nodes; a shift of
         # 0 maps them to the zeros they are, where -inf - -inf would be NaN.
-        shift = np.array([top[j] if top[j] > -math.inf else 0.0 for j in live])[own]
-        refined, err = _simpson(panels, nodes, shift)
+        shift = _per_panel([top[j] if top[j] > -math.inf else 0.0 for j in live], counts)
+        width = x[X1] - x[X0]
+        refined, err = _simpson(np.exp(nodes - shift), x, width)
         estimates = [acc[j] + float(refined[s:s + c].sum()) for j, s, c in zip(live, starts, counts)]
 
         if nan:
@@ -219,7 +214,7 @@ def _integrate_stack(stack: _Stack) -> list:
             for j, s, c in zip(live, starts, counts):
                 i = s + int(np.argmax(near[s:s + c]))
                 if near[i] > worst[j]:
-                    worst[j], worst_at[j] = float(near[i]), float(xm[i])
+                    worst[j], worst_at[j] = float(near[i]), float(x[XM, i])
         failed = [worst_at[j] is not None and math.exp(worst[j] - top[j]) > rtols[j] * estimate / totals[j]
                   for j, estimate in zip(live, estimates)]
         for j, f in zip(live, failed):
@@ -228,16 +223,15 @@ def _integrate_stack(stack: _Stack) -> list:
                                          "where it is not representable")
 
         coefs = [15.0 * rtols[j] * estimate for j, estimate in zip(live, estimates)]
-        limits = np.array(coefs)[own] * (panels[X1] - panels[X0]) / np.array([totals[j] for j in live])[own]
-        done = np.abs(err) <= limits
-        gains = refined[done] + err[done] / 15.0
+        done = np.abs(err) <= _per_panel(coefs, counts) * width / _per_panel([totals[j] for j in live], counts)
+        gains = (refined + err / 15.0)[done]
         accepted = np.add.reduceat(done, starts, dtype=np.intp).tolist()
         for j, g, c, f in zip(live, accumulate(accepted, initial=0), accepted, failed):
             if c and not f:
                 acc[j] += float(gains[g:g + c].sum())
         keep = ~done
         if any(failed):
-            keep &= np.array([not f for f in failed])[own]
+            keep &= np.repeat([not f for f in failed], counts)
         counts = [0 if f else c - a for c, a, f in zip(counts, accepted, failed)]
         for j, c, f in zip(live, counts, failed):
             if c == 0 and not f:
@@ -245,20 +239,26 @@ def _integrate_stack(stack: _Stack) -> list:
         live = [j for j, c in zip(live, counts) if c]
         counts = [c for c in counts if c]
         if live:
-            panels = _bisected(panels[:, keep], counts)
+            panels = _bisected(panels.compress(keep, axis=2), counts)
             counts = [2 * c for c in counts]
     return out
 
 
-def _simpson(panels: np.ndarray, nodes: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
+def _simpson(f: np.ndarray, x: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each panel's Simpson value from its halves, and that value's Richardson
-    error against the panel's own, from the nodes' logs less ``shift``."""
-    widths = np.subtract(*panels[_WIDTH_ENDS])
-    f0, fm, f1 = np.exp(nodes - shift)[_SIMPSON_NODES]
-    # Rows s, sl and sr: each panel's Simpson value and its halves'.
-    simpson = widths / 6.0 * (f0 + 4.0 * fm + f1)
-    refined = simpson[1] + simpson[2]
-    return refined, refined - simpson[0]
+    error against the panel's own, from the integrand ``f`` at its nodes ``x``
+    and its ``width``: s = (x1 - x0) / 6 * (f0 + 4 fm + f1) for each."""
+    # Over the windows of three consecutive nodes: the first and last are the
+    # halves, the middle one (quarter point to quarter point) is unused.
+    windows = (x[2:] - x[:3]) / 6.0 * (f[:3] + 4.0 * f[1:4] + f[2:])
+    refined = windows[0] + windows[2]
+    return refined, refined - width / 6.0 * (f[L0] + 4.0 * f[LM] + f[L1])
+
+
+def _per_panel(values: list, counts: list):
+    """Each live integral's value over its run of ``counts`` panels: one
+    integral's stays a scalar, which broadcasts to the same bits."""
+    return values[0] if len(values) == 1 else np.array(values).repeat(counts)
 
 
 def _evaluate(log_f, x: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -287,17 +287,21 @@ def _drop(panels: np.ndarray, live: list, counts: list, out: list) -> tuple[np.n
     alive = [out[j] is None for j in live]
     if all(alive):
         return panels, live, counts
-    panels = panels[:, np.repeat(alive, counts)]
+    panels = panels.compress(np.repeat(alive, counts), axis=2)
     return panels, [j for j, a in zip(live, alive) if a], [c for c, a in zip(counts, alive) if a]
 
 
 def _bisected(kept: np.ndarray, counts: list) -> np.ndarray:
     """The panel table of the halves of the ``kept`` panels, whose integrals
     have ``counts`` panels each: per integral, its left halves and then its
-    right halves, the order the one-integral loop keeps."""
-    left, right = kept[_HALVES]
-    return np.concatenate([half[:, s:s + c] for s, c in zip(accumulate(counts, initial=0), counts)
-                           for half in (left, right)], axis=1)
+    right halves, the order the one-integral loop keeps.  A half's ends and
+    midpoint are rows 0:3 or 2:5 of its panel; its quarter rows are the next
+    sweep's to fill."""
+    halves = np.empty((2, 5, 2 * kept.shape[2]))
+    for s, c in zip(accumulate(counts, initial=0), counts):
+        halves[:, ::2, 2 * s:2 * s + c] = kept[:, L0:LM + 1, s:s + c]
+        halves[:, ::2, 2 * s + c:2 * (s + c)] = kept[:, LM:L1 + 1, s:s + c]
+    return halves
 
 
 def _ends_rule(stack: _Stack, log_integrals: list) -> list:

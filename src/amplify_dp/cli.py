@@ -70,11 +70,18 @@ def _is_number(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _float(key: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest double
+        raise ValidationFailure(key, "the number leaves the float range") from None
+
+
 def _number(config: dict, key: str, lo=None, hi=None) -> float:
     value = config[key]
     if not _is_number(value):
         raise ValidationFailure(key, f"expected a number, got {value!r}")
-    value = float(value)
+    value = _float(key, value)
     if lo is not None and value < lo:
         raise ValidationFailure(key, f"must be >= {lo}")
     if hi is not None and value > hi:
@@ -101,7 +108,7 @@ def _number_list(config: dict, key: str) -> list[float]:
     for v in value:
         if not _is_number(v):
             raise ValidationFailure(key, f"expected numbers, got {v!r}")
-        out.append(float(v))
+        out.append(_float(key, v))
     return out
 
 

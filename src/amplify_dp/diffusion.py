@@ -147,13 +147,16 @@ def plan_ou(epsilon: float, delta: float, R: float, d: int) -> OuParams:
     theta = log(1 + d delta^2/(2 epsilon R^2)) and
     rho^2 = theta delta^2/(2 epsilon (e^(2 theta) - 1)) give (alpha, alpha
     epsilon)-RDP at t = 1 and an OU/Gaussian MSE ratio of at most
-    (1 + d delta^2/(2 epsilon R^2))^(-1).
+    (1 + d delta^2/(2 epsilon R^2))^(-1).  Raises ``OverflowError`` where
+    theta or rho^2 leaves the float range.
     """
     if not (epsilon > 0 and delta > 0 and R > 0 and d >= 1):
         raise ValueError("epsilon, delta and R must be positive and d >= 1")
     x = d * delta**2 / (2.0 * epsilon * R**2)
     theta = math.log1p(x)
     rho2 = theta * delta**2 / (2.0 * epsilon * math.expm1(2.0 * theta))
+    if not (math.isfinite(theta) and math.isfinite(rho2)):
+        raise OverflowError(f"theta = {theta!r}, rho^2 = {rho2!r}")
     return OuParams(theta=theta, rho=math.sqrt(rho2), t=1.0, delta=delta, R=R, d=d)
 
 

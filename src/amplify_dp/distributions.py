@@ -125,6 +125,12 @@ class GaussianDist:
             raise ValueError("variance must be positive")
         object.__setattr__(self, "mean", tuple(float(x) for x in m))
         object.__setattr__(self, "variance", float(variance))
+        # A 1-D law's constants for density and log_density: its mean, 2v,
+        # 1/2 log(2 pi v) and sqrt(2 pi v), by ``math.log`` and ``** 0.5`` (``np.log``
+        # and ``math.sqrt`` differ from them in the last bit now and then).
+        v = self.variance
+        object.__setattr__(self, "_terms", (self.mean[0], 2.0 * v, 0.5 * math.log(2.0 * math.pi * v),
+                                            (2.0 * math.pi * v) ** 0.5) if len(m) == 1 else None)
 
     @property
     def dim(self) -> int:
@@ -141,6 +147,7 @@ class LaplaceDist:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError("scale must be positive")
+        object.__setattr__(self, "_terms", (2.0 * self.scale, math.log(2.0 * self.scale)))
 
 
 @dataclass(frozen=True)
@@ -154,16 +161,19 @@ class Lap2Dist:
     def __post_init__(self):
         if not (self.lambda1 > 0 and self.lambda2 > 0):
             raise ValueError("both scales must be positive")
+        # With l1 >= l2 and u = z * (l1 - l2) / (l1 * l2), the density is
+        # e^(-z/l1) * (1 + (z/l1) * phi(u)) / (2 * (l1 + l2)), with
+        # phi(u) = (1 - e^-u) / u and phi(0) = 1: expm1 keeps it accurate as
+        # the scales close in, where 1 / (l1 - l2) would cancel.
+        l1, l2 = max(self.lambda1, self.lambda2), min(self.lambda1, self.lambda2)
+        object.__setattr__(self, "_terms", (l1, l1 - l2, l1 * l2, 2.0 * (l1 + l2), math.log(2.0 * (l1 + l2))))
 
 
 NoiseFamily = Union[GaussianDist, LaplaceDist, Lap2Dist]
 
 
 def _gaussian_density(d: GaussianDist, x) -> float:
-    v = x[0] if isinstance(x, (list, tuple)) and len(x) == 1 else x
-    if d.dim == 1 and isinstance(v, (int, float)):
-        diff = float(v) - d.mean[0]
-        return math.exp(-(diff * diff) / (2.0 * d.variance)) / (2.0 * math.pi * d.variance) ** 0.5
+    """:func:`density` of a Gaussian at an array or a point in more dimensions."""
     raw = np.asarray(x)
     if raw.dtype == object:
         # float64 conversion would read None as NaN.
@@ -181,23 +191,26 @@ def density(family: NoiseFamily, x) -> float:
     A 1-D family takes a number; a Gaussian takes a point of its dimension as
     a sequence or array, and a 1-D Gaussian also a number.  A number or a
     one-number sequence is evaluated in float arithmetic, an array or a
-    point in more dimensions with numpy.
+    point in more dimensions with numpy.  Lap2 uses the form in the comment
+    of :class:`Lap2Dist`.
     """
     if isinstance(family, GaussianDist):
+        terms = family._terms
+        v = x[0] if isinstance(x, (list, tuple)) and len(x) == 1 else x
+        if terms is not None and isinstance(v, (float, int)):
+            mean, scale, _, norm = terms
+            diff = float(v) - mean
+            return math.exp(-(diff * diff) / scale) / norm
         return _gaussian_density(family, x)
     if isinstance(family, LaplaceDist):
         z = abs(float(x) - family.loc)
-        return math.exp(-z / family.scale) / (2.0 * family.scale)
+        return math.exp(-z / family.scale) / family._terms[0]
     if isinstance(family, Lap2Dist):
-        # With l1 >= l2 and u = z * (l1 - l2) / (l1 * l2), the partial-fraction
-        # form is e^(-z/l1) * (1 + (z/l1) * phi(u)) / (2 * (l1 + l2)), with
-        # phi(u) = (1 - e^-u) / u and phi(0) = 1: expm1 keeps it accurate as
-        # the scales close in, where 1 / (l1 - l2) would cancel.
-        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
+        l1, gap, prod, norm, _ = family._terms
         z = abs(float(x) - family.loc)
-        u = z * (l1 - l2) / (l1 * l2)
+        u = z * gap / prod
         phi = -math.expm1(-u) / u if u > 0.0 else 1.0
-        return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / (2.0 * (l1 + l2))
+        return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / norm
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
@@ -212,23 +225,21 @@ def log_density(family: NoiseFamily, x) -> np.ndarray:
     if isinstance(family, GaussianDist):
         return _gaussian_log_density(xv, *_gaussian_terms(family))
     if isinstance(family, LaplaceDist):
-        return -np.abs(xv - family.loc) / family.scale - math.log(2.0 * family.scale)
+        return -np.abs(xv - family.loc) / family.scale - family._terms[1]
     if isinstance(family, Lap2Dist):
-        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
+        l1, gap, prod, _, log_norm = family._terms
         z = np.abs(xv - family.loc)
-        u = z * (l1 - l2) / (l1 * l2)
+        u = z * gap / prod
         phi = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
-        return -z / l1 + np.log1p((z / l1) * phi) - math.log(2.0 * (l1 + l2))
+        return -z / l1 + np.log1p((z / l1) * phi) - log_norm
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
 def _gaussian_terms(law: GaussianDist) -> tuple[float, float, float]:
-    """A 1-D Gaussian's mean, twice its variance and its log normalizer, the
-    last from ``math`` (``np.log`` may differ in the last bit)."""
-    if law.dim != 1:
+    """A 1-D Gaussian's mean, twice its variance and its log normalizer."""
+    if law._terms is None:
         raise ValueError("log_density is 1-D only")
-    v = law.variance
-    return law.mean[0], 2.0 * v, 0.5 * math.log(2.0 * math.pi * v)
+    return law._terms[:3]
 
 
 def _gaussian_log_density(x: np.ndarray, mean, scale, norm) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -235,13 +236,19 @@ def renyi_numeric_log(
     Raises ``ValueError`` unless alpha is finite and > 1 and ``tol`` > 0, and
     where :func:`_quadrature.integrate` rejects ``domain``.
     """
+    return _renyi_numeric(lambda x: (log_p(x), log_q(x)), alpha, domain, tol, breakpoints)
+
+
+def _renyi_numeric(log_pq: Callable[[np.ndarray], tuple], alpha: float, domain: tuple[float, float],
+                   tol: float, breakpoints: Sequence[float]) -> float:
+    """:func:`renyi_numeric_log` with ``log_pq(x)`` giving the logs of p and q at ``x``."""
     if not (alpha > 1 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and > 1")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
 
     def log_integrand(x: np.ndarray) -> np.ndarray:
-        return _renyi_log_integrand(log_p(x), log_q(x), alpha)
+        return _renyi_log_integrand(*log_pq(x), alpha)
 
     rtol = 0.5 * tol * (alpha - 1.0)
     log_moment = integrate(log_integrand, *domain, rtol=rtol, breakpoints=breakpoints)
@@ -288,16 +295,12 @@ def renyi_numeric_1d(
     log, so it counts as 0 only where the integrand around it is negligible.
     Both densities must be positive almost everywhere on ``domain``."""
 
-    def log_of(density: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-        def log_values(x: np.ndarray) -> np.ndarray:
-            values = np.fromiter(map(density, x.tolist()), np.float64, len(x))
-            out = np.full(len(x), np.nan)
-            positive = values > 0.0
-            out[positive] = np.log(values[positive])
-            return out
-        return log_values
+    def log_pq(x: np.ndarray) -> np.ndarray:  # the logs of p and q as two rows
+        points = x.tolist()
+        values = np.fromiter(chain(map(p, points), map(q, points)), np.float64, 2 * len(points))
+        return np.log(np.where(values > 0.0, values, np.nan)).reshape(2, -1)
 
-    return renyi_numeric_log(log_of(p), log_of(q), alpha, domain, tol, breakpoints)
+    return _renyi_numeric(log_pq, alpha, domain, tol, breakpoints)
 
 
 def _start_threshold(dist: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from amplify_dp import _quadrature
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
-from amplify_dp.distributions import DiscreteDist, GaussianDist, _trusted, quadrature_domain
+from amplify_dp.distributions import DiscreteDist, GaussianDist, Lap2Dist, LaplaceDist, _trusted, quadrature_domain
 from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _start_threshold, aligned_masses,
                                     exp_times, hockey_stick)
 from amplify_dp.mixing import (
@@ -213,6 +213,53 @@ def gaussian_density_numpy(d: GaussianDist, x) -> float:
         raise ValueError(f"x has dimension {xv.shape}, family expects ({d.dim},)")
     sq = float(np.sum((xv - np.asarray(d.mean)) ** 2))
     return math.exp(-sq / (2.0 * d.variance)) / (2.0 * math.pi * d.variance) ** (d.dim / 2.0)
+
+
+def density_per_call(family, x) -> float:
+    """``distributions.density`` with every constant computed on each call,
+    as it was before the laws held their constants."""
+    if isinstance(family, GaussianDist):
+        v = x[0] if isinstance(x, (list, tuple)) and len(x) == 1 else x
+        if family.dim == 1 and isinstance(v, (int, float)):
+            diff = float(v) - family.mean[0]
+            return math.exp(-(diff * diff) / (2.0 * family.variance)) / (2.0 * math.pi * family.variance) ** 0.5
+        raw = np.asarray(x)
+        if raw.dtype == object:
+            raise TypeError(f"x must be numeric, got {x!r}")
+        xv = np.atleast_1d(raw.astype(np.float64))
+        if xv.shape != (family.dim,):
+            raise ValueError(f"x has dimension {xv.shape}, family expects ({family.dim},)")
+        sq = float(np.sum((xv - np.asarray(family.mean)) ** 2))
+        return math.exp(-sq / (2.0 * family.variance)) / (2.0 * math.pi * family.variance) ** (family.dim / 2.0)
+    if isinstance(family, LaplaceDist):
+        z = abs(float(x) - family.loc)
+        return math.exp(-z / family.scale) / (2.0 * family.scale)
+    if isinstance(family, Lap2Dist):
+        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
+        z = abs(float(x) - family.loc)
+        u = z * (l1 - l2) / (l1 * l2)
+        phi = -math.expm1(-u) / u if u > 0.0 else 1.0
+        return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / (2.0 * (l1 + l2))
+    raise TypeError(f"unsupported family {type(family).__name__}")
+
+
+def log_density_per_call(family, x) -> np.ndarray:
+    """``distributions.log_density`` with every constant computed on each call."""
+    xv = np.asarray(x, dtype=np.float64)
+    if isinstance(family, GaussianDist):
+        if family.dim != 1:
+            raise ValueError("log_density is 1-D only")
+        v = family.variance
+        return -((xv - family.mean[0]) ** 2) / (2.0 * v) - 0.5 * math.log(2.0 * math.pi * v)
+    if isinstance(family, LaplaceDist):
+        return -np.abs(xv - family.loc) / family.scale - math.log(2.0 * family.scale)
+    if isinstance(family, Lap2Dist):
+        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
+        z = np.abs(xv - family.loc)
+        u = z * (l1 - l2) / (l1 * l2)
+        phi = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
+        return -z / l1 + np.log1p((z / l1) * phi) - math.log(2.0 * (l1 + l2))
+    raise TypeError(f"unsupported family {type(family).__name__}")
 
 
 def ultra_coeff_pairs(rows: np.ndarray) -> float:
@@ -706,6 +753,19 @@ def renyi_numeric_log_one(log_p, log_q, alpha: float, domain: tuple[float, float
         raise QuadratureError("moment integral vanished")
     require_negligible_ends_one(log_integrand, a, b, rtol, log_moment)
     return max(0.0, log_moment / (alpha - 1.0))
+
+
+def scalar_log_one(density: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The log-density adapter ``renyi_numeric_1d`` built for each scalar
+    density before it took one log pass over both: one call per point, and a
+    NaN log where the density is not positive."""
+    def log_values(x: np.ndarray) -> np.ndarray:
+        values = np.fromiter(map(density, x.tolist()), np.float64, len(x))
+        out = np.full(len(x), np.nan)
+        positive = values > 0.0
+        out[positive] = np.log(values[positive])
+        return out
+    return log_values
 
 
 def gaussian_log_density_one(law: GaussianDist, x: np.ndarray) -> np.ndarray:

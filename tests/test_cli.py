@@ -208,6 +208,12 @@ class TestSgdCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: ")
 
+    def test_integer_past_float_range_exit_2(self, tmp_path, capsys):
+        # A JSON integer that no double can hold is a field error, not an OverflowError.
+        cfg = write_config(tmp_path, {"n": 10, "C": 10**400, "sigma": 1.0, "beta": 3.0,
+                                      "rho": 1.0, "eta": 0.5, "alpha": 2.0})
+        assert run_cli(["sgd", "--config", cfg], capsys) == (2, "", "error: C: the number leaves the float range\n")
+
     @pytest.mark.parametrize("key,value", [("dim", 7), ("radius", 0.01)])
     def test_simulator_keys_rejected(self, tmp_path, capsys, key, value):
         # The accountant reads neither the dimension nor the projection radius.
@@ -378,6 +384,19 @@ class TestOuCommand:
         _, header, rows = parse_csv(out)
         assert code == 0
         assert [row[header.index("mse_pgm_bound")] for row in rows] == ["nan"]
+
+    @pytest.mark.parametrize("change, field", [({"delta": 10**400}, "delta"),
+                                               ({"t_grid": [1.0, 10**400]}, "t_grid")])
+    def test_integer_past_float_range_exit_2(self, tmp_path, capsys, change, field):
+        cfg = write_config(tmp_path, {"delta": 1.0, "R": 1.0, "d": 1, "t_grid": [1.0],
+                                      "theta": 1.0, "rho": 1.0, **change})
+        assert run_cli(["ou", "--config", cfg], capsys) == (2, "", f"error: {field}: the number leaves the float range\n")
+
+    def test_planned_parameters_past_float_range_exit_2(self, tmp_path, capsys):
+        # d delta^2 / (2 epsilon R^2) overflows to inf: theta is inf and rho^2 inf / inf.
+        cfg = write_config(tmp_path, {"plan_epsilon": 1e-310, "d": 1, "R": 1.0, "delta": 1.0, "t_grid": [1.0]})
+        assert run_cli(["ou", "--config", cfg], capsys) == (
+            2, "", "error: plan_epsilon: the planned parameters leave the float range (theta = inf, rho^2 = nan)\n")
 
     def test_planner_conflicts_with_theta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plan_epsilon": 1.0, "theta": 1.0, "rho": 1.0,

@@ -208,6 +208,10 @@ class TestPlanner:
         assert ou_mse(p, 1.0) / gm_mse(p) <= ratio_bound + 1e-9
         assert ratio_bound < 1e-7
 
+    def test_parameters_past_float_range_raise(self):
+        with pytest.raises(OverflowError, match=r"^theta = inf, rho\^2 = nan$"):
+            plan_ou(1e-310, 1.0, 1.0, 1)
+
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
             plan_ou(0.0, 1.0, 1.0, 1)

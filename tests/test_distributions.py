@@ -4,6 +4,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -21,7 +23,7 @@ from amplify_dp.distributions import (
 )
 from amplify_dp.mixing import DiscreteKernel, independent_coupling, mixture_decompose, pushforward
 from amplify_dp.verify import draw_trials
-from reference_impls import gaussian_density_numpy
+from reference_impls import density_per_call, gaussian_density_numpy, log_density_per_call
 
 
 def raises_exactly(text):
@@ -315,6 +317,87 @@ class TestLogDensity:
     def test_higher_dimensional_gaussian_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             log_density(GaussianDist([0.0, 0.0], 1.0), np.zeros(3))
+
+
+def outcome(fn, *args):
+    """A value's type and bytes, or an error's type and message."""
+    try:
+        value = fn(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return type(value), np.asarray(value, dtype=np.float64).tobytes()
+
+
+# Moderate values, where a change of rounding shows in the density, and any others.
+reals = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True))
+scales = st.one_of(st.floats(0.1, 10.0), st.floats(min_value=0.0, exclude_min=True))
+numbers = st.one_of(reals, st.integers(), st.booleans())
+
+
+@st.composite
+def laws(draw):
+    kind = draw(st.sampled_from(["gauss", "gauss-d", "laplace", "lap2"]))
+    loc = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False), st.integers(-10**6, 10**6)))
+    if kind == "gauss":
+        return GaussianDist([loc], draw(scales))
+    if kind == "gauss-d":
+        return GaussianDist(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=4)), draw(scales))
+    scale = st.one_of(scales, st.integers(1, 10**6))
+    if kind == "laplace":
+        return LaplaceDist(loc, draw(scale))
+    l1 = draw(scale)
+    return Lap2Dist(loc, l1, draw(st.one_of(scale, st.just(l1))))
+
+
+class TestDensityEqualsPerCallFormula:
+    # The laws hold their constants; density and log_density keep the bits,
+    # the result types and the errors of the formulas that recompute them.
+    @settings(max_examples=400, deadline=None)
+    @given(laws(), numbers)
+    @example(GaussianDist([0.5], 7.573), -0.48)  # where (2 pi v) ** 0.5 and sqrt(2 pi v) give two densities
+    def test_density_at_a_number(self, law, x):
+        points = [x, np.float64(x) if isinstance(x, float) else np.int64(x) if -2**63 <= x < 2**63 else x]
+        if isinstance(law, GaussianDist):
+            points += [[x], (x,), np.array([x], dtype=object if isinstance(x, int) else np.float64)]
+        with np.errstate(all="ignore"):
+            for point in points:
+                assert outcome(density, law, point) == outcome(density_per_call, law, point)
+
+    @settings(max_examples=200, deadline=None)
+    @given(laws(), st.lists(reals, min_size=1, max_size=5))
+    def test_density_at_a_point_and_log_density(self, law, x):
+        with np.errstate(all="ignore"):
+            if isinstance(law, GaussianDist):
+                for point in (x, tuple(x), np.array(x), x[:law.dim], [*x, 0.0]):
+                    assert outcome(density, law, point) == outcome(density_per_call, law, point)
+            assert outcome(log_density, law, np.array(x)) == outcome(log_density_per_call, law, np.array(x))
+
+    def test_on_a_random_grid(self):
+        # Many typical laws and points, where a change of rounding shows.
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            loc, x = rng.normal(size=2) * 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            s1, s2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            xs = loc + rng.normal(size=8) * s1
+            for law in (GaussianDist([loc], s1), LaplaceDist(loc, s1), Lap2Dist(loc, s1, s2),
+                        Lap2Dist(loc, s1, s1 * (1.0 + 1e-9))):
+                for point in (x, *xs.tolist()):
+                    assert outcome(density, law, point) == outcome(density_per_call, law, point)
+                assert outcome(log_density, law, xs) == outcome(log_density_per_call, law, xs)
+
+    @pytest.mark.parametrize("law", [GaussianDist([0.5], 2.0), GaussianDist([0.5, 1.0], 2.0),
+                                     LaplaceDist(0.5, 2.0), Lap2Dist(0.5, 2.0, 1.0)])
+    @pytest.mark.parametrize("x", [object(), None, [None], (None,), [0.0, None], [], [1.0, 2.0, 3.0],
+                                   np.zeros((2, 2)), "1.5"])
+    def test_errors_keep_type_and_message(self, law, x):
+        want = outcome(density_per_call, law, x)
+        assert outcome(density, law, x) == want
+        assert outcome(log_density, law, x) == outcome(log_density_per_call, law, x)
+
+    def test_unsupported_family(self):
+        for fn in (density, log_density, density_per_call, log_density_per_call):
+            with pytest.raises(TypeError, match="^unsupported family DiscreteDist$"):
+                fn(DiscreteDist(["a"], [1.0]), 0.0)
 
 
 class TestSampling:

@@ -42,6 +42,8 @@ from reference_impls import (
     renyi_gaussian,
     renyi_laplace,
     renyi_numeric_1d_scalar,
+    renyi_numeric_log_one,
+    scalar_log_one,
     w_inf_bfs_search,
     w_inf_max_flow_search,
     w_inf_restart_search,
@@ -373,6 +375,70 @@ def sound_reference_laws(seed=5, count=45):
 
 def scalar_density(law):
     return lambda x: density(law, x)
+
+
+def oracle_outcome(fn, *args, **kwargs):
+    """A float's bits, or a ``QuadratureError``'s type and message."""
+    try:
+        return fn(*args, **kwargs).hex()
+    except QuadratureError as exc:
+        return type(exc), str(exc)
+
+
+def signed(density, negative):
+    """``density`` made negative (not representable as a log) on the interval ``negative``."""
+    lo, hi = negative
+    return lambda x: -density(x) if lo <= x <= hi else density(x)
+
+
+PROBES = [(shift, alpha) for shift in (1.0, 3.0) for alpha in (2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 64.0)]
+
+
+class TestScalarAdapter:
+    # renyi_numeric_1d takes one log pass over both densities; its values and
+    # errors are those of the per-density adapters on the one-integral loop.
+    def cases(self):
+        for law_p, law_q, alpha, domain, breakpoints in sound_reference_laws(count=24):
+            yield scalar_density(law_p), scalar_density(law_q), alpha, domain, breakpoints
+        for shift, alpha in PROBES:  # densities underflow to 0 in both tails
+            p, q = GaussianDist([shift], 1.0), GaussianDist([0.0], 1.0)
+            yield (lambda x, p=p: density(p, [x])), (lambda x, q=q: density(q, [x])), alpha, (-40.0, 40.0 + shift), ()
+        p, q = scalar_density(GaussianDist([1.0], 1.0)), scalar_density(GaussianDist([0.0], 1.0))
+        # Negative where the integrand is negligible, then where it is not.
+        yield signed(p, (25.0, 41.0)), q, 2.0, (-40.0, 41.0), ()
+        yield p, signed(q, (-40.0, -20.0)), 4.0, (-40.0, 41.0), ()
+        yield signed(p, (0.5, 0.6)), q, 2.0, (-40.0, 41.0), ()
+        yield p, (lambda x: 0.0 if x > 2.0 else q(x)), 2.0, (-40.0, 41.0), ()
+
+    def test_equals_per_density_adapters_on_one_integral_loop(self):
+        errors = 0
+        for p, q, alpha, domain, breakpoints in self.cases():
+            want = oracle_outcome(renyi_numeric_log_one, scalar_log_one(p), scalar_log_one(q), alpha, domain,
+                                  breakpoints=breakpoints)
+            assert oracle_outcome(renyi_numeric_1d, p, q, alpha, domain, breakpoints=breakpoints) == want
+            errors += isinstance(want, tuple)
+        assert errors >= 7  # five probes, the non-negligible negative band and the zero cut
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -1.0, math.nan])
+    def test_not_positive_density_has_nan_log(self, value):
+        # Not an exact zero (-inf, which makes the moment +inf) but a NaN log:
+        # next to a non-negligible integrand it is an error.
+        with pytest.raises(QuadratureError, match="where it is not representable$"):
+            renyi_numeric_1d(lambda x: 1.0, lambda x: value if x > 0.5 else 1.0, 2.0, (0.0, 1.0))
+
+    def test_work_counts(self, monkeypatch):
+        # The oracle-sweep probes: one scalar call per density per point and
+        # one log-integrand call per sweep, pinned so that no speed-up can come
+        # from skipping evaluations.
+        calls, evaluations = [0], []
+        evaluate = _quadrature._evaluate
+        monkeypatch.setattr(_quadrature, "_evaluate", lambda *args: evaluations.append(1) or evaluate(*args))
+        for shift, alpha in PROBES:
+            try:
+                gaussian_probe(shift, alpha, calls)
+            except QuadratureError:
+                pass
+        assert (calls[0], len(evaluations)) == (14088, 91)
 
 
 class TestLogSpaceOracle:

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from amplify_dp import _quadrature, cli, mixing, verify
 from amplify_dp._quadrature import QuadratureError
-from amplify_dp.distributions import DiscreteDist
+from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, log_density
 from amplify_dp.divergences import (
     EXP_ARG_MAX,
     DpGuarantee,
@@ -839,3 +840,22 @@ def test_integrate_stack_keeps_each_integrals_error():
     for g, error in zip(got, errors):
         assert isinstance(g, str) if error is None else (g[0] is QuadratureError and g[1].startswith(error))
     assert got[4] == (-math.inf).hex()
+
+
+def test_lone_integrate_equals_one_integral_loop():
+    # The oracle-sweep probes' moments alpha log p + (1 - alpha) log q for
+    # N(s, 1) against N(0, 1), converged or failing, and a kinked Laplace moment.
+    log_q = partial(log_density, GaussianDist([0.0], 1.0))
+    specs = []
+    for shift in (1.0, 3.0):
+        log_p = partial(log_density, GaussianDist([shift], 1.0))
+        for alpha in (2.0, 8.0, 24.0, 64.0):
+            log_f = (lambda x, log_p=log_p, alpha=alpha: alpha * log_p(x) + (1.0 - alpha) * log_q(x))
+            specs.append((log_f, (-40.0, 40.0 + shift), 0.5e-8 * (alpha - 1.0), ()))
+    laplace = partial(log_density, LaplaceDist(1.0, 0.5))
+    specs.append((lambda x: 2.0 * laplace(x) - log_density(LaplaceDist(0.0, 0.5), x), (-20.0, 21.0), 1e-8, (0.0, 1.0)))
+    for budget in (10**6, 2000):
+        with mock.patch.object(_quadrature, "MAX_EVALS", budget):
+            for log_f, (a, b), rtol, breakpoints in specs:
+                assert (outcome(_quadrature.integrate, log_f, a, b, rtol, breakpoints)
+                        == outcome(integrate_one, log_f, a, b, rtol, breakpoints))

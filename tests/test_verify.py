@@ -2,6 +2,7 @@ import csv
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 
 import amplify_dp
 from amplify_dp import cli, distributions, mixing, verify
-from amplify_dp.diffusion import OuParams, ou_mse
+from amplify_dp.diffusion import OuParams, ou_mse, ou_transition
 from amplify_dp.distributions import DiscreteDist, GaussianDist, log_density
 from amplify_dp.divergences import QuadratureError, renyi_numeric_log
 from amplify_dp.divergences import DpGuarantee, hockey_stick
@@ -47,9 +48,18 @@ from reference_impls import (
     certify_diffusion_per_integral,
     certify_theorem1_per_trial,
     certify_transport_per_trial,
+    mse_numeric_one,
     random_instance_per_trial,
     stacked_transport_rows,
 )
+
+
+def outcome(fn, *args):
+    """A float's bits, or a ``QuadratureError``'s type and message."""
+    try:
+        return fn(*args).hex()
+    except QuadratureError as exc:
+        return type(exc), str(exc)
 
 
 class TestRandomInstance:
@@ -383,6 +393,19 @@ class TestCertifyDiffusion:
         law = GaussianDist([0.3], 2.5)
         assert mse_numeric(law, 0.3) == pytest.approx(2.5, rel=1e-10)
         assert mse_numeric(law, -1.0) == pytest.approx(2.5 + 1.3**2, rel=1e-10)
+
+    def test_mse_numeric_equals_one_integral_loop(self, monkeypatch):
+        # The suite's OU laws about x0 = 1, and laws about points inside,
+        # at and past their tails; at the default domain and at one the
+        # domain-end rule rejects.
+        laws = [(ou_transition([1.0], OuParams(theta=theta, rho=rho, t=t, delta=1.0, R=1.0, d=1)), 1.0)
+                for theta, rho, t in itertools.product((0.5, 1.0), (0.8, 1.5), (0.25, 1.0, 4.0))]
+        laws += [(GaussianDist([0.3], 2.5), x0) for x0 in (0.3, -1.0, 40.0, 1e3)]
+        for scales in (distributions.QUAD_DOMAIN_SCALES, 3.0):
+            monkeypatch.setattr(distributions, "QUAD_DOMAIN_SCALES", scales)
+            outcomes = [[outcome(fn, law, x0) for fn in (mse_numeric, mse_numeric_one)] for law, x0 in laws]
+            assert all(got == want for got, want in outcomes)
+            assert any(isinstance(got, tuple) for got, _ in outcomes) == (scales == 3.0)
 
     def test_mse_numeric_applies_domain_end_rule(self, monkeypatch):
         # On +-3 standard deviations the second moment's integrand is not
