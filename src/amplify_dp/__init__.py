@@ -14,8 +14,9 @@ import sys as _sys
 # is already loaded, numpy starts as it would without this package.
 _BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
 if "numpy" not in _sys.modules and not _BLAS_THREAD_VARS & _os.environ.keys():
-    # The library's only BLAS call is one small gemv, and OpenBLAS's worker
-    # thread spin-waits against the importing thread (60-70 ms of start-up).
+    # The library's BLAS calls are small (a gemv, and the eps-Dobrushin
+    # screen's gemm of n x m matrices), and OpenBLAS's worker thread
+    # spin-waits against the importing thread (60-70 ms of start-up).
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy as _numpy  # noqa: F401 (loaded for its thread count only)

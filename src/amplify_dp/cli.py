@@ -112,12 +112,14 @@ def _number_list(config: dict, key: str) -> list[float]:
     return out
 
 
-def _require_numbers(values: list, field: str) -> None:
+def _require_numbers(rows: list, field: str) -> None:
     # np.asarray would read "0.5" and true as numbers; only JSON numbers pass
-    # here, and NaN fails the range checks that follow.
-    if not {type(v) for v in values} <= {float, int}:
-        bad = next(v for v in values if type(v) not in (float, int))
-        raise ValidationFailure(field, f"expected numbers, got {bad!r}")
+    # here, and NaN fails the range checks that follow.  ``rows`` is a list of
+    # lists, read in one pass; the first bad value is named, in row order.
+    for row in rows:
+        if not set(map(type, row)) <= {float, int}:
+            bad = next(v for v in row if type(v) not in (float, int))
+            raise ValidationFailure(field, f"expected numbers, got {bad!r}")
 
 
 def _read_kernel_file(path) -> object:
@@ -142,9 +144,11 @@ def _load_kernel(config: dict) -> DiscreteKernel:
         matrix = config["kernel"]
     if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
         raise ValidationFailure("kernel", "must be a 2-D non-negative matrix")
-    _require_numbers([v for row in matrix for v in row], "kernel")
+    _require_numbers(matrix, "kernel")
     try:
         mat = np.asarray(matrix, dtype=np.float64)
+    except OverflowError:  # a JSON integer past the largest double
+        raise ValidationFailure("kernel", "the number leaves the float range") from None
     except (TypeError, ValueError) as exc:
         raise ValidationFailure("kernel", f"not a numeric matrix: {exc}") from exc
     if mat.ndim != 2 or not np.all(mat >= 0):
@@ -165,9 +169,11 @@ def _dist_from_config(obj, key: str) -> DiscreteDist:
         raise ValidationFailure(key, "points: expected a list of points")
     if not isinstance(obj["probs"], list):
         raise ValidationFailure(key, "probs: expected a list of numbers")
-    _require_numbers(obj["probs"], key)
+    _require_numbers([obj["probs"]], key)
     try:
         return DiscreteDist(obj["points"], obj["probs"])
+    except OverflowError:  # a JSON integer past the largest double
+        raise ValidationFailure(key, "the number leaves the float range") from None
     except (TypeError, ValueError) as exc:  # a TypeError: a JSON object among the points
         raise ValidationFailure(key, str(exc)) from exc
 

@@ -125,6 +125,11 @@ class GaussianDist:
             raise ValueError("variance must be positive")
         object.__setattr__(self, "mean", tuple(float(x) for x in m))
         object.__setattr__(self, "variance", float(variance))
+        # The density divides by (2 pi v)^(d/2), which underflows to 0 only
+        # where 2 pi v < 1 (past 1 it may overflow, and density reports that).
+        two_pi_v = 2.0 * math.pi * self.variance
+        if two_pi_v < 1.0 and two_pi_v ** (len(m) / 2.0) == 0.0:
+            raise ValueError("the normalizer (2 pi variance)^(dim/2) underflows to 0")
         # A 1-D law's constants for density and log_density: its mean, 2v,
         # 1/2 log(2 pi v) and sqrt(2 pi v), by ``math.log`` and ``** 0.5`` (``np.log``
         # and ``math.sqrt`` differ from them in the last bit now and then).
@@ -166,6 +171,8 @@ class Lap2Dist:
         # phi(u) = (1 - e^-u) / u and phi(0) = 1: expm1 keeps it accurate as
         # the scales close in, where 1 / (l1 - l2) would cancel.
         l1, l2 = max(self.lambda1, self.lambda2), min(self.lambda1, self.lambda2)
+        if l1 * l2 == 0.0:
+            raise ValueError("the product of the scales lambda1 * lambda2 underflows to 0")
         object.__setattr__(self, "_terms", (l1, l1 - l2, l1 * l2, 2.0 * (l1 + l2), math.log(2.0 * (l1 + l2))))
 
 

@@ -47,7 +47,8 @@ AMPLIFY_CONDITIONS = ("dobrushin", "eps_dobrushin", "doeblin", "ultra")
 # (512 KiB, so a tile stays in cache), or one row against all rows where that
 # is more.  A stack of kernels is cut into windows of consecutive kernels whose
 # tiles fit, so sixteen 16x16 kernels share one tile, and a window of one
-# kernel is cut into row blocks.  Sinkhorn stacks share the bound, each
+# kernel is cut into row blocks (eps-Dobrushin screens a kernel past one tile
+# instead, see _screened_worst).  Sinkhorn stacks share the bound, each
 # coupling counted at its zero-padded summation widths (_summation_width).
 PAIR_BLOCK_ENTRIES = 2**16
 
@@ -189,8 +190,16 @@ def eps_dobrushin_coeff(kernel: DiscreteKernel, eps):
     """Worst-case hockey-stick divergence over ordered row pairs.
 
     At eps = +inf the divergence degenerates to the mass of one row outside
-    the other's support.  A sequence of eps gives a list, read in one pass of
-    stacked tiles, each value ``==`` the scalar call's.
+    the other's support.  A sequence of eps gives a list, each value ``==``
+    the scalar call's.
+
+    On a kernel too large for one tile (n * n * m > ``PAIR_BLOCK_ENTRIES``)
+    the pairs are screened first: [p - s]_+ <= p^2 / (4 s), with s = e^eps * q,
+    bounds every pair at once by two matrix products, where an entry p or s
+    below ``SCREEN_TINY`` (2^-500) takes the trivial bound p.  The exact sum
+    runs only where the bound, times a rounding margin of 1 + 4 (m + 4) 2^-53,
+    exceeds the largest exact sum so far, so each value is still ``==`` the
+    all-pairs loop's (see :func:`_pair_bounds`).
     """
     scalar = np.ndim(eps) == 0
     (out,) = _eps_dobrushin_coeffs(kernel.rows[None], [[eps] if scalar else list(eps)])
@@ -204,15 +213,20 @@ def _eps_dobrushin_coeffs(r: np.ndarray, eps: Sequence[Sequence[float]]) -> list
 
     e^eps * q is formed once for all rows, with 0 where q is 0 at every eps
     (+inf elsewhere at eps = +inf), so such an entry contributes all of p.
-    A kernel's distinct finite eps are read in one stacked pass of tiles,
-    shorter lists repeating their first entry; each pair is summed along its
-    contiguous axis.  At eps = +inf that array depends on q's support only,
-    so each row is compared with its own kernel's distinct support patterns:
-    rows of one pattern give the same per-pair sums, and a full-support kernel
-    costs n pairs, not n^2.
+    Where n * n * m > ``PAIR_BLOCK_ENTRIES`` each kernel and distinct eps,
+    +inf too, goes to :func:`_screened_worst`, which sums only the pairs whose
+    bound sum_j p^2 / (4 s) (p where p or s is below ``SCREEN_TINY``), times
+    a margin of 1 + 4 (m + 4) 2^-53, exceeds its best exact sum.  Otherwise a
+    window of kernels' distinct finite eps are read in one stacked pass of
+    tiles, shorter lists repeating their first entry; each pair is summed
+    along its contiguous axis.  At eps = +inf that array depends on q's
+    support only, so each row is compared with its own kernel's distinct
+    support patterns: rows of one pattern give the same per-pair sums.
     """
     if not all(e >= 0 for values in eps for e in values):
         raise ValueError("eps must be non-negative")
+    if r.shape[1] ** 2 * r.shape[2] > PAIR_BLOCK_ENTRIES:
+        return [_screened_coeffs(rows, values) for rows, values in zip(r, eps)]
     worst: list[dict] = [{} for _ in eps]
     finite = [list(dict.fromkeys(e for e in values if not math.isinf(e))) for values in eps]
     depth = max(map(len, finite))
@@ -243,6 +257,84 @@ def _worst_excess(r: np.ndarray, scaled: np.ndarray, blocks) -> np.ndarray:
         tile = np.maximum(excess, 0.0, out=excess).sum(axis=4).max(axis=(2, 3))
         np.maximum(worst, tile, out=worst)
     return worst
+
+
+# Kernel and scaled entries below SCREEN_TINY take the trivial bound p in
+# _pair_bounds, so that every squared entry and every 1 / (4 s) is a normal float.
+SCREEN_TINY = 2.0**-500
+
+
+def _screened_coeffs(rows: np.ndarray, values: Sequence[float]) -> list[float]:
+    """:func:`eps_dobrushin_coeff` of the kernel ``rows`` at each eps of
+    ``values``, one :func:`_screened_worst` per distinct eps, with e^eps * q
+    as the tiles form it."""
+    worst: dict = {}
+    for e in values:
+        if e not in worst:
+            scaled = (np.where(rows > 0.0, math.inf, 0.0) if math.isinf(e)
+                      else _exp_times_stack(np.array([[e]]), rows[None])[0, 0])
+            worst[e] = _screened_worst(rows, scaled)
+    return [min(worst[e], 1.0) for e in values]
+
+
+def _screened_worst(p: np.ndarray, s: np.ndarray) -> float:
+    """Largest sum of [p[i] - s[k]]_+ over ordered row pairs (i, k), ``==``
+    the tiles' maximum: each pair it sums is summed as a tile sums it, and a
+    pair it skips has a computed sum no larger than one it has summed.
+
+    The exact sum runs for the pair of largest :func:`_pair_bounds` value,
+    then row by row in descending order of each row's largest value, on the
+    pairs whose value exceeds the largest exact sum so far; a row whose
+    largest value does not ends the search.
+    """
+    reach = _pair_bounds(p, s)
+    top = reach.max(axis=1)
+    i = int(top.argmax())
+    best = float(np.maximum(p[i] - s[int(reach[i].argmax())], 0.0).sum())
+    for i in np.argsort(-top, kind="stable").tolist():
+        if top[i] <= best:
+            break
+        excess = p[i] - s[reach[i] > best]
+        best = max(best, float(np.maximum(excess, 0.0, out=excess).sum(axis=1).max()))
+    return best
+
+
+def _pair_bounds(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """At ``[i, k]``, for every row pair at once, an upper bound on the
+    computed sum of [p[i, j] - s[k, j]]_+ over j, the tiles' rounding included:
+    a bound on the real sum by two matrix products, times a margin.
+
+    The bound: for p >= 0 and s > 0, [p - s]_+ <= p^2 / (4 s), as it is 0
+    where p <= s, and elsewhere 4 s (p - s) <= p^2 is (p - 2 s)^2 >= 0.
+    Kernel entries are at most about 1; ``sigma`` is the largest.  Each term is
+    bounded by
+      - p, where p < ``SCREEN_TINY`` or s < ``SCREEN_TINY`` (s = 0 included,
+        where the term is p);
+      - 0, where s > sigma >= p (s = +inf included), as the term is 0 there;
+      - p^2 / (4 s) elsewhere: p^2 >= 2^-1000, and 1 / (4 s) lies between
+        1 / (4 sigma) and 2^498, so no term underflows or overflows.
+    No entry is NaN: p is finite and s lies in [0, +inf].  The p^2 / (4 s)
+    product is skipped where no s is in its range, as at eps = +inf.
+
+    The margin: with u = 2^-53, a pair's computed sum of m rounded terms is at
+    most (1 + u)^m times its real sum, so at most (1 + u)^m times the real
+    bound.  The computed bound is at least (1 - u)^(m + 4) times the real one:
+    a square and a reciprocal, m products and sums in any order, and two
+    additions.  The product with the margin loses one more factor (1 - u).
+    A margin of 1 + 4 (m + 4) u exceeds (1 + u)^m / (1 - u)^(m + 5), about
+    1 + (2m + 5) u, for any m far below 1 / u.  Every term and partial sum is
+    a non-negative normal float or exact, so no underflow spoils these factors.
+    """
+    big = p >= SCREEN_TINY
+    q = np.where(big, p, 0.0)
+    bound = q @ (s < SCREEN_TINY).astype(np.float64).T
+    mid = (s >= SCREEN_TINY) & (s <= p.max())
+    if mid.any():
+        q *= q
+        bound += q @ np.divide(0.25, s, out=np.zeros_like(s), where=mid).T
+    bound += np.where(big, 0.0, p).sum(axis=1)[:, None]
+    bound *= 1.0 + 4.0 * (p.shape[1] + 4) * 2.0**-53
+    return bound
 
 
 def doeblin_coeff(kernel: DiscreteKernel) -> tuple[float, DiscreteDist | None]:

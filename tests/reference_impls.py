@@ -20,8 +20,8 @@ from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
 from amplify_dp.distributions import DiscreteDist, GaussianDist, Lap2Dist, LaplaceDist, _trusted, quadrature_domain
-from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _start_threshold, aligned_masses,
-                                    exp_times, hockey_stick)
+from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _exp_times_stack, _start_threshold,
+                                    aligned_masses, exp_times, hockey_stick)
 from amplify_dp.mixing import (
     SINKHORN_ATOL,
     SINKHORN_MAX_SWEEPS,
@@ -300,6 +300,23 @@ def eps_dobrushin_coeff_pairs(rows: np.ndarray, eps: float) -> float:
     else:
         contrib = np.where(q == 0.0, p, np.maximum(p - exp_times(eps, q), 0.0))
     return float(min(contrib.sum(axis=2).max(), 1.0))
+
+
+def eps_dobrushin_coeff_row_blocks(rows: np.ndarray, eps: float) -> float:
+    """eps-Dobrushin coefficient by the all-pairs loop of row blocks: every
+    ordered row pair, each block of rows against all rows in one array of at
+    most max(2^16, n * m) entries, each pair summed along its contiguous axis.
+    e^eps * q is the library's (+inf on q's support at eps = +inf)."""
+    if math.isinf(eps):
+        scaled = np.where(rows > 0.0, math.inf, 0.0)
+    else:
+        scaled = _exp_times_stack(np.array([[eps]]), rows[None])[0, 0]
+    worst = 0.0
+    step = max(1, 2**16 // rows.size)
+    for start in range(0, len(rows), step):
+        excess = rows[start:start + step, None] - scaled[None]
+        worst = max(worst, float(np.maximum(excess, 0.0, out=excess).sum(axis=2).max()))
+    return min(worst, 1.0)
 
 
 def sinkhorn_fixed_sweeps(mu: DiscreteDist, nu: DiscreteDist, seed: int) -> np.ndarray:

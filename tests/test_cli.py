@@ -159,6 +159,30 @@ class TestMixingCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("command, payload, field", [
+        ("mixing", {"kernel": [[10**400, 1], [1, 1]], "eps": 1.0, "delta": 0.0}, "kernel"),
+        ("mixing", {"kernel_path": [[10**400, 1], [1, 1]], "eps": 1.0, "delta": 0.0}, "kernel"),
+        ("divergence", {"kind": "tv", "mu": {"points": ["a", "b"], "probs": [10**400, 0.5]},
+                        "nu": {"points": ["a", "b"], "probs": [0.5, 0.5]}}, "mu"),
+    ])
+    def test_integer_past_float_range_exit_2(self, tmp_path, capsys, command, payload, field):
+        # A JSON integer that no double can hold is a field error, not an OverflowError.
+        if "kernel_path" in payload:
+            kpath = tmp_path / "kernel.json"
+            kpath.write_text(json.dumps(payload["kernel_path"]), encoding="utf-8")
+            payload = dict(payload, kernel_path=str(kpath))
+        cfg = write_config(tmp_path, payload)
+        assert run_cli([command, "--config", cfg], capsys) == (
+            2, "", f"error: {field}: the number leaves the float range\n")
+
+    @pytest.mark.parametrize("bad", [True, "0.5"])
+    def test_first_bad_kernel_entry_named_in_the_last_row(self, tmp_path, capsys, bad):
+        # The loader reads the rows in one pass and names the first bad entry.
+        kernel = [[0.5, 0.5]] * 3 + [[0.5, bad, None]]
+        cfg = write_config(tmp_path, {"kernel": kernel, "eps": 1.0, "delta": 0.0})
+        assert run_cli(["mixing", "--config", cfg], capsys) == (
+            2, "", f"error: kernel: expected numbers, got {bad!r}\n")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MIX_CONFIG, extra=1))
         code, _, err = run_cli(["mixing", "--config", cfg], capsys)

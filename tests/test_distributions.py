@@ -4,7 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
@@ -336,6 +336,17 @@ numbers = st.one_of(reals, st.integers(), st.booleans())
 
 @st.composite
 def laws(draw):
+    try:
+        return draw_law(draw)
+    except ValueError as exc:
+        # A law whose normalizer underflows to 0 is rejected where it is built
+        # (test_underflowing_normalizer_rejected): it has no density to compare.
+        if "underflows to 0" not in str(exc):
+            raise
+        reject()
+
+
+def draw_law(draw):
     kind = draw(st.sampled_from(["gauss", "gauss-d", "laplace", "lap2"]))
     loc = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False), st.integers(-10**6, 10**6)))
     if kind == "gauss":
@@ -393,6 +404,22 @@ class TestDensityEqualsPerCallFormula:
         want = outcome(density_per_call, law, x)
         assert outcome(density, law, x) == want
         assert outcome(log_density, law, x) == outcome(log_density_per_call, law, x)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Lap2Dist(0.0, 5e-324, 0.5), "the product of the scales lambda1 * lambda2 underflows to 0"),
+        (lambda: Lap2Dist(0.0, 1e-200, 1e-200), "the product of the scales lambda1 * lambda2 underflows to 0"),
+        (lambda: GaussianDist([0.0, 0.0, 0.0], 5e-324), "the normalizer (2 pi variance)^(dim/2) underflows to 0"),
+        (lambda: GaussianDist([0.0] * 40, 1e-20), "the normalizer (2 pi variance)^(dim/2) underflows to 0"),
+    ])
+    def test_underflowing_normalizer_rejected(self, make, message):
+        # density would divide by 0; the law is refused where it is built.
+        with raises_exactly(message):
+            make()
+
+    def test_laws_at_the_edge_of_underflow_keep_a_density(self):
+        # A 2-D normalizer of 2 pi 5e-324 and a subnormal scale product stay positive.
+        assert density(GaussianDist([0.0, 0.0], 5e-324), [0.0, 0.0]) == math.inf
+        assert density(Lap2Dist(0.0, 1e-300, 1e-10), 0.0) == density_per_call(Lap2Dist(0.0, 1e-300, 1e-10), 0.0)
 
     def test_unsupported_family(self):
         for fn in (density, log_density, density_per_call, log_density_per_call):

@@ -5,9 +5,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amplify_dp.distributions import DiscreteDist
-from amplify_dp.divergences import DpGuarantee, hockey_stick, w_inf_optimal_coupling
+from amplify_dp.divergences import EXP_ARG_MAX, DpGuarantee, hockey_stick, w_inf_optimal_coupling
 from amplify_dp.mixing import (
     Coupling,
     DiscreteKernel,
@@ -32,6 +34,7 @@ from reference_impls import (
     coupling_pairs,
     dobrushin_coeff_pairs,
     eps_dobrushin_coeff_pairs,
+    eps_dobrushin_coeff_row_blocks,
     greedy_coupling_pairs,
     joint_as_matrix,
     pair_marginals,
@@ -301,6 +304,24 @@ class TestCoefficients:
         assert peak < 1.1 * 2 * (stack + max(mixing.PAIR_BLOCK_ENTRIES, stack)) * 8
         assert batch == [eps_dobrushin_coeff(kernel, eps) for eps in eps_values]
 
+    def test_screen_memory_is_linear_in_the_pair_bounds(self):
+        # On a 512 x 512 kernel the screen holds a few n x m arrays (e^eps * q,
+        # the squares, the reciprocals) and two n x n bound arrays: at eps = 0
+        # the bound rules out almost no pair, at eps = 6 almost all.
+        n = m = 512
+        rng = np.random.default_rng(n)
+        k = rng.exponential(size=(n, m)) * (rng.uniform(size=(n, m)) > 0.3)
+        k[:, 0] += 1.0
+        kernel = DiscreteKernel.from_matrix(k / k.sum(axis=1, keepdims=True))
+        for eps in (0.0, 6.0):
+            tracemalloc.start()
+            try:
+                eps_dobrushin_coeff(kernel, eps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * (n * n + n * m) * 8
+
     def test_doeblin_witness_optimality(self):
         # The column-minimum mass dominates the best constant achievable by
         # any alternative witness.
@@ -323,6 +344,97 @@ class TestCoefficients:
             assert doeblin <= ultra_coeff(kernel) + 1e-12
             for eps in (0.0, 0.3, 1.0):
                 assert eps_dobrushin_coeff(kernel, eps) <= dobrushin + 1e-12
+
+
+SCREEN_EPS = (0.0, 1e-9, 1.0, EXP_ARG_MAX - 1.0, EXP_ARG_MAX + 1.0, 800.0, math.inf)
+
+# Kernel entries at and around the screen's trivial-bound threshold.
+SCREEN_ENTRIES = (0.0, 5e-324, 1e-310, 2.0**-501, mixing.SCREEN_TINY, 2.0**-499, 1e-150, 1e-9, 0.25, 0.5, 1.0)
+
+
+def assert_screen_equals_row_blocks(k, eps_values=SCREEN_EPS):
+    """eps_dobrushin_coeff of ``k`` at each eps, by one list call and by scalar
+    calls, ``.hex()``-equal to the all-pairs row-block loop."""
+    kernel = DiscreteKernel.from_matrix(k)
+    want = [eps_dobrushin_coeff_row_blocks(kernel.rows, e).hex() for e in eps_values]
+    assert [v.hex() for v in eps_dobrushin_coeff(kernel, list(eps_values))] == want
+    assert [eps_dobrushin_coeff(kernel, e).hex() for e in eps_values] == want
+
+
+def normalized_kernel(shape, seed, zeros=0.3):
+    rng = np.random.default_rng(seed)
+    k = rng.exponential(size=shape) * (rng.uniform(size=shape) > zeros)
+    k[:, 0] += 1.0
+    return k / k.sum(axis=1, keepdims=True)
+
+
+class TestScreenedEpsDobrushin:
+    # Past PAIR_BLOCK_ENTRIES a bound on every row pair screens the pairs and
+    # only the survivors are summed; each value must be the all-pairs loop's.
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_every_kernel_kind(self, kind, monkeypatch):
+        # At PAIR_BLOCK_ENTRIES = 0 every kernel takes the screen.
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 0)
+        for k in random_kernels(kind, 60):
+            assert_screen_equals_row_blocks(k)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]],  # zero entries
+        [[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.9, 0.0, 0.1]],  # an all-zero column
+        [[0.25, 0.75]] * 3 + [[0.75, 0.25]] * 2,  # equal rows: tied pairs
+        [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],  # full support
+        [[t, 0.5, 0.5] for t in SCREEN_ENTRIES[:7]] + [[0.5, t, 0.5] for t in SCREEN_ENTRIES[:7]],
+        [[5e-324, 1.0], [1.0, 5e-324], [0.5, 0.5]],
+    ])
+    def test_degenerate_kernels(self, rows, monkeypatch):
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 0)
+        assert_screen_equals_row_blocks(np.array(rows))
+
+    def test_full_support_at_infinite_eps_is_zero(self, monkeypatch):
+        monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 0)
+        kernel = DiscreteKernel.from_matrix(normalized_kernel((40, 30), 3, zeros=0.0))
+        assert eps_dobrushin_coeff(kernel, math.inf) == 0.0
+
+    @pytest.mark.parametrize("n, m, screened", [
+        (32, mixing.PAIR_BLOCK_ENTRIES // 32**2, False),  # n * n * m at the tile size
+        (32, mixing.PAIR_BLOCK_ENTRIES // 32**2 + 1, True),  # one column past it
+        (2, 20000, True),
+        (40, 90, True),
+        (90, 40, True),
+    ])
+    def test_sizes_around_one_tile(self, n, m, screened, monkeypatch):
+        calls = []
+        screen = mixing._screened_worst
+        monkeypatch.setattr(mixing, "_screened_worst", lambda p, s: calls.append(p.shape) or screen(p, s))
+        assert_screen_equals_row_blocks(normalized_kernel((n, m), n * m))
+        assert bool(calls) == screened
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_bounds_cover_every_computed_pair_sum(self, kind):
+        # The pruning is sound only if each bound, margin included, is at
+        # least the pair's sum as the tiles compute it.
+        for k in random_kernels(kind, 60):
+            for e in SCREEN_EPS:
+                s = (np.where(k > 0.0, math.inf, 0.0) if math.isinf(e)
+                     else mixing._exp_times_stack(np.array([[e]]), k[None])[0, 0])
+                excess = k[:, None] - s[None]
+                sums = np.maximum(excess, 0.0, out=excess).sum(axis=2)
+                assert (mixing._pair_bounds(k, s) >= sums).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_screen_property(self, data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        entry = st.one_of(st.sampled_from(SCREEN_ENTRIES), st.floats(0.0, 1.0))
+        k = np.array(data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)))
+        k[k.sum(axis=1) == 0.0, 0] = 1.0
+        k /= k.sum(axis=1, keepdims=True)
+        eps = data.draw(st.lists(st.one_of(st.sampled_from(SCREEN_EPS), st.floats(0.0, 1000.0)),
+                                 min_size=1, max_size=4))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 0)
+            assert_screen_equals_row_blocks(k, eps)
 
 
 class TestAmplify:

@@ -192,3 +192,18 @@ def test_a_thread_setting_is_honoured(var):
 
 def test_numpy_imported_first_changes_nothing():
     assert _fresh_startup("import numpy, amplify_dp") == _fresh_startup("import numpy")
+
+
+def test_mixing_on_a_large_kernel_keeps_one_thread(tmp_path):
+    # Past one tile the eps-Dobrushin screen multiplies n x m matrices, the
+    # library's one gemm; OpenBLAS must still run on the thread it started with.
+    rows = [[(1.0 + (i * 7 + j * 13) % 17) for j in range(256)] for i in range(256)]
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps([[v / sum(row) for v in row] for row in rows]))
+    config = tmp_path / "mixing.json"
+    config.write_text(json.dumps({"kernel_path": str(kernel), "eps": 1.0, "delta": 1e-4}))
+    argv = ["mixing", "--config", str(config), "--out", str(tmp_path / "mixing.csv")]
+    probe = _fresh_startup(f"from amplify_dp import cli\nassert cli.main({argv!r}) == 0")
+    if probe["threads"] is None or not probe["openblas"]:
+        pytest.skip("needs /proc/self/task and a numpy built on OpenBLAS")
+    assert probe["threads"] == 1
