@@ -282,27 +282,46 @@ def _screened_worst(p: np.ndarray, s: np.ndarray) -> float:
     the tiles' maximum: each pair it sums is summed as a tile sums it, and a
     pair it skips has a computed sum no larger than one it has summed.
 
-    The exact sum runs for the pair of largest :func:`_pair_bounds` value,
-    then row by row in descending order of each row's largest value, on the
-    pairs whose value exceeds the largest exact sum so far; a row whose
-    largest value does not ends the search.
+    A first pass over row blocks gives each row's largest :func:`_pair_bounds`
+    value.  The exact sum runs for the pair of largest bound, then row by row
+    in descending order of each row's largest bound, on the pairs whose bound
+    exceeds the largest exact sum so far; a row whose largest bound does not
+    ends the search.  A block holds at most max(``PAIR_BLOCK_ENTRIES``, n * m)
+    bounds, so memory is O(n * m) at any shape: one block of all rows is kept
+    from the first pass, smaller blocks of the descending order are bounded
+    again as the search reaches them.
     """
-    reach = _pair_bounds(p, s)
-    top = reach.max(axis=1)
+    n = len(p)
+    step = max(1, max(PAIR_BLOCK_ENTRIES, p.size) // n)
+    bounds = _pair_bounds(p, s)
+    top, col = np.empty(n), np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        reach = bounds(slice(start, start + step))
+        top[start:start + step], col[start:start + step] = reach.max(axis=1), reach.argmax(axis=1)
+    if step >= n:
+        bounds = None  # frees the n x m arrays of s it reads before the search
     i = int(top.argmax())
-    best = float(np.maximum(p[i] - s[int(reach[i].argmax())], 0.0).sum())
-    for i in np.argsort(-top, kind="stable").tolist():
-        if top[i] <= best:
+    best = float(np.maximum(p[i] - s[col[i]], 0.0).sum())
+    order = np.argsort(-top, kind="stable").tolist()
+    for start in range(0, n, step):
+        rows = order[start:start + step]
+        if top[rows[0]] <= best:
             break
-        excess = p[i] - s[reach[i] > best]
-        best = max(best, float(np.maximum(excess, 0.0, out=excess).sum(axis=1).max()))
+        if step < n:
+            reach = bounds(rows)
+        for t, i in enumerate(rows):
+            if top[i] <= best:
+                break
+            excess = p[i] - s[reach[t if step < n else i] > best]
+            best = max(best, float(np.maximum(excess, 0.0, out=excess).sum(axis=1).max()))
     return best
 
 
-def _pair_bounds(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """At ``[i, k]``, for every row pair at once, an upper bound on the
-    computed sum of [p[i, j] - s[k, j]]_+ over j, the tiles' rounding included:
-    a bound on the real sum by two matrix products, times a margin.
+def _pair_bounds(p: np.ndarray, s: np.ndarray):
+    """A function of a selection ``rows`` of p's rows that gives, at ``[t, k]``,
+    an upper bound on the computed sum of [p[rows][t, j] - s[k, j]]_+ over j,
+    the tiles' rounding included: a bound on the real sum by two matrix
+    products, times a margin.  The n x m arrays it reads of s are formed once.
 
     The bound: for p >= 0 and s > 0, [p - s]_+ <= p^2 / (4 s), as it is 0
     where p <= s, and elsewhere 4 s (p - s) <= p^2 is (p - 2 s)^2 >= 0.
@@ -313,8 +332,8 @@ def _pair_bounds(p: np.ndarray, s: np.ndarray) -> np.ndarray:
       - 0, where s > sigma >= p (s = +inf included), as the term is 0 there;
       - p^2 / (4 s) elsewhere: p^2 >= 2^-1000, and 1 / (4 s) lies between
         1 / (4 sigma) and 2^498, so no term underflows or overflows.
-    No entry is NaN: p is finite and s lies in [0, +inf].  The p^2 / (4 s)
-    product is skipped where no s is in its range, as at eps = +inf.
+    No entry is NaN: p is finite and s lies in [0, +inf].  Either product is
+    skipped where no s is in its range, as the second is at eps = +inf.
 
     The margin: with u = 2^-53, a pair's computed sum of m rounded terms is at
     most (1 + u)^m times its real sum, so at most (1 + u)^m times the real
@@ -325,16 +344,25 @@ def _pair_bounds(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     1 + (2m + 5) u, for any m far below 1 / u.  Every term and partial sum is
     a non-negative normal float or exact, so no underflow spoils these factors.
     """
-    big = p >= SCREEN_TINY
-    q = np.where(big, p, 0.0)
-    bound = q @ (s < SCREEN_TINY).astype(np.float64).T
+    outside = (s < SCREEN_TINY).astype(np.float64).T
+    outside = outside if outside.any() else None
     mid = (s >= SCREEN_TINY) & (s <= p.max())
-    if mid.any():
-        q *= q
-        bound += q @ np.divide(0.25, s, out=np.zeros_like(s), where=mid).T
-    bound += np.where(big, 0.0, p).sum(axis=1)[:, None]
-    bound *= 1.0 + 4.0 * (p.shape[1] + 4) * 2.0**-53
-    return bound
+    inverse = np.divide(0.25, s, out=np.zeros_like(s), where=mid).T if mid.any() else None
+    margin = 1.0 + 4.0 * (p.shape[1] + 4) * 2.0**-53
+
+    def bounds(rows) -> np.ndarray:
+        block = p[rows]
+        big = block >= SCREEN_TINY
+        q = np.where(big, block, 0.0)
+        bound = np.zeros((len(block), len(s))) if outside is None else q @ outside
+        if inverse is not None:
+            q *= q
+            bound += q @ inverse
+        bound += np.where(big, 0.0, block).sum(axis=1)[:, None]
+        bound *= margin
+        return bound
+
+    return bounds
 
 
 def doeblin_coeff(kernel: DiscreteKernel) -> tuple[float, DiscreteDist | None]:

@@ -267,8 +267,10 @@ class TestCoefficients:
         assert peak < 4 * 2**20
 
     def test_pair_tiles_bound_memory(self):
-        # The pairwise arrays are built in cache-sized tiles: on a 256 x 256
-        # kernel (512 KiB) the peak stays at a few tiles, not n^2 * m floats.
+        # On a 256 x 256 kernel (512 KiB) Dobrushin builds its pairwise arrays
+        # in cache-sized tiles, and eps-Dobrushin's screen holds the n^2 pair
+        # bounds and a few n x m arrays: the peak stays at a few 512 KiB
+        # arrays, not n^2 * m floats.
         rng = np.random.default_rng(256)
         k = rng.exponential(size=(256, 256)) * (rng.uniform(size=(256, 256)) > 0.3)
         k[:, 0] += 1.0
@@ -283,12 +285,14 @@ class TestCoefficients:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("n", [256, 64])
+    @pytest.mark.parametrize("n", [256, 64, 40])
     def test_stacked_eps_tiles_bound_memory(self, n):
-        # Four eps read in one pass of stacked tiles: PAIR_BLOCK_ENTRIES counts
-        # all four, so the peak is two tiles and two copies of the 4 x n x m
-        # stack (10% over that allowed), not 4 x n^2 x m floats (512 MiB at
-        # n = 256).  At n = 64 a tile that counted one eps would be 2 MiB.
+        # At n = 40 (n^3 = 64000 <= PAIR_BLOCK_ENTRIES) four eps are read in
+        # one pass of stacked tiles: PAIR_BLOCK_ENTRIES counts all four, so the
+        # peak is two tiles and two copies of the 4 x n x m stack (10% over
+        # that allowed); a tile that counted one eps would be 2 MiB.  At
+        # n = 64 and 256 the kernel is past one tile and each eps is screened,
+        # within the same allowance, not 4 x n^2 x m floats (512 MiB at 256).
         rng = np.random.default_rng(n)
         k = rng.exponential(size=(n, n)) * (rng.uniform(size=(n, n)) > 0.3)
         k[:, 0] += 1.0
@@ -304,11 +308,13 @@ class TestCoefficients:
         assert peak < 1.1 * 2 * (stack + max(mixing.PAIR_BLOCK_ENTRIES, stack)) * 8
         assert batch == [eps_dobrushin_coeff(kernel, eps) for eps in eps_values]
 
-    def test_screen_memory_is_linear_in_the_pair_bounds(self):
-        # On a 512 x 512 kernel the screen holds a few n x m arrays (e^eps * q,
-        # the squares, the reciprocals) and two n x n bound arrays: at eps = 0
-        # the bound rules out almost no pair, at eps = 6 almost all.
-        n = m = 512
+    @pytest.mark.parametrize("n, m", [(512, 512), (4096, 4)])
+    def test_screen_memory_is_linear_in_the_kernel(self, n, m):
+        # The screen holds a few n x m arrays (e^eps * q, the reciprocals, the
+        # small-entry indicator) and a block of at most max(PAIR_BLOCK_ENTRIES,
+        # n m) bounds: on the 512 x 512 kernel all n^2 bounds, on the 4096 x 4
+        # kernel 16 rows of them, not the 16.8M floats (128 MiB) of all pairs.
+        # At eps = 0 the bound rules out almost no pair, at eps = 6 almost all.
         rng = np.random.default_rng(n)
         k = rng.exponential(size=(n, m)) * (rng.uniform(size=(n, m)) > 0.3)
         k[:, 0] += 1.0
@@ -320,7 +326,7 @@ class TestCoefficients:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * (n * n + n * m) * 8
+            assert peak < 4 * (max(mixing.PAIR_BLOCK_ENTRIES, n * m) + n * m) * 8
 
     def test_doeblin_witness_optimality(self):
         # The column-minimum mass dominates the best constant achievable by
@@ -374,7 +380,9 @@ class TestScreenedEpsDobrushin:
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_every_kernel_kind(self, kind, monkeypatch):
-        # At PAIR_BLOCK_ENTRIES = 0 every kernel takes the screen.
+        # At PAIR_BLOCK_ENTRIES = 0 every kernel takes the screen, in row
+        # blocks of m rows: a kernel with more rows than columns is bounded
+        # again block by block in the search's order.
         monkeypatch.setattr(mixing, "PAIR_BLOCK_ENTRIES", 0)
         for k in random_kernels(kind, 60):
             assert_screen_equals_row_blocks(k)
@@ -402,6 +410,8 @@ class TestScreenedEpsDobrushin:
         (2, 20000, True),
         (40, 90, True),
         (90, 40, True),
+        (300, 3, True),  # two row blocks of bounds
+        (1000, 2, True),  # sixteen
     ])
     def test_sizes_around_one_tile(self, n, m, screened, monkeypatch):
         calls = []
@@ -420,7 +430,9 @@ class TestScreenedEpsDobrushin:
                      else mixing._exp_times_stack(np.array([[e]]), k[None])[0, 0])
                 excess = k[:, None] - s[None]
                 sums = np.maximum(excess, 0.0, out=excess).sum(axis=2)
-                assert (mixing._pair_bounds(k, s) >= sums).all()
+                bounds = mixing._pair_bounds(k, s)
+                assert (bounds(slice(None)) >= sums).all()
+                assert (bounds(list(range(len(k)))[::-1]) >= sums[::-1]).all()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
