@@ -125,11 +125,16 @@ class GaussianDist:
             raise ValueError("variance must be positive")
         object.__setattr__(self, "mean", tuple(float(x) for x in m))
         object.__setattr__(self, "variance", float(variance))
-        # The density divides by (2 pi v)^(d/2), which underflows to 0 only
-        # where 2 pi v < 1 (past 1 it may overflow, and density reports that).
+        # The density divides by (2 pi v)^(d/2), which must be a positive
+        # finite float: Python's float ** raises OverflowError past the range.
         two_pi_v = 2.0 * math.pi * self.variance
-        if two_pi_v < 1.0 and two_pi_v ** (len(m) / 2.0) == 0.0:
-            raise ValueError("the normalizer (2 pi variance)^(dim/2) underflows to 0")
+        try:
+            norm = two_pi_v ** (len(m) / 2.0)
+        except OverflowError:
+            norm = math.inf
+        if not 0.0 < norm < math.inf:
+            raise ValueError("the normalizer (2 pi variance)^(dim/2) "
+                             + ("underflows to 0" if norm == 0.0 else "overflows"))
         # A 1-D law's constants for density and log_density: its mean, 2v,
         # 1/2 log(2 pi v) and sqrt(2 pi v), by ``math.log`` and ``** 0.5`` (``np.log``
         # and ``math.sqrt`` differ from them in the last bit now and then).

@@ -89,11 +89,13 @@ def aligned_masses(mu: DiscreteDist, nu: DiscreteDist) -> tuple[tuple, np.ndarra
 
 
 def exp_times(eps: float, q: np.ndarray) -> np.ndarray:
-    """``e^eps * q`` for finite ``eps`` and ``q >= 0``.  Past ``EXP_ARG_MAX`` it is
-    ``exp(eps + log q)``: right for subnormal ``q``, and 0 (not NaN) at ``q = 0``.
-    At eps = +inf it is +inf where q is positive."""
+    """``e^eps * q`` for ``eps`` in [0, +inf] and ``q >= 0``, exactly 0 wherever
+    ``q = 0``.  Past ``EXP_ARG_MAX`` it is ``exp(eps + log q)``: right for
+    subnormal ``q``.  At eps = +inf it is +inf where q is positive."""
     if eps <= EXP_ARG_MAX:
         return math.exp(eps) * q
+    if math.isinf(eps):
+        return np.where(q > 0.0, math.inf, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(eps + np.log(q))
 

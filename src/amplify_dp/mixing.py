@@ -20,6 +20,7 @@ from .divergences import (
     _line_passes,
     _padded,
     aligned_masses,
+    exp_times,
 )
 
 __all__ = [
@@ -47,8 +48,9 @@ AMPLIFY_CONDITIONS = ("dobrushin", "eps_dobrushin", "doeblin", "ultra")
 # (512 KiB, so a tile stays in cache), or one row against all rows where that
 # is more.  A stack of kernels is cut into windows of consecutive kernels whose
 # tiles fit, so sixteen 16x16 kernels share one tile, and a window of one
-# kernel is cut into row blocks (eps-Dobrushin screens a kernel past one tile
-# instead, see _screened_worst).  Sinkhorn stacks share the bound, each
+# kernel is cut into row blocks.  eps-Dobrushin's tiles count one layer per
+# distinct eps, +inf as any other, and a kernel past one tile is screened
+# instead (see _screened_worst).  Sinkhorn stacks share the bound, each
 # coupling counted at its zero-padded summation widths (_summation_width).
 PAIR_BLOCK_ENTRIES = 2**16
 
@@ -189,9 +191,9 @@ def _dobrushin_coeffs(r: np.ndarray) -> np.ndarray:
 def eps_dobrushin_coeff(kernel: DiscreteKernel, eps):
     """Worst-case hockey-stick divergence over ordered row pairs.
 
-    At eps = +inf the divergence degenerates to the mass of one row outside
-    the other's support.  A sequence of eps gives a list, each value ``==``
-    the scalar call's.
+    At eps = +inf e^eps * q is +inf on q's support and 0 off it, so the
+    divergence is the mass of one row outside the other's support.  A
+    sequence of eps gives a list, each value ``==`` the scalar call's.
 
     On a kernel too large for one tile (n * n * m > ``PAIR_BLOCK_ENTRIES``)
     the pairs are screened first: [p - s]_+ <= p^2 / (4 s), with s = e^eps * q,
@@ -211,40 +213,26 @@ def _eps_dobrushin_coeffs(r: np.ndarray, eps: Sequence[Sequence[float]]) -> list
     stack at each eps of the list ``eps[w]``; lists may differ in length, and a
     kernel may repeat its first row (which adds no new pair value).
 
-    e^eps * q is formed once for all rows, with 0 where q is 0 at every eps
-    (+inf elsewhere at eps = +inf), so such an entry contributes all of p.
-    Where n * n * m > ``PAIR_BLOCK_ENTRIES`` each kernel and distinct eps,
-    +inf too, goes to :func:`_screened_worst`, which sums only the pairs whose
-    bound sum_j p^2 / (4 s) (p where p or s is below ``SCREEN_TINY``), times
-    a margin of 1 + 4 (m + 4) 2^-53, exceeds its best exact sum.  Otherwise a
-    window of kernels' distinct finite eps are read in one stacked pass of
-    tiles, shorter lists repeating their first entry; each pair is summed
-    along its contiguous axis.  At eps = +inf that array depends on q's
-    support only, so each row is compared with its own kernel's distinct
-    support patterns: rows of one pattern give the same per-pair sums.
+    e^eps * q is :func:`exp_times`' at each kernel's distinct eps, +inf as any
+    other: it is 0 wherever q is 0, so such an entry contributes all of p.
+    Where n * n * m > ``PAIR_BLOCK_ENTRIES`` each kernel and distinct eps goes
+    to :func:`_screened_worst`.  Otherwise a window of kernels' distinct eps
+    are read in one stacked pass of tiles (one ``_exp_times_stack``), shorter
+    lists repeating their first entry; each pair is summed along its
+    contiguous axis.
     """
     if not all(e >= 0 for values in eps for e in values):
         raise ValueError("eps must be non-negative")
+    distinct = [list(dict.fromkeys(values)) for values in eps]
     if r.shape[1] ** 2 * r.shape[2] > PAIR_BLOCK_ENTRIES:
-        return [_screened_coeffs(rows, values) for rows, values in zip(r, eps)]
-    worst: list[dict] = [{} for _ in eps]
-    finite = [list(dict.fromkeys(e for e in values if not math.isinf(e))) for values in eps]
-    depth = max(map(len, finite))
-    for w, blocks in _windows(r, depth) if depth else ():
-        values = [_padded(f, depth) for f in finite[w]]
-        scaled = _exp_times_stack(np.array(values, dtype=np.float64), r[w])
-        for seen, f, row in zip(worst[w], finite[w], _worst_excess(r[w], scaled, blocks).tolist()):
-            seen.update(zip(f, row))
-    infinite = [any(map(math.isinf, values)) for values in eps]
-    for w, blocks in _windows(r) if any(infinite) else ():
-        # A dict of row bytes, not np.unique(axis=0), which imports numpy.ma.
-        patterns = [list({row.tobytes(): row for row in pos}.values()) if need else [pos[0]]
-                    for pos, need in zip(r[w] > 0.0, infinite[w])]
-        count = max(map(len, patterns))
-        stack = np.array([_padded(p, count) for p in patterns])
-        excess = _worst_excess(r[w], np.where(stack, math.inf, 0.0)[:, None], blocks)
-        for seen, row in zip(worst[w], excess[:, 0].tolist()):
-            seen[math.inf] = row
+        worst = [{e: _screened_worst(rows, exp_times(e, rows)) for e in d} for rows, d in zip(r, distinct)]
+    else:
+        worst = [{} for _ in eps]
+        depth = max(map(len, distinct))
+        for w, blocks in _windows(r, depth) if depth else ():
+            values = np.array([_padded(d, depth) for d in distinct[w]], dtype=np.float64)
+            excess = _worst_excess(r[w], _exp_times_stack(values, r[w]), blocks).tolist()
+            worst[w] = [dict(zip(d, row)) for d, row in zip(distinct[w], excess)]
     return [[min(seen[e], 1.0) for e in values] for seen, values in zip(worst, eps)]
 
 
@@ -262,19 +250,6 @@ def _worst_excess(r: np.ndarray, scaled: np.ndarray, blocks) -> np.ndarray:
 # Kernel and scaled entries below SCREEN_TINY take the trivial bound p in
 # _pair_bounds, so that every squared entry and every 1 / (4 s) is a normal float.
 SCREEN_TINY = 2.0**-500
-
-
-def _screened_coeffs(rows: np.ndarray, values: Sequence[float]) -> list[float]:
-    """:func:`eps_dobrushin_coeff` of the kernel ``rows`` at each eps of
-    ``values``, one :func:`_screened_worst` per distinct eps, with e^eps * q
-    as the tiles form it."""
-    worst: dict = {}
-    for e in values:
-        if e not in worst:
-            scaled = (np.where(rows > 0.0, math.inf, 0.0) if math.isinf(e)
-                      else _exp_times_stack(np.array([[e]]), rows[None])[0, 0])
-            worst[e] = _screened_worst(rows, scaled)
-    return [min(worst[e], 1.0) for e in values]
 
 
 def _screened_worst(p: np.ndarray, s: np.ndarray) -> float:

@@ -339,9 +339,10 @@ def laws(draw):
     try:
         return draw_law(draw)
     except ValueError as exc:
-        # A law whose normalizer underflows to 0 is rejected where it is built
-        # (test_underflowing_normalizer_rejected): it has no density to compare.
-        if "underflows to 0" not in str(exc):
+        # A law whose normalizer underflows to 0 or overflows is rejected where
+        # it is built (test_underflowing_normalizer_rejected and
+        # test_overflowing_normalizer_rejected): it has no density to compare.
+        if not str(exc).endswith(("underflows to 0", "overflows")):
             raise
         reject()
 
@@ -415,6 +416,23 @@ class TestDensityEqualsPerCallFormula:
         # density would divide by 0; the law is refused where it is built.
         with raises_exactly(message):
             make()
+
+    @pytest.mark.parametrize("mean, variance", [
+        ([0.0] * 4, 1e300),  # (2 pi v)^2 leaves the range: Python's float ** raises OverflowError
+        ([0.0] * 2, 1e308),  # 2 pi v is +inf
+        ([0.0], 1e308),  # 2 pi v is +inf: density would be 0 and log_density -inf at every x
+        ([0.0], 2.9e307),
+    ])
+    def test_overflowing_normalizer_rejected(self, mean, variance):
+        with raises_exactly("the normalizer (2 pi variance)^(dim/2) overflows"):
+            GaussianDist(mean, variance)
+
+    def test_laws_at_the_edge_of_overflow_keep_a_density(self):
+        # 2 pi 2.8e307 is finite: the 1-D density at the mean is 1 / sqrt(2 pi v).
+        law = GaussianDist([0.0], 2.8e307)
+        assert density(law, 0.0) == 1.0 / (2.0 * math.pi * 2.8e307) ** 0.5
+        assert log_density(law, [0.0]).tolist() == [-0.5 * math.log(2.0 * math.pi * 2.8e307)]
+        assert density(GaussianDist([0.0] * 4, 1e150), [0.0] * 4) > 0.0
 
     def test_laws_at_the_edge_of_underflow_keep_a_density(self):
         # A 2-D normalizer of 2 pi 5e-324 and a subnormal scale product stay positive.

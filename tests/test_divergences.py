@@ -21,10 +21,12 @@ from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, de
 from amplify_dp.divergences import (
     DpGuarantee,
     _distances,
+    _exp_times_stack,
     _hockey_sticks,
     _line_passes,
     _logsumexp,
     RdpPoint,
+    exp_times,
     hockey_stick,
     renyi_discrete,
     renyi_numeric_1d,
@@ -219,6 +221,20 @@ class TestHockeyStick:
             mu, nu = DiscreteDist.from_probs(p[i]), DiscreteDist.from_probs(q[i])
             assert got[i] == [hockey_stick(mu, nu, e) for e in values]
             assert got[i] == [hockey_stick_scalar(mu, nu, e) for e in values]
+
+    def test_exp_times_at_infinite_eps(self):
+        # e^eps * q at eps = +inf: exactly 0 where q is 0 and +inf on q's
+        # support (a subnormal q included), alone and in a stack, with no warning.
+        q = np.array([0.0, 5e-324, 0.25, 1.0, 0.0])
+        want = [0.0, math.inf, math.inf, math.inf, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = exp_times(math.inf, q)
+            stack = _exp_times_stack(np.array([[math.inf, 0.0], [1.0, math.inf]]), np.stack([q, q[::-1]]))
+        assert alone.tolist() == want
+        assert stack[0, 0].tolist() == want and stack[1, 1].tolist() == want[::-1]
+        assert stack[0, 1].tolist() == q.tolist()
+        assert stack[1, 0].tolist() == (math.exp(1.0) * q[::-1]).tolist()
 
 
 class TestRenyiDiscrete:

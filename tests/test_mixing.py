@@ -426,8 +426,7 @@ class TestScreenedEpsDobrushin:
         # least the pair's sum as the tiles compute it.
         for k in random_kernels(kind, 60):
             for e in SCREEN_EPS:
-                s = (np.where(k > 0.0, math.inf, 0.0) if math.isinf(e)
-                     else mixing._exp_times_stack(np.array([[e]]), k[None])[0, 0])
+                s = mixing.exp_times(e, k)
                 excess = k[:, None] - s[None]
                 sums = np.maximum(excess, 0.0, out=excess).sum(axis=2)
                 bounds = mixing._pair_bounds(k, s)
