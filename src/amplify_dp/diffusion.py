@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GaussianDist, sample as sample_family
+from ._rng import normal_open, rng_from_seed
+from .distributions import GaussianDist
 from .divergences import RdpPoint
 
 __all__ = [
@@ -161,5 +162,10 @@ def plan_ou(epsilon: float, delta: float, R: float, d: int) -> OuParams:
 
 
 def ou_sample(x, p: OuParams, seed: int, n: int) -> np.ndarray:
-    """``n`` i.i.d. draws from the OU transition law started at ``x``."""
-    return sample_family(ou_transition(x, p), seed, n)
+    """``n`` i.i.d. draws from the OU transition law started at ``x``: an (n,)
+    array where d = 1, else (n, d).  Identical seeds give identical bits."""
+    law = ou_transition(x, p)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    z = normal_open(rng_from_seed(seed), (n, p.d)) * math.sqrt(law.variance) + np.asarray(law.mean)
+    return z if p.d > 1 else z[:, 0]

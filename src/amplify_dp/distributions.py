@@ -1,8 +1,8 @@
 """Finite discrete distributions and the closed-form continuous noise families.
 
 The discrete type is the substrate for all exact oracles; the continuous
-families (isotropic Gaussian, Laplace, and the two-scale Laplace convolution)
-are the noise models whose divergences the rest of the package bounds.
+families (isotropic Gaussian and Laplace) are the noise models whose densities
+the quadrature oracles integrate.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._rng import normal_open, rng_from_seed, uniform_open
+# Not called here: bench/tracing.py wraps this name where distributions looks it up.
+from ._rng import rng_from_seed  # noqa: F401
 
 __all__ = [
     "DiscreteDist",
     "GaussianDist",
     "LaplaceDist",
-    "Lap2Dist",
     "density",
     "log_density",
-    "sample",
 ]
 
 PROB_ATOL = 1e-12
@@ -87,10 +86,6 @@ class DiscreteDist:
         pr.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
-
-    @classmethod
-    def from_probs(cls, probs: Sequence[float]) -> "DiscreteDist":
-        return cls([f"s{i}" for i in range(len(probs))], probs)
 
     @property
     def has_coords(self) -> bool:
@@ -160,28 +155,7 @@ class LaplaceDist:
         object.__setattr__(self, "_terms", (2.0 * self.scale, math.log(2.0 * self.scale)))
 
 
-@dataclass(frozen=True)
-class Lap2Dist:
-    """Sum of two independent centered Laplace variables, shifted by ``loc``."""
-
-    loc: float
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self):
-        if not (self.lambda1 > 0 and self.lambda2 > 0):
-            raise ValueError("both scales must be positive")
-        # With l1 >= l2 and u = z * (l1 - l2) / (l1 * l2), the density is
-        # e^(-z/l1) * (1 + (z/l1) * phi(u)) / (2 * (l1 + l2)), with
-        # phi(u) = (1 - e^-u) / u and phi(0) = 1: expm1 keeps it accurate as
-        # the scales close in, where 1 / (l1 - l2) would cancel.
-        l1, l2 = max(self.lambda1, self.lambda2), min(self.lambda1, self.lambda2)
-        if l1 * l2 == 0.0:
-            raise ValueError("the product of the scales lambda1 * lambda2 underflows to 0")
-        object.__setattr__(self, "_terms", (l1, l1 - l2, l1 * l2, 2.0 * (l1 + l2), math.log(2.0 * (l1 + l2))))
-
-
-NoiseFamily = Union[GaussianDist, LaplaceDist, Lap2Dist]
+NoiseFamily = Union[GaussianDist, LaplaceDist]
 
 
 def _gaussian_density(d: GaussianDist, x) -> float:
@@ -203,8 +177,7 @@ def density(family: NoiseFamily, x) -> float:
     A 1-D family takes a number; a Gaussian takes a point of its dimension as
     a sequence or array, and a 1-D Gaussian also a number.  A number or a
     one-number sequence is evaluated in float arithmetic, an array or a
-    point in more dimensions with numpy.  Lap2 uses the form in the comment
-    of :class:`Lap2Dist`.
+    point in more dimensions with numpy.
     """
     if isinstance(family, GaussianDist):
         terms = family._terms
@@ -217,12 +190,6 @@ def density(family: NoiseFamily, x) -> float:
     if isinstance(family, LaplaceDist):
         z = abs(float(x) - family.loc)
         return math.exp(-z / family.scale) / family._terms[0]
-    if isinstance(family, Lap2Dist):
-        l1, gap, prod, norm, _ = family._terms
-        z = abs(float(x) - family.loc)
-        u = z * gap / prod
-        phi = -math.expm1(-u) / u if u > 0.0 else 1.0
-        return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / norm
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
@@ -230,20 +197,13 @@ def log_density(family: NoiseFamily, x) -> np.ndarray:
     """Log of the closed-form density at every point of the 1-D array ``x``.
 
     Finite wherever the density is positive, also where ``density`` underflows
-    to 0.  Lap2 uses the form of :func:`density` in log space,
-    -z/l1 + log1p((z/l1) * phi(u)) - log(2 * (l1 + l2)).  Gaussians must be 1-D.
+    to 0.  Gaussians must be 1-D.
     """
     xv = np.asarray(x, dtype=np.float64)
     if isinstance(family, GaussianDist):
         return _gaussian_log_density(xv, *_gaussian_terms(family))
     if isinstance(family, LaplaceDist):
         return -np.abs(xv - family.loc) / family.scale - family._terms[1]
-    if isinstance(family, Lap2Dist):
-        l1, gap, prod, _, log_norm = family._terms
-        z = np.abs(xv - family.loc)
-        u = z * gap / prod
-        phi = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
-        return -z / l1 + np.log1p((z / l1) * phi) - log_norm
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
@@ -268,34 +228,6 @@ def _gaussian_log_densities(laws: Sequence[GaussianDist]) -> Callable[[np.ndarra
     return lambda x, which: _gaussian_log_density(x, means[which], scales[which], norms[which])
 
 
-def _laplace_from_uniform(u: np.ndarray, loc: float, scale: float) -> np.ndarray:
-    # Inverse CDF; u in (0, 1) keeps the log argument positive.
-    c = u - 0.5
-    return loc - scale * np.sign(c) * np.log1p(-2.0 * np.abs(c))
-
-
-def sample(family: NoiseFamily, rng_seed: int, n: int) -> np.ndarray:
-    """``n`` i.i.d. draws; identical seeds give bit-identical output.
-
-    Gaussian draws invert the normal CDF on the shared uniform stream; Laplace
-    and Lap2 use the Laplace inverse CDF (Lap2 consumes two uniform blocks,
-    lambda1 first).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = rng_from_seed(rng_seed)
-    if isinstance(family, GaussianDist):
-        z = normal_open(rng, (n, family.dim)) * math.sqrt(family.variance) + np.asarray(family.mean)
-        return z if family.dim > 1 else z[:, 0]
-    if isinstance(family, LaplaceDist):
-        return _laplace_from_uniform(uniform_open(rng, n), family.loc, family.scale)
-    if isinstance(family, Lap2Dist):
-        a = _laplace_from_uniform(uniform_open(rng, n), 0.0, family.lambda1)
-        b = _laplace_from_uniform(uniform_open(rng, n), 0.0, family.lambda2)
-        return family.loc + a + b
-    raise TypeError(f"unsupported family {type(family).__name__}")
-
-
 def quadrature_domain(family: NoiseFamily) -> tuple[float, float]:
     """Interval carrying all but < 1e-300 of the family's mass (1-D only):
     ``QUAD_DOMAIN_SCALES`` scales on either side of the center."""
@@ -305,8 +237,6 @@ def quadrature_domain(family: NoiseFamily) -> tuple[float, float]:
         center, scale = family.mean[0], math.sqrt(family.variance)
     elif isinstance(family, LaplaceDist):
         center, scale = family.loc, family.scale
-    elif isinstance(family, Lap2Dist):
-        center, scale = family.loc, max(family.lambda1, family.lambda2)
     else:
         raise TypeError(f"unsupported family {type(family).__name__}")
     return center - QUAD_DOMAIN_SCALES * scale, center + QUAD_DOMAIN_SCALES * scale

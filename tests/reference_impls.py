@@ -3,7 +3,8 @@
 Each one is the straightforward construction a library function used before
 it was replaced by an exact shortcut, or a second formula for a library
 value; the tests require both to agree.  ``project_to_ball`` is instead the
-step of the algorithm whose hypotheses the SGD accountant's tests check.
+step of the algorithm whose hypotheses the SGD accountant's tests check,
+and ``dist_from_probs`` a shorthand for building test laws.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from amplify_dp import _quadrature
 from amplify_dp._quadrature import INITIAL_PANELS, QuadratureError
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.diffusion import BrownianParams, OuParams, brownian_rdp, ou_mse, ou_rdp, ou_transition
-from amplify_dp.distributions import DiscreteDist, GaussianDist, Lap2Dist, LaplaceDist, _trusted, quadrature_domain
+from amplify_dp.distributions import DiscreteDist, GaussianDist, LaplaceDist, _trusted, quadrature_domain
 from amplify_dp.divergences import (EXP_ARG_MAX, DpGuarantee, _distances, _exp_times_stack, _start_threshold,
                                     aligned_masses, exp_times, hockey_stick)
 from amplify_dp.mixing import (
@@ -37,6 +38,11 @@ from amplify_dp.verify import (DIFFUSION_GRID, DIFFUSION_SENSITIVITY, EXACT_TOL,
 
 # Feasibility margin for floating-point max-flow on probability capacities.
 FLOW_ATOL = 1e-12
+
+
+def dist_from_probs(probs: Sequence[float]) -> DiscreteDist:
+    """A law on the labels ``s0, s1, ...`` with the given probabilities."""
+    return DiscreteDist([f"s{i}" for i in range(len(probs))], probs)
 
 
 def _wasserstein_feasible(p: np.ndarray, q: np.ndarray, dist: np.ndarray, w: float) -> tuple[bool, np.ndarray | None]:
@@ -234,12 +240,6 @@ def density_per_call(family, x) -> float:
     if isinstance(family, LaplaceDist):
         z = abs(float(x) - family.loc)
         return math.exp(-z / family.scale) / (2.0 * family.scale)
-    if isinstance(family, Lap2Dist):
-        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
-        z = abs(float(x) - family.loc)
-        u = z * (l1 - l2) / (l1 * l2)
-        phi = -math.expm1(-u) / u if u > 0.0 else 1.0
-        return math.exp(-z / l1) * (1.0 + (z / l1) * phi) / (2.0 * (l1 + l2))
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 
@@ -253,12 +253,6 @@ def log_density_per_call(family, x) -> np.ndarray:
         return -((xv - family.mean[0]) ** 2) / (2.0 * v) - 0.5 * math.log(2.0 * math.pi * v)
     if isinstance(family, LaplaceDist):
         return -np.abs(xv - family.loc) / family.scale - math.log(2.0 * family.scale)
-    if isinstance(family, Lap2Dist):
-        l1, l2 = max(family.lambda1, family.lambda2), min(family.lambda1, family.lambda2)
-        z = np.abs(xv - family.loc)
-        u = z * (l1 - l2) / (l1 * l2)
-        phi = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
-        return -z / l1 + np.log1p((z / l1) * phi) - math.log(2.0 * (l1 + l2))
     raise TypeError(f"unsupported family {type(family).__name__}")
 
 

@@ -10,12 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from amplify_dp._rng import rng_from_seed, uniform_open
 from amplify_dp.distributions import (
     GaussianDist,
-    Lap2Dist,
     density,
     quadrature_domain,
 )
@@ -177,42 +175,6 @@ def test_criterion_6_sgd_structure_and_coupling():
     ok = identity_ok and coupling_violations == 0
     announce(6, "per-index SGD accountant identity and W-infinity contraction",
              ok, f"coupling violations {coupling_violations}/{n}")
-
-
-def test_criterion_7_lap2_branch_of_density():
-    # Both branches against the independent convolution oracle.
-    conv_ok = True
-    worst_gap = 0.0
-    for l1, l2 in ((1.0, 1.0), (2.0, 1.0)):
-        d = Lap2Dist(0.0, l1, l2)
-        span = 20.0 * max(l1, l2)
-        for x in np.linspace(-span, span, 1000):
-            def integrand(t):
-                return (math.exp(-abs(x - t) / l1) / (2 * l1)
-                        * math.exp(-abs(t) / l2) / (2 * l2))
-            lim = 40.0 * (l1 + l2) + abs(x)
-            oracle, _ = quad(integrand, -lim, lim, points=sorted({0.0, x}),
-                             limit=200, epsabs=1e-10, epsrel=1e-10)
-            gap = abs(density(d, x) - oracle)
-            worst_gap = max(worst_gap, gap)
-            if gap > QUAD_TOL:
-                conv_ok = False
-
-    # Tail log-ratio reaches the pure-DP level; scales chosen so that the
-    # asymptote is resolved within |x| <= 50.
-    ratio_ok = True
-    for l1, l2, delta in ((0.4, 0.4, 1.0), (2.0, 1.0, 1.0)):
-        d = Lap2Dist(0.0, l1, l2)
-        xs = np.linspace(-50.0, 50.0, 2001)
-        sup = max(math.log(density(d, x) / density(d, x + delta))
-                  for x in xs)
-        target = delta / max(l1, l2)
-        if abs(sup - target) > 0.01 * target:
-            ratio_ok = False
-
-    ok = conv_ok and ratio_ok
-    announce(7, "two-scale Laplace density matches convolution and pure-DP level",
-             ok, f"worst convolution gap {worst_gap:.2e}")
 
 
 def test_criterion_8_transport_and_decomposition():

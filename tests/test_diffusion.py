@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amplify_dp._quadrature import integrate
+from amplify_dp._rng import normal_open, rng_from_seed
 from amplify_dp.distributions import GaussianDist, density, quadrature_domain
 from amplify_dp.diffusion import (
     BrownianParams,
@@ -227,10 +228,45 @@ class TestDominance:
 
 
 class TestOuSampling:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_draws_are_normal_open_of_the_seed(self, d, seed):
+        # Standard normals from the seed's stream, scaled by the transition
+        # law's standard deviation and shifted by its mean, bit for bit.
+        x = [0.5 * (i + 1) for i in range(d)]
+        p = OuParams(theta=0.7, rho=1.3, t=0.9, delta=1.0, R=1.0, d=d)
+        law = ou_transition(x, p)
+        z = normal_open(rng_from_seed(seed), (33, d)) * math.sqrt(law.variance) + np.asarray(law.mean)
+        want = z if d > 1 else z[:, 0]
+        got = ou_sample(x, p, seed, 33)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         a = ou_sample([1.0], OU1, 7, 50)
         b = ou_sample([1.0], OU1, 7, 50)
         np.testing.assert_array_equal(a, b)
+
+    def test_different_seeds_differ(self):
+        assert not np.array_equal(ou_sample([0.0], OU1, 1, 5), ou_sample([0.0], OU1, 2, 5))
+
+    def test_mean_clt(self):
+        draws = ou_sample([0.0], OU1, 2024, 10**6)
+        assert abs(draws.mean()) < 4e-3  # above 4 sigma / sqrt(n), as the variance is below 1
+
+    def test_nd_shape_and_mean(self):
+        p = OuParams(theta=1.0, rho=1.0, t=1.0, delta=1.0, R=1.0, d=3)
+        draws = ou_sample([0.0, 1.0, 2.0], p, 5, 100)
+        assert draws.shape == (100, 3)
+        np.testing.assert_allclose(draws.mean(axis=0), ou_transition([0.0, 1.0, 2.0], p).mean, atol=0.5)
+
+    def test_n_must_be_positive(self):
+        # The start point is checked first, as ou_transition checks it.
+        with pytest.raises(ValueError, match=r"^x has shape \(2,\), expected \(1,\)$"):
+            ou_sample([1.0, 2.0], OU1, 1, 0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^n must be >= 1$"):
+                ou_sample([1.0], OU1, 1, n)
 
     def test_small_time_concentrates(self):
         p = OuParams(theta=1.0, rho=1.0, t=1e-10, delta=1.0, R=1.0, d=1)

@@ -32,6 +32,7 @@ from amplify_dp.verify import _trial_seeds, _trial_sizes, random_instance
 import reference_impls
 from reference_impls import (
     coupling_pairs,
+    dist_from_probs,
     dobrushin_coeff_pairs,
     eps_dobrushin_coeff_pairs,
     eps_dobrushin_coeff_row_blocks,
@@ -582,8 +583,8 @@ class TestTransportOperator:
     def test_random_coupling_marginals_within_1e15(self):
         rng = np.random.default_rng(4)
         for n, m in ((2, 2), (3, 7), (16, 2), (16, 16), (64, 48)):
-            mu = DiscreteDist.from_probs(rng.dirichlet(np.ones(n)))
-            nu = DiscreteDist.from_probs(rng.dirichlet(np.ones(m)))
+            mu = dist_from_probs(rng.dirichlet(np.ones(n)))
+            nu = dist_from_probs(rng.dirichlet(np.ones(m)))
             pi = random_joint_coupling(mu, nu, n * m).mass
             assert np.abs(pi.sum(axis=1) - mu.probs).max() <= 1e-15
             assert np.abs(pi.sum(axis=0) - nu.probs).max() <= 1e-15
@@ -790,8 +791,8 @@ class TestMixtureDecompose:
         rng = np.random.default_rng(9)
         for trial in range(100):
             n = int(rng.integers(2, 10))
-            mu = DiscreteDist.from_probs(rng.dirichlet(np.ones(n)))
-            nu = DiscreteDist.from_probs(rng.dirichlet(np.ones(n)))
+            mu = dist_from_probs(rng.dirichlet(np.ones(n)))
+            nu = dist_from_probs(rng.dirichlet(np.ones(n)))
             eps = float(rng.uniform(0.0, 2.0))
             dec = mixture_decompose(mu, nu, eps)
             assert dec.theta == pytest.approx(hockey_stick(mu, nu, eps), abs=1e-12)

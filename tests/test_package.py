@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import amplify_dp
+from test_verify import load_bench_tracing
 
 SRC = pathlib.Path(amplify_dp.__file__).parent
 
@@ -31,17 +32,36 @@ print(json.dumps({{"environ_kept": dict(os.environ) == before,
 """
 
 
-def _referenced_names(node: ast.AST) -> set[str]:
+def _type_only_parts(node: ast.AST) -> tuple:
+    """The children of ``node`` that name types without using them: its
+    annotations, the class argument of ``isinstance`` and the members of
+    ``Union[...]``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return (node.returns,)
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return (node.annotation,)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+        return (node.args[1],)
+    if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "Union":
+        return (node.slice,)
+    return ()
+
+
+def _referenced_names(node: ast.AST, uses_only: bool = False) -> set[str]:
     """Every name that ``node`` reads, as a bare name, an attribute or an import
-    (``from .m import f as g`` references ``f``)."""
-    names = set()
-    for sub in ast.walk(node):
+    (``from .m import f as g`` references ``f``).  With ``uses_only``, a name
+    read only where :func:`_type_only_parts` names a type is left out."""
+    names, todo = set(), [node]
+    while todo:
+        sub = todo.pop()
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
         elif isinstance(sub, ast.alias):
             names.add(sub.name.split(".")[-1])
+        skipped = _type_only_parts(sub) if uses_only else ()
+        todo.extend(child for child in ast.iter_child_nodes(sub) if child not in skipped)
     return names
 
 
@@ -87,7 +107,7 @@ KEPT_UNREACHED = {
     "w_inf_optimal_coupling": "the witness of w_inf_discrete's search, which divergence runs",
     "renyi_numeric_1d": "the bench's scalar Renyi oracle (waits on ROADMAP item 1)",
     "density": "the bench's scalar densities for renyi_numeric_1d (waits on ROADMAP item 1)",
-    "sample": "the bench's sampling workload (waits on ROADMAP item 1)",
+    "LaplaceDist": "the bench's Laplace laws for oracle-sweep's Renyi probes (waits on ROADMAP item 1)",
     "ou_sample": "the bench's traced OU sampler (waits on ROADMAP item 1)",
 }
 
@@ -105,18 +125,20 @@ def _reached(graph: dict[str, set[str]], roots: set[str]) -> set[str]:
 
 def test_every_definition_is_reached_from_a_command():
     # A name-level call graph over the module-level functions and classes:
-    # an edge from each to every name it references. Its roots are cli.main and
-    # the names that module-level statements other than imports reference
-    # (cli.COMMANDS among them). A definition that no command reaches is
+    # an edge from each to every name it uses, where naming a type in an
+    # annotation, an isinstance check or a Union is no use (a class is reached
+    # where reached code builds, raises, calls or passes it). Its roots are
+    # cli.main and the names that module-level statements other than imports
+    # use (cli.COMMANDS among them). A definition that no command reaches is
     # uncertified by any command or verify row: it goes, or KEPT_UNREACHED
     # says why it stays.
     graph, roots = {}, {"main"}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                graph.setdefault(node.name, set()).update(_referenced_names(node))
+                graph.setdefault(node.name, set()).update(_referenced_names(node, uses_only=True))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots |= _referenced_names(node)
+                roots |= _referenced_names(node, uses_only=True)
     kept = set(KEPT_UNREACHED)
     assert sorted(kept - graph.keys()) == []
     assert sorted(kept & _reached(graph, roots)) == []
@@ -145,6 +167,26 @@ def test_no_module_imports_a_name_it_never_reads():
                 if alias.name != "*" and bound not in read:
                     unread.append(f"{path.stem}:{node.lineno}: {bound}")
     assert unread == []
+
+
+def test_unread_imports_are_the_benchmark_tracers():
+    # A `# noqa: F401` import outside __init__ binds a name that its module
+    # never reads; it stays only while bench/tracing.py wraps it there.
+    wrapped = {(module, attr) for module, attr, _ in load_bench_tracing().WRAPPED}
+    unwrapped, marked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.lineno - 1]:
+                for alias in node.names:
+                    marked += 1
+                    if (f"amplify_dp.{path.stem}", alias.asname or alias.name) not in wrapped:
+                        unwrapped.append(f"{path.stem}:{node.lineno}: {alias.asname or alias.name}")
+    assert marked > 0
+    assert unwrapped == []
 
 
 def test_star_imported_modules_declare_their_public_names():

@@ -48,6 +48,7 @@ from amplify_dp.mixing import (
 from reference_impls import (
     amplify_closed_forms,
     coupling_marginals_by_sum,
+    dist_from_probs,
     eps_dobrushin_coeff_pairs,
     hockey_stick_scalar,
     hockey_stick_via_min,
@@ -78,7 +79,7 @@ def dist_pair():
 
 def normalize(weights):
     arr = np.asarray(weights, dtype=np.float64)
-    return DiscreteDist.from_probs(arr / arr.sum())
+    return dist_from_probs(arr / arr.sum())
 
 
 @settings(max_examples=80, deadline=None)
