@@ -247,6 +247,11 @@ class TestOuSampling:
         b = ou_sample([1.0], OU1, 7, 50)
         np.testing.assert_array_equal(a, b)
 
+    def test_same_seed_same_draws(self):
+        p3 = OuParams(theta=1.0, rho=1.0, t=1.0, delta=1.0, R=1.0, d=3)
+        for x, p in (([0.0], OU1), ([0.0, 1.0, 2.0], p3)):
+            np.testing.assert_array_equal(ou_sample(x, p, 123, 5), ou_sample(x, p, 123, 5))
+
     def test_different_seeds_differ(self):
         assert not np.array_equal(ou_sample([0.0], OU1, 1, 5), ou_sample([0.0], OU1, 2, 5))
 
